@@ -9,7 +9,7 @@ from .cancel import (FamilyReport, StableIsoCertificate, build_stable_iso,
                      check_hypotheses, sigma_family, verify_stable_iso)
 from .errors import DanielewskiError
 from .expmap import (ExpMap, apply_map, canonical_expmap, conjugate, derivation_coeff,
-                     is_invariant, make_expmap, phi_degree, verify_expmap)
+                     is_invariant, phi_degree, verify_expmap)
 from .factor import (Factorization, factor_univariate, gcd_univariate, is_squarefree,
                      roots_in_field, squarefree_part)
 from .fields import GF, QQ, FieldSpec, Scalar, parse_field_tag
@@ -34,7 +34,7 @@ __all__ = [
     "derivation_coeff", "divide_by_x", "exact_div", "factor_univariate", "fiber",
     "filtration_deg", "fingerprint", "gcd_univariate", "graded_surface",
     "identity_certificate", "invert_certificate", "is_invariant", "is_squarefree",
-    "leading_form", "make_expmap", "make_surface", "normal_form", "parse_field_tag",
+    "leading_form", "make_surface", "normal_form", "parse_field_tag",
     "parse_poly", "parse_scalar", "phi_degree", "poly_str", "resultant_in",
     "roots_in_field", "shift_surface", "sigma_family", "smoothness_check",
     "squarefree_part", "substitute", "verify_expmap", "verify_iso",

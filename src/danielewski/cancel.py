@@ -22,18 +22,19 @@ argument R = R^phi[w] and the surjectivity-between-equal-dimensions step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import (ComaximalityError, PreconditionError, SurfaceConstraintError,
                      VerificationInternalError)
-from .expmap import apply_map, canonical_expmap, eval_poly_on_elements
+from .expmap import apply_map, canonical_expmap
 from .factor import factor_univariate, gcd_univariate
 from .fields import FieldSpec, Scalar
 from .isomorph import Fingerprint, fingerprint, set_str
 from .poly import NEG_INF, Poly, exact_div, substitute
 from .reports import Check, VerificationReport
 from .resultant import bezout_cofactors, resultant_in
-from .surface import SurfaceElement, SurfaceSpec, divide_by_x, make_surface
+from .surface import (SurfaceElement, SurfaceSpec, divide_by_x, eval_poly_on_elements,
+                      make_surface)
 
 UNCHECKED_STEPS = (
     "R = R^phi[w] from phi(w) = w - U (slice step, Lemma 2.4(iii)(d))",
@@ -54,6 +55,17 @@ class HypothesisReport:
         return (self.double_root, self.comaximal)
 
 
+def _comaximality(P: Poly) -> Check:
+    """(P, P_Z) = (1) over ("X", "Z"), decided by Res_Z(P, P_Z) being a
+    nonzero constant."""
+    Pz = P.derivative("Z")
+    if Pz.is_zero:
+        return Check("(P, P_Z) = (1)", "Eq (10)", False, "P_Z = 0")
+    res = resultant_in(P, Pz, "Z")
+    return Check("(P, P_Z) = (1)", "Eq (10)", not res.is_zero and res.is_constant,
+                 f"Res_Z(P, P_Z) = {res}")
+
+
 def check_hypotheses(spec: SurfaceSpec) -> HypothesisReport:
     """n >= 2 (the root 0 of f is at least double; shift first if the double
     root sits elsewhere) and Res_Z(P, P_Z) a nonzero constant."""
@@ -61,14 +73,7 @@ def check_hypotheses(spec: SurfaceSpec) -> HypothesisReport:
     double_root = Check(
         "f has a double root at 0", "Thm 5.1 hypothesis", ok_n,
         f"multiplicity of 0 in f is {spec.n}")
-    Pz = spec.P.derivative("Z")
-    if Pz.is_zero:
-        comax = Check("(P, P_Z) = (1)", "Eq (10)", False, "P_Z = 0")
-    else:
-        res = resultant_in(spec.P, Pz, "Z")
-        ok_c = (not res.is_zero) and res.is_constant
-        comax = Check("(P, P_Z) = (1)", "Eq (10)", ok_c, f"Res_Z(P, P_Z) = {res}")
-    return HypothesisReport(double_root, comax)
+    return HypothesisReport(double_root, _comaximality(spec.P))
 
 
 @dataclass(frozen=True)
@@ -110,17 +115,16 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
     g = exact_div(spec_a.f, Poly.monomial(field, ("X",), (n,)))
     spec_b = make_surface(field, h, spec_a.P, _min_r=1)
 
-    vpoly = Poly.variable(field, ("X", "Z", "v"), "v")
-    theta = spec_a.from_xz_poly(
-        h.with_vars(("X", "Z", "v")) * vpoly
-        + Poly.variable(field, ("X", "Z", "v"), "Z"))
+    v_el = spec_a.generator("v")
+    h_el = spec_a.from_xz_poly(h.with_vars(("X", "Z")))
+    theta = h_el * v_el + spec_a.z()
 
     e = _taylor_coefficients(spec_a.P)
     vars_c = ("X", "Z", "v")
     corr_poly = Poly.zero(field, vars_c)
     xg = (Poly.monomial(field, ("X",), (n - 2,)) * g).with_vars(vars_c)
     h_c = h.with_vars(vars_c)
-    v_c = vpoly
+    v_c = Poly.variable(field, vars_c, "v")
     for k, ek in sorted(e.items()):
         if k < 2:
             continue
@@ -129,10 +133,8 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
 
     # P(x, theta) = P(x, z) + h (v P_Z + x corr)   [Eq (7)]
     Pz = spec_a.P.derivative("Z")
-    p_at_theta = eval_poly_on_elements(spec_a.P, {"X": spec_a.x(), "Z": theta}, spec_a)
+    p_at_theta = eval_poly_on_elements(spec_a.P, {"Z": theta}, spec_a)
     p_plain = spec_a.from_xz_poly(spec_a.P)
-    v_el = spec_a.from_xz_poly(vpoly)
-    h_el = spec_a.from_xz_poly(h.with_vars(("X", "Z")))
     pz_el = spec_a.from_xz_poly(Pz)
     x_el = spec_a.x()
     if p_at_theta != p_plain + h_el * (v_el * pz_el + x_el * corr):
@@ -144,7 +146,7 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
 
     a, b = bezout_cofactors(spec_a.P, Pz, "Z")
 
-    a_at_theta = eval_poly_on_elements(a, {"X": spec_a.x(), "Z": theta}, spec_a)
+    a_at_theta = eval_poly_on_elements(a, {"Z": theta}, spec_a)
     numerator = v_el - s * a_at_theta
     w = divide_by_x(numerator)
     if w is None:
@@ -171,13 +173,13 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
                         "Thm 5.1 setup", h_ok))
 
     x_el = spec.x()
-    v_el = spec.from_xz_poly(Poly.variable(field, ("X", "Z", "v"), "v"))
+    v_el = spec.generator("v")
     h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
     z_el = spec.z()
     theta_ok = cert.theta == h_el * v_el + z_el
     checks.append(Check("theta = h(x) v + z", "Thm 5.1 setup", theta_ok))
 
-    p_at_theta = eval_poly_on_elements(spec.P, {"X": x_el, "Z": cert.theta}, spec)
+    p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
     v2 = h_el * cert.s == p_at_theta
     checks.append(Check("V2 h(x) s = P(x, theta)", "Eq (8)", v2,
                         "" if v2 else f"difference {h_el * cert.s - p_at_theta}"))
@@ -187,7 +189,7 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     v3 = cert.a * Pz + cert.b * spec.P == one2
     checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
 
-    a_at_theta = eval_poly_on_elements(cert.a, {"X": x_el, "Z": cert.theta}, spec)
+    a_at_theta = eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec)
     v4 = x_el * cert.w == v_el - cert.s * a_at_theta
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
 
@@ -195,8 +197,7 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     phi = canonical_expmap(spec)
     theta_fixed = apply_map(phi, cert.theta, extended=True) == cert.theta
     s_fixed = apply_map(phi, cert.s, extended=True) == cert.s
-    u_el = SurfaceElement(spec, ("U",), {0: Poly.variable(field, ("X", "Z", "U"), "U")})
-    w_shift = apply_map(phi, cert.w, extended=True) == cert.w - u_el
+    w_shift = apply_map(phi, cert.w, extended=True) == cert.w - spec.generator("U")
     v5 = theta_fixed and s_fixed and w_shift
     checks.append(Check(
         "V5 extended map fixes theta, s and sends w to w - U", "phi(v) = v - xU", v5,
@@ -227,39 +228,6 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
         "stable-isomorphism certificate", tuple(checks),
         notes=("conclusion A[v] = E[w] with E a copy of B rests on two cited, "
                "machine-unchecked steps: " + "; ".join(UNCHECKED_STEPS),))
-
-
-def eq7_defect(cert: StableIsoCertificate) -> SurfaceElement:
-    """P(x, theta) - P(x, z) - h v P_Z - h x corr; zero for valid data."""
-    spec = cert.spec_a
-    x_el = spec.x()
-    h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
-    v_el = spec.from_xz_poly(Poly.variable(spec.field, ("X", "Z", "v"), "v"))
-    pz_el = spec.from_xz_poly(spec.P.derivative("Z"))
-    p_at_theta = eval_poly_on_elements(spec.P, {"X": x_el, "Z": cert.theta}, spec)
-    return (p_at_theta - spec.from_xz_poly(spec.P)
-            - h_el * v_el * pz_el - h_el * x_el * cert.corr)
-
-
-def corr_by_division(cert: StableIsoCertificate) -> Optional[SurfaceElement]:
-    """The correction term recomputed as (P(x,theta) - P(x,z) - h v P_Z)/(h x);
-    agreement with the stored expansion-built value is a test hook."""
-    spec = cert.spec_a
-    x_el = spec.x()
-    h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
-    v_el = spec.from_xz_poly(Poly.variable(spec.field, ("X", "Z", "v"), "v"))
-    pz_el = spec.from_xz_poly(spec.P.derivative("Z"))
-    p_at_theta = eval_poly_on_elements(spec.P, {"X": x_el, "Z": cert.theta}, spec)
-    num = p_at_theta - spec.from_xz_poly(spec.P) - h_el * v_el * pz_el
-    # divide by h, then by x, both coefficient-wise exact
-    out = {}
-    for i, gpoly in num.coeffs.items():
-        q = exact_div(gpoly, cert.h.with_vars(gpoly.vars))
-        if q is None:
-            return None
-        out[i] = q
-    mid = SurfaceElement(spec, num.aux, out)
-    return divide_by_x(mid)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +274,11 @@ def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> 
         fac = factor_univariate(g)
         if not fac.is_squarefree():
             raise SurfaceConstraintError(f"g has a repeated factor: {fac.factors}")
-    Pz = P.with_vars(("X", "Z")).derivative("Z")
-    if Pz.is_zero:
-        raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal")
-    res = resultant_in(P.with_vars(("X", "Z")), Pz, "Z")
-    if res.is_zero or not res.is_constant:
-        raise ComaximalityError(f"Res_Z(P, P_Z) = {res} is not a nonzero constant")
+    comax = _comaximality(P.with_vars(("X", "Z")))
+    if not comax.passed:
+        raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal"
+                                if comax.detail == "P_Z = 0"
+                                else f"{comax.detail} is not a nonzero constant")
 
     surfaces = []
     for n in range(n_from, n_to + 1):

@@ -13,7 +13,8 @@ Commands (all batch, UTF-8 JSON in and out):
     paper-examples     run the built-in example corpus
 
 Exit codes: 0 verified/positive, 1 refuted/negative, 2 malformed input,
-3 search-cap overflow.
+3 search-cap overflow, 4 internal error (a built object failed its own
+verification: a bug, never a refutation).
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def _cmd_family_demo(args) -> int:
         P = parse_poly(args.phi, field, ("X", "Z"))
     except (ValueError, DanielewskiError) as exc:
         raise InputError(str(exc)) from exc
+    if not 2 <= args.n_from <= args.n_to:
+        raise InputError(f"need 2 <= --from <= --to, got --from {args.n_from} --to {args.n_to}")
     report = sigma_family(field, g, P, args.n_from, args.n_to)
     doc = family_to_doc(report)
     lines = [f"family A_n = K[X,Y,Z]/(X^n*({args.g})*Y - ({args.phi})), "
@@ -233,7 +236,7 @@ def _surf(field_tag: str, f_text: str, p_text: str):
                         parse_poly(p_text, field, ("X", "Z")))
 
 
-def paper_examples(cap: int = DEFAULT_CAP, seed: int = 0) -> VerificationReport:
+def paper_examples(cap: int = DEFAULT_CAP) -> VerificationReport:
     """The built-in corpus: the worked automorphism examples, the x-scaling
     and never-isomorphic corollaries, the appendix smoothness cases, and one
     stable-isomorphism chain per characteristic."""
@@ -286,11 +289,11 @@ def paper_examples(cap: int = DEFAULT_CAP, seed: int = 0) -> VerificationReport:
                         "Thm 5.1/5.2", fam_2.ok))
 
     return VerificationReport("built-in example corpus", tuple(checks),
-                              notes=(f"seed = {seed}, cap = {cap}",))
+                              notes=(f"cap = {cap}",))
 
 
 def _cmd_paper_examples(args) -> int:
-    return _report_exit(args, paper_examples(cap=args.cap, seed=args.seed))
+    return _report_exit(args, paper_examples(cap=args.cap))
 
 
 # -- parser ------------------------------------------------------------------------
@@ -312,7 +315,6 @@ def _positive_int(text: str) -> int:
 
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized factorization")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                    help="tuple cap for exhaustive search branches (>= 1)")
 
@@ -398,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except VerificationInternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        raise
+        return 4
 
 
 def console_main() -> None:

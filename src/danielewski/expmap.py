@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping
+from typing import Dict
 
 from .errors import PreconditionError, SurfaceConstraintError, VerificationInternalError
-from .fields import Scalar
 from .poly import NEG_INF, Poly, exact_div, substitute
 from .reports import Check, VerificationReport
-from .surface import SurfaceElement, SurfaceSpec, normal_form
+from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
 
 
 class VerifyStatus(enum.Enum):
@@ -49,7 +48,8 @@ class ExpMap:
                 raise SurfaceConstraintError("generator images may only use U")
 
     def images(self) -> Dict[str, SurfaceElement]:
-        return {"x": self.image_x, "z": self.image_z, "y": self.image_y}
+        """The generator images, keyed by the variable they replace."""
+        return {"X": self.image_x, "Z": self.image_z, "Y": self.image_y}
 
     @property
     def is_nontrivial(self) -> bool:
@@ -77,42 +77,6 @@ class ExpMap:
                 f" [{self.status.value}]")
 
 
-def make_expmap(spec: SurfaceSpec, image_x: SurfaceElement, image_z: SurfaceElement,
-                image_y: SurfaceElement) -> ExpMap:
-    return ExpMap(spec, image_x, image_z, image_y)
-
-
-def eval_poly_on_elements(p: Poly, assignment: Mapping[str, SurfaceElement],
-                          spec: SurfaceSpec) -> SurfaceElement:
-    """Evaluate a polynomial at ring elements (its used variables must all
-    be assigned)."""
-    for v in p.used_vars():
-        if v not in assignment:
-            raise PreconditionError(f"no element assigned to {v!r}")
-    pow_cache: Dict[str, Dict[int, SurfaceElement]] = {
-        v: {0: spec.one(), 1: el} for v, el in assignment.items()
-    }
-
-    def power(v: str, e: int) -> SurfaceElement:
-        cache = pow_cache[v]
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for k in range(best + 1, e + 1):
-                acc = acc * cache[1]
-                cache[k] = acc
-        return cache[e]
-
-    acc = spec.zero()
-    for exps, c in p.terms.items():
-        term = spec.from_scalar(Scalar(p.field, c))
-        for var, e in zip(p.vars, exps):
-            if e and var in assignment:
-                term = term * power(var, e)
-        acc = acc + term
-    return acc
-
-
 def canonical_expmap(spec: SurfaceSpec) -> ExpMap:
     """The exponential map x -> x, z -> z + f(x) U, y -> y + (P(x, z + f U)
     - P(x, z)) / f; verified before returning."""
@@ -122,20 +86,12 @@ def canonical_expmap(spec: SurfaceSpec) -> ExpMap:
     P3 = spec.P.with_vars(vars3)
     z3 = Poly.variable(field, vars3, "Z")
     u3 = Poly.variable(field, vars3, "U")
-    shifted = substitute(P3, {"Z": z3 + f3 * u3}, vars_out=vars3)
-    quotient = exact_div(shifted - P3, f3)
+    z_shift = z3 + f3 * u3
+    quotient = exact_div(substitute(P3, {"Z": z_shift}, vars_out=vars3) - P3, f3)
     if quotient is None:
         raise VerificationInternalError("P(x, z + fU) - P(x, z) not divisible by f")
-    image_x = spec.x()
-    image_z = normal_form(
-        Poly.variable(field, ("X", "Y", "Z", "U"), "Z")
-        + f3.with_vars(("X", "Y", "Z", "U")) * Poly.variable(field, ("X", "Y", "Z", "U"), "U"),
-        spec)
-    image_y = normal_form(
-        Poly.variable(field, ("X", "Y", "Z", "U"), "Y")
-        + quotient.with_vars(("X", "Y", "Z", "U")),
-        spec)
-    m = ExpMap(spec, image_x, image_z, image_y).verified()
+    image_y = spec.y() + spec.from_xz_poly(quotient)
+    m = ExpMap(spec, spec.x(), spec.from_xz_poly(z_shift), image_y).verified()
     if m.status is not VerifyStatus.VERIFIED:
         raise VerificationInternalError(f"canonical map failed verification: {m.reason}")
     return m
@@ -147,53 +103,38 @@ def verify_expmap(m: ExpMap) -> VerificationReport:
     checks = []
 
     # (W) the defining relation maps to zero
-    fx = eval_poly_on_elements(spec.f, {"X": m.image_x}, spec)
-    pxz = eval_poly_on_elements(spec.P, {"X": m.image_x, "Z": m.image_z}, spec)
-    defect = fx * m.image_y - pxz
+    vars3 = ("X", "Y", "Z")
+    relation = (spec.f.with_vars(vars3) * Poly.variable(spec.field, vars3, "Y")
+                - spec.P.with_vars(vars3))
+    defect = eval_poly_on_elements(relation, m.images(), spec)
     checks.append(Check(
         "well-defined: f(phi x) phi y - P(phi x, phi z) = 0", "Def 2.1",
         defect.is_zero, "" if defect.is_zero else f"nonzero witness: {defect}"))
 
     # (A1) evaluation at U = 0 is the identity
-    zero_u = Poly.zero(spec.field, ("U",))
-    for name, img in m.images().items():
-        at0 = img.substitute_aux({"U": zero_u}) if "U" in img.aux else img
+    for var, img in m.images().items():
+        name = var.lower()
+        at0 = eval_poly_on_elements(img.raw_lift(), {"U": spec.zero()}, spec)
         want = spec.generator(name)
         checks.append(Check(
             f"evaluation at U=0 returns {name}", "Def 2.1(i)",
             at0 == want, "" if at0 == want else f"got {at0}"))
 
     # (A2) the cocycle law in A[U,V]
-    vpoly = Poly.variable(spec.field, ("V",), "V")
-    raw_v = {
-        "X": _raw_with_u_renamed(m.image_x, vpoly),
-        "Z": _raw_with_u_renamed(m.image_z, vpoly),
-        "Y": _raw_with_u_renamed(m.image_y, vpoly),
-    }
-    u_plus_v = Poly.variable(spec.field, ("U", "V"), "U") + Poly.variable(
-        spec.field, ("U", "V"), "V")
-    for name, img in m.images().items():
-        raw = img.raw_lift()
-        vars_out = ("X", "Y", "Z", "U", "V")
-        lhs = normal_form(substitute(raw, {k: v for k, v in raw_v.items() if k in raw.vars},
-                                     vars_out=vars_out), spec)
-        if "U" in img.aux:
-            rhs_raw = substitute(raw, {"U": u_plus_v}, vars_out=vars_out)
-        else:
-            rhs_raw = raw.with_vars(vars_out)
-        rhs = normal_form(rhs_raw, spec)
+    v_el = spec.generator("V")
+    images_v = {var: eval_poly_on_elements(img.raw_lift(), {"U": v_el}, spec)
+                for var, img in m.images().items()}
+    u_plus_v = {"U": spec.generator("U") + v_el}
+    for var, img in m.images().items():
+        name = var.lower()
+        lhs = eval_poly_on_elements(img.raw_lift(), images_v, spec)
+        rhs = eval_poly_on_elements(img.raw_lift(), u_plus_v, spec)
         ok = lhs == rhs
         checks.append(Check(
             f"cocycle law on {name}: phi_V(phi_U({name})) = phi_(U+V)({name})",
             "Def 2.1(ii)", ok, "" if ok else f"difference {lhs - rhs}"))
 
     return VerificationReport("exponential map", tuple(checks))
-
-
-def _raw_with_u_renamed(img: SurfaceElement, vpoly: Poly) -> Poly:
-    if "U" in img.aux:
-        return img.substitute_aux({"U": vpoly}).raw_lift()
-    return img.raw_lift()
 
 
 def apply_map(m: ExpMap, e: SurfaceElement, extended: bool = False) -> SurfaceElement:
@@ -207,17 +148,11 @@ def apply_map(m: ExpMap, e: SurfaceElement, extended: bool = False) -> SurfaceEl
         raise PreconditionError(
             f"element has auxiliary variables {e.aux}; "
             + ("only v is allowed in extended mode" if extended else "none allowed"))
-    raw = e.raw_lift()
-    vars_out = ("X", "Y", "Z", "U") + (("v",) if extended else ())
-    bindings: Dict[str, Poly] = {}
-    for gen, var in (("x", "X"), ("y", "Y"), ("z", "Z")):
-        if var in raw.used_vars():
-            bindings[var] = m.images()[gen].raw_lift().with_vars(vars_out)
-    if extended and "v" in raw.used_vars():
-        bindings["v"] = (Poly.variable(m.spec.field, vars_out, "v")
-                         - Poly.variable(m.spec.field, vars_out, "X")
-                         * Poly.variable(m.spec.field, vars_out, "U"))
-    return normal_form(substitute(raw, bindings, vars_out=vars_out), m.spec)
+    images = m.images()
+    if extended:
+        spec = m.spec
+        images["v"] = spec.generator("v") - spec.x() * spec.generator("U")
+    return eval_poly_on_elements(e.raw_lift(), images, m.spec)
 
 
 def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
@@ -258,19 +193,14 @@ def conjugate(m: ExpMap, cert) -> ExpMap:
         raise PreconditionError("conjugation needs an automorphism certificate of this surface")
     if not verify_iso(cert).ok:
         raise PreconditionError("certificate does not verify as an isomorphism")
-    inv = invert_certificate(cert)
     fwd = certificate_images(cert)
-    bwd_raw = {var: certificate_images(inv)[gen].raw_lift().with_vars(("X", "Y", "Z", "U"))
-               for gen, var in (("x", "X"), ("y", "Y"), ("z", "Z"))}
+    bwd = certificate_images(invert_certificate(cert))
 
-    def conj(gen: str) -> SurfaceElement:
-        mid = apply_map(m, fwd[gen])           # phi(T(gen)) in A[U]
-        raw = mid.raw_lift()
-        out = substitute(raw, {k: v for k, v in bwd_raw.items() if k in raw.used_vars()},
-                         vars_out=("X", "Y", "Z", "U"))
-        return normal_form(out, m.spec)
+    def conj(var: str) -> SurfaceElement:
+        # T^{-1}(phi(T(var))): U is not bound, so it passes through
+        return eval_poly_on_elements(apply_map(m, fwd[var]).raw_lift(), bwd, m.spec)
 
-    result = ExpMap(m.spec, conj("x"), conj("z"), conj("y")).verified()
+    result = ExpMap(m.spec, conj("X"), conj("Z"), conj("Y")).verified()
     if result.status is not VerifyStatus.VERIFIED:
         raise VerificationInternalError(
             f"conjugate of a verified map failed verification: {result.reason}")

@@ -35,7 +35,7 @@ from .factor import factor_univariate, gcd_univariate, roots_in_field
 from .fields import FieldKind, Scalar
 from .poly import NEG_INF, Poly, divmod_in, substitute
 from .reports import Check, VerificationReport
-from .surface import SurfaceElement, SurfaceSpec
+from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
 
 DEFAULT_CAP = 10**7
 
@@ -388,15 +388,16 @@ def verify_iso(cert: IsoCertificate) -> VerificationReport:
 
 
 def certificate_images(cert: IsoCertificate) -> Dict[str, SurfaceElement]:
-    """The generator images of the encoded map, as elements of the target."""
+    """The generator images of the encoded map, as elements of the target,
+    keyed by the variable they replace."""
     t = cert.target
     u_inv = cert.u.inverse()
     gd = cert.gamma ** t.d
     theta_el = t.from_xz_poly(cert.theta_rem)
     return {
-        "x": t.x().scaled(cert.lam) + t.from_scalar(cert.mu),
-        "z": t.z().scaled(cert.gamma) + t.from_xz_poly(cert.delta.with_vars(("X", "Z"))),
-        "y": t.y().scaled(u_inv * gd) + theta_el.scaled(u_inv),
+        "X": t.x().scaled(cert.lam) + t.from_scalar(cert.mu),
+        "Z": t.z().scaled(cert.gamma) + t.from_xz_poly(cert.delta.with_vars(("X", "Z"))),
+        "Y": t.y().scaled(u_inv * gd) + theta_el.scaled(u_inv),
     }
 
 
@@ -406,15 +407,7 @@ def apply_certificate(cert: IsoCertificate, e: SurfaceElement) -> SurfaceElement
         raise PreconditionError("element does not live on the certificate source")
     if e.aux:
         raise PreconditionError("apply_certificate takes elements of A only")
-    images = certificate_images(cert)
-    raw = e.raw_lift()
-    bindings = {var: images[gen].raw_lift()
-                for gen, var in (("x", "X"), ("y", "Y"), ("z", "Z"))
-                if var in raw.used_vars()}
-    from .surface import normal_form
-    out = substitute(raw, {k: v.with_vars(("X", "Y", "Z")) for k, v in bindings.items()},
-                     vars_out=("X", "Y", "Z"))
-    return normal_form(out, cert.target)
+    return eval_poly_on_elements(e.raw_lift(), certificate_images(cert), cert.target)
 
 
 def invert_certificate(cert: IsoCertificate) -> IsoCertificate:

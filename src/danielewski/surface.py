@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .errors import PreconditionError, SurfaceConstraintError
 from .factor import Factorization, factor_univariate, gcd_univariate, is_squarefree, squarefree_part
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, exact_div, grlex_key, substitute
+from .poly import NEG_INF, Poly, exact_div, substitute
 from .resultant import resultant_in
 
 AUX_ORDER = ("U", "V", "v", "W1")
@@ -90,6 +90,10 @@ class SurfaceSpec:
         return SurfaceElement(self, (), {1: Poly.one(self.field, ("X", "Z"))})
 
     def generator(self, name: str) -> "SurfaceElement":
+        """x, y, z, or an auxiliary variable (U, V, v, W1) as an element."""
+        if name in AUX_ORDER:
+            return SurfaceElement(self, (name,),
+                                  {0: Poly.variable(self.field, ("X", "Z", name), name)})
         return {"x": self.x, "y": self.y, "z": self.z}[name]()
 
     # -- the rewrite cache -------------------------------------------------
@@ -337,25 +341,6 @@ class SurfaceElement:
     def __repr__(self):
         return f"SurfaceElement({str(self)!r})"
 
-    def substitute_aux(self, bindings: Mapping[str, Poly]) -> "SurfaceElement":
-        """Substitute polynomials (in auxiliary variables only) for auxiliary
-        variables; the normal form is preserved because Z is untouched."""
-        for v, q in bindings.items():
-            if v not in self.aux:
-                raise SurfaceConstraintError(f"{v!r} is not an auxiliary variable here")
-            if any(w in _BASE_VARS for w in q.used_vars()):
-                raise SurfaceConstraintError("aux substitution may not introduce X, Y, Z")
-        extra = [w for q in bindings.values() for w in q.used_vars()]
-        aux_out = _sorted_aux([a for a in self.aux if a not in bindings] + extra)
-        vars_out = ("X", "Z") + aux_out
-        out: Dict[int, Poly] = {}
-        for i, g in self.coeffs.items():
-            s = substitute(g, {v: q.with_vars(vars_out) for v, q in bindings.items()},
-                           vars_out=vars_out)
-            if not s.is_zero:
-                out[i] = s
-        return SurfaceElement(self.spec, aux_out, out)
-
 
 def normal_form(raw: Poly, spec: SurfaceSpec) -> SurfaceElement:
     """The unique normal form of an arbitrary representative.
@@ -396,32 +381,27 @@ def _split_by_y(p: Poly, spec: SurfaceSpec, aux: Tuple[str, ...]) -> SurfaceElem
     return SurfaceElement(spec, aux, coeffs)
 
 
-def normal_form_stepwise(raw: Poly, spec: SurfaceSpec, order: str = "high") -> SurfaceElement:
-    """One-rewrite-at-a-time normalization; ``order`` picks which reducible
-    term to rewrite next ("high": largest Z-degree first, "low": smallest).
-    Exists so tests can confirm the normal form is reduction-order
-    independent."""
-    aux = _sorted_aux(v for v in raw.used_vars() if v not in _BASE_VARS)
-    vars_full = _BASE_VARS + aux
-    cur = raw.with_vars(vars_full)
-    zi = vars_full.index("Z")
-    f3 = spec.f.with_vars(vars_full)
-    P3 = spec.P.with_vars(vars_full)
-    zd = Poly.monomial(spec.field, vars_full, tuple(spec.d if i == zi else 0
-                                                    for i in range(len(vars_full))))
-    y = Poly.variable(spec.field, vars_full, "Y")
-    relation = f3 * y - (P3 - zd)  # = Z^d in A
-    choose = max if order == "high" else min
-    while True:
-        reducible = [e for e in cur.terms if e[zi] >= spec.d]
-        if not reducible:
-            break
-        target = choose(reducible, key=lambda e: (e[zi], grlex_key(e)))
-        c = cur.terms[target]
-        stripped = target[:zi] + (target[zi] - spec.d,) + target[zi + 1:]
-        cur = (cur - Poly._raw(cur.field, vars_full, {target: c})
-               + Poly._raw(cur.field, vars_full, {stripped: c}) * relation)
-    return _split_by_y(cur, spec, aux)
+def eval_poly_on_elements(p: Poly, images: Mapping[str, SurfaceElement],
+                          spec: SurfaceSpec) -> SurfaceElement:
+    """Apply the ring map K[X,Y,Z,aux] -> A[aux] that sends each variable of
+    ``p`` bound in ``images`` to its image and fixes every other variable.
+
+    This is the one way the workbench applies a ring map (exponential maps,
+    isomorphism certificates, evaluations at (x, theta)): one simultaneous
+    substitution of the images' raw lifts, then one ``normal_form``.  The
+    normal form is unique, so the result does not depend on representatives.
+    """
+    used = p.used_vars()
+    aux = [v for v in used if v not in images and v not in _BASE_VARS]
+    lifts: Dict[str, Poly] = {}
+    for v, el in images.items():
+        if v in used:
+            if el.spec != spec:
+                raise SurfaceConstraintError(f"image of {v!r} lives on another surface")
+            lifts[v] = el.raw_lift()
+            aux.extend(el.aux)
+    vars_out = _BASE_VARS + _sorted_aux(aux)
+    return normal_form(substitute(p, lifts, vars_out=vars_out), spec)
 
 
 # -- filtration and the associated graded surface ---------------------------

@@ -1,17 +1,24 @@
 """Independent oracles the tests check the implementation against.
 
 These deliberately avoid the production code paths they judge: the
-determinant oracle is plain cofactor expansion, and the isomorphism oracle
+determinant oracle is plain cofactor expansion, the isomorphism oracle
 enumerates every (lambda, mu, gamma, delta) tuple over a small prime field
-and filters through verify_iso alone.
+and filters through verify_iso alone, the stepwise normal form rewrites one
+term at a time instead of through the reduced Z-power table, and the Horner
+evaluator applies a ring map with A's own + and * instead of one
+substitution followed by one normalization.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
-from danielewski import IsoCertificate, Poly, Scalar, verify_iso
-from danielewski.poly import divmod_in, substitute
+from danielewski import IsoCertificate, Poly, Scalar, divide_by_x, exact_div, verify_iso
+from danielewski.poly import divmod_in, grlex_key, substitute
+from danielewski.surface import SurfaceElement, eval_poly_on_elements
+
+BASE_VARS = ("X", "Y", "Z")
 
 
 def naive_det(matrix, field, vars):
@@ -62,3 +69,93 @@ def brute_force_certificates(s1, s2):
                     if verify_iso(cert).ok:
                         found[cert.tuple_key()] = cert
     return found
+
+
+def _split_by_y(p, spec):
+    """The element sum g_i y^i of a polynomial over ("X", "Y", "Z") + aux
+    whose Z-degree is already below d."""
+    coeff_vars = ("X", "Z") + p.vars[3:]
+    buckets = {}
+    for exps, c in p.terms.items():
+        buckets.setdefault(exps[1], {})[exps[:1] + exps[2:]] = c
+    return SurfaceElement(spec, p.vars[3:],
+                          {i: Poly(p.field, coeff_vars, t) for i, t in buckets.items()})
+
+
+def normal_form_stepwise(raw, spec, order="high"):
+    """One-rewrite-at-a-time normalization; ``order`` picks which reducible
+    term to rewrite next ("high": largest Z-degree first, "low": smallest).
+    The reference that shows the normal form is reduction-order independent."""
+    vars_full = BASE_VARS + tuple(v for v in raw.used_vars() if v not in BASE_VARS)
+    cur = raw.with_vars(vars_full)
+    zi = 2
+    f3 = spec.f.with_vars(vars_full)
+    P3 = spec.P.with_vars(vars_full)
+    zd = Poly.monomial(spec.field, vars_full, tuple(spec.d if i == zi else 0
+                                                    for i in range(len(vars_full))))
+    y = Poly.variable(spec.field, vars_full, "Y")
+    relation = f3 * y - (P3 - zd)  # = Z^d in A
+    choose = max if order == "high" else min
+    while True:
+        reducible = [e for e in cur.terms if e[zi] >= spec.d]
+        if not reducible:
+            break
+        target = choose(reducible, key=lambda e: (e[zi], grlex_key(e)))
+        c = cur.terms[target]
+        stripped = target[:zi] + (target[zi] - spec.d,) + target[zi + 1:]
+        cur = (cur - Poly(cur.field, vars_full, {target: c})
+               + Poly(cur.field, vars_full, {stripped: c}) * relation)
+    return _split_by_y(cur, spec)
+
+
+def eval_by_horner(p, images, spec):
+    """p evaluated at ring elements by nested Horner steps in its variables,
+    using only SurfaceElement + and *; a variable without an image stands for
+    itself (x, y, z, or an auxiliary variable of A[aux])."""
+    def value(var):
+        if var in images:
+            return images[var]
+        return spec.generator(var.lower() if var in BASE_VARS else var)
+
+    def horner(q, rest):
+        if not rest:
+            return spec.from_scalar(q.constant_value())
+        parts = q.coefficients_in(rest[0])
+        val = value(rest[0])
+        acc = spec.zero()
+        for k in range(max(parts), -1, -1):
+            acc = acc * val
+            if k in parts:
+                acc = acc + horner(parts[k], rest[1:])
+        return acc
+
+    return spec.zero() if p.is_zero else horner(p, p.vars)
+
+
+def _eq7_remainder(cert):
+    """P(x, theta) - P(x, z) - h v P_Z in A[v]."""
+    spec = cert.spec_a
+    h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
+    pz_el = spec.from_xz_poly(spec.P.derivative("Z"))
+    p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
+    return p_at_theta - spec.from_xz_poly(spec.P) - h_el * spec.generator("v") * pz_el
+
+
+def eq7_defect(cert):
+    """P(x, theta) - P(x, z) - h v P_Z - h x corr; zero for valid data."""
+    spec = cert.spec_a
+    h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
+    return _eq7_remainder(cert) - h_el * spec.x() * cert.corr
+
+
+def corr_by_division(cert) -> Optional[SurfaceElement]:
+    """The correction term recomputed as (P(x,theta) - P(x,z) - h v P_Z)/(h x),
+    dividing coefficient-wise by h and then by x; None when not exact."""
+    num = _eq7_remainder(cert)
+    out = {}
+    for i, gpoly in num.coeffs.items():
+        q = exact_div(gpoly, cert.h.with_vars(gpoly.vars))
+        if q is None:
+            return None
+        out[i] = q
+    return divide_by_x(SurfaceElement(cert.spec_a, num.aux, out))

@@ -21,10 +21,10 @@ from danielewski.factor import dense_to_poly
 from danielewski.isomorph import ObstructionKind
 from danielewski.poly import NEG_INF
 from danielewski.resultant import det_bareiss, sylvester_matrix
-from danielewski.surface import FiberKind, normal_form_stepwise
+from danielewski.surface import FiberKind
 
 from conftest import random_element, random_poly, random_raw, surf
-from oracles import brute_force_certificates
+from oracles import brute_force_certificates, normal_form_stepwise
 from test_isomorph import _random_surface, _transformed_copy, surf_from
 
 ACCEPTANCE_SPECS = (

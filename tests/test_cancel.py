@@ -4,11 +4,11 @@ import pytest
 
 from danielewski import (GF, QQ, build_stable_iso, check_hypotheses, parse_poly,
                          poly_str, sigma_family, verify_stable_iso)
-from danielewski.cancel import corr_by_division, eq7_defect
 from danielewski.errors import (ComaximalityError, PreconditionError,
                                 SurfaceConstraintError)
 
 from conftest import surf
+from oracles import corr_by_division, eq7_defect
 
 
 def test_hypotheses_examples():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from danielewski import GF, QQ
+from danielewski import GF, QQ, cli
 from danielewski.cli import main, paper_examples
+from danielewski.errors import VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
 
 from conftest import surf
@@ -128,6 +129,23 @@ def test_family_demo(capsys):
     assert code == 0
     assert out.count("VERIFIED") == 2
     assert "pairwise non-isomorphic, stably isomorphic" in out
+
+
+def test_family_demo_empty_range_is_malformed_input(capsys):
+    code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2+1",
+                         "--field", "Q", "--from", "3", "--to", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(spec):
+        raise VerificationInternalError("canonical map failed verification")
+
+    monkeypatch.setattr(cli, "canonical_expmap", broken)
+    code, out, err = run(capsys, "expmap", "canonical", "--field", "Q",
+                         "--f", "X^2", "--phi", "Z^2+1")
+    assert code == 4 and out == ""
+    assert err == "internal error: canonical map failed verification\n"
 
 
 def test_paper_examples_all_pass():

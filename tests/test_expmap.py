@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from danielewski import (GF, QQ, Poly, Scalar, apply_map, automorphisms, canonical_expmap,
-                         conjugate, derivation_coeff, is_invariant, make_expmap,
+from danielewski import (GF, QQ, ExpMap, Poly, Scalar, apply_map, automorphisms,
+                         canonical_expmap, conjugate, derivation_coeff, is_invariant,
                          normal_form, parse_poly, phi_degree, verify_expmap)
 from danielewski.errors import PreconditionError
 from danielewski.expmap import VerifyStatus
@@ -36,7 +36,7 @@ def test_verify_passes_on_canonical(surfaces):
 def test_verify_catches_broken_relation(surfaces):
     s45 = surfaces[2]
     m = canonical_expmap(s45)
-    broken = make_expmap(s45, m.image_x, m.image_z, s45.y())
+    broken = ExpMap(s45, m.image_x, m.image_z, s45.y())
     report = verify_expmap(broken)
     failed = report.failures()
     assert failed and all("well-defined" in c.name for c in failed)
@@ -48,7 +48,7 @@ def test_verify_catches_broken_cocycle():
     sq = surf(QQ, "X^2", "Z^2+1")
     image_z = normal_form(parse_poly("Z + X^2*U^2", QQ, ("X", "Y", "Z", "U")), sq)
     image_y = normal_form(parse_poly("Y + 2*Z*U^2 + X^2*U^4", QQ, ("X", "Y", "Z", "U")), sq)
-    report = verify_expmap(make_expmap(sq, sq.x(), image_z, image_y))
+    report = verify_expmap(ExpMap(sq, sq.x(), image_z, image_y))
     by_name = {c.name: c.passed for c in report.checks}
     assert by_name["well-defined: f(phi x) phi y - P(phi x, phi z) = 0"]
     assert not report.ok
@@ -62,7 +62,7 @@ def test_apply_examples(surfaces):
     assert apply_map(m, sq.z()) == m.image_z
     assert apply_map(m, sq.y()) == m.image_y
     with pytest.raises(PreconditionError):
-        apply_map(make_expmap(sq, sq.x(), sq.z(), sq.y()), sq.z())
+        apply_map(ExpMap(sq, sq.x(), sq.z(), sq.y()), sq.z())
 
 
 def test_phi_degree_examples(surfaces):
@@ -180,7 +180,7 @@ def test_least_degree_element_properties_canonical_scope(surfaces):
 
 def test_trivial_map_is_representable(surfaces):
     for spec in surfaces:
-        triv = make_expmap(spec, spec.x(), spec.z(), spec.y()).verified()
+        triv = ExpMap(spec, spec.x(), spec.z(), spec.y()).verified()
         assert triv.status is VerifyStatus.VERIFIED
         assert not triv.is_nontrivial
 

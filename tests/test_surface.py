@@ -1,13 +1,14 @@
 import pytest
 
-from danielewski import (GF, QQ, divide_by_x, fiber, filtration_deg, graded_surface,
-                         leading_form, normal_form, parse_poly, poly_str,
-                         shift_surface, smoothness_check)
+from danielewski import (GF, QQ, build_stable_iso, canonical_expmap, divide_by_x, fiber,
+                         filtration_deg, graded_surface, leading_form, normal_form,
+                         parse_poly, poly_str, shift_surface, smoothness_check)
 from danielewski.errors import PreconditionError, SurfaceConstraintError
 from danielewski.poly import NEG_INF
-from danielewski.surface import FiberKind, SurfaceElement, normal_form_stepwise
+from danielewski.surface import FiberKind, SurfaceElement, eval_poly_on_elements
 
-from conftest import random_raw, surf
+from conftest import random_poly, random_raw, surf
+from oracles import eval_by_horner, normal_form_stepwise
 
 
 def test_make_surface_examples():
@@ -176,3 +177,32 @@ def test_shift_surface_moves_the_root():
     shifted = shift_surface(s, 1)
     assert shifted.n == 2
     assert poly_str(shifted.f) == poly_str(parse_poly("X^2*(X+3)", QQ, ("X",)))
+
+
+@pytest.mark.parametrize("field, f, p", [
+    (QQ, "X^3-X^2", "(Z+X)^3-1"),
+    (GF(2), "X^2*(X+1)", "Z^2+Z+X"),
+    (GF(5), "X^2*(X+1)", "(Z+X)^3-1"),
+])
+def test_eval_poly_on_elements_matches_horner(rng, field, f, p):
+    spec = surf(field, f, p)
+    # P and a at (x, theta) in A[v]; an unbound X stands for x itself
+    theta = build_stable_iso(spec).theta
+    for _ in range(6):
+        q = random_poly(rng, field, ("X", "Z"), max_exp=4)
+        for images in ({"X": spec.x(), "Z": theta}, {"Z": theta}):
+            assert eval_poly_on_elements(q, images, spec) == eval_by_horner(q, images, spec)
+    # canonical-map images in A[U]; an unbound U passes through
+    m = canonical_expmap(spec)
+    images = m.images()
+    for _ in range(6):
+        q = random_poly(rng, field, ("X", "Y", "Z", "U"), max_exp=2)
+        assert eval_poly_on_elements(q, images, spec) == eval_by_horner(q, images, spec)
+    u_poly = parse_poly("U*Z", field, ("X", "Y", "Z", "U"))
+    assert eval_poly_on_elements(u_poly, images, spec) == spec.generator("U") * m.image_z
+
+
+def test_eval_poly_on_elements_rejects_foreign_image(surfaces):
+    q = parse_poly("Z", QQ, ("X", "Z"))
+    with pytest.raises(SurfaceConstraintError):
+        eval_poly_on_elements(q, {"Z": surfaces[0].z()}, surfaces[1])
