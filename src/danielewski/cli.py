@@ -215,7 +215,10 @@ def _cmd_family_demo(args) -> int:
         raise InputError(str(exc)) from exc
     if not 2 <= args.n_from <= args.n_to:
         raise InputError(f"need 2 <= --from <= --to, got --from {args.n_from} --to {args.n_to}")
-    report = sigma_family(field, g, P, args.n_from, args.n_to)
+    try:
+        report = sigma_family(field, g, P, args.n_from, args.n_to)
+    except SurfaceConstraintError as exc:  # malformed g; comaximality stays a refusal
+        raise InputError(str(exc)) from exc
     doc = family_to_doc(report)
     lines = [f"family A_n = K[X,Y,Z]/(X^n*({args.g})*Y - ({args.phi})), "
              f"n in [{args.n_from}, {args.n_to}] over {args.field}"]

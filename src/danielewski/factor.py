@@ -1,6 +1,16 @@
 """Univariate gcd, factorization, and root finding.
 
-Internally polynomials are dense coefficient lists (ascending degree).
+Internally polynomials are dense coefficient lists in ascending degree,
+with ``[]`` as zero.  One kernel (``_norm``, ``_add``, ``_sub``, ``_mul``,
+``_divmod``, ``_monic``, ``_gcd``, ``_xgcd``, ``_pow_mod``, ``_diff``) does
+all dense arithmetic over Z/m, where the modulus ``m`` is
+
+* a prime p: int residues in [0, p) over F_p;
+* p**k: inside the Hensel step, dividing only by monic polynomials;
+* 0: exact arithmetic on ``Fraction`` (Q) or ``int`` (Z) entries.
+
+``FieldSpec.modulus`` is 0 for Q, so callers pass ``field.modulus``.
+
 Over F_p: squarefree split (p-th-power aware), distinct-degree, then
 equal-degree splitting -- seeded-random for odd p, a deterministic
 trace-map variant for p = 2.  Over Q: Yun's squarefree decomposition,
@@ -18,94 +28,129 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import DanielewskiError
 from .fields import FieldKind, FieldSpec, Scalar
 from .poly import Poly
 
 # ---------------------------------------------------------------------------
-# dense helpers over F_p (int coefficient lists, ascending; [] is zero)
+# dense kernel over Z/m (m = p, p**k, or 0 for exact Q/Z arithmetic)
 # ---------------------------------------------------------------------------
 
 
-def _trim(f: List[int]) -> List[int]:
+def _deg(f: List) -> int:
+    return len(f) - 1
+
+
+def _norm(f, m) -> List:
+    """A new list: entries reduced mod m (when m > 0), leading zeros dropped."""
+    f = [c % m for c in f] if m else list(f)
     while f and f[-1] == 0:
         f.pop()
     return f
 
 
-def _deg(f: List[int]) -> int:
-    return len(f) - 1
+def _inv(c, m):
+    if m:
+        return pow(c, -1, m)
+    inv = 1 / Fraction(c)
+    # an integral inverse (a monic divisor) keeps int entries int
+    return inv.numerator if inv.denominator == 1 else inv
 
 
-def fp_add(f, g, p):
+def _add(f, g, m):
     n = max(len(f), len(g))
-    return _trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                  for i in range(n)])
+    return _norm([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
+                  for i in range(n)], m)
 
 
-def fp_sub(f, g, p):
-    n = max(len(f), len(g))
-    return _trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-                  for i in range(n)])
+def _sub(f, g, m):
+    return _add(f, [-c for c in g], m)
 
 
-def fp_mul(f, g, p):
+def _mul(f, g, m):
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _norm(out, m)
 
 
-def fp_divmod(f, g, p):
+def _divmod(f, g, m):
+    """(q, r) with f = q*g + r and deg r < deg g.  The lead of g must be a
+    unit mod m.  For m = 0, int entries stay int only when lead(g) is +-1."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    f = list(f)
+    r = _norm(f, m)
     dg = _deg(g)
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - dg)
-    while _deg(_trim(f)) >= dg and f:
-        df = _deg(f)
-        c = (f[-1] * inv) % p
-        q[df - dg] = c
-        for i, b in enumerate(g):
-            f[df - dg + i] = (f[df - dg + i] - c * b) % p
-        _trim(f)
-    return _trim(q), f
+    inv = _inv(g[-1], m)
+    q = [0] * max(0, len(r) - dg)
+    while len(r) > dg:
+        k = len(r) - 1 - dg
+        c = r[-1] * inv % m if m else r[-1] * inv
+        q[k] = c
+        if m:
+            for i, b in enumerate(g):
+                r[k + i] = (r[k + i] - c * b) % m
+        else:
+            for i, b in enumerate(g):
+                r[k + i] -= c * b
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
 
 
-def fp_monic(f, p):
+def _monic(f, m):
     if not f:
         return []
-    inv = pow(f[-1], -1, p)
-    return [(c * inv) % p for c in f]
+    inv = _inv(f[-1], m)
+    return [c * inv % m for c in f] if m else [c * inv for c in f]
 
 
-def fp_gcd(f, g, p):
+def _gcd(f, g, m):
+    """Monic gcd; gcd(0, 0) = []."""
     while g:
-        f, g = g, fp_divmod(f, g, p)[1]
-    return fp_monic(f, p)
+        f, g = g, _divmod(f, g, m)[1]
+    return _monic(f, m)
 
 
-def fp_pow_mod(f, e, g, p):
+def _xgcd(f, g, m):
+    """(d, s, t) with d the monic gcd and s*f + t*g = d; f, g not both zero."""
+    r0, r1 = _norm(f, m), _norm(g, m)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, m)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, m), m)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, m), m)
+    inv = [_inv(r0[-1], m)]
+    return _monic(r0, m), _mul(s0, inv, m), _mul(t0, inv, m)
+
+
+def _pow_mod(f, e, g, m):
+    """f**e mod g."""
     result = [1]
-    base = fp_divmod(f, g, p)[1]
+    base = _divmod(f, g, m)[1]
     while e:
         if e & 1:
-            result = fp_divmod(fp_mul(result, base, p), g, p)[1]
-        base = fp_divmod(fp_mul(base, base, p), g, p)[1]
+            result = _divmod(_mul(result, base, m), g, m)[1]
+        base = _divmod(_mul(base, base, m), g, m)[1]
         e >>= 1
     return result
 
 
-def fp_diff(f, p):
-    return _trim([(i * c) % p for i, c in enumerate(f)][1:])
+def _diff(f, m):
+    return _norm([i * c for i, c in enumerate(f)][1:], m)
+
+
+# ---------------------------------------------------------------------------
+# factorization over F_p
+# ---------------------------------------------------------------------------
 
 
 def _fp_pth_root(f, p):
@@ -120,21 +165,21 @@ def fp_squarefree_list(f, p) -> List[Tuple[List[int], int]]:
     factors: List[Tuple[List[int], int]] = []
     n = 1
     while _deg(f) > 0:
-        d = fp_diff(f, p)
+        d = _diff(f, p)
         if not d:
             f = _fp_pth_root(f, p)
             n *= p
             continue
-        g = fp_gcd(f, d, p)
-        w = fp_divmod(f, g, p)[0]
+        g = _gcd(f, d, p)
+        w = _divmod(f, g, p)[0]
         i = 1
         while _deg(w) > 0:
-            y = fp_gcd(w, g, p)
-            z = fp_divmod(w, y, p)[0]
+            y = _gcd(w, g, p)
+            z = _divmod(w, y, p)[0]
             if _deg(z) > 0:
                 factors.append((z, i * n))
             w = y
-            g = fp_divmod(g, y, p)[0]
+            g = _divmod(g, y, p)[0]
             i += 1
         f = g  # remaining p-th-power part, handled by the outer loop
     return factors
@@ -147,12 +192,12 @@ def fp_distinct_degree(f, p) -> List[Tuple[List[int], int]]:
     k = 0
     while _deg(f) >= 2 * (k + 1):
         k += 1
-        h = fp_pow_mod(h, p, f, p)
-        g = fp_gcd(fp_sub(h, [0, 1], p), f, p)
+        h = _pow_mod(h, p, f, p)
+        g = _gcd(_sub(h, [0, 1], p), f, p)
         if _deg(g) > 0:
             out.append((g, k))
-            f = fp_divmod(f, g, p)[0]
-            h = fp_divmod(h, f, p)[1] if f else h
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1] if f else h
     if _deg(f) > 0:
         out.append((f, _deg(f)))
     return out
@@ -164,17 +209,17 @@ def _fp_edf_odd(f, k, p, rng: random.Random) -> List[List[int]]:
         return [f]
     half = (p ** k - 1) // 2
     while True:
-        r = _trim([rng.randrange(p) for _ in range(n)])
+        r = _norm([rng.randrange(p) for _ in range(n)], p)
         if _deg(r) < 1:
             continue
-        g = fp_gcd(r, f, p)
+        g = _gcd(r, f, p)
         if 0 < _deg(g) < n:
             break
-        s = fp_pow_mod(r, half, f, p)
-        g = fp_gcd(fp_sub(s, [1], p), f, p)
+        s = _pow_mod(r, half, f, p)
+        g = _gcd(_sub(s, [1], p), f, p)
         if 0 < _deg(g) < n:
             break
-    rest = fp_divmod(f, g, p)[0]
+    rest = _divmod(f, g, p)[0]
     return _fp_edf_odd(g, k, p, rng) + _fp_edf_odd(rest, k, p, rng)
 
 
@@ -186,15 +231,15 @@ def _fp_edf_two(f, k) -> List[List[int]]:
         return [f]
     j = 1
     while True:
-        r = fp_divmod([0] * j + [1], f, p)[1]  # X^j mod f
+        r = _divmod([0] * j + [1], f, p)[1]  # X^j mod f
         t = []
         cur = r
         for _ in range(k):
-            t = fp_add(t, cur, p)
-            cur = fp_divmod(fp_mul(cur, cur, p), f, p)[1]
-        g = fp_gcd(t, f, p)
+            t = _add(t, cur, p)
+            cur = _divmod(_mul(cur, cur, p), f, p)[1]
+        g = _gcd(t, f, p)
         if 0 < _deg(g) < n:
-            rest = fp_divmod(f, g, p)[0]
+            rest = _divmod(f, g, p)[0]
             return _fp_edf_two(g, k) + _fp_edf_two(rest, k)
         j += 1
 
@@ -213,7 +258,7 @@ def fp_factor_squarefree(f, p, rng: random.Random) -> List[List[int]]:
 def fp_factor(f, p, rng: random.Random) -> Tuple[int, List[Tuple[List[int], int]]]:
     """Any nonzero dense poly -> (leading coefficient, [(monic irred, mult)])."""
     lc = f[-1] % p
-    f = fp_monic(f, p)
+    f = _monic(f, p)
     factors = []
     for g, m in fp_squarefree_list(f, p):
         for q in fp_factor_squarefree(g, p, rng):
@@ -222,32 +267,8 @@ def fp_factor(f, p, rng: random.Random) -> Tuple[int, List[Tuple[List[int], int]
 
 
 # ---------------------------------------------------------------------------
-# dense helpers over Z (for the Hensel/Zassenhaus route)
+# factorization over Z (Hensel lifting and Zassenhaus recombination)
 # ---------------------------------------------------------------------------
-
-
-def zz_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def zz_add(f, g):
-    n = max(len(f), len(g))
-    return _trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-                  for i in range(n)])
-
-
-def zz_sub(f, g):
-    n = max(len(f), len(g))
-    return _trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)
-                  for i in range(n)])
 
 
 def zz_trunc_sym(f, m):
@@ -258,7 +279,7 @@ def zz_trunc_sym(f, m):
         if c > m // 2:
             c -= m
         out.append(c)
-    return _trim(out)
+    return _norm(out, 0)
 
 
 def zz_primitive(f) -> Tuple[int, List[int]]:
@@ -272,60 +293,19 @@ def zz_primitive(f) -> Tuple[int, List[int]]:
     return g, [c // g for c in f]
 
 
-def zz_div_exact(f, g) -> Optional[List[int]]:
-    """Exact division in Z[X]; None when g does not divide f."""
-    if not g:
-        raise ZeroDivisionError
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    dg = _deg(g)
-    while f:
-        df = _deg(f)
-        if df < dg:
-            return None
-        if f[-1] % g[-1] != 0:
-            return None
-        c = f[-1] // g[-1]
-        q[df - dg] = c
-        for i, b in enumerate(g):
-            f[df - dg + i] -= c * b
-        _trim(f)
-    return _trim(q)
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g*h and s*g + t*h = 1 (mod m), with h
     monic, to the same congruences mod m**2."""
     M = m * m
-
-    def tr(x):
-        return _trim([c % M for c in x])
-
-    e = tr(zz_sub(f, zz_mul(g, h)))
-    q, r = _zz_divmod_mod(zz_mul(s, e), h, M)
-    G = tr(zz_add(zz_add(g, zz_mul(t, e)), zz_mul(q, g)))
-    H = tr(zz_add(h, r))
-    b = tr(zz_sub(zz_add(zz_mul(s, G), zz_mul(t, H)), [1]))
-    c, d = _zz_divmod_mod(zz_mul(s, b), H, M)
-    S = tr(zz_sub(s, d))
-    T = tr(zz_sub(zz_sub(t, zz_mul(t, b)), zz_mul(c, G)))
+    e = _sub(f, _mul(g, h, M), M)
+    q, r = _divmod(_mul(s, e, M), h, M)
+    G = _add(_add(g, _mul(t, e, M), M), _mul(q, g, M), M)
+    H = _add(h, r, M)
+    b = _sub(_add(_mul(s, G, M), _mul(t, H, M), M), [1], M)
+    c, d = _divmod(_mul(s, b, M), H, M)
+    S = _sub(s, d, M)
+    T = _sub(_sub(t, _mul(t, b, M), M), _mul(c, G, M), M)
     return G, H, S, T
-
-
-def _zz_divmod_mod(f, g, m):
-    """Division by monic g with coefficients reduced mod m."""
-    f = [c % m for c in f]
-    _trim(f)
-    dg = _deg(g)
-    q = [0] * max(0, len(f) - dg)
-    while f and _deg(f) >= dg:
-        df = _deg(f)
-        c = f[-1] % m
-        q[df - dg] = c
-        for i, b in enumerate(g):
-            f[df - dg + i] = (f[df - dg + i] - c * b) % m
-        _trim(f)
-    return _trim(q), f
 
 
 def _hensel_lift(p, f, factors, l):
@@ -338,18 +318,18 @@ def _hensel_lift(p, f, factors, l):
     lc = f[-1]
     if len(factors) == 1:
         # monic version of f mod p**l
-        m = p ** l
-        inv = pow(lc, -1, m)
-        return [zz_trunc_sym([c * inv % m for c in f], m)]
+        return [zz_trunc_sym(_monic(f, p ** l), p ** l)]
     k = len(factors) // 2
     d = max(1, math.ceil(math.log2(l)))
     g = [lc % p]
     for fac in factors[:k]:
-        g = [c % p for c in zz_mul(g, fac)]
+        g = _mul(g, fac, p)
     h = [1]
     for fac in factors[k:]:
-        h = [c % p for c in zz_mul(h, fac)]
-    s, t = _fp_xgcd(g, h, p)
+        h = _mul(h, fac, p)
+    one, s, t = _xgcd(g, h, p)
+    if one != [1]:
+        raise DanielewskiError("inputs not coprime in Hensel bootstrap")
     m = p
     for _ in range(d):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
@@ -357,24 +337,6 @@ def _hensel_lift(p, f, factors, l):
         if m >= p ** l:
             break
     return _hensel_lift(p, g, factors[:k], l) + _hensel_lift(p, h, factors[k:], l)
-
-
-def _fp_xgcd(f, g, p):
-    """s, t with s*f + t*g = 1 mod p (f, g coprime mod p)."""
-    r0, r1 = [c % p for c in f], [c % p for c in g]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    _trim(r0)
-    _trim(r1)
-    while r1:
-        q, r = fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
-        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
-    if _deg(r0) != 0:
-        raise DanielewskiError("inputs not coprime in Hensel bootstrap")
-    inv = pow(r0[0], -1, p)
-    return ([c * inv % p for c in s0], [c * inv % p for c in t0])
 
 
 _ZASSENHAUS_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -392,15 +354,13 @@ def zz_factor_squarefree(f: List[int], seed_token: str) -> List[List[int]]:
     for p in _ZASSENHAUS_PRIMES:
         if lc % p == 0:
             continue
-        fp = [c % p for c in f]
-        if _deg(_trim(list(fp))) != n:
-            continue
-        if _deg(fp_gcd(fp, fp_diff(fp, p), p)) == 0:
+        fp = _norm(f, p)
+        if _deg(_gcd(fp, _diff(fp, p), p)) == 0:
             break
     else:
         raise DanielewskiError(f"no good prime found for {f}")
     rng = random.Random(f"zassenhaus|{seed_token}|{p}|{f}")
-    _, modular = fp_factor([c % p for c in f], p, rng)
+    _, modular = fp_factor(fp, p, rng)
     modular_factors = [g for g, _ in modular]
     if len(modular_factors) == 1:
         return [f]
@@ -422,12 +382,13 @@ def zz_factor_squarefree(f: List[int], seed_token: str) -> List[List[int]]:
         for combo in itertools.combinations(available, size):
             cand = [rest[-1] % m]
             for i in combo:
-                cand = zz_trunc_sym(zz_mul(cand, lifted[i]), m)
+                cand = zz_trunc_sym(_mul(cand, lifted[i], 0), m)
             cand = zz_primitive(cand)[1]
-            quo = zz_div_exact(rest, cand)
-            if quo is not None:
+            quo, r = _divmod(rest, cand, 0)
+            if not r:
+                # cand is primitive, so by Gauss's lemma quo is integral
                 result.append(cand)
-                rest = quo
+                rest = [int(c) for c in quo]
                 available = [i for i in available if i not in combo]
                 found = True
                 break
@@ -489,33 +450,9 @@ def gcd_univariate(a: Poly, b: Poly) -> Poly:
     var = next(iter(used)) if used else (a.vars[0] if a.vars else "X")
     vars_out = a.vars if var in a.vars else b.vars
     field = a.field
-    da = poly_to_dense(a.with_vars(vars_out), var)
-    db = poly_to_dense(b.with_vars(vars_out), var)
-    while db:
-        q, r = _field_divmod(da, db, field)
-        da, db = db, r
-    if not da:
-        return Poly.zero(field, vars_out)
-    inv = field.inv(da[-1])
-    return dense_to_poly([field.mul(c, inv) for c in da], field, vars_out, var)
-
-
-def _field_divmod(f, g, field: FieldSpec):
-    if not g:
-        raise ZeroDivisionError
-    f = list(f)
-    dg = len(g) - 1
-    inv = field.inv(g[-1])
-    q = [field.zero()] * max(0, len(f) - dg)
-    while f and len(f) - 1 >= dg:
-        df = len(f) - 1
-        c = field.mul(f[-1], inv)
-        q[df - dg] = c
-        for i, b in enumerate(g):
-            f[df - dg + i] = field.sub(f[df - dg + i], field.mul(c, b))
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f
+    g = _gcd(poly_to_dense(a.with_vars(vars_out), var),
+             poly_to_dense(b.with_vars(vars_out), var), field.modulus)
+    return dense_to_poly(g, field, vars_out, var)
 
 
 @dataclass(frozen=True)
@@ -543,51 +480,28 @@ class Factorization:
         return all(m == 1 for _, m in self.factors)
 
 
-def _yun_squarefree(f: List, field: FieldSpec) -> List[Tuple[List, int]]:
+def _yun_squarefree(f: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
     """Yun's algorithm, characteristic 0; f monic."""
-    def diff(g):
-        return _trim([field.mul(c, field.coerce(i)) for i, c in enumerate(g)][1:])
-
-    def gcd(a, b):
-        while b:
-            a, b = b, _field_divmod(a, b, field)[1]
-        if not a:
-            return a
-        inv = field.inv(a[-1])
-        return [field.mul(c, inv) for c in a]
-
-    def quo(a, b):
-        return _field_divmod(a, b, field)[0]
-
     out = []
-    fp = diff(f)
-    g = gcd(f, fp)
+    fp = _diff(f, 0)
+    g = _gcd(f, fp, 0)
     if len(g) == 1:
         return [(f, 1)]
-    w = quo(f, g)
-    y = quo(fp, g)
+    w = _divmod(f, g, 0)[0]
+    y = _divmod(fp, g, 0)[0]
     i = 1
     while True:
-        z = _dense_sub(y, diff(w), field)
+        z = _sub(y, _diff(w, 0), 0)
         if not z:
             out.append((w, i))
             break
-        h = gcd(w, z)
+        h = _gcd(w, z, 0)
         if len(h) > 1:
             out.append((h, i))
-        w = quo(w, h)
-        y = quo(z, h)
+        w = _divmod(w, h, 0)[0]
+        y = _divmod(z, h, 0)[0]
         i += 1
     return [(q, m) for q, m in out if len(q) > 1]
-
-
-def _dense_sub(f, g, field):
-    n = max(len(f), len(g))
-    out = [field.sub(f[i] if i < len(f) else field.zero(),
-                     g[i] if i < len(g) else field.zero()) for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _rational_roots_dense(f: List[Fraction]) -> List[Fraction]:
@@ -650,8 +564,7 @@ def factor_univariate(p: Poly, seed: int = 0) -> Factorization:
         factors = fac
     else:
         lead_raw = dense[-1]
-        monic = [c / lead_raw for c in dense]
-        for g, m in _yun_squarefree(monic, field):
+        for g, m in _yun_squarefree(_monic(dense, 0)):
             for irr in _q_factor_squarefree(g, seed):
                 factors.append((irr, m))
     result = Factorization(
@@ -675,9 +588,8 @@ def _q_factor_squarefree(g: List[Fraction], seed: int) -> List[List[Fraction]]:
         roots = _rational_roots_dense(g)
         if not roots:
             return [g]
-        r = roots[0]
-        rest = _field_divmod(g, [-r, Fraction(1)], FieldSpec(FieldKind.RATIONALS))[0]
-        return [[-r, Fraction(1)], rest]
+        linear = [-roots[0], Fraction(1)]
+        return [linear, _divmod(g, linear, 0)[0]]
     den = math.lcm(*[c.denominator for c in g])
     zf = [int(c * den) for c in g]
     _, zf = zz_primitive(zf)
@@ -707,11 +619,11 @@ def roots_in_field(p: Poly) -> List[Scalar]:
         candidates = _rational_roots_dense(dense)
     out = []
     for root in sorted(candidates, key=lambda r: Scalar(field, r).sort_key()):
-        linear = [field.neg(field.coerce(root)), field.one()]
+        linear = _norm([-root, 1], field.modulus)
         rest = dense
         mult = 0
         while True:
-            q, r = _field_divmod(rest, linear, field)
+            q, r = _divmod(rest, linear, field.modulus)
             if r:
                 break
             mult += 1
@@ -720,10 +632,9 @@ def roots_in_field(p: Poly) -> List[Scalar]:
     return out
 
 
-def squarefree_part(p: Poly, seed: int = 0) -> Poly:
+def squarefree_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p."""
-    fac = factor_univariate(p, seed)
-    var = _require_univariate(p)
+    fac = factor_univariate(p)
     acc = Poly.one(p.field, p.vars)
     for q, _ in fac.factors:
         acc = acc * q

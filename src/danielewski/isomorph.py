@@ -137,11 +137,15 @@ def fingerprint(spec: SurfaceSpec) -> Fingerprint:
 # ---------------------------------------------------------------------------
 
 
+def _affine_x(p: Poly, lam: Scalar, mu: Scalar) -> Poly:
+    """p(lam X + mu) for p in K[X]."""
+    x = Poly.variable(p.field, ("X",), "X")
+    return substitute(p, {"X": x.scaled(lam) + Poly.const(p.field, ("X",), mu)},
+                      vars_out=("X",))
+
+
 def _f_transport_holds(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar) -> bool:
-    x = Poly.variable(s1.field, ("X",), "X")
-    composed = substitute(s1.f, {"X": x.scaled(lam) + Poly.const(s1.field, ("X",), mu)},
-                          vars_out=("X",))
-    return composed == s2.f.scaled(lam ** s1.r)
+    return _affine_x(s1.f, lam, mu) == s2.f.scaled(lam ** s1.r)
 
 
 def _roots_or_all(g: Optional[Poly], field) -> Tuple[List[Scalar], bool]:
@@ -240,9 +244,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     d_inv = Scalar(field, field.inv(field.coerce(d)))
     c1 = s1.P.coeff_in("Z", d - 1).with_vars(("X",))
     c2 = s2.P.coeff_in("Z", d - 1).with_vars(("X",))
-    x1 = Poly.variable(field, ("X",), "X")
-    c1_shift = substitute(c1, {"X": x1.scaled(lam) + Poly.const(field, ("X",), mu)},
-                          vars_out=("X",))
+    c1_shift = _affine_x(c1, lam, mu)
     delta0 = divmod_in((-c1_shift).scaled(d_inv), s2.f, "X")[1]
     delta1 = divmod_in(c2.scaled(d_inv), s2.f, "X")[1]
     vars3 = ("X", "Z", "GAM")
@@ -362,10 +364,7 @@ def verify_iso(cert: IsoCertificate) -> VerificationReport:
                         "" if ok_d else f"{s1.d} vs {s2.d}"))
     ok_units = bool(cert.lam) and bool(cert.gamma) and bool(cert.u)
     checks.append(Check("units lambda, gamma, u nonzero", "Thm 4.1(i)", ok_units))
-    x = Poly.variable(s1.field, ("X",), "X")
-    composed = substitute(s1.f, {"X": x.scaled(cert.lam)
-                                 + Poly.const(s1.field, ("X",), cert.mu)},
-                          vars_out=("X",))
+    composed = _affine_x(s1.f, cert.lam, cert.mu)
     rhs = s2.f.scaled(cert.u)
     ok_f = composed == rhs and cert.u == cert.lam ** s1.r
     checks.append(Check("f-transport: f1(lam X + mu) = u f2(X), u = lam^r",
@@ -415,10 +414,7 @@ def invert_certificate(cert: IsoCertificate) -> IsoCertificate:
     lam_i = cert.lam.inverse()
     mu_i = -(lam_i * cert.mu)
     gam_i = cert.gamma.inverse()
-    x = Poly.variable(cert.source.field, ("X",), "X")
-    shifted = substitute(cert.delta,
-                         {"X": x.scaled(lam_i) + Poly.const(cert.source.field, ("X",), mu_i)},
-                         vars_out=("X",))
+    shifted = _affine_x(cert.delta, lam_i, mu_i)
     delta_i = divmod_in(shifted.scaled(-gam_i), cert.source.f, "X")[1]
     return _assemble(cert.target, cert.source, lam_i, mu_i, gam_i, delta_i)
 
@@ -427,14 +423,10 @@ def compose_certificates(second: IsoCertificate, first: IsoCertificate) -> IsoCe
     """Certificate of second o first (apply ``first``, then ``second``)."""
     if first.target != second.source:
         raise PreconditionError("certificates do not compose: endpoint mismatch")
-    field = first.source.field
     lam = first.lam * second.lam
     mu = first.lam * second.mu + first.mu
     gamma = first.gamma * second.gamma
-    x = Poly.variable(field, ("X",), "X")
-    d1_shift = substitute(first.delta,
-                          {"X": x.scaled(second.lam) + Poly.const(field, ("X",), second.mu)},
-                          vars_out=("X",))
+    d1_shift = _affine_x(first.delta, second.lam, second.mu)
     delta = divmod_in(second.delta.scaled(first.gamma) + d1_shift,
                       second.target.f, "X")[1]
     return _assemble(first.source, second.target, lam, mu, gamma, delta)

@@ -135,6 +135,15 @@ def test_family_demo_empty_range_is_malformed_input(capsys):
     code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2+1",
                          "--field", "Q", "--from", "3", "--to", "2")
     assert code == 2 and out == "" and err.startswith("error:")
+    # a malformed g: not monic, g(0) = 0, a repeated factor
+    for g in ("2*X-1", "X*(X-1)", "(X-1)^2"):
+        code, out, err = run(capsys, "family", "demo", "--g", g, "--phi", "Z^2+1",
+                             "--field", "Q", "--from", "2", "--to", "3")
+        assert code == 2 and out == "" and err.startswith("error:"), g
+    # a comaximality failure is a refusal, not malformed input
+    code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2",
+                         "--field", "Q", "--from", "2", "--to", "3")
+    assert code == 1 and out == "" and err.startswith("refused:")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from danielewski import (GF, QQ, Scalar, factor_univariate, gcd_univariate,
                          is_squarefree, parse_poly, poly_str, roots_in_field,
                          squarefree_part)
-from danielewski.factor import dense_to_poly
+from danielewski.factor import _add, _divmod, _gcd, _mul, _norm, _xgcd, dense_to_poly
 
 from conftest import random_poly
 
@@ -42,7 +44,7 @@ def test_factor_rejects_zero_and_multivariate():
 
 def test_factor_round_trip_prime_fields(rng):
     # 200 random products of irreducible-candidates per field
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 97):
         field = GF(p)
         for trial in range(200):
             poly = parse_poly("1", field, ("X",))
@@ -127,3 +129,46 @@ def test_squarefree_detection():
     # inseparable-style case: derivative vanishes in characteristic 2
     assert not is_squarefree(parse_poly("Z^2+1", GF(2), ("Z",)))
     assert poly_str(squarefree_part(q("X^3 - X^2"))) == "X^2 - X"
+
+
+def test_dense_kernel_contract(rng):
+    """The dense kernel over Z/m: m = 0 on Fractions and on ints, m = p, and
+    m = 3**4, where only monic divisors are allowed."""
+    def rand(kind, n, monic=False):
+        if kind == "Q":
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+        elif kind == "Z":
+            cs = [rng.randint(-9, 9) for _ in range(n + 1)]
+        else:
+            cs = [rng.randrange(kind) for _ in range(n + 1)]
+        if monic:
+            cs[-1] = 1
+        return _norm(cs, 0 if kind in ("Q", "Z") else kind)
+
+    for kind, m, monic in (("Q", 0, False), ("Z", 0, False), (7, 7, False),
+                           (97, 97, False), (81, 81, True)):
+        for _ in range(60):
+            f = rand(kind, rng.randint(0, 9))
+            g = rand(kind, rng.randint(0, 5), monic)
+            if not g:
+                continue
+            q, r = _divmod(f, g, m)
+            assert _add(_mul(q, g, m), r, m) == _norm(f, m)
+            assert len(r) < len(g)
+    for kind in ("Q", 7, 97):
+        m = 0 if kind == "Q" else kind
+        coprime = 0
+        for _ in range(60):
+            c = rand(kind, rng.randint(0, 3))
+            f = _mul(rand(kind, rng.randint(0, 6)), c, m)
+            g = _mul(rand(kind, rng.randint(0, 6)), c, m)
+            if not f or not g:
+                continue
+            d = _gcd(f, g, m)
+            assert d[-1] == 1 and len(d) >= len(c)
+            assert _divmod(f, d, m)[1] == [] and _divmod(g, d, m)[1] == []
+            d2, s, t = _xgcd(f, g, m)
+            assert d2 == d
+            assert _add(_mul(s, f, m), _mul(t, g, m), m) == d
+            coprime += d == [1]
+        assert coprime
