@@ -404,6 +404,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VerificationInternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except DanielewskiError as exc:  # any other library error is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -68,6 +68,21 @@ class Poly:
         object.__setattr__(self, "terms", terms)
         return self
 
+    @classmethod
+    def _from_sums(cls, field: FieldSpec, vars: Tuple[str, ...], sums: Dict[ExpVec, object]) -> "Poly":
+        """Constructor for accumulated coefficient sums: reduced mod p over
+        F_p, zero coefficients dropped."""
+        if field.kind is FieldKind.PRIME:
+            p = field.modulus
+            out = {}
+            for e, v in sums.items():
+                v %= p
+                if v:
+                    out[e] = v
+        else:
+            out = {e: v for e, v in sums.items() if v}
+        return cls._raw(field, vars, out)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -295,16 +310,7 @@ class Poly:
                 e = tuple(map(operator.add, e1, e2))
                 v = acc.get(e)
                 acc[e] = c1 * c2 if v is None else v + c1 * c2
-        if self.field.kind is FieldKind.PRIME:
-            p = self.field.modulus
-            out = {}
-            for e, v in acc.items():
-                v %= p
-                if v:
-                    out[e] = v
-        else:
-            out = {e: v for e, v in acc.items() if v}
-        return Poly._raw(self.field, self.vars, out)
+        return Poly._from_sums(self.field, self.vars, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -431,26 +437,34 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
             cache[k] = acc
         return acc
 
-    result = Poly.zero(field, vars_out)
+    acc: Dict[ExpVec, object] = {}
     for exps, c in p.terms.items():
         base = [0] * n
-        factors = []
+        image = None  # c times the product of the bound variables' images
         for j, e in enumerate(exps):
             if e == 0:
                 continue
             v = p.vars[j]
             if v in embedded:
-                factors.append(power(v, e))
+                f = power(v, e)
+                image = f.scaled(c) if image is None else image * f
             else:
                 i = pos.get(v)
                 if i is None:
                     raise UnknownVariableError(f"variable {v!r} absent from output variables")
                 base[i] = e
-        term = Poly._raw(field, vars_out, {tuple(base): c})
-        for f in factors:
-            term = term * f
-        result = result + term
-    return result
+        if image is None:
+            items = ((tuple(base), c),)
+        elif any(base):
+            if sum(base) + image.total_degree() >= MAX_EXPONENT:
+                raise OverflowError("product exponent would exceed 2**31")
+            items = ((tuple(map(operator.add, e, base)), v) for e, v in image.terms.items())
+        else:
+            items = image.terms.items()
+        for key, v in items:
+            prev = acc.get(key)
+            acc[key] = v if prev is None else prev + v
+    return Poly._from_sums(field, vars_out, acc)
 
 
 def exact_div(a: Poly, b: Poly) -> Optional[Poly]:

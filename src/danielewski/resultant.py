@@ -1,22 +1,28 @@
-"""Sylvester resultants and Bezout cofactors.
+"""Resultants and Bezout cofactors by fraction-free elimination.
 
-The resultant eliminating one variable is the determinant of the Sylvester
-matrix, computed by fraction-free (Bareiss) elimination over the polynomial
-ring in the remaining variables.  Degenerate degrees follow the actual
-degrees of the inputs: a zero companion gives resultant 0, a companion
-constant in the eliminated variable gives c**deg(other).
+Determinants are computed by fraction-free (Bareiss) elimination over the
+polynomial ring in the variables that are not eliminated.
 
-``bezout_cofactors`` solves a*P_Z + b*P = 1 by Cramer's rule on the
-Sylvester system: when the resultant is a nonzero constant the adjugate
-row has polynomial entries, so the cofactors stay in K[X,Z].
+``resultant_in`` is the general resultant.  When the first argument p is
+monic of degree m in the eliminated variable, K[..][var]/(p) is free with
+basis 1, var, ..., var**(m-1); multiplication by q has an m x m matrix M
+over the remaining variables, and Res(p, q) = det M.  Otherwise the
+resultant is the determinant of the Sylvester matrix.  Degenerate degrees
+follow the actual degrees of the inputs: a zero companion gives resultant 0,
+a companion constant in the eliminated variable gives c**deg(other).
+
+``bezout_cofactors`` solves a*P_Z + b*P = 1 for monic P with the same
+matrix M of multiplication by P_Z: a = P_Z**-1 mod P solves M a = e_0, so
+one fraction-free Gauss-Jordan elimination of [M | e_0] gives det M and
+det(M) * a together, and b = (1 - a P_Z)/P follows by exact division.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .errors import ComaximalityError
-from .poly import NEG_INF, Poly, exact_div
+from .errors import ComaximalityError, VerificationInternalError
+from .poly import NEG_INF, Poly, divmod_in, exact_div
 
 
 def sylvester_matrix(p: Poly, q: Poly, var: str) -> List[List[Poly]]:
@@ -45,15 +51,23 @@ def sylvester_matrix(p: Poly, q: Poly, var: str) -> List[List[Poly]]:
     return rows
 
 
-def det_bareiss(matrix: List[List[Poly]], field, vars) -> Poly:
-    """Exact determinant of a square matrix of polynomials."""
+def _bareiss(matrix: List[List[Poly]], field, vars,
+             rhs: Optional[List[Poly]] = None) -> Tuple[Poly, Optional[List[Poly]]]:
+    """det(matrix) by fraction-free elimination, and adj(matrix) * rhs when a
+    right-hand side is given and the matrix is nonsingular (else None).
+
+    With a right-hand side the sweep also clears the rows above each pivot
+    (Gauss-Jordan), so every diagonal entry ends at the determinant and the
+    appended column at det * solution.  Each division by the previous pivot
+    is exact (Sylvester's identity); a failed one is an internal error."""
     n = len(matrix)
-    if n == 0:
-        return Poly.one(field, vars)
-    m = [row[:] for row in matrix]
+    zero = Poly.zero(field, vars)
+    m = [row[:] for row in matrix] if rhs is None else [
+        row[:] + [r] for row, r in zip(matrix, rhs)]
+    width = len(m[0]) if n else 0
     sign = 1
     prev = Poly.one(field, vars)
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k].is_zero:
             for i in range(k + 1, n):
                 if not m[i][k].is_zero:
@@ -61,18 +75,52 @@ def det_bareiss(matrix: List[List[Poly]], field, vars) -> Poly:
                     sign = -sign
                     break
             else:
-                return Poly.zero(field, vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quo = exact_div(num, prev)
+                return zero, None
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(n) if rhs is not None else range(k + 1, n):
+            if i == k:
+                continue
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, width):
+                quo = exact_div(pivot * row[j] - lead * pivot_row[j], prev)
                 if quo is None:
-                    raise AssertionError("Bareiss division failed; matrix entries corrupted")
-                m[i][j] = quo
-            m[i][k] = Poly.zero(field, vars)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+                    raise VerificationInternalError(
+                        "Bareiss division failed; matrix entries corrupted")
+                row[j] = quo
+            row[k] = zero
+        prev = pivot
+    det = -prev if sign < 0 else prev
+    if rhs is None:
+        return det, None
+    column = [row[n] for row in m]
+    return det, [-c for c in column] if sign < 0 else column
+
+
+def det_bareiss(matrix: List[List[Poly]], field, vars) -> Poly:
+    """Exact determinant of a square matrix of polynomials."""
+    return _bareiss(matrix, field, vars)[0]
+
+
+def _multiplication_matrix(p: Poly, q: Poly, var: str) -> List[List[Poly]]:
+    """The m x m matrix of multiplication by q on K[..][var]/(p), for p monic
+    of degree m in ``var``: column j holds the coefficients of var**j * q
+    mod p, row i the coefficient of var**i."""
+    m = p.degree_in(var)
+    zero = Poly.zero(p.field, p.vars)
+    columns = []
+    r = divmod_in(q, p, var)[1]
+    for j in range(m):
+        if j:
+            r = divmod_in(r.mul_var_power(var, 1), p, var)[1]
+        columns.append(r.coefficients_in(var))
+    return [[col.get(i, zero) for col in columns] for i in range(m)]
+
+
+def _is_monic_in(p: Poly, var: str) -> bool:
+    lead = p.coeff_in(var, p.degree_in(var))
+    return lead.is_constant and lead.constant_value() == 1
 
 
 def resultant_in(p: Poly, q: Poly, var: str) -> Poly:
@@ -91,56 +139,42 @@ def resultant_in(p: Poly, q: Poly, var: str) -> Poly:
         return q ** dm
     if dm == 0:
         return p ** dn
-    matrix = sylvester_matrix(p, q, var)
+    if _is_monic_in(p, var):
+        matrix = _multiplication_matrix(p, q, var)
+    else:
+        matrix = sylvester_matrix(p, q, var)
     return det_bareiss(matrix, p.field, p.vars)
 
 
 def bezout_cofactors(P: Poly, Pz: Poly, var: str = "Z") -> Tuple[Poly, Poly]:
-    """Polynomials (a, b) with a*Pz + b*P = 1, for P monic of degree >= 2 in
-    ``var`` with Res_var(P, Pz) a nonzero constant.  The identity is expanded
-    and checked before returning; ComaximalityError otherwise."""
+    """Polynomials (a, b) with a*Pz + b*P = 1 and deg a < deg P, for P monic
+    of degree >= 2 in ``var`` with Res_var(P, Pz) a nonzero constant.  The
+    identity is expanded and checked before returning; ComaximalityError
+    otherwise."""
     P._check_compat(Pz)
     m = P.degree_in(var)
     if m is NEG_INF or m < 2:
         raise ValueError(f"P must have degree >= 2 in {var!r}")
-    lead = P.coeff_in(var, m)
-    if not (lead.is_constant and lead.constant_value() == 1):
+    if not _is_monic_in(P, var):
         raise ValueError(f"P must be monic in {var!r}")
     field = P.field
     vars = P.vars
     one = Poly.one(field, vars)
+    zero = Poly.zero(field, vars)
     if Pz.is_zero:
         raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal")
-    n = Pz.degree_in(var)
-    if n == 0:
-        c = Pz  # constant in var; must be a unit of K for comaximality
-        if not c.is_constant:
-            raise ComaximalityError(
-                f"resultant {c}**{m} is non-constant, (P, P_Z) is a proper ideal")
-        a = Poly.const(field, vars, c.constant_value().inverse())
-        b = Poly.zero(field, vars)
-        return a, b
-    res = resultant_in(P, Pz, var)
+    if Pz.degree_in(var) == 0 and not Pz.is_constant:
+        raise ComaximalityError(
+            f"resultant {Pz}**{m} is non-constant, (P, P_Z) is a proper ideal")
+    matrix = _multiplication_matrix(P, Pz, var)
+    res, adj_e0 = _bareiss(matrix, field, vars, [one] + [zero] * (m - 1))
     if res.is_zero or not res.is_constant:
         raise ComaximalityError(f"Res_{var}(P, P_Z) = {res} is not a nonzero constant")
     inv_res = res.constant_value().inverse()
-    matrix = sylvester_matrix(P, Pz, var)
-    size = m + n
-    # Cramer: w_j = det(S with row j replaced by e_const) / det(S); expanding
-    # along the replaced row leaves a signed minor against the last column.
-    w = []
-    for j in range(size):
-        minor = [row[:size - 1] for i, row in enumerate(matrix) if i != j]
-        d = det_bareiss(minor, field, vars)
-        if (j + size - 1) % 2 == 1:
-            d = -d
-        w.append(d * inv_res)
-    b = Poly.zero(field, vars)
-    for i in range(n):  # rows 0..n-1 are the u-part multiplying P
-        b = b + w[i].mul_var_power(var, n - 1 - i)
-    a = Poly.zero(field, vars)
-    for j in range(m):
-        a = a + w[n + j].mul_var_power(var, m - 1 - j)
+    a = zero
+    for i, c in enumerate(adj_e0):
+        a = a + (c * inv_res).mul_var_power(var, i)
+    b = divmod_in(one - a * Pz, P, var)[0]
     if a * Pz + b * P != one:
-        raise AssertionError("Bezout self-check failed; resultant machinery broken")
+        raise VerificationInternalError("Bezout self-check failed; resultant machinery broken")
     return a, b

@@ -15,7 +15,9 @@ import itertools
 from typing import Optional
 
 from danielewski import IsoCertificate, Poly, Scalar, divide_by_x, exact_div, verify_iso
+from danielewski.errors import ComaximalityError
 from danielewski.poly import divmod_in, grlex_key, substitute
+from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
 from danielewski.surface import SurfaceElement, eval_poly_on_elements
 
 BASE_VARS = ("X", "Y", "Z")
@@ -33,6 +35,43 @@ def naive_det(matrix, field, vars):
         term = matrix[0][j] * naive_det(minor, field, vars)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def bezout_by_cramer(P, Pz, var="Z"):
+    """(a, b) with a*Pz + b*P = 1 for P monic of degree >= 2 in ``var``, by
+    Cramer's rule on the Sylvester system: each unknown is a signed minor
+    over Res_var(P, Pz).  Raises ComaximalityError with the library's
+    messages when the resultant is not a nonzero constant."""
+    m = P.degree_in(var)
+    field, vars = P.field, P.vars
+    if Pz.is_zero:
+        raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal")
+    n = Pz.degree_in(var)
+    if n == 0:
+        if not Pz.is_constant:
+            raise ComaximalityError(
+                f"resultant {Pz}**{m} is non-constant, (P, P_Z) is a proper ideal")
+        return Poly.const(field, vars, Pz.constant_value().inverse()), Poly.zero(field, vars)
+    res = resultant_in(P, Pz, var)
+    if res.is_zero or not res.is_constant:
+        raise ComaximalityError(f"Res_{var}(P, P_Z) = {res} is not a nonzero constant")
+    inv_res = res.constant_value().inverse()
+    matrix = sylvester_matrix(P, Pz, var)
+    size = m + n
+    # w_j = det(S with row j replaced by e_const) / det(S); expanding along
+    # the replaced row leaves a signed minor against the last column
+    w = []
+    for j in range(size):
+        minor = [row[:size - 1] for i, row in enumerate(matrix) if i != j]
+        d = det_bareiss(minor, field, vars)
+        w.append((-d if (j + size - 1) % 2 else d) * inv_res)
+    b = Poly.zero(field, vars)
+    for i in range(n):  # rows 0..n-1 are the part multiplying P
+        b = b + w[i].mul_var_power(var, n - 1 - i)
+    a = Poly.zero(field, vars)
+    for j in range(m):
+        a = a + w[n + j].mul_var_power(var, m - 1 - j)
+    return a, b
 
 
 def brute_force_certificates(s1, s2):

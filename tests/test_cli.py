@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from danielewski import GF, QQ, cli
+from danielewski import GF, QQ, cli, resultant
 from danielewski.cli import main, paper_examples
-from danielewski.errors import VerificationInternalError
+from danielewski.errors import UnknownVariableError, VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
 
 from conftest import surf
@@ -155,6 +155,25 @@ def test_internal_error_exit_code(capsys, monkeypatch):
                          "--f", "X^2", "--phi", "Z^2+1")
     assert code == 4 and out == ""
     assert err == "internal error: canonical map failed verification\n"
+
+
+def test_failed_self_check_exits_4_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(resultant, "exact_div", lambda a, b: None)
+    code, out, err = run(capsys, "cancel", "build", "--field", "Q",
+                         "--f", "X^3-X^2", "--phi", "Z^2+1")
+    assert code == 4 and out == ""
+    assert err == "internal error: Bareiss division failed; matrix entries corrupted\n"
+
+
+def test_other_library_error_exits_2_without_traceback(capsys, monkeypatch):
+    def broken(spec):
+        raise UnknownVariableError("variable 'W' not among ('X', 'Z')")
+
+    monkeypatch.setattr(cli, "smoothness_check", broken)
+    code, out, err = run(capsys, "surface", "info", "--field", "Q",
+                         "--f", "X^2", "--phi", "Z^2+1")
+    assert code == 2 and out == ""
+    assert err == "error: variable 'W' not among ('X', 'Z')\n"
 
 
 def test_paper_examples_all_pass():

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
-from danielewski import GF, QQ, Poly, bezout_cofactors, parse_poly, poly_str, resultant_in
-from danielewski.errors import ComaximalityError
+from danielewski import GF, QQ, Poly, bezout_cofactors, parse_poly, poly_str, resultant, resultant_in
+from danielewski.errors import ComaximalityError, VerificationInternalError
 from danielewski.resultant import det_bareiss, sylvester_matrix
 
-from conftest import random_poly
-from oracles import naive_det
+from conftest import random_coeff, random_poly
+from oracles import bezout_by_cramer, naive_det
 
 V = ("X", "Z")
 
@@ -91,3 +93,59 @@ def test_bezout_rejects_nonconstant_resultant():
     P = q("Z^2 + X")  # disc = -4X, vanishes at X = 0
     with pytest.raises(ComaximalityError):
         bezout_cofactors(P, P.derivative("Z"))
+
+
+def test_failed_bareiss_division_is_internal_error(monkeypatch):
+    monkeypatch.setattr(resultant, "exact_div", lambda a, b: None)
+    matrix = sylvester_matrix(q("Z^2+1"), q("2*Z"), "Z")
+    with pytest.raises(VerificationInternalError, match="Bareiss division failed"):
+        det_bareiss(matrix, QQ, V)
+    with pytest.raises(VerificationInternalError, match="Bareiss division failed"):
+        bezout_cofactors(q("Z^2+1"), q("2*Z"))
+
+
+def _monic_in_z(rng, field, m):
+    terms = {(0, m): 1}
+    for k in range(m):
+        for _ in range(rng.randint(0, 2)):
+            terms[(rng.randint(0, 2), k)] = random_coeff(rng, field)
+    return Poly(field, V, terms)
+
+
+def _bezout_corpus(field):
+    """Seeded monic P over ("X", "Z"): random degrees 2..6, degrees divisible
+    by the characteristic (P_Z drops degree), and P with a repeated factor."""
+    rng = random.Random(f"bezout|{field.tag()}")
+    p = field.characteristic()
+    corpus = [_monic_in_z(rng, field, rng.randint(2, 6)) for _ in range(20)]
+    if p:
+        corpus += [_monic_in_z(rng, field, m) for m in range(p, 8, p) for _ in range(4)]
+    for _ in range(6):
+        linear = _monic_in_z(rng, field, 1)
+        corpus.append(linear * linear * _monic_in_z(rng, field, rng.randint(0, 2)))
+    return corpus
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=lambda f: f.tag())
+def test_bezout_matches_cramer_oracle(field):
+    p = field.characteristic()
+    seen = {"comaximal": 0, "refused": 0, "degree drop": 0}
+    for P in _bezout_corpus(field):
+        Pz = P.derivative("Z")
+        if p and P.degree_in("Z") % p == 0:
+            seen["degree drop"] += 1
+        try:
+            expected, expected_error = bezout_by_cramer(P, Pz), None
+        except ComaximalityError as exc:
+            expected, expected_error = None, str(exc)
+        try:
+            got, got_error = bezout_cofactors(P, Pz), None
+        except ComaximalityError as exc:
+            got, got_error = None, str(exc)
+        assert got == expected and got_error == expected_error, poly_str(P)
+        seen["comaximal" if got else "refused"] += 1
+        if Pz.degree_in("Z") >= 1:  # det M against the Sylvester determinant
+            sylvester = det_bareiss(sylvester_matrix(P, Pz, "Z"), field, V)
+            assert resultant_in(P, Pz, "Z") == sylvester, poly_str(P)
+    assert seen["comaximal"] and seen["refused"]
+    assert seen["degree drop"] or not p
