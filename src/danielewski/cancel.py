@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import (ComaximalityError, PreconditionError, SurfaceConstraintError,
-                     VerificationInternalError)
+from .errors import (ComaximalityError, HypothesisError, PreconditionError,
+                     SurfaceConstraintError, VerificationInternalError)
 from .expmap import apply_map, canonical_expmap
 from .factor import factor_univariate, gcd_univariate
 from .fields import FieldSpec, Scalar
@@ -103,11 +103,14 @@ def _taylor_coefficients(P: Poly) -> Dict[int, Poly]:
 
 def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
     """Run the construction; every claimed identity is asserted as it is
-    built, and the certificate passes ``verify_stable_iso`` by construction."""
+    built, and the certificate passes ``verify_stable_iso`` by construction.
+    Raises HypothesisError, carrying the HypothesisReport, when the
+    hypotheses fail."""
     hyp = check_hypotheses(spec_a)
     if not hyp.ok:
-        raise PreconditionError(
-            "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed))
+        raise HypothesisError(
+            "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed),
+            hyp)
     field = spec_a.field
     n = spec_a.n
     x1 = Poly.monomial(field, ("X",), (1,))

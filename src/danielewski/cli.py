@@ -24,9 +24,9 @@ import json
 import sys
 from typing import List, Optional
 
-from .cancel import build_stable_iso, check_hypotheses, sigma_family, verify_stable_iso
+from .cancel import build_stable_iso, sigma_family, verify_stable_iso
 from .errors import (ComaximalityError, DanielewskiError, FieldMismatchError,
-                     InfiniteFamilyError, InputError, PolyParseError,
+                     HypothesisError, InfiniteFamilyError, InputError, PolyParseError,
                      PreconditionError, SearchCapExceededError,
                      SurfaceConstraintError, VerificationInternalError)
 from .expmap import canonical_expmap, verify_expmap
@@ -181,13 +181,13 @@ def _cmd_iso_verify(args) -> int:
 
 def _cmd_cancel_build(args) -> int:
     spec = _surface_from_args(args)
-    hyp = check_hypotheses(spec)
-    if not hyp.ok:
-        _emit(args, {"ok": False,
-                     "checks": [c.__dict__ for c in hyp.checks()]},
-              ["hypotheses fail:"] + ["  " + c.line() for c in hyp.checks()])
+    try:
+        cert = build_stable_iso(spec)
+    except HypothesisError as exc:
+        checks = exc.report.checks()
+        _emit(args, {"ok": False, "checks": [c.__dict__ for c in checks]},
+              ["hypotheses fail:"] + ["  " + c.line() for c in checks])
         return 1
-    cert = build_stable_iso(spec)
     doc = stable_to_doc(cert)
     _emit(args, doc, [
         f"stable-isomorphism certificate for f = {poly_str(spec.f)}:",
@@ -319,7 +319,7 @@ def _positive_int(text: str) -> int:
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                   help="tuple cap for exhaustive search branches (>= 1)")
+                   help="cap on the candidates an isomorphism search examines (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,15 +33,29 @@ class PreconditionError(DanielewskiError):
     """An operation was called outside its stated precondition."""
 
 
+class HypothesisError(PreconditionError):
+    """The stable-isomorphism construction's hypotheses fail; ``report``
+    is the hypothesis report that says which."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
+
+
 class ComaximalityError(DanielewskiError):
     """(P, P_Z) is not the unit ideal, so no Bezout pair exists."""
 
 
 class SearchCapExceededError(DanielewskiError):
-    """An exhaustive search branch would exceed the configured tuple cap."""
+    """A search would examine more candidates than the configured cap allows.
+
+    ``needed`` is the count of candidates examined so far plus those of the
+    step that was refused, or a lower bound on the whole search when it is
+    refused before it starts; a refused step is not run.
+    """
 
     def __init__(self, needed: int, cap: int):
-        super().__init__(f"search needs {needed} tuples, cap is {cap}")
+        super().__init__(f"search needs {needed} candidates, cap is {cap}")
         self.needed = needed
         self.cap = cap
 

@@ -13,10 +13,14 @@ and the data is admissible exactly when the two polynomial identities
 hold.  The solver finds all (lam, mu) from (III) -- linearly eliminating mu
 when the characteristic does not divide r, exhaustively otherwise -- then
 all (gam, delta) from (vi) -- eliminating delta through the z^(d-1)
-coefficient when the characteristic does not divide d, exhaustively
-otherwise.  Every certificate it emits is re-verified first.  delta is
-stored as the canonical representative of degree < r; any lift
-delta + f_2 * e also yields an isomorphism and is not enumerated.
+coefficient when the characteristic p does not divide d, otherwise by
+lifting delta modulo each prime-power factor of f_2 one power at a time and
+combining the residues by CRT (``_DeltaLifting``).  One search cap bounds
+the candidates a decision examines: the (lam, mu) pairs of the first
+exhaustive branch plus the delta residues of the lifting.  Every
+certificate it emits is re-verified first.  delta is stored as the
+canonical representative of degree < r; any lift delta + f_2 * e also
+yields an isomorphism and is not enumerated.
 
 Obstructions carry the structural invariant they violate, so refutations
 are citable.
@@ -31,7 +35,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
-from .factor import factor_univariate, gcd_univariate, roots_in_field
+from .factor import (Factorization, _add, _divmod, _mul, _norm, _xgcd, dense_to_poly,
+                     factor_univariate, gcd_univariate, poly_to_dense, roots_in_field)
 from .fields import FieldKind, Scalar
 from .poly import NEG_INF, Poly, divmod_in, substitute
 from .reports import Check, VerificationReport
@@ -127,7 +132,10 @@ class Fingerprint:
 
 
 def fingerprint(spec: SurfaceSpec) -> Fingerprint:
-    fac = factor_univariate(spec.f)
+    return _fingerprint(spec, factor_univariate(spec.f))
+
+
+def _fingerprint(spec: SurfaceSpec, fac: Factorization) -> Fingerprint:
     return Fingerprint(spec.d, spec.r,
                        fac.multiplicity_multiset(), fac.degree_multiset())
 
@@ -161,8 +169,9 @@ def _roots_or_all(g: Optional[Poly], field) -> Tuple[List[Scalar], bool]:
 def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
     """All (lam, mu) with f_1(lam X + mu) = lam^r f_2(X).
 
-    Returns (pairs, lambda_free); lambda_free marks the char-0 case where
-    every lam works (positive-dimensional family)."""
+    Returns (pairs, lambda_free, examined); lambda_free marks the char-0
+    case where every lam works (positive-dimensional family), and examined
+    counts the (lam, mu) pairs tried when the characteristic divides r."""
     field = s1.field
     r = s1.r
     p = field.characteristic()
@@ -176,7 +185,7 @@ def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
                 lam, mu = Scalar(field, lam_raw), Scalar(field, mu_raw)
                 if _f_transport_holds(s1, s2, lam, mu):
                     pairs.append((lam, mu))
-        return pairs, False
+        return pairs, False, count
     # characteristic does not divide r: mu = (lam b_{r-1} - a_{r-1}) / r
     vars2 = ("X", "LAM")
     lam_var = Poly.variable(field, vars2, "LAM")
@@ -200,7 +209,7 @@ def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
         mu = mu_of_lam.evaluate({"X": Scalar(field, 0), "LAM": lam})
         if _f_transport_holds(s1, s2, lam, mu):
             pairs.append((lam, mu))
-    return pairs, lambda_free
+    return pairs, lambda_free, 0
 
 
 def _congruence_split(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
@@ -218,26 +227,144 @@ def _congruence_split(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
     return divmod_in(defect, s2.f.with_vars(vars2), "X")
 
 
+class _DeltaLifting:
+    """The (gamma, delta) search of one decision when char K = p divides d.
+
+    Congruence (vi) reads D(X, Z, delta) = 0 mod f_2, where
+    D(X, Z, T) = P_1(lam X + mu, gam Z + T) - gam^d P_2.  It holds exactly
+    when it holds modulo every prime-power factor q^m of f_2, and
+    D(X, Z, delta) mod q^j depends only on delta mod q^j.  So each factor is
+    solved by lifting: a survivor s mod q^(j-1) gives the p^(deg q)
+    candidates s + t q^(j-1), deg t < deg q, and a candidate survives when
+    every Z-coefficient of D(X, Z, delta) vanishes mod q^j.  The survivors
+    mod the q_i^(m_i) combine by CRT into every delta mod f_2 of degree < r.
+
+    Plain enumeration examines p^(m deg q) candidates for a factor q^m;
+    lifting examines sum_{j=1..m} |S_(j-1)| p^(deg q), where S_(j-1) is the
+    set of survivors mod q^(j-1).  That is usually far fewer, and under
+    2 p^(m deg q) even when every candidate survives.
+
+    One count of candidates examined covers the decision: it starts at
+    ``examined`` (the (lam, mu) pairs already tried) and grows over every
+    (lam, mu, gam) and every level.  A level that would take it past the cap
+    raises SearchCapExceededError before any of its candidates is examined.
+    Each of the ``runs`` (lam, mu, gam) examines at least the first level of
+    the first factor, so when those alone pass the cap the search is refused
+    at once.
+    """
+
+    def __init__(self, f2: Poly, factors: Tuple[Tuple[Poly, int], ...], cap: int,
+                 examined: int, runs: int):
+        p = f2.field.modulus
+        self.p = p
+        self.cap = cap
+        self.examined = examined
+        f = self.f = poly_to_dense(f2, "X")
+        self.factors = []       # (q, m, CRT idempotent: 1 mod q^m, 0 mod f_2 / q^m)
+        for q_poly, m in factors:
+            q = poly_to_dense(q_poly, "X")
+            block = [1]
+            for _ in range(m):
+                block = _mul(block, q, p)
+            cofactor = _divmod(f, block, p)[0]
+            inverse = _xgcd(cofactor, block, p)[1]
+            self.factors.append((q, m, _divmod(_mul(cofactor, inverse, p), f, p)[1]))
+        least = examined + runs * p ** (len(self.factors[0][0]) - 1)
+        if least > cap:
+            raise SearchCapExceededError(least, cap)
+
+    def deltas(self, table: Dict[int, List[list]]) -> List[list]:
+        """Every delta mod f_2 (dense, degree < r) with D(X, Z, delta) = 0
+        mod f_2; ``table[j][k]`` is the X-coefficient list of Z^j T^k in D."""
+        p = self.p
+        parts = []
+        for q, m, idempotent in self.factors:
+            residues = self._lift(table, q, m)
+            if not residues:
+                return []
+            parts.append([_mul(s, idempotent, p) for s in residues])
+        out = []
+        for combo in itertools.product(*parts):
+            delta = []
+            for piece in combo:
+                delta = _add(delta, piece, p)
+            out.append(_divmod(delta, self.f, p)[1])
+        return out
+
+    def _lift(self, table, q, m) -> List[list]:
+        """Every residue of delta mod q^m that solves D = 0 mod q^m."""
+        p = self.p
+        survivors: List[list] = [[]]
+        below = [1]                       # q^(j-1)
+        for _ in range(m):
+            needed = self.examined + len(survivors) * p ** (len(q) - 1)
+            if needed > self.cap:
+                raise SearchCapExceededError(needed, self.cap)
+            self.examined = needed
+            modulus = _mul(below, q, p)   # q^j
+            rows = [[_divmod(c, modulus, p)[1] for c in row] for row in table.values()]
+            survivors = [cand for s in survivors
+                         for cand in (_add(s, t, p) for t in _shifts(below, len(q) - 1, p))
+                         if _vanishes(rows, cand, modulus, p)]
+            if not survivors:
+                break
+            below = modulus
+        return survivors
+
+
+def _shifts(below, k, p):
+    """Every t * ``below`` with deg t < k, one at a time."""
+    for t in itertools.product(range(p), repeat=k):
+        yield _mul(_norm(list(t), p), below, p)
+
+
+def _vanishes(rows, delta, modulus, p) -> bool:
+    """Whether sum_k row[k] delta^k = 0 mod ``modulus`` for every row, by
+    Horner's rule; stops at the first row that does not vanish."""
+    for row in rows:
+        acc = []
+        for c in reversed(row):
+            acc = _divmod(_add(_mul(acc, delta, p), c, p), modulus, p)[1]
+        if acc:
+            return False
+    return True
+
+
+def _defect_table(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
+                  gamma: Scalar) -> Dict[int, List[list]]:
+    """D(X, Z, T) = P_1(lam X + mu, gam Z + T) - gam^d P_2 from one
+    substitution, as {j: [X-coefficient list of Z^j T^k for k = 0, 1, ...]}."""
+    field = s1.field
+    vars3 = ("X", "Z", "T")
+    x = Poly.variable(field, vars3, "X")
+    z = Poly.variable(field, vars3, "Z")
+    t = Poly.variable(field, vars3, "T")
+    lhs = substitute(s1.P, {"X": x.scaled(lam) + Poly.const(field, vars3, mu),
+                            "Z": z.scaled(gamma) + t}, vars_out=vars3)
+    defect = lhs - s2.P.with_vars(vars3).scaled(gamma ** s1.d)
+    dense: Dict[int, Dict[int, list]] = {}
+    for (i, j, k), c in defect.terms.items():
+        row = dense.setdefault(j, {})
+        coeffs = row.setdefault(k, [])
+        coeffs.extend([0] * (i + 1 - len(coeffs)))
+        coeffs[i] = c
+    return {j: [row.get(k, []) for k in range(max(row) + 1)]
+            for j, row in sorted(dense.items())}
+
+
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                           cap: int):
+                           lifting: Optional[_DeltaLifting]):
     """All (gamma, delta) with the congruence (vi); returns (solutions,
-    gamma_free) where gamma_free marks the char-0 infinite case."""
+    gamma_free) where gamma_free marks the char-0 infinite case.  ``lifting``
+    carries the search when the characteristic divides d, else it is None."""
     field = s1.field
     d = s1.d
-    r2 = s2.r
-    p = field.characteristic()
-    if p and d % p == 0:
-        count = (p - 1) * p ** r2
-        if count > cap:
-            raise SearchCapExceededError(count, cap)
+    if lifting is not None:
         sols = []
-        for gam_raw in range(1, p):
+        for gam_raw in range(1, field.modulus):
             gamma = Scalar(field, gam_raw)
-            for coeffs in itertools.product(range(p), repeat=r2):
-                delta = Poly(field, ("X",), {(i,): c for i, c in enumerate(coeffs)})
-                _, rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
-                if rem.is_zero:
-                    sols.append((gamma, delta))
+            for delta in lifting.deltas(_defect_table(s1, s2, lam, mu, gamma)):
+                sols.append((gamma, dense_to_poly(delta, field, ("X",), "X")))
         return sols, False
     # characteristic does not divide d: compare z^(d-1) coefficients,
     # delta = d^{-1} (gamma c2_{d-1}(X) - c1_{d-1}(lam X + mu)) mod f_2
@@ -308,13 +435,14 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     if s1.r != s2.r:
         return Obstruction(ObstructionKind.F_DEGREE_MISMATCH,
                            f"deg f: {s1.r} vs {s2.r}")
-    fp1, fp2 = fingerprint(s1), fingerprint(s2)
+    fac2 = factor_univariate(s2.f)
+    fp1, fp2 = fingerprint(s1), _fingerprint(s2, fac2)
     if fp1.multiplicities != fp2.multiplicities:
         return Obstruction(
             ObstructionKind.MULTIPLICITY_MULTISET_MISMATCH,
             f"multiplicity multisets {set_str(fp1.multiplicities)} vs "
             f"{set_str(fp2.multiplicities)}")
-    pairs, lambda_free = _affine_candidates(s1, s2, cap)
+    pairs, lambda_free, examined = _affine_candidates(s1, s2, cap)
     if not pairs and not lambda_free:
         extra = ""
         if fp1.degrees != fp2.degrees:
@@ -323,14 +451,13 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
         return Obstruction(ObstructionKind.NO_AFFINE_MATCH,
                            "no (lambda, mu) transports f_1 onto f_2" + extra)
     p = s1.field.characteristic()
+    lifting = None
     if p and s1.d % p == 0:
-        planned = len(pairs) * (p - 1) * p ** s2.r
-        if planned > cap:
-            raise SearchCapExceededError(planned, cap)
+        lifting = _DeltaLifting(s2.f, fac2.factors, cap, examined, len(pairs) * (p - 1))
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:
-        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, cap)
+        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, lifting)
         gamma_free = gamma_free or free
         for gamma, delta in sols:
             certs.append(_assemble(s1, s2, lam, mu, gamma, delta))

@@ -1,9 +1,10 @@
 """Independent oracles the tests check the implementation against.
 
 These deliberately avoid the production code paths they judge: the
-determinant oracle is plain cofactor expansion, the isomorphism oracle
-enumerates every (lambda, mu, gamma, delta) tuple over a small prime field
-and filters through verify_iso alone, the stepwise normal form rewrites one
+determinant oracle is plain cofactor expansion; over a small prime field
+the isomorphism oracles try every (gamma, delta) pair for one (lambda, mu),
+with no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
+through verify_iso alone; the stepwise normal form rewrites one
 term at a time instead of through the reduced Z-power table, and the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization.
@@ -16,7 +17,7 @@ from typing import Optional
 
 from danielewski import IsoCertificate, Poly, Scalar, divide_by_x, exact_div, verify_iso
 from danielewski.errors import ComaximalityError
-from danielewski.poly import divmod_in, grlex_key, substitute
+from danielewski.poly import grlex_key, substitute
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
 from danielewski.surface import SurfaceElement, eval_poly_on_elements
 
@@ -74,39 +75,46 @@ def bezout_by_cramer(P, Pz, var="Z"):
     return a, b
 
 
+def exhaustive_gamma_delta(s1, s2, lam, mu):
+    """Every (gamma, delta, theta) with
+    P_1(lam X + mu, gamma Z + delta) - gamma^d P_2 = theta f_2 and
+    deg delta < r, over a prime field, by trying all (p-1) p^r pairs
+    (gamma, delta): one substitution and one exact division each."""
+    field = s1.field
+    p = field.modulus
+    vars2 = ("X", "Z")
+    xb = Poly.variable(field, vars2, "X").scaled(lam) + Poly.const(field, vars2, mu)
+    z = Poly.variable(field, vars2, "Z")
+    f2 = s2.f.with_vars(vars2)
+    found = []
+    for gam_raw in range(1, p):
+        gamma = Scalar(field, gam_raw)
+        for coeffs in itertools.product(range(p), repeat=s2.r):
+            delta = Poly(field, ("X",), {(i,): c for i, c in enumerate(coeffs)})
+            lhs = substitute(s1.P, {"X": xb, "Z": z.scaled(gamma) + delta.with_vars(vars2)},
+                             vars_out=vars2)
+            theta = exact_div(lhs - s2.P.scaled(gamma ** s1.d), f2)
+            if theta is not None:
+                found.append((gamma, delta, theta))
+    return found
+
+
 def brute_force_certificates(s1, s2):
     """Every certificate over a prime field, by exhaustive enumeration of
     (lambda, mu, gamma, delta) filtered through verify_iso."""
     field = s1.field
     p = field.modulus
-    vars2 = ("X", "Z")
-    x = Poly.variable(field, vars2, "X")
-    z = Poly.variable(field, vars2, "Z")
     found = {}
     for lam_raw in range(1, p):
         for mu_raw in range(p):
             lam, mu = Scalar(field, lam_raw), Scalar(field, mu_raw)
-            for gam_raw in range(1, p):
-                gamma = Scalar(field, gam_raw)
-                for coeffs in itertools.product(range(p), repeat=s2.r):
-                    delta = Poly(field, ("X",),
-                                 {(i,): c for i, c in enumerate(coeffs)})
-                    lhs = substitute(
-                        s1.P,
-                        {"X": x.scaled(lam) + Poly.const(field, vars2, mu),
-                         "Z": z.scaled(gamma) + delta.with_vars(vars2)},
-                        vars_out=vars2)
-                    defect = lhs - s2.P.scaled(gamma ** s1.d)
-                    theta, rem = divmod_in(defect, s2.f.with_vars(vars2), "X")
-                    if not rem.is_zero:
-                        continue
-                    try:
-                        cert = IsoCertificate(s1, s2, lam, mu, gamma, delta,
-                                              lam ** s1.r, theta)
-                    except ValueError:
-                        continue
-                    if verify_iso(cert).ok:
-                        found[cert.tuple_key()] = cert
+            for gamma, delta, theta in exhaustive_gamma_delta(s1, s2, lam, mu):
+                try:
+                    cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
+                except ValueError:
+                    continue
+                if verify_iso(cert).ok:
+                    found[cert.tuple_key()] = cert
     return found
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from danielewski import GF, QQ, cli, resultant
+from danielewski import GF, QQ, cancel, cli, resultant
 from danielewski.cli import main, paper_examples
 from danielewski.errors import UnknownVariableError, VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
@@ -123,6 +123,19 @@ def test_cancel_build_refuses_bad_hypotheses(capsys):
     assert code == 1 and "hypotheses fail" in out
 
 
+@pytest.mark.parametrize("phi, code", [("(Z+X)^5-1", 0), ("Z^2", 1)])
+def test_cancel_build_computes_the_resultant_once(capsys, monkeypatch, phi, code):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return resultant.resultant_in(*args)
+
+    monkeypatch.setattr(cancel, "resultant_in", counted)
+    got, _, _ = run(capsys, "cancel", "build", "--field", "Q", "--f", "X^3-X^2", "--phi", phi)
+    assert got == code and len(calls) == 1
+
+
 def test_family_demo(capsys):
     code, out, _ = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2+1",
                        "--field", "Q", "--from", "2", "--to", "4")
@@ -192,3 +205,11 @@ def test_json_output_is_byte_identical(capsys):
     _, out1, _ = run(capsys, "paper-examples", "--json")
     _, out2, _ = run(capsys, "paper-examples", "--json")
     assert out1 == out2
+
+
+def test_iso_decide_baseline_f7(capsys, tmp_path):
+    # char 7 divides d = 7: answered by lifting delta, well inside the default cap
+    path = tmp_path / "f7.json"
+    path.write_text(dumps(surface_to_doc(surf(GF(7), "X^7*(X+1)", "Z^7+Z+X"))))
+    code, out, _ = run(capsys, "iso", "decide", "--left", str(path), "--right", str(path))
+    assert code == 0 and "6 certificate(s)" in out

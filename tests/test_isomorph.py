@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
@@ -6,10 +8,11 @@ from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
                          verify_iso)
 from danielewski.errors import (FieldMismatchError, InfiniteFamilyError,
                                 SearchCapExceededError)
-from danielewski.isomorph import IsoCertificate, ObstructionKind, apply_certificate
+from danielewski.isomorph import (DEFAULT_CAP, IsoCertificate, ObstructionKind,
+                                  _affine_x, apply_certificate)
 
 from conftest import random_poly, surf
-from oracles import brute_force_certificates
+from oracles import brute_force_certificates, exhaustive_gamma_delta
 
 
 def test_fingerprint_examples():
@@ -303,3 +306,103 @@ def test_fingerprints_of_isomorphic_pairs_agree(rng):
         s1 = surf_from(field, f1, P1)
         s2 = _transformed_copy(rng, s1)
         assert fingerprint(s1) == fingerprint(s2)
+
+
+def _seeded_phi(rng, field, d):
+    """Z^d plus seeded terms c X^a Z^j, a <= 1, j < d."""
+    p = field.modulus
+    terms = {(0, d): 1}
+    for j in range(d):
+        for a in range(2):
+            terms[(a, j)] = rng.randrange(p)
+    return Poly(field, ("X", "Z"), terms)
+
+
+# (field, f, P or None for a seeded P, partner); d = p throughout, so the
+# solver takes its lifting branch
+LIFTING_CASES = (
+    (GF(5), "X^3*(X+1)", None, "moved"),            # repeated linear factor
+    (GF(5), "(X^2+2)^2", None, "self"),             # q^2 with deg q = 2
+    (GF(5), "X^3*(X^2+X+1)", "Z^5 + X^2 + 1", "self"),  # P = Z^p + c(X), r = 5
+    (GF(7), "X^2*(X+1)", None, "random"),           # r = 3, no (gamma, delta)
+)
+
+
+def test_lifting_matches_exhaustive_oracle():
+    rng = random.Random(5)
+    outcomes = set()
+    for field, f_text, p_text, partner in LIFTING_CASES:
+        p = field.modulus
+        f = parse_poly(f_text, field, ("X",))
+        P = (parse_poly(p_text, field, ("X", "Z")) if p_text
+             else _seeded_phi(rng, field, p))
+        s1 = surf_from(field, f, P)
+        if partner == "self":
+            s2 = s1
+        elif partner == "moved":
+            s2 = _transformed_copy(rng, s1)
+        else:
+            s2 = surf_from(field, f, _seeded_phi(rng, field, p))
+        result = decide_isomorphism(s1, s2)
+        certs = [] if isinstance(result, Obstruction) else result
+        pairs = [(Scalar(field, a), Scalar(field, b)) for a in range(1, p) for b in range(p)
+                 if _affine_x(s1.f, Scalar(field, a), Scalar(field, b))
+                 == s2.f.scaled(Scalar(field, a) ** s1.r)]
+        assert pairs
+        assert all((c.lam, c.mu) in pairs for c in certs)
+        for lam, mu in pairs:
+            expected = {(g.value, d.sort_key())
+                        for g, d, _ in exhaustive_gamma_delta(s1, s2, lam, mu)}
+            got = {(c.gamma.value, c.delta.sort_key()) for c in certs
+                   if (c.lam, c.mu) == (lam, mu)}
+            assert got == expected, (f_text, str(P), str(lam), str(mu))
+            outcomes.add(bool(expected))
+    assert outcomes == {True, False}
+
+
+def _baseline(p):
+    """The surface X^p (X+1), Z^p + Z + X over F_p: p divides d = p."""
+    return surf(GF(p), f"X^{p}*(X+1)", f"Z^{p}+Z+X")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_baseline_automorphisms_form_a_group(p):
+    autos = automorphisms(_baseline(p))
+    assert any(c.is_identity() for c in autos)
+    assert all(verify_iso(c).ok for c in autos)
+    keys = {c.tuple_key() for c in autos}
+    for a in autos:
+        assert invert_certificate(a).tuple_key() in keys
+        for b in autos:
+            assert compose_certificates(a, b).tuple_key() in keys
+
+
+def test_cap_counts_candidates_examined():
+    s = _baseline(5)
+    assert automorphisms(s, cap=500)
+    # lambda = 1, mu = 0 only; per gamma, X^5 lifts over five levels and
+    # X + 1 takes one, 120 candidates in all
+    assert automorphisms(s, cap=120)
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(s, cap=119)
+    assert err.value.cap == 119 and err.value.needed > 119
+
+
+def test_cap_counts_affine_pairs_and_lifted_residues_together():
+    # 5 divides r = 5: twenty (lambda, mu) pairs are tried, one survives;
+    # then per gamma X^4 lifts over four levels and X + 1 takes one
+    s = surf(GF(5), "X^4*(X+1)", "Z^5+Z+X")
+    assert automorphisms(s, cap=20 + 4 * 25)
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(s, cap=20 + 4 * 25 - 1)
+    assert err.value.needed == 20 + 4 * 25
+
+
+def test_unreachable_cap_is_refused_before_lifting():
+    # irreducible f of degree 8 over F_7: every gamma must try all 7^8
+    # residues of the first level, so the default cap is refused up front
+    s = surf(GF(7), "X^8+X+3", "Z^7+Z+X")
+    assert fingerprint(s).degrees == (8,)
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(s)
+    assert err.value.needed == 6 * 7 ** 8 > DEFAULT_CAP
