@@ -206,6 +206,12 @@ def _cmd_cancel_verify(args) -> int:
     return _report_exit(args, verify_stable_iso(cert))
 
 
+# family demo builds and verifies one certificate per n and compares every
+# pair of members, so its cost grows at least with the square of the range;
+# n = 64 is far beyond the desk-scale degrees
+MAX_FAMILY_N = 64
+
+
 def _cmd_family_demo(args) -> int:
     try:
         field = parse_field_tag(args.field)
@@ -213,8 +219,9 @@ def _cmd_family_demo(args) -> int:
         P = parse_poly(args.phi, field, ("X", "Z"))
     except (ValueError, DanielewskiError) as exc:
         raise InputError(str(exc)) from exc
-    if not 2 <= args.n_from <= args.n_to:
-        raise InputError(f"need 2 <= --from <= --to, got --from {args.n_from} --to {args.n_to}")
+    if not 2 <= args.n_from <= args.n_to <= MAX_FAMILY_N:
+        raise InputError(f"need 2 <= --from <= --to <= {MAX_FAMILY_N}, "
+                         f"got --from {args.n_from} --to {args.n_to}")
     try:
         report = sigma_family(field, g, P, args.n_from, args.n_to)
     except SurfaceConstraintError as exc:  # malformed g; comaximality stays a refusal
@@ -376,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="P(X, Z)")
     p.add_argument("--field", required=True)
     p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    p.add_argument("--to", dest="n_to", type=int, required=True,
+                   help=f"last n, at most {MAX_FAMILY_N}")
     _add_common(p)
     p.set_defaults(handler=_cmd_family_demo)
 

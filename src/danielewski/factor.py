@@ -7,7 +7,7 @@ all dense arithmetic over Z/m, where the modulus ``m`` is
 
 * a prime p: int residues in [0, p) over F_p;
 * p**k: inside the Hensel step, dividing only by monic polynomials;
-* 0: exact arithmetic on ``Fraction`` (Q) or ``int`` (Z) entries.
+* 0: exact arithmetic on raw Q values (``int`` or ``Fraction``) or on Z.
 
 ``FieldSpec.modulus`` is 0 for Q, so callers pass ``field.modulus``.
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DanielewskiError
-from .fields import FieldKind, FieldSpec, Scalar
+from .fields import FieldKind, FieldSpec, Scalar, q_norm
 from .poly import Poly
 
 # ---------------------------------------------------------------------------
@@ -54,9 +54,8 @@ def _norm(f, m) -> List:
 def _inv(c, m):
     if m:
         return pow(c, -1, m)
-    inv = 1 / Fraction(c)
     # an integral inverse (a monic divisor) keeps int entries int
-    return inv.numerator if inv.denominator == 1 else inv
+    return q_norm(1 / Fraction(c))
 
 
 def _add(f, g, m):

@@ -1,9 +1,15 @@
 """Exact coefficient fields: the rationals Q and prime fields F_p.
 
-Raw coefficient values are plain ``Fraction`` instances over Q and plain
-``int`` residues in ``[0, p)`` over F_p.  ``FieldSpec`` supplies arithmetic
-on raw values; ``Scalar`` pairs one raw value with its field for the public
-API.  Keeping raw values unboxed keeps the polynomial inner loops cheap.
+Raw coefficient values over F_p are plain ``int`` residues in ``[0, p)``.
+Over Q a raw value is a plain ``int`` when it is integral and a
+``Fraction`` (denominator > 1) otherwise; ``q_norm`` applies that rule,
+and every ``FieldSpec`` operation returns a value that obeys it.  Most
+coefficients in practice are integers, and ``int`` arithmetic skips the gcd
+and the object that every ``Fraction`` operation pays for.  The choice of
+type is invisible: ``Fraction(3) == 3``, both hash alike and print as
+``3``.  ``FieldSpec`` supplies arithmetic on raw values; ``Scalar`` pairs
+one raw value with its field for the public API.  Keeping raw values
+unboxed keeps the polynomial inner loops cheap.
 
 All arithmetic is exact.  Division by zero raises ``ZeroDivisionError``,
 never wraps silently.
@@ -19,6 +25,12 @@ from typing import Union
 from .errors import FieldMismatchError
 
 RawValue = Union[Fraction, int]
+
+
+def q_norm(x: RawValue) -> RawValue:
+    """The canonical raw Q value of an int or Fraction: an integral value
+    as an ``int``, anything else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class FieldKind(enum.Enum):
@@ -78,22 +90,25 @@ class FieldSpec:
                     )
                 return (x.numerator * pow(x.denominator, -1, self.modulus)) % self.modulus
             return x % self.modulus
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if isinstance(x, int):
+            return int(x)  # a bool or other int subclass becomes a plain int
+        # Fraction(x) is exact for a float or a decimal string; int(x) would truncate
+        return q_norm(x if isinstance(x, Fraction) else Fraction(x))
 
     def zero(self) -> RawValue:
-        return 0 if self.kind is FieldKind.PRIME else Fraction(0)
+        return 0
 
     def one(self) -> RawValue:
-        return 1 if self.kind is FieldKind.PRIME else Fraction(1)
+        return 1
 
     def add(self, a: RawValue, b: RawValue) -> RawValue:
-        return (a + b) % self.modulus if self.kind is FieldKind.PRIME else a + b
+        return (a + b) % self.modulus if self.kind is FieldKind.PRIME else q_norm(a + b)
 
     def sub(self, a: RawValue, b: RawValue) -> RawValue:
-        return (a - b) % self.modulus if self.kind is FieldKind.PRIME else a - b
+        return (a - b) % self.modulus if self.kind is FieldKind.PRIME else q_norm(a - b)
 
     def mul(self, a: RawValue, b: RawValue) -> RawValue:
-        return (a * b) % self.modulus if self.kind is FieldKind.PRIME else a * b
+        return (a * b) % self.modulus if self.kind is FieldKind.PRIME else q_norm(a * b)
 
     def neg(self, a: RawValue) -> RawValue:
         return (-a) % self.modulus if self.kind is FieldKind.PRIME else -a
@@ -105,7 +120,7 @@ class FieldSpec:
             return pow(a, -1, self.modulus)
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in Q")
-        return 1 / Fraction(a)
+        return q_norm(1 / Fraction(a))
 
     def div(self, a: RawValue, b: RawValue) -> RawValue:
         return self.mul(a, self.inv(b))
@@ -115,7 +130,7 @@ class FieldSpec:
             return self.pow(self.inv(a), -e)
         if self.kind is FieldKind.PRIME:
             return pow(a, e, self.modulus)
-        return Fraction(a) ** e
+        return q_norm(a ** e)
 
     def elements(self):
         """Iterate all field elements (prime fields only)."""
@@ -141,8 +156,9 @@ def parse_field_tag(tag: str) -> FieldSpec:
 
 
 class Scalar:
-    """One exact field element: a reduced Fraction over Q, a residue in
-    [0, p) over F_p.  Equality is structural; canonical form is unique.
+    """One exact field element: an int or a reduced non-integral Fraction
+    over Q, a residue in [0, p) over F_p.  Equality is structural;
+    canonical form is unique.
     """
 
     __slots__ = ("field", "value")

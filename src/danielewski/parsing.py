@@ -11,10 +11,19 @@ Identifiers are ``[A-Za-z][A-Za-z0-9]*``; ``a/b`` is a rational literal
 (``/`` is legal nowhere else); implicit multiplication is not allowed.
 Canonical printing lists terms in descending graded-lexicographic order
 with explicit ``*`` and ``^``, so print-then-parse is the identity.
+
+Input budget: a product or power whose total degree would exceed
+``MAX_DEGREE`` is refused with a ``PolyParseError`` before it is expanded,
+and so is a power of a rational constant whose value would need more than
+``MAX_CONSTANT_BITS`` bits (the degree bound caps every other exponent).
+Both bounds sit far above desk scale: over two benchmark rounds at seeds
+7 and 11, no parsed polynomial passes total degree 49 or 30-bit
+coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
@@ -23,6 +32,9 @@ from .fields import FieldKind, FieldSpec, Scalar
 from .poly import Poly
 
 _OPS = set("+-*^()/")
+
+MAX_DEGREE = 256
+MAX_CONSTANT_BITS = 2**16
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -54,6 +66,24 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         raise PolyParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _check_degree(degree: int, at: int) -> None:
+    if degree > MAX_DEGREE:
+        raise PolyParseError(
+            f"total degree {degree} exceeds the input budget of {MAX_DEGREE}", at)
+
+
+def _check_power(p: Poly, e: int, at: int) -> None:
+    if not e or p.is_zero:
+        return
+    _check_degree(p.total_degree() * e, at)
+    if p.is_constant and p.field.kind is FieldKind.RATIONALS:
+        c = p.constant_value().value
+        bits = e * math.log2(max(abs(c.numerator), c.denominator))
+        if bits > MAX_CONSTANT_BITS:
+            raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
+                                 f"the input budget of {MAX_CONSTANT_BITS}", at)
 
 
 class _Parser:
@@ -98,10 +128,13 @@ class _Parser:
     def term(self) -> Poly:
         p = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                p = p * self.factor()
+                q = self.factor()
+                if not (p.is_zero or q.is_zero):
+                    _check_degree(p.total_degree() + q.total_degree(), at)
+                p = p * q
             else:
                 return p
 
@@ -121,6 +154,7 @@ class _Parser:
             e = int(val)
             if e >= 2**31:
                 raise PolyParseError("exponent beyond 2**31", at)
+            _check_power(p, e, at)
             p = p ** e
         return p
 

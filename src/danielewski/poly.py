@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
 A ``Poly`` stores an ordered variable tuple ``vars`` and a ``terms`` dict
-mapping exponent tuples (aligned with ``vars``) to nonzero raw coefficients
-(``Fraction`` over Q, ``int`` residues over F_p).  The zero polynomial has
-an empty term map; no zero coefficient is ever stored, so structural
-equality decides mathematical equality.
+mapping exponent tuples (aligned with ``vars``) to nonzero raw coefficients:
+over Q an ``int`` when integral and a ``Fraction`` otherwise (the rule of
+``fields.q_norm``, applied wherever a Q sum or product is stored), ``int``
+residues over F_p.  The zero polynomial has an empty term map; no zero
+coefficient is ever stored, so structural equality decides mathematical
+equality.
 
 Arithmetic requires identical variable tuples; use ``with_vars`` to embed a
 polynomial into a larger variable context.  Exponents are machine integers;
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import FieldMismatchError, UnknownVariableError
-from .fields import FieldKind, FieldSpec, Scalar
+from .fields import FieldKind, FieldSpec, Scalar, q_norm
 
 NEG_INF = float("-inf")
 
@@ -71,7 +73,7 @@ class Poly:
     @classmethod
     def _from_sums(cls, field: FieldSpec, vars: Tuple[str, ...], sums: Dict[ExpVec, object]) -> "Poly":
         """Constructor for accumulated coefficient sums: reduced mod p over
-        F_p, zero coefficients dropped."""
+        F_p, normalized by ``q_norm`` over Q, zero coefficients dropped."""
         if field.kind is FieldKind.PRIME:
             p = field.modulus
             out = {}
@@ -80,7 +82,7 @@ class Poly:
                 if v:
                     out[e] = v
         else:
-            out = {e: v for e, v in sums.items() if v}
+            out = {e: q_norm(v) for e, v in sums.items() if v}
         return cls._raw(field, vars, out)
 
     # -- constructors ---------------------------------------------------------
@@ -141,10 +143,6 @@ class Poly:
         if not self.terms:
             return NEG_INF
         return max(sum(e) for e in self.terms)
-
-    def is_univariate_in(self, var: str) -> bool:
-        i = self._var_index(var)
-        return all(all(e == 0 for j, e in enumerate(exps) if j != i) for exps in self.terms)
 
     def used_vars(self) -> Tuple[str, ...]:
         used = [False] * len(self.vars)
@@ -259,7 +257,7 @@ class Poly:
                 v = out.get(e)
                 v = c if v is None else v + c
                 if v:
-                    out[e] = v
+                    out[e] = q_norm(v)
                 elif e in out:
                     del out[e]
         return Poly._raw(self.field, self.vars, out)
@@ -289,7 +287,7 @@ class Poly:
             return Poly._raw(self.field, self.vars,
                              {e: (v * raw) % p for e, v in self.terms.items()})
         return Poly._raw(self.field, self.vars,
-                         {e: v * raw for e, v in self.terms.items()})
+                         {e: q_norm(v * raw) for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -322,6 +320,10 @@ class Poly:
             raise ValueError("exponent must be a nonnegative integer")
         if e and not self.is_zero and self.total_degree() * e >= MAX_EXPONENT:
             raise OverflowError("power exponent would exceed 2**31")
+        if len(self.terms) == 1:  # (c*m)^e = c^e * m^e
+            (exps, c), = self.terms.items()
+            return Poly._raw(self.field, self.vars,
+                             {tuple(k * e for k in exps): self.field.pow(c, e)})
         result = Poly.one(self.field, self.vars)
         base = self
         while e:
@@ -492,13 +494,12 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
         diff = tuple(map(operator.sub, e, lead_e))
         if any(d < 0 for d in diff):
             return None
-        qc = (c * inv_lead) % p if prime else c * inv_lead
+        qc = (c * inv_lead) % p if prime else q_norm(c * inv_lead)
         quo[diff] = qc
         for be, bc in b.terms.items():
             te = tuple(map(operator.add, diff, be))
             v = rem.get(te, 0) - qc * bc
-            if prime:
-                v %= p
+            v = v % p if prime else q_norm(v)
             if v:
                 rem[te] = v
             elif te in rem:
@@ -520,15 +521,29 @@ def divmod_in(p: Poly, divisor: Poly, var: str) -> Tuple[Poly, Poly]:
     lc = divisor.coeff_in(var, dd)
     if not lc.is_constant:
         raise ValueError(f"divisor leading coefficient in {var!r} is not constant: {lc}")
-    inv = p.field.inv(lc.constant_value().value)
-    quo = Poly.zero(p.field, p.vars)
-    rem = p
-    while not rem.is_zero:
-        dr = rem.degree_in(var)
-        if dr < dd:
-            break
-        top = rem.coeff_in(var, dr).scaled(inv)
-        piece = top.mul_var_power(var, dr - dd)
-        quo = quo + piece
-        rem = rem - piece * divisor
-    return quo, rem
+    field = p.field
+    inv = field.inv(lc.constant_value().value)
+    prime = field.kind is FieldKind.PRIME
+    m = field.modulus
+    i = p._var_index(var)
+    # the divisor's one term of degree dd in var is its leading term; every
+    # other term lowers the var-degree, so each level is cleared in one pass
+    tail = [(be, bc) for be, bc in divisor.terms.items() if be[i] < dd]
+    rem = dict(p.terms)
+    quo: Dict[ExpVec, object] = {}
+    top = -1 if p.is_zero else p.degree_in(var)
+    for k in range(top, dd - 1, -1):
+        for e in [e for e in rem if e[i] == k]:
+            c = rem.pop(e)
+            qc = (c * inv) % m if prime else q_norm(c * inv)
+            qe = e[:i] + (k - dd,) + e[i + 1:]
+            quo[qe] = qc
+            for be, bc in tail:
+                te = tuple(map(operator.add, qe, be))
+                v = rem.get(te, 0) - qc * bc
+                v = v % m if prime else q_norm(v)
+                if v:
+                    rem[te] = v
+                elif te in rem:
+                    del rem[te]
+    return Poly._raw(field, p.vars, quo), Poly._raw(field, p.vars, rem)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,25 @@ def test_family_demo_empty_range_is_malformed_input(capsys):
     code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2",
                          "--field", "Q", "--from", "2", "--to", "3")
     assert code == 1 and out == "" and err.startswith("refused:")
+
+
+def test_input_budget_exits_2_at_once(capsys):
+    for phi in ("(Z+1)^3000", "Z^2 + 7^2000000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "surface", "info", "--field", "Q", "--f", "X^2",
+                             "--phi", phi)
+        assert time.perf_counter() - start < 1.0, phi
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
+
+
+def test_family_demo_range_is_bounded(capsys):
+    for n_from, n_to in (("2", str(cli.MAX_FAMILY_N + 1)), ("2", "400")):
+        code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2+1",
+                             "--field", "Q", "--from", n_from, "--to", n_to)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"<= {cli.MAX_FAMILY_N}" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from danielewski import GF, QQ, parse_poly, parse_scalar, poly_str
 from danielewski.errors import PolyParseError
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
 
 from conftest import random_poly
 
@@ -88,3 +89,27 @@ def test_canonical_output_shape():
     assert poly_str(p) == "X^2*Y + Z^2 - 1"  # graded-lex, total degree first
     assert poly_str(parse_poly("0", QQ, ("X",))) == "0"
     assert poly_str(parse_poly("-1/2*X + 1", QQ, ("X",))) == "-1/2*X + 1"
+
+
+def test_degree_budget_is_checked_before_expanding():
+    V2 = ("X", "Z")
+    assert parse_poly(f"X^{MAX_DEGREE}", QQ, V2).total_degree() == MAX_DEGREE
+    assert parse_poly(f"X^{MAX_DEGREE - 6}*(Z+X)^3*Z^3", GF(3), V2).total_degree() == MAX_DEGREE
+    for text in (f"X^{MAX_DEGREE + 1}", "(Z+1)^3000", f"(Z+X)^{MAX_DEGREE // 2}*(Z+1)^{MAX_DEGREE}",
+                 f"X^200*Z^{MAX_DEGREE - 199}", "((Z+X)^20)^20", "X^2147483647"):
+        with pytest.raises(PolyParseError, match="input budget"):
+            parse_poly(text, QQ, V2)
+    # the zero polynomial has no degree, so its powers and products pass
+    assert parse_poly("(X-X)^3000 + Z", QQ, V2) == parse_poly("Z", QQ, V2)
+    assert parse_poly(f"0*X^{MAX_DEGREE}*Z^{MAX_DEGREE}", QQ, V2).is_zero
+
+
+def test_constant_power_budget():
+    V2 = ("X", "Z")
+    for text in ("7^2000000000", f"2^{MAX_CONSTANT_BITS + 1}", "(1/3)^100000", "Z + (-5)^90000"):
+        with pytest.raises(PolyParseError, match="input budget"):
+            parse_poly(text, QQ, V2)
+    assert parse_poly(f"2^{MAX_CONSTANT_BITS}", QQ, V2).constant_value().value == 2 ** MAX_CONSTANT_BITS
+    assert parse_poly("1^2000000000 + (-1)^2000000001", QQ, V2).is_zero
+    # over F_p a constant power is one modular pow, so it needs no budget
+    assert parse_poly("7^2000000000", GF(97), V2).constant_value().value == pow(7, 2000000000, 97)
