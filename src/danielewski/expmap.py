@@ -11,13 +11,19 @@ three exact symbolic checks:
 
 The canonical map fixes x, sends z to z + f(x) U, and sends y to the exact
 quotient that the relation forces.
+
+A map keeps its last application (element, mode, image) in one private
+slot, so the higher derivation D_0(e), D_1(e), ... is read off a single
+phi(e), as in the paper.  Like the surface's reduction cache it is a
+deterministic memo: the image is immutable, the slot is replaced in one
+assignment, and copies made by ``replace`` start empty.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError, SurfaceConstraintError, VerificationInternalError
 from .poly import NEG_INF, Poly, exact_div, substitute
@@ -39,6 +45,9 @@ class ExpMap:
     image_y: SurfaceElement
     status: VerifyStatus = VerifyStatus.UNVERIFIED
     reason: str = ""
+    # [(element, extended, image)] of the last apply_map call, or [None]
+    _last: List[Optional[Tuple[SurfaceElement, bool, SurfaceElement]]] = dc_field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for img in (self.image_x, self.image_z, self.image_y):
@@ -148,11 +157,16 @@ def apply_map(m: ExpMap, e: SurfaceElement, extended: bool = False) -> SurfaceEl
         raise PreconditionError(
             f"element has auxiliary variables {e.aux}; "
             + ("only v is allowed in extended mode" if extended else "none allowed"))
+    last = m._last[0]
+    if last is not None and last[1] == extended and last[0] == e:
+        return last[2]
     images = m.images()
     if extended:
         spec = m.spec
         images["v"] = spec.generator("v") - spec.x() * spec.generator("U")
-    return eval_poly_on_elements(e.raw_lift(), images, m.spec)
+    image = eval_poly_on_elements(e.raw_lift(), images, m.spec)
+    m._last[0] = (e, extended, image)
+    return image
 
 
 def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
@@ -168,7 +182,10 @@ def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
 
 def derivation_coeff(m: ExpMap, e: SurfaceElement, i: int) -> SurfaceElement:
     """The coefficient of U**i in phi(e): the i-th member of the associated
-    higher derivation, an element of A (zero beyond the U-degree)."""
+    higher derivation, an element of A (zero beyond the U-degree).  Calls
+    for D_0(e), D_1(e), ... share one application of phi."""
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise PreconditionError(f"derivation index must be a nonnegative integer, got {i!r}")
     a = apply_map(m, e)
     if "U" not in a.aux:
         return a if i == 0 else m.spec.zero()

@@ -116,14 +116,18 @@ class _Parser:
 
     def expr(self) -> Poly:
         p = self.term()
-        while True:
+        kind, val, _ = self.peek()
+        if not (kind == "op" and val in "+-"):
+            return p
+        # one running dict for the whole sum, normalized once at the end
+        sums = dict(p.terms)
+        while kind == "op" and val in "+-":
+            self.advance()
+            sign = 1 if val == "+" else -1
+            for exps, c in self.term().terms.items():
+                sums[exps] = sums.get(exps, 0) + sign * c
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-            else:
-                return p
+        return Poly._from_sums(self.field, self.vars, sums)
 
     def term(self) -> Poly:
         p = self.factor()

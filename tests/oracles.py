@@ -5,9 +5,11 @@ determinant oracle is plain cofactor expansion; over a small prime field
 the isomorphism oracles try every (gamma, delta) pair for one (lambda, mu),
 with no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
 through verify_iso alone; the stepwise normal form rewrites one
-term at a time instead of through the reduced Z-power table, and the Horner
+term at a time instead of through the reduced Z-power table, the Horner
 evaluator applies a ring map with A's own + and * instead of one
-substitution followed by one normalization.
+substitution followed by one normalization, and V5 of a stable-isomorphism
+certificate is recomputed by applying the extended canonical map to theta,
+s and w through that evaluator instead of being deduced from V2 and V4.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from danielewski import IsoCertificate, Poly, Scalar, divide_by_x, exact_div, verify_iso
+from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_by_x,
+                         exact_div, verify_iso)
 from danielewski.errors import ComaximalityError
 from danielewski.poly import grlex_key, substitute
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
@@ -206,3 +209,18 @@ def corr_by_division(cert) -> Optional[SurfaceElement]:
             return None
         out[i] = q
     return divide_by_x(SurfaceElement(cert.spec_a, num.aux, out))
+
+
+def v5_by_application(cert):
+    """(phi(theta) = theta, phi(s) = s, phi(w) = w - U) for the extended
+    canonical map (phi(v) = v - x U), each computed by applying phi."""
+    spec = cert.spec_a
+    m = canonical_expmap(spec)
+    images = {"X": m.image_x, "Y": m.image_y, "Z": m.image_z,
+              "v": spec.generator("v") - spec.x() * spec.generator("U")}
+
+    def phi(e):
+        return eval_by_horner(e.raw_lift(), images, spec)
+
+    return (phi(cert.theta) == cert.theta, phi(cert.s) == cert.s,
+            phi(cert.w) == cert.w - spec.generator("U"))

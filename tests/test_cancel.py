@@ -8,7 +8,7 @@ from danielewski.errors import (ComaximalityError, PreconditionError,
                                 SurfaceConstraintError)
 
 from conftest import surf
-from oracles import corr_by_division, eq7_defect
+from oracles import corr_by_division, eq7_defect, v5_by_application
 
 
 def test_hypotheses_examples():
@@ -130,3 +130,52 @@ def test_family_preconditions():
     with pytest.raises(PreconditionError):
         sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                      parse_poly("Z^2+1", QQ, ("X", "Z")), 1, 3)
+
+
+# certificates of the cancel-q benchmark's shape, f = X^2 g and P = (Z + c X)^d - 1,
+# plus one case each over F2 and F3
+CANCEL_Q_SHAPE = tuple((QQ, "X^2*(X-1)*(X+2)", f"(Z + {c}*X)^{d} - 1")
+                       for d, c in ((2, 1), (3, -2), (5, 2), (7, -1))) + (
+    (GF(2), "X^2*(X+1)", "(Z + X)^3 + 1"),
+    (GF(3), "X^2*(X+1)", "(Z + 2*X)^2 - 1"),
+)
+V5_PASS = "theta fixed: True, s fixed: True, phi(w) = w - U: True"
+
+
+def _v5(report):
+    return next(c for c in report.checks if c.name.startswith("V5"))
+
+
+def test_v5_deduction_agrees_with_direct_application():
+    for field, f, p in CANCEL_Q_SHAPE:
+        cert = build_stable_iso(surf(field, f, p))
+        report = verify_stable_iso(cert)
+        assert report.ok, (f, p, [c.line() for c in report.failures()])
+        assert v5_by_application(cert) == (True, True, True)
+        assert _v5(report).passed and _v5(report).detail == V5_PASS
+
+
+def test_v5_names_the_failed_premise():
+    for field, f, p in (CANCEL_Q_SHAPE[1], CANCEL_Q_SHAPE[4]):
+        cert = build_stable_iso(surf(field, f, p))
+        spec = cert.spec_a
+        # a corrupted s fails V2 (and V4, which uses s), so V5 deduces neither claim
+        bad_s = verify_stable_iso(dataclasses.replace(cert, s=cert.s + spec.x()))
+        failed = {c.name.split()[0] for c in bad_s.failures()}
+        assert {"V2", "V4", "V5"} <= failed
+        assert _v5(bad_s).detail == ("theta fixed: True, s fixed: not deduced (V2 failed), "
+                                     "phi(w) = w - U: not deduced (V2, V4 failed)")
+        # a corrupted w fails V4; s is still deduced fixed from V2
+        bad_w = verify_stable_iso(dataclasses.replace(cert, w=cert.w + spec.z()))
+        failed = {c.name.split()[0] for c in bad_w.failures()}
+        assert {"V4", "V5"} <= failed and "V2" not in failed
+        assert _v5(bad_w).detail == ("theta fixed: True, s fixed: True, "
+                                     "phi(w) = w - U: not deduced (V4 failed)")
+        # a theta that phi moves: only its own check is computed
+        bad_t = verify_stable_iso(dataclasses.replace(cert, theta=cert.theta + spec.z()))
+        detail = _v5(bad_t).detail
+        assert not _v5(bad_t).passed and detail.startswith("theta fixed: False, ")
+        assert "not deduced (theta fixed" in detail
+        for report in (bad_s, bad_w, bad_t):
+            assert "s fixed: False" not in _v5(report).detail
+            assert "w - U: False" not in _v5(report).detail

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from danielewski import (GF, QQ, ExpMap, Poly, Scalar, apply_map, automorphisms,
                          canonical_expmap, conjugate, derivation_coeff, is_invariant,
                          normal_form, parse_poly, phi_degree, verify_expmap)
+from danielewski import expmap
 from danielewski.errors import PreconditionError
 from danielewski.expmap import VerifyStatus
 from danielewski.poly import NEG_INF
 
 from conftest import random_element, surf
+from oracles import eval_by_horner
 
 
 def test_canonical_examples(surfaces):
@@ -202,3 +205,84 @@ def test_conjugation(surfaces):
     mneg = conjugate(m3, neg)
     want = normal_form(parse_poly("Z - (X^3-X^2)*U", QQ, ("X", "Y", "Z", "U")), s3)
     assert mneg.image_z == want
+
+
+def test_derivation_index_must_be_a_nonnegative_int(surfaces):
+    spec = surfaces[0]
+    m = canonical_expmap(spec)
+    for bad in (-1, 2.5, True, "1", None):
+        with pytest.raises(PreconditionError, match="nonnegative integer"):
+            derivation_coeff(m, spec.z(), bad)
+    assert derivation_coeff(m, spec.z(), 0) == spec.z()
+
+
+def test_slot_keeps_status_and_mode_checks(surfaces):
+    spec = surfaces[1]
+    m = canonical_expmap(spec)
+    e = spec.z() * spec.y()
+    apply_map(m, e)
+    # copies start with an empty slot, and the status check comes first
+    for status in (VerifyStatus.UNVERIFIED, VerifyStatus.REFUTED):
+        copy = dataclasses.replace(m, status=status)
+        assert copy._last == [None]
+        with pytest.raises(PreconditionError, match="unverified"):
+            apply_map(copy, e)
+        object.__setattr__(copy, "_last", m._last)   # even a filled slot is not read
+        with pytest.raises(PreconditionError, match="unverified"):
+            apply_map(copy, e)
+    refuted = ExpMap(spec, m.image_x, m.image_z, spec.y()).verified()
+    assert refuted.status is VerifyStatus.REFUTED
+    with pytest.raises(PreconditionError):
+        apply_map(refuted, e)
+    # an element with v is refused in plain mode after an extended-mode call
+    ev = e * spec.generator("v")
+    extended = apply_map(m, ev, extended=True)
+    with pytest.raises(PreconditionError, match="auxiliary"):
+        apply_map(m, ev)
+    assert apply_map(m, ev, extended=True) == extended
+    # an element without v has one image in both modes
+    assert apply_map(m, e, extended=True) == apply_map(m, e)
+
+
+def test_slot_is_outside_equality_and_repr(surfaces):
+    spec = surfaces[0]
+    m = canonical_expmap(spec)
+    fresh = dataclasses.replace(m)
+    apply_map(m, spec.y())
+    assert m == fresh and repr(m) == repr(fresh)
+    assert fresh._last == [None]
+
+
+def test_higher_derivation_matches_horner(rng):
+    for spec in (surf(QQ, "X^2-X", "Z^3+X*Z+1"), surf(GF(2), "X^2+X", "Z^3+Z+X"),
+                 surf(GF(5), "X^2+X+1", "Z^3+2*Z+X")):
+        m = canonical_expmap(spec)
+        images = {"X": m.image_x, "Y": m.image_y, "Z": m.image_z}
+        u = spec.generator("U")
+        for _ in range(4):
+            e = random_element(rng, spec, max_terms=4, nonzero=True)
+            top = int(phi_degree(m, e))
+            parts = [derivation_coeff(m, e, i) for i in range(top + 2)]
+            assert parts[0] == e and not parts[top].is_zero and parts[top + 1].is_zero
+            assembled = spec.zero()
+            for i, part in enumerate(parts):
+                assembled = assembled + part * u ** i
+            assert assembled == eval_by_horner(e.raw_lift(), images, spec)
+
+
+def test_derive_pattern_applies_phi_once(monkeypatch, surfaces):
+    spec = surfaces[3]
+    m = canonical_expmap(spec)
+    calls = []
+    real = expmap.eval_poly_on_elements
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expmap, "eval_poly_on_elements", counted)
+    for e in (spec.z() * spec.y(), spec.y() ** 2 + spec.x()):
+        calls.clear()
+        top = int(phi_degree(m, e))
+        parts = [derivation_coeff(m, e, i) for i in range(top + 2)]
+        assert len(parts) == top + 2 and len(calls) == 1

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from danielewski import GF, QQ, parse_poly, parse_scalar, poly_str
+from danielewski import GF, QQ, Poly, parse_poly, parse_scalar, poly_str
 from danielewski.errors import PolyParseError
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
 
@@ -113,3 +113,30 @@ def test_constant_power_budget():
     assert parse_poly("1^2000000000 + (-1)^2000000001", QQ, V2).is_zero
     # over F_p a constant power is one modular pow, so it needs no budget
     assert parse_poly("7^2000000000", GF(97), V2).constant_value().value == pow(7, 2000000000, 97)
+
+
+def test_long_sum_round_trip(rng):
+    vars3 = ("X", "Y", "Z")
+    for field in (QQ, GF(5)):
+        terms = {}
+        while len(terms) < 320:
+            exps = tuple(rng.randint(0, 7) for _ in vars3)
+            c = (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 3)) if field == QQ
+                 else rng.randint(1, 4))
+            terms[exps] = c
+        p = Poly(field, vars3, terms)
+        assert len(p.terms) >= 300
+        text = poly_str(p)
+        assert parse_poly(text, field, vars3) == p
+        # the sum minus itself cancels exactly, term by term
+        assert parse_poly(f"{text} - ({text})", field, vars3).terms == {}
+
+
+def test_sum_stores_canonical_coefficients():
+    p = parse_poly("1/2*X + 1/2*X", QQ, ("X",))
+    assert p.terms == {(1,): 1} and type(p.terms[(1,)]) is int
+    q = parse_poly("1/3 + 2/3 - X + X", QQ, ("X",))
+    assert q.terms == {(0,): 1} and type(q.terms[(0,)]) is int
+    assert parse_poly("X - X + 0", QQ, ("X",)).is_zero
+    r = parse_poly("3*X + 4*X - 2", GF(5), ("X",))
+    assert r.terms == {(1,): 2, (0,): 3}
