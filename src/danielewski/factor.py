@@ -11,14 +11,16 @@ all dense arithmetic over Z/m, where the modulus ``m`` is
 
 ``FieldSpec.modulus`` is 0 for Q, so callers pass ``field.modulus``.
 
-Over F_p: squarefree split (p-th-power aware), distinct-degree, then
-equal-degree splitting -- seeded-random for odd p, a deterministic
-trace-map variant for p = 2.  Over Q: Yun's squarefree decomposition,
-rational roots for degree <= 2, and otherwise factorization modulo a good
-prime, Hensel lifting, and subset recombination.
+One pipeline serves both fields.  A squarefree split (``squarefree_list``,
+p-th-power aware over F_p) comes first.  Over F_p each squarefree part is
+then split by distinct degree and by equal degree -- randomized for odd p,
+a deterministic trace-map variant for p = 2.  Over Q each squarefree part
+of degree >= 2 is factored modulo a good odd prime, Hensel-lifted, and
+recombined by subsets (Zassenhaus).  Roots are read off the linear factors.
 
 Each factorization re-expands its output and compares with the input
-before returning.
+before returning.  The output is sorted, so it does not depend on the
+random choices of the equal-degree splitting.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DanielewskiError
-from .fields import FieldKind, FieldSpec, Scalar, q_norm
+from .fields import FieldKind, FieldSpec, Scalar, _is_prime, q_norm
 from .poly import Poly
 
 # ---------------------------------------------------------------------------
@@ -148,40 +150,42 @@ def _diff(f, m):
 
 
 # ---------------------------------------------------------------------------
-# factorization over F_p
+# squarefree split over F_p and Q
 # ---------------------------------------------------------------------------
 
 
-def _fp_pth_root(f, p):
-    # f = g(X^p); over the prime field coefficients are Frobenius-fixed,
-    # so f = (sum f[p*i] X^i)^p.
-    return [f[i] for i in range(0, len(f), p)]
-
-
-def fp_squarefree_list(f, p) -> List[Tuple[List[int], int]]:
-    """Monic input; returns [(g_i, m_i)] with f = prod g_i^m_i, g_i monic
-    squarefree and pairwise coprime."""
-    factors: List[Tuple[List[int], int]] = []
+def squarefree_list(f, m) -> List[Tuple[List, int]]:
+    """Monic input over F_m (m prime) or Q (m = 0); returns [(g_i, m_i)]
+    with f = prod g_i^m_i, g_i monic squarefree and pairwise coprime."""
+    factors: List[Tuple[List, int]] = []
     n = 1
     while _deg(f) > 0:
-        d = _diff(f, p)
+        d = _diff(f, m)
         if not d:
-            f = _fp_pth_root(f, p)
-            n *= p
+            # only in characteristic m: f = g(X^m), and over the prime
+            # field coefficients are Frobenius-fixed, so f = g'^m with
+            # g' = sum f[m*i] X^i
+            f = f[::m]
+            n *= m
             continue
-        g = _gcd(f, d, p)
-        w = _divmod(f, g, p)[0]
+        g = _gcd(f, d, m)
+        w = _divmod(f, g, m)[0]
         i = 1
         while _deg(w) > 0:
-            y = _gcd(w, g, p)
-            z = _divmod(w, y, p)[0]
+            y = _gcd(w, g, m)
+            z = _divmod(w, y, m)[0]
             if _deg(z) > 0:
                 factors.append((z, i * n))
             w = y
-            g = _divmod(g, y, p)[0]
+            g = _divmod(g, y, m)[0]
             i += 1
-        f = g  # remaining p-th-power part, handled by the outer loop
+        f = g  # remaining p-th-power part (constant 1 over Q)
     return factors
+
+
+# ---------------------------------------------------------------------------
+# factorization over F_p
+# ---------------------------------------------------------------------------
 
 
 def fp_distinct_degree(f, p) -> List[Tuple[List[int], int]]:
@@ -254,12 +258,13 @@ def fp_factor_squarefree(f, p, rng: random.Random) -> List[List[int]]:
     return out
 
 
-def fp_factor(f, p, rng: random.Random) -> Tuple[int, List[Tuple[List[int], int]]]:
+def fp_factor(f, p) -> Tuple[int, List[Tuple[List[int], int]]]:
     """Any nonzero dense poly -> (leading coefficient, [(monic irred, mult)])."""
     lc = f[-1] % p
     f = _monic(f, p)
+    rng = random.Random(f"factor|{p}|{f}")
     factors = []
-    for g, m in fp_squarefree_list(f, p):
+    for g, m in squarefree_list(f, p):
         for q in fp_factor_squarefree(g, p, rng):
             factors.append((q, m))
     return lc, factors
@@ -338,28 +343,24 @@ def _hensel_lift(p, f, factors, l):
     return _hensel_lift(p, g, factors[:k], l) + _hensel_lift(p, h, factors[k:], l)
 
 
-_ZASSENHAUS_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                      61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127]
-
-
-def zz_factor_squarefree(f: List[int], seed_token: str) -> List[List[int]]:
+def zz_factor_squarefree(f: List[int]) -> List[List[int]]:
     """Primitive squarefree integer polynomial of degree >= 1 -> primitive
     irreducible factors with positive leading coefficients."""
     n = _deg(f)
     if n == 1:
         return [f]
     lc = f[-1]
-    # good prime: lc survives and f stays squarefree mod p
-    for p in _ZASSENHAUS_PRIMES:
-        if lc % p == 0:
+    # good prime: lc survives and f stays squarefree mod p; only the primes
+    # dividing lc * disc(f) != 0 are bad, so the walk ends
+    p = 1
+    while True:
+        p += 2
+        if not _is_prime(p) or lc % p == 0:
             continue
         fp = _norm(f, p)
         if _deg(_gcd(fp, _diff(fp, p), p)) == 0:
             break
-    else:
-        raise DanielewskiError(f"no good prime found for {f}")
-    rng = random.Random(f"zassenhaus|{seed_token}|{p}|{f}")
-    _, modular = fp_factor(fp, p, rng)
+    _, modular = fp_factor(fp, p)
     modular_factors = [g for g, _ in modular]
     if len(modular_factors) == 1:
         return [f]
@@ -479,74 +480,12 @@ class Factorization:
         return all(m == 1 for _, m in self.factors)
 
 
-def _yun_squarefree(f: List[Fraction]) -> List[Tuple[List[Fraction], int]]:
-    """Yun's algorithm, characteristic 0; f monic."""
-    out = []
-    fp = _diff(f, 0)
-    g = _gcd(f, fp, 0)
-    if len(g) == 1:
-        return [(f, 1)]
-    w = _divmod(f, g, 0)[0]
-    y = _divmod(fp, g, 0)[0]
-    i = 1
-    while True:
-        z = _sub(y, _diff(w, 0), 0)
-        if not z:
-            out.append((w, i))
-            break
-        h = _gcd(w, z, 0)
-        if len(h) > 1:
-            out.append((h, i))
-        w = _divmod(w, h, 0)[0]
-        y = _divmod(z, h, 0)[0]
-        i += 1
-    return [(q, m) for q, m in out if len(q) > 1]
-
-
-def _rational_roots_dense(f: List[Fraction]) -> List[Fraction]:
-    """All rational roots of a nonzero Fraction polynomial, without multiplicity."""
-    shift = 0
-    while f and f[0] == 0:
-        f = f[1:]
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    if len(f) <= 1:
-        return roots
-    den = math.lcm(*[c.denominator for c in f])
-    zf = [int(c * den) for c in f]
-    _, zf = zz_primitive(zf)
-    a0, an = abs(zf[0]), abs(zf[-1])
-    for q in _divisors(an):
-        for pp in _divisors(a0):
-            for cand in (Fraction(pp, q), Fraction(-pp, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(zf):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def factor_univariate(p: Poly, seed: int = 0) -> Factorization:
+def factor_univariate(p: Poly) -> Factorization:
     """Factor a nonzero univariate polynomial into monic irreducibles.
 
-    Over Q: Yun split, rational roots up to degree 2, Zassenhaus beyond.
-    Over F_p: squarefree split, distinct-degree, equal-degree.  The result
-    re-expands to the input (checked before returning).
+    Squarefree split, then distinct/equal-degree splitting over F_p or
+    Zassenhaus over Q.  The result re-expands to the input (checked before
+    returning).
     """
     if p.is_zero:
         raise ZeroDivisionError("cannot factor the zero polynomial")
@@ -555,17 +494,12 @@ def factor_univariate(p: Poly, seed: int = 0) -> Factorization:
     dense = poly_to_dense(p, var)
     if len(dense) == 1:
         return Factorization(Scalar(field, dense[0]), ())
-    factors: List[Tuple[List, int]] = []
     if field.kind is FieldKind.PRIME:
-        mod = field.modulus
-        rng = random.Random(f"factor|{seed}|{mod}|{dense}")
-        lead_raw, fac = fp_factor(dense, mod, rng)
-        factors = fac
+        lead_raw, factors = fp_factor(dense, field.modulus)
     else:
         lead_raw = dense[-1]
-        for g, m in _yun_squarefree(_monic(dense, 0)):
-            for irr in _q_factor_squarefree(g, seed):
-                factors.append((irr, m))
+        factors = [(irr, m) for g, m in squarefree_list(_monic(dense, 0), 0)
+                   for irr in _q_factor_squarefree(g)]
     result = Factorization(
         Scalar(field, lead_raw),
         tuple(sorted(
@@ -578,57 +512,27 @@ def factor_univariate(p: Poly, seed: int = 0) -> Factorization:
     return result
 
 
-def _q_factor_squarefree(g: List[Fraction], seed: int) -> List[List[Fraction]]:
-    """Monic squarefree Fraction polynomial -> monic irreducible factors."""
-    n = _deg(g)
-    if n == 1:
+def _q_factor_squarefree(g: List) -> List[List]:
+    """Monic squarefree Q polynomial -> monic irreducible factors."""
+    if _deg(g) == 1:
         return [g]
-    if n == 2:
-        roots = _rational_roots_dense(g)
-        if not roots:
-            return [g]
-        linear = [-roots[0], Fraction(1)]
-        return [linear, _divmod(g, linear, 0)[0]]
     den = math.lcm(*[c.denominator for c in g])
-    zf = [int(c * den) for c in g]
-    _, zf = zz_primitive(zf)
-    out = []
-    for q in zz_factor_squarefree(zf, str(seed)):
-        lc = q[-1]
-        out.append([Fraction(c, lc) for c in q])
-    return out
+    _, zf = zz_primitive([int(c * den) for c in g])
+    return [[Fraction(c, q[-1]) for c in q] for q in zz_factor_squarefree(zf)]
 
 
 def roots_in_field(p: Poly) -> List[Scalar]:
-    """All roots in the coefficient field, repeated by multiplicity.
-
-    Exhaustive evaluation over F_p; the rational-root theorem on the
-    primitive part over Q.
-    """
+    """All roots in the coefficient field, repeated by multiplicity and
+    sorted: the linear factors of ``factor_univariate(p)``."""
     if p.is_zero:
         raise ZeroDivisionError("the zero polynomial has every root")
     var = _require_univariate(p)
-    field = p.field
-    dense = poly_to_dense(p, var)
-    if field.kind is FieldKind.PRIME:
-        mod = field.modulus
-        candidates = [c for c in range(mod)
-                      if sum(co * pow(c, i, mod) for i, co in enumerate(dense)) % mod == 0]
-    else:
-        candidates = _rational_roots_dense(dense)
-    out = []
-    for root in sorted(candidates, key=lambda r: Scalar(field, r).sort_key()):
-        linear = _norm([-root, 1], field.modulus)
-        rest = dense
-        mult = 0
-        while True:
-            q, r = _divmod(rest, linear, field.modulus)
-            if r:
-                break
-            mult += 1
-            rest = q
-        out.extend([Scalar(field, root)] * mult)
-    return out
+    roots = []
+    for q, m in factor_univariate(p).factors:
+        dense = poly_to_dense(q, var)
+        if len(dense) == 2:  # monic X + c
+            roots.extend([Scalar(p.field, -dense[0])] * m)
+    return sorted(roots, key=Scalar.sort_key)
 
 
 def squarefree_part(p: Poly) -> Poly:

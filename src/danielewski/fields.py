@@ -132,12 +132,6 @@ class FieldSpec:
             return pow(a, e, self.modulus)
         return q_norm(a ** e)
 
-    def elements(self):
-        """Iterate all field elements (prime fields only)."""
-        if self.kind is not FieldKind.PRIME:
-            raise ValueError("cannot enumerate the rationals")
-        return range(self.modulus)
-
 
 QQ = FieldSpec(FieldKind.RATIONALS)
 

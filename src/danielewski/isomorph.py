@@ -17,7 +17,9 @@ coefficient when the characteristic p does not divide d, otherwise by
 lifting delta modulo each prime-power factor of f_2 one power at a time and
 combining the residues by CRT (``_DeltaLifting``).  One search cap bounds
 the candidates a decision examines: the (lam, mu) pairs of the first
-exhaustive branch plus the delta residues of the lifting.  Every
+exhaustive branch plus the delta residues of the lifting.  When an
+elimination leaves lam or gam free over F_p, its p - 1 values are refused
+before they are listed if they pass the cap.  Every
 certificate it emits is re-verified first.  delta is stored as the
 canonical representative of degree < r; any lift delta + f_2 * e also
 yields an isomorphism and is not enumerated.
@@ -156,11 +158,14 @@ def _f_transport_holds(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar
     return _affine_x(s1.f, lam, mu) == s2.f.scaled(lam ** s1.r)
 
 
-def _roots_or_all(g: Optional[Poly], field) -> Tuple[List[Scalar], bool]:
+def _roots_or_all(g: Optional[Poly], field, cap: int) -> Tuple[List[Scalar], bool]:
     """Nonzero roots of g; g identically zero means every field element is a
-    root (finite only over F_p -- the bool flags the char-0 free case)."""
+    root (finite only over F_p, and refused past the cap before listing --
+    the bool flags the char-0 free case)."""
     if g is None or g.is_zero:
         if field.kind is FieldKind.PRIME:
+            if field.modulus - 1 > cap:
+                raise SearchCapExceededError(field.modulus - 1, cap)
             return [Scalar(field, c) for c in range(1, field.modulus)], False
         return [], True
     return [s for s in dict.fromkeys(roots_in_field(g)) if s], False
@@ -201,7 +206,7 @@ def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
     g: Optional[Poly] = None
     for eq in equations:
         g = eq if g is None else gcd_univariate(g, eq)
-    lams, lambda_free = _roots_or_all(g, field)
+    lams, lambda_free = _roots_or_all(g, field, cap)
     if lambda_free:
         lams = [Scalar(field, 1)]
     pairs = []
@@ -353,7 +358,7 @@ def _defect_table(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
 
 
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                           lifting: Optional[_DeltaLifting]):
+                           lifting: Optional[_DeltaLifting], cap: int):
     """All (gamma, delta) with the congruence (vi); returns (solutions,
     gamma_free) where gamma_free marks the char-0 infinite case.  ``lifting``
     carries the search when the characteristic divides d, else it is None."""
@@ -390,7 +395,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     g: Optional[Poly] = None
     for eq in equations:
         g = eq if g is None else gcd_univariate(g, eq)
-    gammas, gamma_free = _roots_or_all(g, field)
+    gammas, gamma_free = _roots_or_all(g, field, cap)
     if gamma_free:
         gammas = [Scalar(field, 1)]
     sols = []
@@ -457,7 +462,7 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:
-        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, lifting)
+        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, lifting, cap)
         gamma_free = gamma_free or free
         for gamma, delta in sols:
             certs.append(_assemble(s1, s2, lam, mu, gamma, delta))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import PreconditionError, SurfaceConstraintError
-from .factor import Factorization, factor_univariate, gcd_univariate, is_squarefree, squarefree_part
+from .factor import Factorization, factor_univariate, gcd_univariate, squarefree_part
 from .fields import FieldSpec, Scalar
 from .poly import NEG_INF, Poly, exact_div, substitute
 from .resultant import resultant_in
@@ -488,7 +488,7 @@ def fiber(spec: SurfaceSpec, point) -> FiberReport:
     factors = factor_univariate(q)
     if f_value != 0:
         return FiberReport(lam, f_value, FiberKind.GENERIC_LINE, factors, None)
-    if is_squarefree(q):
+    if factors.is_squarefree():
         return FiberReport(lam, f_value, FiberKind.EXCEPTIONAL_FIBER, factors, spec.d)
     return FiberReport(lam, f_value, FiberKind.NON_REDUCED_FIBER, factors, None)
 

@@ -14,6 +14,14 @@ def surf(field, f_text, p_text):
                         parse_poly(p_text, field, ("X", "Z")))
 
 
+# the product of the odd primes up to 127: every one of them is a bad
+# Zassenhaus prime for X^3 - D and X^2 - D
+D_ODD_PRIMES = 1
+for _p in range(3, 128, 2):
+    if all(_p % k for k in range(3, _p, 2)):
+        D_ODD_PRIMES *= _p
+
+
 STANDARD_SURFACES = (
     (QQ, "X^2", "Z^2+1"),
     (QQ, "X^3-X^2", "Z^2+1"),

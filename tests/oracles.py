@@ -9,7 +9,9 @@ term at a time instead of through the reduced Z-power table, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
 certificate is recomputed by applying the extended canonical map to theta,
-s and w through that evaluator instead of being deduced from V2 and V4.
+s and w through that evaluator instead of being deduced from V2 and V4;
+the roots of a polynomial over a prime field are found by evaluating it at
+every residue, not read off its factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_by_x,
                          exact_div, verify_iso)
 from danielewski.errors import ComaximalityError
-from danielewski.poly import grlex_key, substitute
+from danielewski.poly import divmod_in, grlex_key, substitute
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
 from danielewski.surface import SurfaceElement, eval_poly_on_elements
 
@@ -76,6 +78,27 @@ def bezout_by_cramer(P, Pz, var="Z"):
     for j in range(m):
         a = a + w[n + j].mul_var_power(var, m - 1 - j)
     return a, b
+
+
+def roots_by_evaluation(p, var="X"):
+    """Roots of a nonzero univariate p over a prime field, repeated by
+    multiplicity and ascending: every residue is tried, and each root is
+    divided out as often as it divides."""
+    field = p.field
+    roots = []
+    for c in range(field.modulus):
+        root = Scalar(field, c)
+        if p.evaluate({var: root}) != 0:
+            continue
+        linear = Poly.variable(field, p.vars, var) - Poly.const(field, p.vars, root)
+        rest = p
+        while True:
+            quo, rem = divmod_in(rest, linear, var)
+            if not rem.is_zero:
+                break
+            roots.append(root)
+            rest = quo
+    return roots
 
 
 def exhaustive_gamma_delta(s1, s2, lam, mu):

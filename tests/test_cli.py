@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,7 +11,7 @@ from danielewski.cli import main, paper_examples
 from danielewski.errors import UnknownVariableError, VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
 
-from conftest import surf
+from conftest import D_ODD_PRIMES, surf
 
 
 @pytest.fixture()
@@ -63,6 +66,31 @@ def test_iso_decide_cap(capsys, ex45_path):
     code, _, err = run(capsys, "iso", "decide", "--left", ex45_path,
                        "--right", ex45_path, "--cap", "1")
     assert code == 3 and "cap" in err
+
+
+def test_iso_decide_cap_covers_a_free_lambda(capsys, tmp_path):
+    # over F_1009 every lambda transports f = X^2 onto itself: 1008 candidates
+    path = tmp_path / "free.json"
+    path.write_text(dumps(surface_to_doc(surf(GF(1009), "X^2", "Z^2+1"))))
+    code, out, err = run(capsys, "iso", "decide", "--left", str(path),
+                         "--right", str(path), "--cap", "500")
+    assert code == 3 and out == "" and "1008" in err and "cap is 500" in err
+
+
+@pytest.mark.parametrize("field, f, expect", [
+    ("F2147483647", "X^2+1", "factor degrees {2}"),
+    ("Q", "X^2 - 2^200", "fiber over x = 1267650600228229401496703205376:"),
+    ("Q", f"X^3 - {D_ODD_PRIMES}", "factor degrees {3}"),
+], ids=["large-prime", "big-square", "odd-primorial"])
+def test_surface_info_large_inputs(field, f, expect):
+    """Bounded work on large inputs; a separate process, so a regression
+    fails at the timeout instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "danielewski", "surface", "info",
+                           "--field", field, "--f", f, "--phi", "Z^2+X"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
 
 
 def test_iso_decide_infinite_family(capsys, tmp_path):

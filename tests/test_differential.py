@@ -58,7 +58,8 @@ def random_product(rng, field, max_deg=12):
                                                              rng.choice([1, 5])))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7), GF(97)],
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7), GF(97),
+                                   GF(2147483647)],
                          ids=lambda f: f.tag())
 def test_factor_gcd_roots_match_sympy(field):
     rng = random.Random(f"differential|{field.tag()}")

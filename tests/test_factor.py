@@ -7,7 +7,8 @@ from danielewski import (GF, QQ, Scalar, factor_univariate, gcd_univariate,
                          squarefree_part)
 from danielewski.factor import _add, _divmod, _gcd, _mul, _norm, _xgcd, dense_to_poly
 
-from conftest import random_poly
+from conftest import D_ODD_PRIMES as D, random_poly
+from oracles import roots_by_evaluation
 
 
 def q(text):
@@ -53,7 +54,7 @@ def test_factor_round_trip_prime_fields(rng):
                 coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
                 poly = poly * dense_to_poly(coeffs, field, ("X",), "X") ** rng.randint(1, 2)
             poly = poly * rng.randrange(1, p)
-            assert factor_univariate(poly, seed=trial).expand() == poly
+            assert factor_univariate(poly).expand() == poly
 
 
 def test_factor_round_trip_rationals(rng):
@@ -64,7 +65,7 @@ def test_factor_round_trip_rationals(rng):
         for _ in range(rng.randint(1, 3)):
             text = rng.choice(linears + quads)
             poly = poly * q(text) ** rng.randint(1, 2)
-        fac = factor_univariate(poly, seed=trial)
+        fac = factor_univariate(poly)
         assert fac.expand() == poly
         for g, _ in fac.factors:
             assert g.coefficient((g.degree_in("X"),)) == 1  # monic parts
@@ -83,8 +84,8 @@ def test_factor_desk_scale_degrees():
 
 def test_factor_determinism():
     poly = fp("X^6 + X^5 + X^4 + X^2 + 1", 5) * 3
-    a = factor_univariate(poly, seed=0)
-    b = factor_univariate(poly, seed=0)
+    a = factor_univariate(poly)
+    b = factor_univariate(poly)
     assert a == b
 
 
@@ -112,6 +113,41 @@ def test_roots_match_evaluation(rng):
                 exhaustive = [c for c in range(7)
                               if p.evaluate({"X": Scalar(field, c)}) == 0]
                 assert sorted(set(s.value for s in roots)) == exhaustive
+
+
+def test_roots_match_evaluation_oracle(rng):
+    """Roots read off the factorization against evaluation at every residue,
+    multiplicities included, over every prime field F2..F97."""
+    primes = [p for p in range(2, 98) if all(p % k for k in range(2, p))]
+    for p in primes:
+        field = GF(p)
+        for _ in range(12):
+            poly = parse_poly("1", field, ("X",))
+            for _ in range(rng.randint(1, 4)):
+                coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1]
+                poly = poly * dense_to_poly(coeffs, field, ("X",), "X") ** rng.randint(1, 3)
+            poly = poly * rng.randrange(1, p)
+            assert roots_in_field(poly) == roots_by_evaluation(poly)
+    with pytest.raises(ZeroDivisionError):
+        roots_in_field(fp("0", 5))
+
+
+def test_big_constants_over_q():
+    """Neither roots nor factors depend on trial division of the constant
+    term, and the good-prime walk goes past every prime dividing it."""
+    assert [s.value for s in roots_in_field(q("X^2 - 2^200"))] == [-2 ** 100, 2 ** 100]
+    assert [s.value for s in roots_in_field(q(f"X^2 - {D * D}"))] == [-D, D]
+    assert as_strs(factor_univariate(q(f"X^3 - {D}"))) == [(f"X^3 - {D}", 1)]
+    assert as_strs(factor_univariate(q(f"X^2 - {D}"))) == [(f"X^2 - {D}", 1)]
+    fac = factor_univariate(q(f"(X^3 - {D})*(X - 1)^2"))
+    assert as_strs(fac) == [("X - 1", 2), (f"X^3 - {D}", 1)]
+
+
+def test_large_prime_field():
+    field = GF(2147483647)
+    poly = parse_poly("(X^2 + 1)*(X - 5)^2*(X + 7)", field, ("X",))
+    assert [s.value for s in roots_in_field(poly)] == [5, 5, 2147483640]
+    assert roots_in_field(parse_poly("X^2 + 1", field, ("X",))) == []
 
 
 def test_gcd_examples():

@@ -406,3 +406,19 @@ def test_unreachable_cap_is_refused_before_lifting():
     with pytest.raises(SearchCapExceededError) as err:
         automorphisms(s)
     assert err.value.needed == 6 * 7 ** 8 > DEFAULT_CAP
+
+
+@pytest.mark.parametrize("f, phi", [("X^2", "Z^2+1"), ("X^2+1", "Z^2")],
+                         ids=["free-lambda", "free-gamma"])
+def test_free_parameter_over_fp_respects_cap(f, phi):
+    # every lambda (resp. every gamma) solves the eliminated equations, so
+    # listing them examines p - 1 candidates: refused before listing when
+    # that passes the cap
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(surf(GF(1009), f, phi), cap=500)
+    assert err.value.needed == 1008 and err.value.cap == 500
+    s = surf(GF(11), f, phi)
+    assert len(automorphisms(s, cap=10)) == 20
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(s, cap=9)
+    assert err.value.needed == 10
