@@ -36,7 +36,7 @@ from .isomorph import (DEFAULT_CAP, Obstruction, automorphisms, decide_isomorphi
 from .jsonio import (dumps, expmap_from_doc, expmap_to_doc, family_to_doc, iso_from_doc,
                      iso_to_doc, obstruction_to_doc, stable_from_doc, stable_to_doc,
                      surface_from_doc, surface_to_doc)
-from .factor import roots_in_field
+from .factor import factor_univariate
 from .parsing import parse_poly, poly_str
 from .poly import Poly
 from .reports import Check, VerificationReport
@@ -88,13 +88,14 @@ def _report_exit(args, report: VerificationReport, doc_extra: Optional[dict] = N
 
 def _cmd_surface_info(args) -> int:
     spec = _surface_from_args(args)
-    fp = fingerprint(spec)
+    f_factors = factor_univariate(spec.f)   # one factorization: fingerprint and roots
+    fp = fingerprint(spec, f_factors)
     smooth = smoothness_check(spec)
     f_in_u = Poly(spec.field, ("U",), {(e[0],): c for e, c in spec.f.terms.items()})
     graded = f"({poly_str(f_in_u)}) * V = W^{spec.d}"
     fiber_docs = []
     fiber_lines = []
-    for root in dict.fromkeys(roots_in_field(spec.f)):
+    for root in dict.fromkeys(f_factors.roots()):
         rep = fiber(spec, root)
         factors = " * ".join(f"({poly_str(g)})^{m}" if m > 1 else f"({poly_str(g)})"
                              for g, m in rep.factors.factors)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionError, SurfaceConstraintError, VerificationInternalError
 from .poly import NEG_INF, Poly, exact_div, substitute
 from .reports import Check, VerificationReport
-from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
+from .surface import SurfaceElement, SurfaceSpec, aux_coefficient, eval_poly_on_elements
 
 
 class VerifyStatus(enum.Enum):
@@ -176,8 +176,7 @@ def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
         return NEG_INF
     if "U" not in a.aux:
         return 0
-    return max(int(g.degree_in("U")) for g in a.coeffs.values()
-               if g.degree_in("U") is not NEG_INF)
+    return int(a.raw_lift().degree_in("U"))
 
 
 def derivation_coeff(m: ExpMap, e: SurfaceElement, i: int) -> SurfaceElement:
@@ -186,15 +185,7 @@ def derivation_coeff(m: ExpMap, e: SurfaceElement, i: int) -> SurfaceElement:
     for D_0(e), D_1(e), ... share one application of phi."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise PreconditionError(f"derivation index must be a nonnegative integer, got {i!r}")
-    a = apply_map(m, e)
-    if "U" not in a.aux:
-        return a if i == 0 else m.spec.zero()
-    out: Dict[int, Poly] = {}
-    for k, g in a.coeffs.items():
-        piece = g.coeff_in("U", i)
-        if not piece.is_zero:
-            out[k] = piece
-    return SurfaceElement(m.spec, a.aux, out)
+    return aux_coefficient(apply_map(m, e), "U", i)
 
 
 def is_invariant(m: ExpMap, e: SurfaceElement, extended: bool = False) -> bool:

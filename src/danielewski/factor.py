@@ -479,6 +479,16 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(m == 1 for _, m in self.factors)
 
+    def roots(self) -> List[Scalar]:
+        """The roots in the coefficient field, repeated by multiplicity and
+        sorted: minus the constant term of each monic linear factor."""
+        roots = []
+        for q, m in self.factors:
+            if q.total_degree() == 1:
+                constant = q.terms.get((0,) * len(q.vars), 0)
+                roots.extend([Scalar(self.lead.field, -constant)] * m)
+        return sorted(roots, key=Scalar.sort_key)
+
 
 def factor_univariate(p: Poly) -> Factorization:
     """Factor a nonzero univariate polynomial into monic irreducibles.
@@ -526,13 +536,7 @@ def roots_in_field(p: Poly) -> List[Scalar]:
     sorted: the linear factors of ``factor_univariate(p)``."""
     if p.is_zero:
         raise ZeroDivisionError("the zero polynomial has every root")
-    var = _require_univariate(p)
-    roots = []
-    for q, m in factor_univariate(p).factors:
-        dense = poly_to_dense(q, var)
-        if len(dense) == 2:  # monic X + c
-            roots.extend([Scalar(p.field, -dense[0])] * m)
-    return sorted(roots, key=Scalar.sort_key)
+    return factor_univariate(p).roots()
 
 
 def squarefree_part(p: Poly) -> Poly:

@@ -133,11 +133,10 @@ class Fingerprint:
     degrees: Tuple[int, ...]
 
 
-def fingerprint(spec: SurfaceSpec) -> Fingerprint:
-    return _fingerprint(spec, factor_univariate(spec.f))
-
-
-def _fingerprint(spec: SurfaceSpec, fac: Factorization) -> Fingerprint:
+def fingerprint(spec: SurfaceSpec, factors: Optional[Factorization] = None) -> Fingerprint:
+    """The invariants, read off ``factors`` (the factorization of f) when
+    the caller already has it."""
+    fac = factor_univariate(spec.f) if factors is None else factors
     return Fingerprint(spec.d, spec.r,
                        fac.multiplicity_multiset(), fac.degree_multiset())
 
@@ -359,9 +358,11 @@ def _defect_table(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
 
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
                            lifting: Optional[_DeltaLifting], cap: int):
-    """All (gamma, delta) with the congruence (vi); returns (solutions,
-    gamma_free) where gamma_free marks the char-0 infinite case.  ``lifting``
-    carries the search when the characteristic divides d, else it is None."""
+    """All (gamma, delta, theta) with the congruence (vi); returns
+    (solutions, gamma_free) where gamma_free marks the char-0 infinite case.
+    theta is the quotient of the congruence when the check that admitted the
+    solution computed it, else None.  ``lifting`` carries the search when the
+    characteristic divides d, else it is None."""
     field = s1.field
     d = s1.d
     if lifting is not None:
@@ -369,7 +370,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
         for gam_raw in range(1, field.modulus):
             gamma = Scalar(field, gam_raw)
             for delta in lifting.deltas(_defect_table(s1, s2, lam, mu, gamma)):
-                sols.append((gamma, dense_to_poly(delta, field, ("X",), "X")))
+                sols.append((gamma, dense_to_poly(delta, field, ("X",), "X"), None))
         return sols, False
     # characteristic does not divide d: compare z^(d-1) coefficients,
     # delta = d^{-1} (gamma c2_{d-1}(X) - c1_{d-1}(lam X + mu)) mod f_2
@@ -401,17 +402,20 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     sols = []
     for gamma in gammas:
         delta = delta0 + delta1.scaled(gamma)
-        _, check_rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
+        theta, check_rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
         if check_rem.is_zero:
-            sols.append((gamma, delta))
+            sols.append((gamma, delta, theta))
     return sols, gamma_free
 
 
 def _assemble(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-              gamma: Scalar, delta: Poly) -> IsoCertificate:
-    theta, rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
-    if not rem.is_zero:
-        raise VerificationInternalError("assembling a certificate from a non-solution")
+              gamma: Scalar, delta: Poly, theta: Optional[Poly] = None) -> IsoCertificate:
+    """The certificate of a solution, re-verified by ``verify_iso``; theta
+    is computed from the congruence unless the solver already has it."""
+    if theta is None:
+        theta, rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
+        if not rem.is_zero:
+            raise VerificationInternalError("assembling a certificate from a non-solution")
     cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
     report = verify_iso(cert)
     if not report.ok:
@@ -441,7 +445,7 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
         return Obstruction(ObstructionKind.F_DEGREE_MISMATCH,
                            f"deg f: {s1.r} vs {s2.r}")
     fac2 = factor_univariate(s2.f)
-    fp1, fp2 = fingerprint(s1), _fingerprint(s2, fac2)
+    fp1, fp2 = fingerprint(s1), fingerprint(s2, fac2)
     if fp1.multiplicities != fp2.multiplicities:
         return Obstruction(
             ObstructionKind.MULTIPLICITY_MULTISET_MISMATCH,
@@ -464,8 +468,8 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     for lam, mu in pairs:
         sols, free = _gamma_delta_solutions(s1, s2, lam, mu, lifting, cap)
         gamma_free = gamma_free or free
-        for gamma, delta in sols:
-            certs.append(_assemble(s1, s2, lam, mu, gamma, delta))
+        for gamma, delta, theta in sols:
+            certs.append(_assemble(s1, s2, lam, mu, gamma, delta, theta))
     certs.sort(key=IsoCertificate.sort_key)
     if lambda_free or gamma_free:
         free_params = "+".join(name for name, flag in

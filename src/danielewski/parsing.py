@@ -7,190 +7,263 @@ Grammar (UTF-8 text):
     factor := '-' factor | base ('^' INTEGER)?
     base   := INTEGER ('/' INTEGER)? | IDENT | '(' expr ')'
 
-Identifiers are ``[A-Za-z][A-Za-z0-9]*``; ``a/b`` is a rational literal
-(``/`` is legal nowhere else); implicit multiplication is not allowed.
-Canonical printing lists terms in descending graded-lexicographic order
-with explicit ``*`` and ``^``, so print-then-parse is the identity.
+Identifiers are ``[A-Za-z][A-Za-z0-9]*`` and integers ``[0-9]+``; ``a/b``
+is a rational literal (``/`` is legal nowhere else); implicit
+multiplication is not allowed.  Canonical printing lists terms in
+descending graded-lexicographic order with explicit ``*`` and ``^``, so
+print-then-parse is the identity.
 
-Input budget: a product or power whose total degree would exceed
-``MAX_DEGREE`` is refused with a ``PolyParseError`` before it is expanded,
-and so is a power of a rational constant whose value would need more than
-``MAX_CONSTANT_BITS`` bits (the degree bound caps every other exponent).
-Both bounds sit far above desk scale: over two benchmark rounds at seeds
+One compiled regular expression splits the text into tokens, after a
+second has rejected any character outside the grammar.  While a
+term is a product of integer, rational and variable factors (each with an
+optional ``^k``), the parser keeps it as one coefficient and one exponent
+list, combining coefficients in the field as it goes (over F_p a constant
+power is one modular ``pow``); the terms of a sum go straight into one
+coefficient dict.  A ``Poly`` product is built only for a parenthesized
+sum with two or more terms, or a power of one, so a canonical sum of
+monomials is read without any polynomial multiplication.
+
+Input budget, checked before anything is expanded, each refusal a
+``PolyParseError`` that names the input budget:
+
+- a product or power whose total degree would exceed ``MAX_DEGREE``
+  (a monomial whose coefficient is 0 in the field has no degree);
+- over Q, a power of a constant whose value would need more than
+  ``MAX_CONSTANT_BITS`` bits (the degree bound caps every other exponent);
+- a polynomial product, or a multiply or squaring step of a power, that
+  would form more than ``MAX_TERM_PRODUCTS`` products of terms.
+
+All three sit far above desk scale: over two benchmark rounds at seeds
 7 and 11, no parsed polynomial passes total degree 49 or 30-bit
-coefficients.
+coefficients, and no product forms more than 3,010 term products.  The
+work budget refuses ``(Z+X+1)^64`` at its last squaring (561 by 561
+terms) instead of expanding it.  An error's position is recovered from
+the token index only when the error is raised.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from .errors import PolyParseError
-from .fields import FieldKind, FieldSpec, Scalar
+from .fields import FieldKind, FieldSpec, Scalar, q_norm
 from .poly import Poly
-
-_OPS = set("+-*^()/")
 
 MAX_DEGREE = 256
 MAX_CONSTANT_BITS = 2**16
+MAX_TERM_PRODUCTS = 2**18
+
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9]*|[-+*^()/])")
+_BAD = re.compile(r"[^\sA-Za-z0-9*^()/+-]")
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+def _tokenize(text: str) -> list:
+    """The token strings, ending with "" for the end of input."""
+    bad = _BAD.search(text)
+    if bad:
+        raise PolyParseError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
-def _check_degree(degree: int, at: int) -> None:
-    if degree > MAX_DEGREE:
-        raise PolyParseError(
-            f"total degree {degree} exceeds the input budget of {MAX_DEGREE}", at)
-
-
-def _check_power(p: Poly, e: int, at: int) -> None:
-    if not e or p.is_zero:
-        return
-    _check_degree(p.total_degree() * e, at)
-    if p.is_constant and p.field.kind is FieldKind.RATIONALS:
-        c = p.constant_value().value
-        bits = e * math.log2(max(abs(c.numerator), c.denominator))
-        if bits > MAX_CONSTANT_BITS:
-            raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
-                                 f"the input budget of {MAX_CONSTANT_BITS}", at)
-
-
 class _Parser:
+    """Recursive descent over the token list.  A factor or term is either a
+    monomial ``(coefficient, exponent list)`` with a canonical raw
+    coefficient (0 for the zero monomial) or, once a sum has been
+    multiplied or raised to a power, a ``Poly``.  Token positions are found
+    only when an error needs one."""
+
     def __init__(self, text: str, field: FieldSpec, vars: Tuple[str, ...]):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
         self.vars = vars
+        self.index = {v: i for i, v in enumerate(vars)}
+        self.p = field.modulus if field.kind is FieldKind.PRIME else 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def at(self, k: int) -> int:
+        """Character position of token k."""
+        for j, m in enumerate(_TOKEN.finditer(self.text)):
+            if j == k:
+                return m.start(1)
+        return len(self.text)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def check_degree(self, degree: int, at: int) -> None:
+        if degree > MAX_DEGREE:
+            raise PolyParseError(f"total degree {degree} exceeds the input budget of "
+                                 f"{MAX_DEGREE}", self.at(at))
 
-    def expect_op(self, op: str):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise PolyParseError(f"expected {op!r}", at)
-        return self.advance()
+    def check_work(self, a: Poly, b: Poly, at: int) -> None:
+        if len(a.terms) * len(b.terms) > MAX_TERM_PRODUCTS:
+            raise PolyParseError(f"a product of {len(a.terms)} by {len(b.terms)} terms "
+                                 f"exceeds the input budget of {MAX_TERM_PRODUCTS} term "
+                                 f"products", self.at(at))
 
     def parse(self) -> Poly:
-        p = self.expr()
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise PolyParseError(f"unexpected {val!r}", at)
-        return p
+        x = self.expr()
+        tok = self.tokens[self.pos]
+        if tok:
+            raise PolyParseError(f"unexpected {tok!r}", self.at(self.pos))
+        return self._poly(x)
 
-    def expr(self) -> Poly:
-        p = self.term()
-        kind, val, _ = self.peek()
-        if not (kind == "op" and val in "+-"):
-            return p
+    def _poly(self, x) -> Poly:
+        if type(x) is Poly:
+            return x
+        c, exps = x
+        return Poly._raw(self.field, self.vars, {tuple(exps): c} if c else {})
+
+    def expr(self):
+        x = self.term()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok != "+" and tok != "-":
+            return x
         # one running dict for the whole sum, normalized once at the end
-        sums = dict(p.terms)
-        while kind == "op" and val in "+-":
-            self.advance()
-            sign = 1 if val == "+" else -1
-            for exps, c in self.term().terms.items():
-                sums[exps] = sums.get(exps, 0) + sign * c
-            kind, val, _ = self.peek()
-        return Poly._from_sums(self.field, self.vars, sums)
-
-    def term(self) -> Poly:
-        p = self.factor()
+        sums: dict = {}
+        sign = 1
         while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                q = self.factor()
-                if not (p.is_zero or q.is_zero):
-                    _check_degree(p.total_degree() + q.total_degree(), at)
-                p = p * q
+            if type(x) is Poly:
+                for exps, c in x.terms.items():
+                    sums[exps] = sums.get(exps, 0) + sign * c
+            elif x[0]:
+                exps = tuple(x[1])
+                sums[exps] = sums.get(exps, 0) + sign * x[0]
+            if tok != "+" and tok != "-":
+                return Poly._from_sums(self.field, self.vars, sums)
+            sign = 1 if tok == "+" else -1
+            self.pos += 1
+            x = self.term()
+            tok = tokens[self.pos]
+
+    def term(self):
+        x = self.factor()
+        tokens = self.tokens
+        while tokens[self.pos] == "*":
+            at = self.pos
+            self.pos += 1
+            y = self.factor()
+            if type(x) is tuple and type(y) is tuple:
+                if x[0] and y[0]:
+                    exps = list(map(operator.add, x[1], y[1]))
+                    self.check_degree(sum(exps), at)
+                    c = x[0] * y[0]
+                    x = (c % self.p if self.p else q_norm(c), exps)
+                elif not y[0]:
+                    x = y
+                continue
+            x, y = self._poly(x), self._poly(y)
+            if x.is_zero or y.is_zero:
+                x = Poly.zero(self.field, self.vars)
+                continue
+            self.check_degree(x.total_degree() + y.total_degree(), at)
+            self.check_work(x, y, at)
+            x = x * y
+        return x
+
+    def factor(self):
+        tokens = self.tokens
+        if tokens[self.pos] == "-":
+            self.pos += 1
+            x = self.factor()
+            if type(x) is Poly:
+                return -x
+            return ((-x[0]) % self.p if self.p else -x[0], x[1])
+        x = self.base()
+        if tokens[self.pos] != "^":
+            return x
+        self.pos += 1
+        at = self.pos
+        tok = tokens[at]
+        if not tok.isdigit():
+            raise PolyParseError("exponent must be an integer literal", self.at(at))
+        self.pos += 1
+        e = int(tok)
+        if e >= 2**31:
+            raise PolyParseError("exponent beyond 2**31", self.at(at))
+        return self._power(x, e, at)
+
+    def _power(self, x, e: int, at: int):
+        if e == 0:
+            return (1, [0] * len(self.vars))
+        if type(x) is Poly:
+            if x.is_zero:
+                return x
+            if len(x.terms) == 1:
+                (exps, c), = x.terms.items()
+                x = (c, list(exps))
             else:
-                return p
+                self.check_degree(x.total_degree() * e, at)
+                result = None
+                while True:  # binary powering, each step within the work budget
+                    if e & 1:
+                        if result is None:
+                            result = x
+                        else:
+                            self.check_work(result, x, at)
+                            result = result * x
+                    e >>= 1
+                    if not e:
+                        return result
+                    self.check_work(x, x, at)
+                    x = x * x
+        c, exps = x
+        if not c:
+            return x
+        self.check_degree(sum(exps) * e, at)
+        if self.p:
+            return (pow(c, e, self.p), [k * e for k in exps])
+        if not any(exps):
+            bits = e * math.log2(max(abs(c.numerator), c.denominator))
+            if bits > MAX_CONSTANT_BITS:
+                raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
+                                     f"the input budget of {MAX_CONSTANT_BITS}", self.at(at))
+        return (q_norm(c ** e), [k * e for k in exps])
 
-    def factor(self) -> Poly:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return -self.factor()
-        p = self.base()
-        kind, val, at = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, val, at = self.peek()
-            if kind != "int":
-                raise PolyParseError("exponent must be an integer literal", at)
-            self.advance()
-            e = int(val)
-            if e >= 2**31:
-                raise PolyParseError("exponent beyond 2**31", at)
-            _check_power(p, e, at)
-            p = p ** e
-        return p
-
-    def base(self) -> Poly:
-        kind, val, at = self.advance()
-        if kind == "int":
-            num = int(val)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.advance()
-                k3, v3, at3 = self.peek()
-                if k3 != "int":
-                    raise PolyParseError("denominator must be an integer literal", at3)
-                self.advance()
-                den = int(v3)
-                if den == 0:
-                    raise PolyParseError("zero denominator", at3)
-                if self.field.kind is FieldKind.PRIME and den % self.field.modulus == 0:
+    def base(self):
+        tokens = self.tokens
+        k = self.pos
+        tok = tokens[k]
+        self.pos += 1
+        n = len(self.vars)
+        if tok.isdigit():
+            num = int(tok)
+            if tokens[self.pos] != "/":
+                return (num % self.p if self.p else num, [0] * n)
+            k = self.pos + 1
+            tok = tokens[k]
+            if not tok.isdigit():
+                raise PolyParseError("denominator must be an integer literal", self.at(k))
+            self.pos += 2
+            den = int(tok)
+            if den == 0:
+                raise PolyParseError("zero denominator", self.at(k))
+            if self.p:
+                if den % self.p == 0:
                     raise PolyParseError(
-                        f"denominator {den} is not invertible in {self.field.tag()}", at3
-                    )
-                return Poly.const(self.field, self.vars, Fraction(num, den))
-            return Poly.const(self.field, self.vars, num)
-        if kind == "ident":
-            if val not in self.vars:
-                raise PolyParseError(f"unknown variable {val!r}", at)
-            return Poly.variable(self.field, self.vars, val)
-        if kind == "op" and val == "(":
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise PolyParseError(f"unexpected {val!r}" if val else "unexpected end of input", at)
+                        f"denominator {den} is not invertible in {self.field.tag()}", self.at(k))
+                return (num * pow(den, -1, self.p) % self.p, [0] * n)
+            return (q_norm(Fraction(num, den)), [0] * n)
+        if tok[:1].isalpha():
+            i = self.index.get(tok)
+            if i is None:
+                raise PolyParseError(f"unknown variable {tok!r}", self.at(k))
+            exps = [0] * n
+            exps[i] = 1
+            return (1, exps)
+        if tok == "(":
+            x = self.expr()
+            if tokens[self.pos] != ")":
+                raise PolyParseError("expected ')'", self.at(self.pos))
+            self.pos += 1
+            return x
+        raise PolyParseError(f"unexpected {tok!r}" if tok else "unexpected end of input",
+                             self.at(k))
 
 
 def parse_poly(text: str, field: FieldSpec, vars: Iterable[str]) -> Poly:

@@ -17,6 +17,7 @@ Everything here is immutable and pure, safe for concurrent use.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -442,14 +443,14 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
     acc: Dict[ExpVec, object] = {}
     for exps, c in p.terms.items():
         base = [0] * n
-        image = None  # c times the product of the bound variables' images
+        image = None  # the product of the bound variables' image powers
         for j, e in enumerate(exps):
             if e == 0:
                 continue
             v = p.vars[j]
             if v in embedded:
                 f = power(v, e)
-                image = f.scaled(c) if image is None else image * f
+                image = f if image is None else image * f
             else:
                 i = pos.get(v)
                 if i is None:
@@ -460,9 +461,9 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
         elif any(base):
             if sum(base) + image.total_degree() >= MAX_EXPONENT:
                 raise OverflowError("product exponent would exceed 2**31")
-            items = ((tuple(map(operator.add, e, base)), v) for e, v in image.terms.items())
+            items = ((tuple(map(operator.add, e, base)), c * v) for e, v in image.terms.items())
         else:
-            items = image.terms.items()
+            items = ((e, c * v) for e, v in image.terms.items())
         for key, v in items:
             prev = acc.get(key)
             acc[key] = v if prev is None else prev + v
@@ -474,7 +475,11 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
 
     Single-divisor multivariate division with graded-lex leading terms; for
     a = b*q the algorithm always recovers q, and any term that escapes to
-    the remainder proves indivisibility.
+    the remainder proves indivisibility.  The remainder's leading term comes
+    from a max-heap of grlex keys (Monagan & Pearce, "Polynomial division
+    using dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
+    every term a step adds lies grlex-below the term it cancels, so the heap
+    stays valid, and a popped key whose term has since cancelled is skipped.
     """
     a._check_compat(b)
     if b.is_zero:
@@ -484,27 +489,42 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     field = a.field
     lead_e, lead_c = b.leading_term_grlex()
     inv_lead = field.inv(lead_c)
+    tail = [(be, bc) for be, bc in b.terms.items() if be != lead_e]
     rem = dict(a.terms)
+    heap = [_heap_key(e) for e in rem]
+    heapq.heapify(heap)
     quo: Dict[ExpVec, object] = {}
     prime = field.kind is FieldKind.PRIME
     p = field.modulus
-    while rem:
-        e = max(rem, key=grlex_key)
-        c = rem[e]
+    while heap:
+        e = heapq.heappop(heap)[2]
+        c = rem.pop(e, None)
+        if c is None:
+            continue
         diff = tuple(map(operator.sub, e, lead_e))
         if any(d < 0 for d in diff):
             return None
         qc = (c * inv_lead) % p if prime else q_norm(c * inv_lead)
         quo[diff] = qc
-        for be, bc in b.terms.items():
+        for be, bc in tail:
             te = tuple(map(operator.add, diff, be))
-            v = rem.get(te, 0) - qc * bc
+            prev = rem.get(te)
+            if prev is None:
+                v = -qc * bc
+                heapq.heappush(heap, _heap_key(te))
+            else:
+                v = prev - qc * bc
             v = v % p if prime else q_norm(v)
             if v:
                 rem[te] = v
-            elif te in rem:
+            elif prev is not None:
                 del rem[te]
     return Poly._raw(field, a.vars, quo)
+
+
+def _heap_key(e: ExpVec):
+    """Min-heap entry that pops exponent vectors in descending grlex order."""
+    return (-sum(e), tuple(-k for k in e), e)
 
 
 def divmod_in(p: Poly, divisor: Poly, var: str) -> Tuple[Poly, Poly]:

@@ -14,24 +14,33 @@ equality of normal forms decides equality in A.  Auxiliary polynomial
 variables (U, V, v, W1) ride along inside the coefficients; the rewrite
 never touches them, which realizes A[U], A[U,V], A[v] for free.
 
-Everything is immutable; the per-spec reduction cache is a deterministic
-memo and never affects results.
+A ``SurfaceElement`` stores its normal form as one ``Poly`` over
+("X", "Y", "Z") + aux, where aux lists exactly the auxiliary variables that
+occur.  That polynomial is the element's ``raw_lift()``, so a product or a
+ring map works on it directly and ``normal_form`` wraps its reduced result
+without splitting it by powers of y.  The y-coefficients g_i of the public
+``coeffs`` mapping are a read-only view, derived on first use.
+
+Everything is immutable; the per-spec reduction cache and the coefficient
+view are deterministic memos and never affect results.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import PreconditionError, SurfaceConstraintError
+from .errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
 from .factor import Factorization, factor_univariate, gcd_univariate, squarefree_part
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, exact_div, substitute
+from .poly import NEG_INF, Poly, substitute
 from .resultant import resultant_in
 
 AUX_ORDER = ("U", "V", "v", "W1")
 _BASE_VARS = ("X", "Y", "Z")
+_UNIT = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
 
 
 def aux_sort_key(name: str):
@@ -39,6 +48,12 @@ def aux_sort_key(name: str):
         return (AUX_ORDER.index(name), name)
     except ValueError:
         return (len(AUX_ORDER), name)
+
+
+def _is_canonical_aux(names: Tuple[str, ...]) -> bool:
+    """Whether ``names`` are distinct auxiliary variables in canonical order."""
+    return (all(n in AUX_ORDER for n in names)
+            and names == tuple(sorted(set(names), key=aux_sort_key)))
 
 
 def _sorted_aux(names: Iterable[str]) -> Tuple[str, ...]:
@@ -67,33 +82,32 @@ class SurfaceSpec:
     # -- generators and constants ----------------------------------------
 
     def zero(self) -> "SurfaceElement":
-        return SurfaceElement(self, (), {})
+        return SurfaceElement._of(self, Poly.zero(self.field, _BASE_VARS))
 
     def one(self) -> "SurfaceElement":
         return self.from_scalar(1)
 
     def from_scalar(self, c) -> "SurfaceElement":
-        p = Poly.const(self.field, ("X", "Z"), c)
-        return SurfaceElement(self, (), {0: p} if not p.is_zero else {})
+        return SurfaceElement._of(self, Poly.const(self.field, _BASE_VARS, c))
 
     def from_xz_poly(self, p: Poly) -> "SurfaceElement":
         """Embed a polynomial in X, Z (already of Z-degree <= d-1)."""
         return normal_form(p, self)
 
     def x(self) -> "SurfaceElement":
-        return SurfaceElement(self, (), {0: Poly.variable(self.field, ("X", "Z"), "X")})
+        return SurfaceElement._of(self, Poly.variable(self.field, _BASE_VARS, "X"))
 
     def z(self) -> "SurfaceElement":
-        return SurfaceElement(self, (), {0: Poly.variable(self.field, ("X", "Z"), "Z")})
+        return SurfaceElement._of(self, Poly.variable(self.field, _BASE_VARS, "Z"))
 
     def y(self) -> "SurfaceElement":
-        return SurfaceElement(self, (), {1: Poly.one(self.field, ("X", "Z"))})
+        return SurfaceElement._of(self, Poly.variable(self.field, _BASE_VARS, "Y"))
 
     def generator(self, name: str) -> "SurfaceElement":
         """x, y, z, or an auxiliary variable (U, V, v, W1) as an element."""
         if name in AUX_ORDER:
-            return SurfaceElement(self, (name,),
-                                  {0: Poly.variable(self.field, ("X", "Z", name), name)})
+            return SurfaceElement._of(
+                self, Poly.variable(self.field, _BASE_VARS + (name,), name))
         return {"x": self.x, "y": self.y, "z": self.z}[name]()
 
     # -- the rewrite cache -------------------------------------------------
@@ -185,13 +199,18 @@ def graded_surface(spec: SurfaceSpec) -> SurfaceSpec:
 class SurfaceElement:
     """An element of A (or A[U], A[U,V], A[v]) in normal form.
 
-    ``coeffs`` maps the y-power i to a nonzero polynomial g_i over
-    ("X", "Z") + aux with deg_Z(g_i) <= d-1.  ``aux`` lists exactly the
-    auxiliary variables that occur, in canonical order, so structural
-    equality is sound.
+    The element is stored as one polynomial sum(g_i * Y**i) over
+    ("X", "Y", "Z") + aux with deg_Z <= d-1 (``raw_lift()``).  ``aux``
+    lists exactly the auxiliary variables that occur, in canonical order,
+    so structural equality is sound.  ``coeffs`` is the read-only view
+    {i: g_i} with each g_i a nonzero polynomial over ("X", "Z") + aux.
+
+    The constructor takes that mapping and validates it: every coefficient
+    lives over the surface's field, uses only X, Z and declared auxiliary
+    variables, and has Z-degree at most d-1.
     """
 
-    __slots__ = ("spec", "aux", "coeffs")
+    __slots__ = ("spec", "aux", "_nf", "_coeffs")
 
     def __init__(self, spec: SurfaceSpec, aux: Iterable[str], coeffs: Mapping[int, Poly]):
         aux = _sorted_aux(aux)
@@ -199,8 +218,14 @@ class SurfaceElement:
         used = set()
         clean: Dict[int, Poly] = {}
         for i, g in coeffs.items():
+            if not isinstance(i, int) or i < 0:
+                raise SurfaceConstraintError(f"y-power {i!r} is not a nonnegative integer")
             if g.is_zero:
                 continue
+            if g.field != spec.field:
+                raise FieldMismatchError(
+                    f"coefficient of y^{i} lives over {g.field.tag()}, "
+                    f"expected {spec.field.tag()}")
             used.update(v for v in g.used_vars() if v not in ("X", "Z"))
             clean[i] = g
         bad = used.difference(aux)
@@ -208,69 +233,97 @@ class SurfaceElement:
             raise SurfaceConstraintError(f"coefficients use undeclared variables {sorted(bad)}")
         aux = tuple(a for a in aux if a in used)
         vars_c = ("X", "Z") + aux
-        final: Dict[int, Poly] = {}
+        terms: Dict[Tuple[int, ...], object] = {}
         for i, g in clean.items():
             g = g.with_vars(vars_c)
             dz = g.degree_in("Z")
             if dz is not NEG_INF and dz > spec.d - 1:
                 raise SurfaceConstraintError(
                     f"coefficient of y^{i} has Z-degree {dz} > d-1 = {spec.d - 1}")
-            final[i] = g
+            for exps, c in g.terms.items():
+                terms[(exps[0], i) + exps[1:]] = c
+        self._set(spec, aux, Poly._raw(spec.field, _BASE_VARS + aux, terms))
+
+    def _set(self, spec: SurfaceSpec, aux: Tuple[str, ...], nf: Poly) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "aux", aux)
-        object.__setattr__(self, "coeffs", final)
+        object.__setattr__(self, "_nf", nf)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, spec: SurfaceSpec, nf: Poly) -> "SurfaceElement":
+        """Wrap a polynomial already in normal form over ("X", "Y", "Z") +
+        aux (aux in canonical order), dropping aux variables that do not
+        occur."""
+        aux = nf.vars[3:]
+        if aux:
+            terms = nf.terms
+            kept = tuple(a for k, a in enumerate(aux, 3) if any(e[k] for e in terms))
+            if kept != aux:
+                aux = kept
+                nf = nf.with_vars(_BASE_VARS + kept)
+        self = object.__new__(cls)
+        self._set(spec, aux, nf)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceElement is immutable")
 
     @property
+    def coeffs(self) -> Mapping[int, Poly]:
+        """{i: g_i}, read-only, built from the normal form on first use."""
+        view = self._coeffs
+        if view is None:
+            buckets: Dict[int, Dict[Tuple[int, ...], object]] = {}
+            for exps, c in self._nf.terms.items():
+                buckets.setdefault(exps[1], {})[exps[:1] + exps[2:]] = c
+            vars_c = self.coeff_vars()
+            field = self.spec.field
+            view = MappingProxyType({i: Poly._raw(field, vars_c, buckets[i])
+                                     for i in sorted(buckets)})
+            object.__setattr__(self, "_coeffs", view)
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nf.terms
 
     def coeff_vars(self) -> Tuple[str, ...]:
         return ("X", "Z") + self.aux
 
     def raw_vars(self) -> Tuple[str, ...]:
-        return _BASE_VARS + self.aux
+        return self._nf.vars
 
     def raw_lift(self) -> Poly:
-        """The distinguished representative sum(g_i * Y**i) in K[X,Y,Z,aux]."""
-        vars_full = self.raw_vars()
-        acc = Poly.zero(self.spec.field, vars_full)
-        for i, g in self.coeffs.items():
-            acc = acc + g.with_vars(vars_full).mul_var_power("Y", i)
-        return acc
+        """The distinguished representative sum(g_i * Y**i) in K[X,Y,Z,aux]:
+        the stored normal form itself."""
+        return self._nf
 
-    def _join(self, other: "SurfaceElement"):
-        if self.spec != other.spec:
+    def _is_generator(self, var: str) -> bool:
+        """Whether this element is the base generator named by ``var``."""
+        return not self.aux and self._nf.terms == {_UNIT[var]: 1}
+
+    def _join(self, other: "SurfaceElement") -> Tuple[str, ...]:
+        """The raw variables of a result combining self and other."""
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SurfaceConstraintError("elements live on different surfaces")
-        aux = _sorted_aux(self.aux + other.aux)
-        return aux, ("X", "Z") + aux
+        if self.aux == other.aux:
+            return self._nf.vars
+        return _BASE_VARS + _sorted_aux(self.aux + other.aux)
 
     def __add__(self, other):
         if isinstance(other, (int, Scalar)):
             other = self.spec.from_scalar(other)
         if not isinstance(other, SurfaceElement):
             return NotImplemented
-        aux, vars_c = self._join(other)
-        out: Dict[int, Poly] = {}
-        for i in set(self.coeffs) | set(other.coeffs):
-            a = self.coeffs.get(i)
-            b = other.coeffs.get(i)
-            if a is None:
-                s = b.with_vars(vars_c)
-            elif b is None:
-                s = a.with_vars(vars_c)
-            else:
-                s = a.with_vars(vars_c) + b.with_vars(vars_c)
-            if not s.is_zero:
-                out[i] = s
-        return SurfaceElement(self.spec, aux, out)
+        vars_full = self._join(other)
+        return SurfaceElement._of(
+            self.spec, self._nf.with_vars(vars_full) + other._nf.with_vars(vars_full))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SurfaceElement(self.spec, self.aux, {i: -g for i, g in self.coeffs.items()})
+        return SurfaceElement._of(self.spec, -self._nf)
 
     def __sub__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -287,9 +340,8 @@ class SurfaceElement:
             return self.scaled(other)
         if not isinstance(other, SurfaceElement):
             return NotImplemented
-        aux, _ = self._join(other)
-        vars_full = _BASE_VARS + aux
-        raw = self.raw_lift().with_vars(vars_full) * other.raw_lift().with_vars(vars_full)
+        vars_full = self._join(other)
+        raw = self._nf.with_vars(vars_full) * other._nf.with_vars(vars_full)
         return normal_form(raw, self.spec)
 
     def __rmul__(self, other):
@@ -298,11 +350,7 @@ class SurfaceElement:
         return NotImplemented
 
     def scaled(self, c) -> "SurfaceElement":
-        raw = self.spec.field.coerce(c)
-        if raw == 0:
-            return self.spec.zero()
-        return SurfaceElement(self.spec, self.aux,
-                              {i: g.scaled(raw) for i, g in self.coeffs.items()})
+        return SurfaceElement._of(self.spec, self._nf.scaled(c))
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -319,8 +367,7 @@ class SurfaceElement:
     def __eq__(self, other):
         if not isinstance(other, SurfaceElement):
             return NotImplemented
-        return (self.spec == other.spec and self.aux == other.aux
-                and self.coeffs == other.coeffs)
+        return self.spec == other.spec and self._nf == other._nf
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -329,8 +376,8 @@ class SurfaceElement:
         if self.is_zero:
             return "0"
         parts = []
-        for i in sorted(self.coeffs):
-            g = poly_str(self.coeffs[i])
+        for i, g in self.coeffs.items():
+            g = poly_str(g)
             if i == 0:
                 parts.append(g)
             else:
@@ -347,38 +394,41 @@ def normal_form(raw: Poly, spec: SurfaceSpec) -> SurfaceElement:
 
     ``raw`` may use X, Y, Z and auxiliary variables; every Z-power at or
     above d is rewritten through the defining relation (via a cached table
-    of reduced Z-powers, one pass)."""
-    aux = _sorted_aux(v for v in raw.used_vars() if v not in _BASE_VARS)
-    vars_full = _BASE_VARS + aux
-    raw = raw.with_vars(vars_full)
-    zi = vars_full.index("Z")
+    of reduced Z-powers, one pass).  A product or substitution result that
+    already lives over ("X", "Y", "Z") + aux in canonical order is reduced
+    as it is, and aux variables that cancelled are dropped at the end."""
+    aux = raw.vars[3:]
+    if raw.vars[:3] != _BASE_VARS or not _is_canonical_aux(aux):
+        aux = _sorted_aux(v for v in raw.used_vars() if v not in _BASE_VARS)
+        raw = raw.with_vars(_BASE_VARS + aux)
+    vars_full = raw.vars
     plain: Dict[Tuple[int, ...], object] = {}
     by_power: Dict[int, Dict[Tuple[int, ...], object]] = {}
     for exps, c in raw.terms.items():
-        e = exps[zi]
+        e = exps[2]
         if e < spec.d:
             plain[exps] = c
         else:
-            by_power.setdefault(e, {})[exps[:zi] + (0,) + exps[zi + 1:]] = c
+            by_power.setdefault(e, {})[exps[:2] + (0,) + exps[3:]] = c
+    if not by_power:
+        return SurfaceElement._of(spec, raw)
     acc = Poly._raw(raw.field, vars_full, plain)
     for e, monos in by_power.items():
         red = spec._z_reduction(e).with_vars(vars_full)
         acc = acc + Poly._raw(raw.field, vars_full, monos) * red
-    return _split_by_y(acc, spec, aux)
+    return SurfaceElement._of(spec, acc)
 
 
-def _split_by_y(p: Poly, spec: SurfaceSpec, aux: Tuple[str, ...]) -> SurfaceElement:
-    yi = p.vars.index("Y")
-    vars_c = ("X", "Z") + aux
-    buckets: Dict[int, Dict[Tuple[int, ...], object]] = {}
-    xi = p.vars.index("X")
-    zi = p.vars.index("Z")
-    aux_idx = [p.vars.index(a) for a in aux]
-    for exps, c in p.terms.items():
-        key = (exps[xi], exps[zi]) + tuple(exps[i] for i in aux_idx)
-        buckets.setdefault(exps[yi], {})[key] = c
-    coeffs = {i: Poly._raw(p.field, vars_c, t) for i, t in buckets.items()}
-    return SurfaceElement(spec, aux, coeffs)
+def aux_coefficient(e: SurfaceElement, var: str, k: int) -> SurfaceElement:
+    """The coefficient of var**k in e, for an auxiliary variable ``var``:
+    an element over the remaining auxiliary variables (zero when var does
+    not occur to that power)."""
+    if var not in e.aux:
+        return e if k == 0 else e.spec.zero()
+    nf = e.raw_lift()
+    i = nf.vars.index(var)
+    out = {exps[:i] + exps[i + 1:]: c for exps, c in nf.terms.items() if exps[i] == k}
+    return SurfaceElement._of(e.spec, Poly._raw(nf.field, nf.vars[:i] + nf.vars[i + 1:], out))
 
 
 def eval_poly_on_elements(p: Poly, images: Mapping[str, SurfaceElement],
@@ -388,8 +438,10 @@ def eval_poly_on_elements(p: Poly, images: Mapping[str, SurfaceElement],
 
     This is the one way the workbench applies a ring map (exponential maps,
     isomorphism certificates, evaluations at (x, theta)): one simultaneous
-    substitution of the images' raw lifts, then one ``normal_form``.  The
+    substitution of the images' normal forms, then one ``normal_form``.  The
     normal form is unique, so the result does not depend on representatives.
+    A base generator whose image is that generator itself (phi(x) = x, the
+    common case) is left unbound.
     """
     used = p.used_vars()
     aux = [v for v in used if v not in images and v not in _BASE_VARS]
@@ -398,6 +450,8 @@ def eval_poly_on_elements(p: Poly, images: Mapping[str, SurfaceElement],
         if v in used:
             if el.spec != spec:
                 raise SurfaceConstraintError(f"image of {v!r} lives on another surface")
+            if v in _UNIT and el._is_generator(v):
+                continue
             lifts[v] = el.raw_lift()
             aux.extend(el.aux)
     vars_out = _BASE_VARS + _sorted_aux(aux)
@@ -414,8 +468,7 @@ def filtration_deg(e: SurfaceElement):
     if e.is_zero:
         return NEG_INF
     d = e.spec.d
-    zi = 1  # coefficient polynomials live over ("X", "Z")
-    return max(d * i + exps[zi] for i, g in e.coeffs.items() for exps in g.terms)
+    return max(d * exps[1] + exps[2] for exps in e.raw_lift().terms)
 
 
 def leading_form(e: SurfaceElement) -> SurfaceElement:
@@ -427,12 +480,9 @@ def leading_form(e: SurfaceElement) -> SurfaceElement:
         raise PreconditionError("leading form is defined for elements of A only")
     target = filtration_deg(e)
     d = e.spec.d
-    out: Dict[int, Poly] = {}
-    for i, g in e.coeffs.items():
-        kept = {exps: c for exps, c in g.terms.items() if d * i + exps[1] == target}
-        if kept:
-            out[i] = Poly._raw(g.field, g.vars, kept)
-    return SurfaceElement(graded_surface(e.spec), (), out)
+    nf = e.raw_lift()
+    kept = {exps: c for exps, c in nf.terms.items() if d * exps[1] + exps[2] == target}
+    return SurfaceElement._of(graded_surface(e.spec), Poly._raw(nf.field, nf.vars, kept))
 
 
 # -- division by x ----------------------------------------------------------
@@ -443,18 +493,16 @@ def divide_by_x(e: SurfaceElement) -> Optional[SurfaceElement]:
 
     Requires f(0) = 0; then divisibility in A (or A[v]) is equivalent to
     every normal-form coefficient being divisible by X as a plain
-    polynomial, because P(0, Z) is monic of degree d while deg_Z g_i < d.
+    polynomial, because P(0, Z) is monic of degree d while deg_Z g_i < d:
+    every term of the normal form has a positive X-exponent.
     """
     if e.spec.n < 1:
         raise PreconditionError("divide_by_x requires f(0) = 0")
-    x = Poly.variable(e.spec.field, e.coeff_vars(), "X")
-    out: Dict[int, Poly] = {}
-    for i, g in e.coeffs.items():
-        q = exact_div(g, x.with_vars(g.vars))
-        if q is None:
-            return None
-        out[i] = q
-    return SurfaceElement(e.spec, e.aux, out)
+    nf = e.raw_lift()
+    if any(exps[0] == 0 for exps in nf.terms):
+        return None
+    out = {(exps[0] - 1,) + exps[1:]: c for exps, c in nf.terms.items()}
+    return SurfaceElement._of(e.spec, Poly._raw(nf.field, nf.vars, out))
 
 
 # -- fibers and smoothness ----------------------------------------------------

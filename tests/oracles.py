@@ -11,22 +11,30 @@ substitution followed by one normalization, and V5 of a stable-isomorphism
 certificate is recomputed by applying the extended canonical map to theta,
 s and w through that evaluator instead of being deduced from V2 and V4;
 the roots of a polynomial over a prime field are found by evaluating it at
-every residue, not read off its factorization.
+every residue, not read off its factorization; and the product parser
+builds every factor of an expression as a ``Poly`` and every product and
+power with ``Poly`` arithmetic, where the library's parser keeps a product
+of literal factors as one monomial.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from typing import Optional
 
 from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_by_x,
                          exact_div, verify_iso)
-from danielewski.errors import ComaximalityError
+from danielewski.errors import ComaximalityError, PolyParseError
+from danielewski.fields import FieldKind
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
 from danielewski.poly import divmod_in, grlex_key, substitute
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
 from danielewski.surface import SurfaceElement, eval_poly_on_elements
 
 BASE_VARS = ("X", "Y", "Z")
+_OPS = set("+-*^()/")
 
 
 def naive_det(matrix, field, vars):
@@ -247,3 +255,166 @@ def v5_by_application(cert):
 
     return (phi(cert.theta) == cert.theta, phi(cert.s) == cert.s,
             phi(cert.w) == cert.w - spec.generator("U"))
+
+
+def _by_products_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OPS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise PolyParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _bp_check_degree(degree, at):
+    if degree > MAX_DEGREE:
+        raise PolyParseError(
+            f"total degree {degree} exceeds the input budget of {MAX_DEGREE}", at)
+
+
+def _bp_check_power(p, e, at):
+    if not e or p.is_zero:
+        return
+    _bp_check_degree(p.total_degree() * e, at)
+    if p.is_constant and p.field.kind is FieldKind.RATIONALS:
+        c = p.constant_value().value
+        bits = e * math.log2(max(abs(c.numerator), c.denominator))
+        if bits > MAX_CONSTANT_BITS:
+            raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
+                                 f"the input budget of {MAX_CONSTANT_BITS}", at)
+
+
+class _ProductParser:
+    def __init__(self, text, field, vars):
+        self.tokens = _by_products_tokenize(text)
+        self.pos = 0
+        self.field = field
+        self.vars = vars
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val, at = self.peek()
+        if kind != "op" or val != op:
+            raise PolyParseError(f"expected {op!r}", at)
+        return self.advance()
+
+    def parse(self):
+        p = self.expr()
+        kind, val, at = self.peek()
+        if kind != "end":
+            raise PolyParseError(f"unexpected {val!r}", at)
+        return p
+
+    def expr(self):
+        p = self.term()
+        kind, val, _ = self.peek()
+        if not (kind == "op" and val in "+-"):
+            return p
+        # one running dict for the whole sum, normalized once at the end
+        sums = dict(p.terms)
+        while kind == "op" and val in "+-":
+            self.advance()
+            sign = 1 if val == "+" else -1
+            for exps, c in self.term().terms.items():
+                sums[exps] = sums.get(exps, 0) + sign * c
+            kind, val, _ = self.peek()
+        return Poly._from_sums(self.field, self.vars, sums)
+
+    def term(self):
+        p = self.factor()
+        while True:
+            kind, val, at = self.peek()
+            if kind == "op" and val == "*":
+                self.advance()
+                q = self.factor()
+                if not (p.is_zero or q.is_zero):
+                    _bp_check_degree(p.total_degree() + q.total_degree(), at)
+                p = p * q
+            else:
+                return p
+
+    def factor(self):
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            return -self.factor()
+        p = self.base()
+        kind, val, at = self.peek()
+        if kind == "op" and val == "^":
+            self.advance()
+            kind, val, at = self.peek()
+            if kind != "int":
+                raise PolyParseError("exponent must be an integer literal", at)
+            self.advance()
+            e = int(val)
+            if e >= 2**31:
+                raise PolyParseError("exponent beyond 2**31", at)
+            _bp_check_power(p, e, at)
+            p = p ** e
+        return p
+
+    def base(self):
+        kind, val, at = self.advance()
+        if kind == "int":
+            num = int(val)
+            k2, v2, _ = self.peek()
+            if k2 == "op" and v2 == "/":
+                self.advance()
+                k3, v3, at3 = self.peek()
+                if k3 != "int":
+                    raise PolyParseError("denominator must be an integer literal", at3)
+                self.advance()
+                den = int(v3)
+                if den == 0:
+                    raise PolyParseError("zero denominator", at3)
+                if self.field.kind is FieldKind.PRIME and den % self.field.modulus == 0:
+                    raise PolyParseError(
+                        f"denominator {den} is not invertible in {self.field.tag()}", at3
+                    )
+                return Poly.const(self.field, self.vars, Fraction(num, den))
+            return Poly.const(self.field, self.vars, num)
+        if kind == "ident":
+            if val not in self.vars:
+                raise PolyParseError(f"unknown variable {val!r}", at)
+            return Poly.variable(self.field, self.vars, val)
+        if kind == "op" and val == "(":
+            p = self.expr()
+            self.expect_op(")")
+            return p
+        raise PolyParseError(f"unexpected {val!r}" if val else "unexpected end of input", at)
+
+
+def parse_by_products(text, field, vars):
+    """The recursive-descent parser that builds every factor as a ``Poly``
+    and every product with ``Poly.__mul__``; same grammar, errors, positions
+    and degree/constant budgets as ``parsing.parse_poly``, no work budget."""
+    return _ProductParser(text, field, tuple(vars)).parse()

@@ -286,3 +286,26 @@ def test_derive_pattern_applies_phi_once(monkeypatch, surfaces):
         top = int(phi_degree(m, e))
         parts = [derivation_coeff(m, e, i) for i in range(top + 2)]
         assert len(parts) == top + 2 and len(calls) == 1
+
+
+def test_apply_map_leaves_a_fixed_x_unbound(surfaces, rng, monkeypatch):
+    from danielewski import surface
+    from danielewski.surface import SurfaceElement
+    bound = []
+    original = surface.substitute
+    monkeypatch.setattr(surface, "substitute",
+                        lambda p, b, **kw: bound.append(sorted(b)) or original(p, b, **kw))
+    for spec in surfaces:
+        m = canonical_expmap(spec)
+        e = random_element(rng, spec, nonzero=True)
+        apply_map(m, spec.x() * e + spec.x())
+    assert bound and all("X" not in keys for keys in bound)
+    # the higher derivation reads U-slices and the U-degree off the normal form
+    monkeypatch.setattr(SurfaceElement, "coeffs",
+                        property(lambda self: pytest.fail("coeffs view built")))
+    spec = surfaces[0]
+    m = canonical_expmap(spec)
+    e = spec.z() * spec.y()
+    assert phi_degree(m, e) == 3
+    assert derivation_coeff(m, e, 3) == derivation_coeff(m, e, 3)
+    assert not derivation_coeff(m, e, 3).is_zero and derivation_coeff(m, e, 4).is_zero

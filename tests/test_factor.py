@@ -208,3 +208,20 @@ def test_dense_kernel_contract(rng):
             assert _add(_mul(s, f, m), _mul(t, g, m), m) == d
             coprime += d == [1]
         assert coprime
+
+
+def test_factorization_roots_and_one_factorization_in_surface_info(monkeypatch, capsys):
+    from danielewski import cli, factor, isomorph, surface
+    for text in ("X^3 - X^2", "X^2 + 1", "4*X^2 - 4*X + 1", "7"):
+        assert factor_univariate(q(text)).roots() == roots_in_field(q(text))
+    assert factor_univariate(fp("X^3 + X", 5)).roots() == roots_in_field(fp("X^3 + X", 5))
+    f_text = "X^3 - X^2"
+    calls = []
+    original = factor.factor_univariate
+    for module in (cli, factor, isomorph, surface):
+        if getattr(module, "factor_univariate", None) is original:
+            monkeypatch.setattr(module, "factor_univariate",
+                                lambda p: calls.append(poly_str(p)) or original(p))
+    assert cli.main(["surface", "info", "--field", "Q", "--f", f_text, "--phi", "Z^2+1"]) == 0
+    assert "fiber over x = 0" in capsys.readouterr().out
+    assert calls.count(poly_str(q(f_text))) == 1

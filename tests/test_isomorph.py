@@ -422,3 +422,16 @@ def test_free_parameter_over_fp_respects_cap(f, phi):
     with pytest.raises(SearchCapExceededError) as err:
         automorphisms(s, cap=9)
     assert err.value.needed == 10
+
+
+def test_elimination_branch_reuses_theta(monkeypatch):
+    from danielewski import isomorph
+    calls = []
+    original = isomorph._congruence_split
+    monkeypatch.setattr(isomorph, "_congruence_split",
+                        lambda *args: calls.append(args[4]) or original(*args))
+    s = surf(GF(5), "X^2+X+1", "Z^3+2*Z+X")  # 5 does not divide d = 3: elimination
+    certs = decide_isomorphism(s, s)
+    assert certs and all(verify_iso(c).ok for c in certs)
+    # one split per gamma checked; none again when the certificate is assembled
+    assert len(calls) == len(certs)

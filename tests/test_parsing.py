@@ -1,9 +1,11 @@
-import pytest
+import time
 from fractions import Fraction
+
+import pytest
 
 from danielewski import GF, QQ, Poly, parse_poly, parse_scalar, poly_str
 from danielewski.errors import PolyParseError
-from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_TERM_PRODUCTS
 
 from conftest import random_poly
 
@@ -140,3 +142,92 @@ def test_sum_stores_canonical_coefficients():
     assert parse_poly("X - X + 0", QQ, ("X",)).is_zero
     r = parse_poly("3*X + 4*X - 2", GF(5), ("X",))
     assert r.terms == {(1,): 2, (0,): 3}
+
+
+# -- the monomial-level parser against the product parser -------------------
+
+def _random_expr(rng, p, depth=0):
+    """A random expression in X, Y, Z: parentheses, powers, rationals, unary
+    minus, zero monomials, and (with p > 0) constants that are 0 mod p."""
+    terms = []
+    for k in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.3:
+                base = rng.choice("XYZ")
+            elif roll < 0.45:
+                base = str(rng.choice([0, 1, 2, 3, 12]))
+            elif roll < 0.55:
+                base = f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
+            elif roll < 0.65 and p:
+                base = str(p * rng.randint(1, 3))
+            elif roll < 0.75:
+                base = f"0*{rng.choice('XYZ')}^{rng.randint(0, 9)}"
+            elif depth < 2:
+                base = f"({_random_expr(rng, p, depth + 1)})"
+            else:
+                base = rng.choice("XYZ")
+            if rng.random() < 0.3 and "*" not in base[:3]:
+                base = f"{base}^{rng.randint(0, 4)}"
+            factors.append("-" * rng.choice((0, 0, 0, 1, 2)) + base)
+        term = rng.choice(("*", " * ")).join(factors)
+        terms.append(term if k == 0 else f" {rng.choice('+-')} {term}")
+    return "".join(terms)
+
+
+def _outcome(parse, text, field):
+    try:
+        return parse(text, field, ("X", "Y", "Z")).terms
+    except PolyParseError as err:
+        return ("error", str(err), err.position)
+
+
+def test_parser_matches_product_parser(rng):
+    from oracles import parse_by_products
+    for field in (QQ, GF(2), GF(5), GF(7)):
+        p = field.characteristic()
+        for _ in range(300):
+            text = _random_expr(rng, p)
+            want = _outcome(parse_by_products, text, field)
+            got = _outcome(parse_poly, text, field)
+            assert got == want, text
+            if isinstance(got, dict):
+                assert all(type(c) is int or c.denominator > 1 for c in got.values())
+
+
+def test_parser_errors_match_product_parser(rng):
+    from oracles import parse_by_products
+    pieces = ["X", "Y", "2", "13", "+", "-", "*", "^", "(", ")", "/", " ", "1/2", "0", "$"]
+    for field in (QQ, GF(3)):
+        for _ in range(400):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+            assert _outcome(parse_poly, text, field) == _outcome(parse_by_products, text, field), text
+
+
+def test_work_budget_refuses_large_products():
+    V2 = ("X", "Z")
+    started = time.process_time()
+    for text in ("(Z+X+1)^64*(Z+X+1)^64", "(Z+X+1)^64", "(X+Z+1)^40*(X+Z+1)^40"):
+        with pytest.raises(PolyParseError, match="input budget"):
+            parse_poly(text, QQ, V2)
+    assert time.process_time() - started < 1.0
+    # a product just inside the budget is expanded
+    side = "+".join(f"X^{i}*Z^{j}" for i in range(16) for j in range(16))
+    assert len(parse_poly(f"({side})*({side})", QQ, V2).terms) == 31 * 31
+    assert 256 * 256 <= MAX_TERM_PRODUCTS
+
+
+def test_canonical_sum_needs_no_polynomial_product(monkeypatch, rng):
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name, lambda a, b, _f=original, _n=name: calls.append(_n) or _f(a, b))
+    vars3 = ("X", "Y", "Z")
+    for field in (QQ, GF(5)):
+        for _ in range(50):
+            p = random_poly(rng, field, vars3, max_exp=6, max_terms=12)
+            assert parse_poly(poly_str(p), field, vars3) == p
+    assert parse_poly("-3/4*X^2*Y*Z^3 + 2^5*X - -Y", QQ, vars3).terms == {
+        (2, 1, 3): Fraction(-3, 4), (1, 0, 0): 32, (0, 1, 0): 1}
+    assert calls == []

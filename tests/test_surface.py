@@ -3,8 +3,9 @@ import pytest
 from danielewski import (GF, QQ, build_stable_iso, canonical_expmap, divide_by_x, fiber,
                          filtration_deg, graded_surface, leading_form, normal_form,
                          parse_poly, poly_str, shift_surface, smoothness_check)
-from danielewski.errors import PreconditionError, SurfaceConstraintError
-from danielewski.poly import NEG_INF
+from danielewski import surface
+from danielewski.errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
+from danielewski.poly import NEG_INF, Poly
 from danielewski.surface import FiberKind, SurfaceElement, eval_poly_on_elements
 
 from conftest import random_poly, random_raw, surf
@@ -206,3 +207,38 @@ def test_eval_poly_on_elements_rejects_foreign_image(surfaces):
     q = parse_poly("Z", QQ, ("X", "Z"))
     with pytest.raises(SurfaceConstraintError):
         eval_poly_on_elements(q, {"Z": surfaces[0].z()}, surfaces[1])
+
+
+def test_element_is_stored_as_its_normal_form(surfaces, rng, monkeypatch):
+    spec = surfaces[1]  # (Q, X^3-X^2, Z^2+1)
+    e = normal_form(random_raw(rng, spec), spec)
+    assert e.raw_lift() is e.raw_lift() and e.raw_lift().vars == e.raw_vars()
+    assert not hasattr(surface, "_split_by_y")
+    with pytest.raises(TypeError):
+        e.coeffs[7] = e.coeffs.get(0)  # a read-only view
+    # a product that needs no rewrite is one Poly product and no Poly sum
+    x, y = spec.x(), spec.y()
+    calls = []
+    for name in ("__mul__", "__add__"):
+        original = vars(Poly)[name]
+        monkeypatch.setattr(Poly, name,
+                            lambda a, b, _f=original, _n=name: calls.append(_n) or _f(a, b))
+    xy = x * y
+    monkeypatch.undo()
+    assert calls == ["__mul__"]
+    assert xy == normal_form(parse_poly("X*Y", QQ, ("X", "Y", "Z")), spec)
+
+
+def test_constructor_validates_coefficients(surfaces):
+    sq = surfaces[0]
+    xz = ("X", "Z")
+    e = SurfaceElement(sq, ("U",), {0: parse_poly("X", QQ, xz), 2: parse_poly("Z", QQ, xz)})
+    assert e.aux == () and dict(e.coeffs) == {0: parse_poly("X", QQ, xz),
+                                              2: parse_poly("Z", QQ, xz)}
+    assert e == sq.x() + sq.z() * sq.y() ** 2
+    with pytest.raises(SurfaceConstraintError):
+        SurfaceElement(sq, (), {0: parse_poly("Z^2", QQ, xz)})  # Z-degree above d-1
+    with pytest.raises(SurfaceConstraintError):
+        SurfaceElement(sq, (), {-1: parse_poly("X", QQ, xz)})
+    with pytest.raises(FieldMismatchError):
+        SurfaceElement(sq, (), {0: parse_poly("X", GF(2), xz)})
