@@ -91,7 +91,7 @@ def _cmd_surface_info(args) -> int:
     f_factors = factor_univariate(spec.f)   # one factorization: fingerprint and roots
     fp = fingerprint(spec, f_factors)
     smooth = smoothness_check(spec)
-    f_in_u = Poly(spec.field, ("U",), {(e[0],): c for e, c in spec.f.terms.items()})
+    f_in_u = Poly._raw(spec.field, ("U",), spec.f.packed)   # one variable: same keys
     graded = f"({poly_str(f_in_u)}) * V = W^{spec.d}"
     fiber_docs = []
     fiber_lines = []

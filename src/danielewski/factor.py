@@ -34,7 +34,7 @@ from typing import List, Tuple
 
 from .errors import DanielewskiError
 from .fields import FieldKind, FieldSpec, Scalar, _is_prime, q_norm
-from .poly import Poly
+from .poly import SLOT_MASK, Poly, unit_key
 
 # ---------------------------------------------------------------------------
 # dense kernel over Z/m (m = p, p**k, or 0 for exact Q/Z arithmetic)
@@ -416,23 +416,24 @@ def _require_univariate(p: Poly) -> str:
 
 
 def poly_to_dense(p: Poly, var: str) -> List:
-    i = p.vars.index(var)
     if p.is_zero:
         return []
+    off = p.slot(var)[0]
     out = [p.field.zero()] * (p.degree_in(var) + 1)
-    for exps, c in p.terms.items():
-        out[exps[i]] = c
+    for k, c in p.packed.items():
+        out[(k >> off) & SLOT_MASK] = c
     return out
 
 
 def dense_to_poly(dense, field: FieldSpec, vars: Tuple[str, ...], var: str) -> Poly:
-    i = tuple(vars).index(var)
+    vars = tuple(vars)
+    unit = unit_key(len(vars), vars.index(var))
     terms = {}
-    zero = (0,) * len(tuple(vars))
     for e, c in enumerate(dense):
-        if c != 0:
-            terms[zero[:i] + (e,) + zero[i + 1:]] = c
-    return Poly(field, vars, terms)
+        raw = field.coerce(c)
+        if raw != 0:
+            terms[e * unit] = raw
+    return Poly._raw(field, vars, terms)
 
 
 def gcd_univariate(a: Poly, b: Poly) -> Poly:
@@ -485,7 +486,7 @@ class Factorization:
         roots = []
         for q, m in self.factors:
             if q.total_degree() == 1:
-                constant = q.terms.get((0,) * len(q.vars), 0)
+                constant = q.packed.get(0, 0)
                 roots.extend([Scalar(self.lead.field, -constant)] * m)
         return sorted(roots, key=Scalar.sort_key)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
@@ -136,7 +137,10 @@ class FieldSpec:
 QQ = FieldSpec(FieldKind.RATIONALS)
 
 
+@lru_cache(maxsize=64)
 def GF(p: int) -> FieldSpec:
+    """F_p; one shared instance per p, so operands over one field usually
+    compare by identity."""
     return FieldSpec(FieldKind.PRIME, p)
 
 

@@ -40,7 +40,7 @@ from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
 from .factor import (Factorization, _add, _divmod, _mul, _norm, _xgcd, dense_to_poly,
                      factor_univariate, gcd_univariate, poly_to_dense, roots_in_field)
 from .fields import FieldKind, Scalar
-from .poly import NEG_INF, Poly, divmod_in, substitute
+from .poly import NEG_INF, SLOT, SLOT_MASK, Poly, divmod_in, substitute
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
 
@@ -347,7 +347,8 @@ def _defect_table(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
                             "Z": z.scaled(gamma) + t}, vars_out=vars3)
     defect = lhs - s2.P.with_vars(vars3).scaled(gamma ** s1.d)
     dense: Dict[int, Dict[int, list]] = {}
-    for (i, j, k), c in defect.terms.items():
+    for key, c in defect.packed.items():
+        i, j, k = (key >> 2 * SLOT) & SLOT_MASK, (key >> SLOT) & SLOT_MASK, key & SLOT_MASK
         row = dense.setdefault(j, {})
         coeffs = row.setdefault(k, [])
         coeffs.extend([0] * (i + 1 - len(coeffs)))

@@ -16,22 +16,28 @@ print-then-parse is the identity.
 One compiled regular expression splits the text into tokens, after a
 second has rejected any character outside the grammar.  While a
 term is a product of integer, rational and variable factors (each with an
-optional ``^k``), the parser keeps it as one coefficient and one exponent
-list, combining coefficients in the field as it goes (over F_p a constant
-power is one modular ``pow``); the terms of a sum go straight into one
-coefficient dict.  A ``Poly`` product is built only for a parenthesized
-sum with two or more terms, or a power of one, so a canonical sum of
-monomials is read without any polynomial multiplication.
+optional ``^k``), the parser keeps it as one coefficient and one packed
+exponent key (see ``poly``): a variable factor ``V^e`` adds ``e`` times
+V's unit key, so no exponent tuple is ever built.  Coefficients combine in
+the field as it goes (over F_p a constant power is one modular ``pow``);
+the terms of a sum go straight into one coefficient dict.  A ``Poly``
+product is built only for a parenthesized sum with two or more terms, or a
+power of one, so a canonical sum of monomials is read without any
+polynomial multiplication.
 
 Input budget, checked before anything is expanded, each refusal a
 ``PolyParseError`` that names the input budget:
 
 - a product or power whose total degree would exceed ``MAX_DEGREE``
   (a monomial whose coefficient is 0 in the field has no degree);
-- over Q, a power of a constant whose value would need more than
-  ``MAX_CONSTANT_BITS`` bits (the degree bound caps every other exponent);
+- over Q, a power or a product of constants whose value would need more
+  than ``MAX_CONSTANT_BITS`` bits in its numerator or denominator (bit
+  lengths add under multiplication, so a product is checked before it is
+  formed; the degree bound caps every other exponent);
 - a polynomial product, or a multiply or squaring step of a power, that
-  would form more than ``MAX_TERM_PRODUCTS`` products of terms.
+  would form more than ``MAX_TERM_PRODUCTS`` products of terms, or, over
+  Q, whose operands' widest coefficients together pass
+  ``MAX_CONSTANT_BITS`` bits.
 
 All three sit far above desk scale: over two benchmark rounds at seeds
 7 and 11, no parsed polynomial passes total degree 49 or 30-bit
@@ -44,14 +50,13 @@ the token index only when the error is raised.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import PolyParseError
 from .fields import FieldKind, FieldSpec, Scalar, q_norm
-from .poly import Poly
+from .poly import SLOT, Poly, unit_key, unpack
 
 MAX_DEGREE = 256
 MAX_CONSTANT_BITS = 2**16
@@ -73,10 +78,10 @@ def _tokenize(text: str) -> list:
 
 class _Parser:
     """Recursive descent over the token list.  A factor or term is either a
-    monomial ``(coefficient, exponent list)`` with a canonical raw
-    coefficient (0 for the zero monomial) or, once a sum has been
-    multiplied or raised to a power, a ``Poly``.  Token positions are found
-    only when an error needs one."""
+    monomial ``(coefficient, packed key)`` with a canonical raw coefficient
+    (0 for the zero monomial) or, once a sum has been multiplied or raised
+    to a power, a ``Poly``.  Token positions are found only when an error
+    needs one."""
 
     def __init__(self, text: str, field: FieldSpec, vars: Tuple[str, ...]):
         self.text = text
@@ -84,7 +89,8 @@ class _Parser:
         self.pos = 0
         self.field = field
         self.vars = vars
-        self.index = {v: i for i, v in enumerate(vars)}
+        self.unit = {v: unit_key(len(vars), i) for i, v in enumerate(vars)}
+        self.degree_shift = SLOT * len(vars)
         self.p = field.modulus if field.kind is FieldKind.PRIME else 0
 
     def at(self, k: int) -> int:
@@ -99,11 +105,18 @@ class _Parser:
             raise PolyParseError(f"total degree {degree} exceeds the input budget of "
                                  f"{MAX_DEGREE}", self.at(at))
 
+    def check_bits(self, bits: int, at: int) -> None:
+        if bits > MAX_CONSTANT_BITS:
+            raise PolyParseError(f"a constant product of about {bits} bits exceeds the "
+                                 f"input budget of {MAX_CONSTANT_BITS}", self.at(at))
+
     def check_work(self, a: Poly, b: Poly, at: int) -> None:
-        if len(a.terms) * len(b.terms) > MAX_TERM_PRODUCTS:
-            raise PolyParseError(f"a product of {len(a.terms)} by {len(b.terms)} terms "
+        if len(a) * len(b) > MAX_TERM_PRODUCTS:
+            raise PolyParseError(f"a product of {len(a)} by {len(b)} terms "
                                  f"exceeds the input budget of {MAX_TERM_PRODUCTS} term "
                                  f"products", self.at(at))
+        if not self.p:
+            self.check_bits(_widest(a) + _widest(b), at)
 
     def parse(self) -> Poly:
         x = self.expr()
@@ -115,8 +128,8 @@ class _Parser:
     def _poly(self, x) -> Poly:
         if type(x) is Poly:
             return x
-        c, exps = x
-        return Poly._raw(self.field, self.vars, {tuple(exps): c} if c else {})
+        c, key = x
+        return Poly._raw(self.field, self.vars, {key: c} if c else {})
 
     def expr(self):
         x = self.term()
@@ -129,11 +142,11 @@ class _Parser:
         sign = 1
         while True:
             if type(x) is Poly:
-                for exps, c in x.terms.items():
-                    sums[exps] = sums.get(exps, 0) + sign * c
+                for key, c in x.packed.items():
+                    sums[key] = sums.get(key, 0) + sign * c
             elif x[0]:
-                exps = tuple(x[1])
-                sums[exps] = sums.get(exps, 0) + sign * x[0]
+                key = x[1]
+                sums[key] = sums.get(key, 0) + sign * x[0]
             if tok != "+" and tok != "-":
                 return Poly._from_sums(self.field, self.vars, sums)
             sign = 1 if tok == "+" else -1
@@ -150,10 +163,15 @@ class _Parser:
             y = self.factor()
             if type(x) is tuple and type(y) is tuple:
                 if x[0] and y[0]:
-                    exps = list(map(operator.add, x[1], y[1]))
-                    self.check_degree(sum(exps), at)
-                    c = x[0] * y[0]
-                    x = (c % self.p if self.p else q_norm(c), exps)
+                    key = x[1] + y[1]
+                    self.check_degree(key >> self.degree_shift, at)
+                    a, b = x[0], y[0]
+                    if self.p:
+                        x = (a * b % self.p, key)
+                        continue
+                    self.check_bits(max(_log2(a.numerator) + _log2(b.numerator),
+                                        _log2(a.denominator) + _log2(b.denominator)), at)
+                    x = (q_norm(a * b), key)
                 elif not y[0]:
                     x = y
                 continue
@@ -190,13 +208,13 @@ class _Parser:
 
     def _power(self, x, e: int, at: int):
         if e == 0:
-            return (1, [0] * len(self.vars))
+            return (1, 0)
         if type(x) is Poly:
             if x.is_zero:
                 return x
-            if len(x.terms) == 1:
-                (exps, c), = x.terms.items()
-                x = (c, list(exps))
+            if len(x) == 1:
+                (key, c), = x.packed.items()
+                x = (c, key)
             else:
                 self.check_degree(x.total_degree() * e, at)
                 result = None
@@ -212,29 +230,28 @@ class _Parser:
                         return result
                     self.check_work(x, x, at)
                     x = x * x
-        c, exps = x
+        c, key = x
         if not c:
             return x
-        self.check_degree(sum(exps) * e, at)
+        self.check_degree((key >> self.degree_shift) * e, at)
         if self.p:
-            return (pow(c, e, self.p), [k * e for k in exps])
-        if not any(exps):
+            return (pow(c, e, self.p), key * e)
+        if not key:
             bits = e * math.log2(max(abs(c.numerator), c.denominator))
             if bits > MAX_CONSTANT_BITS:
                 raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
                                      f"the input budget of {MAX_CONSTANT_BITS}", self.at(at))
-        return (q_norm(c ** e), [k * e for k in exps])
+        return (q_norm(c ** e), key * e)
 
     def base(self):
         tokens = self.tokens
         k = self.pos
         tok = tokens[k]
         self.pos += 1
-        n = len(self.vars)
         if tok.isdigit():
             num = int(tok)
             if tokens[self.pos] != "/":
-                return (num % self.p if self.p else num, [0] * n)
+                return (num % self.p if self.p else num, 0)
             k = self.pos + 1
             tok = tokens[k]
             if not tok.isdigit():
@@ -247,15 +264,13 @@ class _Parser:
                 if den % self.p == 0:
                     raise PolyParseError(
                         f"denominator {den} is not invertible in {self.field.tag()}", self.at(k))
-                return (num * pow(den, -1, self.p) % self.p, [0] * n)
-            return (q_norm(Fraction(num, den)), [0] * n)
+                return (num * pow(den, -1, self.p) % self.p, 0)
+            return (q_norm(Fraction(num, den)), 0)
         if tok[:1].isalpha():
-            i = self.index.get(tok)
-            if i is None:
+            unit = self.unit.get(tok)
+            if unit is None:
                 raise PolyParseError(f"unknown variable {tok!r}", self.at(k))
-            exps = [0] * n
-            exps[i] = 1
-            return (1, exps)
+            return (1, unit)
         if tok == "(":
             x = self.expr()
             if tokens[self.pos] != ")":
@@ -264,6 +279,19 @@ class _Parser:
             return x
         raise PolyParseError(f"unexpected {tok!r}" if tok else "unexpected end of input",
                              self.at(k))
+
+
+def _log2(n: int) -> int:
+    """floor(log2 |n|) for n != 0: a product of two integers has at least the
+    sum of their floors, so a sum past the budget refuses no more than the
+    rule for powers would."""
+    return n.bit_length() - 1
+
+
+def _widest(p: Poly) -> int:
+    """floor(log2) of the widest numerator or denominator among p's Q
+    coefficients."""
+    return max(_log2(max(abs(c.numerator), c.denominator)) for c in p.packed.values())
 
 
 def parse_poly(text: str, field: FieldSpec, vars: Iterable[str]) -> Poly:
@@ -296,10 +324,12 @@ def poly_str(p: Poly) -> str:
         return "0"
     rational = p.field.kind is FieldKind.RATIONALS
     pieces = []
-    for exps, c in p.sorted_terms():
+    n, packed = len(p.vars), p.packed
+    for key in sorted(packed, reverse=True):   # integer order is grlex order
+        c = packed[key]
         negative = rational and c < 0
         mag = -c if negative else c
-        mono = _monomial_str(p.vars, exps)
+        mono = _monomial_str(p.vars, unpack(key, n))
         if not mono:
             body = str(mag)
         elif mag == 1:

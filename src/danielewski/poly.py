@@ -1,16 +1,42 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
-A ``Poly`` stores an ordered variable tuple ``vars`` and a ``terms`` dict
-mapping exponent tuples (aligned with ``vars``) to nonzero raw coefficients:
-over Q an ``int`` when integral and a ``Fraction`` otherwise (the rule of
+A ``Poly`` stores an ordered variable tuple ``vars`` and a term map
+``packed`` from packed exponent keys to nonzero raw coefficients: over Q an
+``int`` when integral and a ``Fraction`` otherwise (the rule of
 ``fields.q_norm``, applied wherever a Q sum or product is stored), ``int``
 residues over F_p.  The zero polynomial has an empty term map; no zero
 coefficient is ever stored, so structural equality decides mathematical
 equality.
 
+Packed keys (Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007).  Over n variables the key
+of X_0^e_0 ... X_{n-1}^e_{n-1} is one ``int``: variable i has a ``SLOT``-bit
+field at bit offset ``SLOT*(n-1-i)`` (earlier variables more significant),
+and the total degree sits above them all, at offset ``SLOT*n``.  So:
+
+- integer order is graded-lexicographic order (total degree first, then
+  the exponents with earlier variables more significant), and the
+  constant monomial is the key 0;
+- a monomial product is one integer addition and ``m**k`` is ``k * key``;
+  ``e * unit`` is X_i^e, where a variable's unit key has one bit in its
+  field and one in the degree field;
+- every stored exponent is below 2**31, so the top bit of each field is a
+  guard bit: a sum of two exponents never carries into the next field,
+  and b divides a as a monomial exactly when ``(a - b) & guard`` is 0
+  (a negative field borrows and sets its own guard bit);
+- the 2**31 overflow check of a product, power, shift or substitution is
+  one comparison on the degree field of the leading keys (a total degree
+  below 2**31 bounds every exponent), and raises ``OverflowError``.
+
+The public surface takes and returns exponent tuples aligned with
+``vars``: the constructor packs its term map, and ``terms`` is a read-only
+view keyed by tuples.  The view answers ``len``, truth and ``values()``
+from the packed map without unpacking a key; iterating its keys, ``items()``
+and lookups unpack or pack one key at a time.  Code in the package reads
+``packed`` and ``Poly.slot`` directly.
+
 Arithmetic requires identical variable tuples; use ``with_vars`` to embed a
-polynomial into a larger variable context.  Exponents are machine integers;
-any exponent at or above 2**31 is a hard error.
+polynomial into another variable context (one pass of shifts and masks).
 
 Everything here is immutable and pure, safe for concurrent use.
 """
@@ -19,8 +45,11 @@ from __future__ import annotations
 
 import heapq
 import operator
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import lru_cache, reduce
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import FieldMismatchError, UnknownVariableError
 from .fields import FieldKind, FieldSpec, Scalar, q_norm
@@ -28,23 +57,105 @@ from .fields import FieldKind, FieldSpec, Scalar, q_norm
 NEG_INF = float("-inf")
 
 MAX_EXPONENT = 2**31
+SLOT = 32
+SLOT_MASK = (1 << SLOT) - 1
 
 ExpVec = Tuple[int, ...]
 
 
-def grlex_key(exps: ExpVec):
-    """Graded-lexicographic sort key: total degree first, then lexicographic
-    with earlier variables more significant."""
-    return (sum(exps), exps)
+def pack(exps: ExpVec) -> int:
+    """The packed key of an exponent tuple whose entries are in [0, 2**31)."""
+    key = degree = 0
+    for e in exps:
+        key = (key << SLOT) | e
+        degree += e
+    return key | (degree << (SLOT * len(exps)))
+
+
+def unpack(key: int, n: int) -> ExpVec:
+    """The exponent tuple of a packed key over n variables."""
+    return struct.unpack(f">{n}I", (key & ((1 << (SLOT * n)) - 1)).to_bytes(4 * n, "big"))
+
+
+def unit_key(n: int, i: int) -> int:
+    """The key of the i-th of n variables to the first power."""
+    return (1 << (SLOT * n)) | (1 << (SLOT * (n - 1 - i)))
+
+
+def _guard(n: int) -> int:
+    """The top bit of every variable field over n variables."""
+    return sum(1 << (SLOT * i + SLOT - 1) for i in range(n))
+
+
+def _valid(exps, n: int) -> bool:
+    return len(exps) == n and all(0 <= e < MAX_EXPONENT for e in exps)
+
+
+@lru_cache(maxsize=256)
+def _embedding(old_vars: Tuple[str, ...], new_vars: Tuple[str, ...]):
+    """How ``with_vars`` moves keys from ``old_vars`` to ``new_vars``:
+    (mask of the fields of dropped variables, offset of the first run in the
+    old and in the new layout, [(old offset, mask, new offset)] of the other
+    runs).  A run is a block of fields that stay neighbours in the same
+    order; the degree field heads the first run and is never masked, so
+    appending variables is a single shift."""
+    old_n, new_n = len(old_vars), len(new_vars)
+    pos = {v: i for i, v in enumerate(new_vars)}
+    dropped = sum(SLOT_MASK << (SLOT * (old_n - 1 - j))
+                  for j, v in enumerate(old_vars) if v not in pos)
+    # fields as (old index, new index), the degree field being -1 in both
+    runs = []                            # [first old, last old, last new]
+    for j, i in [(-1, -1)] + [(j, pos[v]) for j, v in enumerate(old_vars) if v in pos]:
+        if runs and j == runs[-1][1] + 1 and i == runs[-1][2] + 1:
+            runs[-1][1:] = [j, i]
+        else:
+            runs.append([j, j, i])
+    moves = tuple((SLOT * (old_n - 1 - last), (1 << (SLOT * (last - first + 1))) - 1,
+                   SLOT * (new_n - 1 - new_last)) for first, last, new_last in runs[1:])
+    return (dropped, SLOT * (old_n - 1 - runs[0][1]), SLOT * (new_n - 1 - runs[0][2]),
+            moves)
+
+
+class TermsView(Mapping):
+    """Read-only view {exponent tuple: raw coefficient} of a packed term map."""
+
+    __slots__ = ("_packed", "_n")
+
+    def __init__(self, packed: Dict[int, object], n: int):
+        self._packed = packed
+        self._n = n
+
+    def __len__(self):
+        return len(self._packed)
+
+    def values(self):
+        return self._packed.values()
+
+    def __iter__(self):
+        n = self._n
+        return (unpack(k, n) for k in self._packed)
+
+    def items(self):
+        n = self._n
+        return [(unpack(k, n), c) for k, c in self._packed.items()]
+
+    def __getitem__(self, exps):
+        exps = tuple(exps)
+        if not _valid(exps, self._n):
+            raise KeyError(exps)
+        return self._packed[pack(exps)]
+
+    def __repr__(self):
+        return f"TermsView({dict(self.items())!r})"
 
 
 class Poly:
-    __slots__ = ("field", "vars", "terms")
+    __slots__ = ("field", "vars", "packed")
 
     def __init__(self, field: FieldSpec, vars: Iterable[str], terms: Mapping[ExpVec, object] = ()):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", tuple(vars))
-        clean: Dict[ExpVec, object] = {}
+        _set_field(self, field)
+        _set_vars(self, tuple(vars))
+        clean: Dict[int, object] = {}
         nvars = len(self.vars)
         for exps, c in dict(terms).items():
             exps = tuple(exps)
@@ -56,23 +167,23 @@ class Poly:
                 raise OverflowError(f"exponent beyond 2**31 in {exps}")
             raw = field.coerce(c)
             if raw != 0:
-                clean[exps] = raw
-        object.__setattr__(self, "terms", clean)
+                clean[pack(exps)] = raw
+        _set_packed(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _raw(cls, field: FieldSpec, vars: Tuple[str, ...], terms: Dict[ExpVec, object]) -> "Poly":
-        """Fast constructor for internally built, already-clean term maps."""
+    def _raw(cls, field: FieldSpec, vars: Tuple[str, ...], packed: Dict[int, object]) -> "Poly":
+        """Fast constructor for internally built, already-clean packed maps."""
         self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        _set_field(self, field)
+        _set_vars(self, vars)
+        _set_packed(self, packed)
         return self
 
     @classmethod
-    def _from_sums(cls, field: FieldSpec, vars: Tuple[str, ...], sums: Dict[ExpVec, object]) -> "Poly":
+    def _from_sums(cls, field: FieldSpec, vars: Tuple[str, ...], sums: Dict[int, object]) -> "Poly":
         """Constructor for accumulated coefficient sums: reduced mod p over
         F_p, normalized by ``q_norm`` over Q, zero coefficients dropped."""
         if field.kind is FieldKind.PRIME:
@@ -96,9 +207,7 @@ class Poly:
     def const(cls, field: FieldSpec, vars: Iterable[str], value) -> "Poly":
         vars = tuple(vars)
         raw = field.coerce(value)
-        if raw == 0:
-            return cls._raw(field, vars, {})
-        return cls._raw(field, vars, {(0,) * len(vars): raw})
+        return cls._raw(field, vars, {0: raw} if raw != 0 else {})
 
     @classmethod
     def one(cls, field: FieldSpec, vars: Iterable[str]) -> "Poly":
@@ -109,8 +218,7 @@ class Poly:
         vars = tuple(vars)
         if name not in vars:
             raise UnknownVariableError(f"variable {name!r} not among {vars}")
-        exps = tuple(1 if w == name else 0 for w in vars)
-        return cls._raw(field, vars, {exps: field.one()})
+        return cls._raw(field, vars, {unit_key(len(vars), vars.index(name)): field.one()})
 
     @classmethod
     def monomial(cls, field: FieldSpec, vars: Iterable[str], exps: ExpVec, coeff=1) -> "Poly":
@@ -119,39 +227,52 @@ class Poly:
     # -- structure ------------------------------------------------------------
 
     @property
+    def terms(self) -> TermsView:
+        """Read-only {exponent tuple: raw coefficient} view of the terms."""
+        return TermsView(self.packed, len(self.vars))
+
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self.packed)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(self.packed)
 
     def constant_value(self) -> Scalar:
         """The value of a constant polynomial as a Scalar."""
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        raw = self.terms.get((0,) * len(self.vars), self.field.zero())
-        return Scalar(self.field, raw)
+        return Scalar(self.field, self.packed.get(0, self.field.zero()))
+
+    def slot(self, var: str) -> Tuple[int, int]:
+        """(bit offset of ``var``'s exponent field, unit key of ``var``): the
+        exponent of ``var`` in key k is ``(k >> offset) & SLOT_MASK``."""
+        n = len(self.vars)
+        off = SLOT * (n - 1 - self._var_index(var))
+        return off, (1 << (SLOT * n)) | (1 << off)
 
     def degree_in(self, var: str):
         """Max exponent of ``var`` over terms; -inf for the zero polynomial."""
-        i = self._var_index(var)
-        if not self.terms:
+        off = self.slot(var)[0]
+        if not self.packed:
             return NEG_INF
-        return max(e[i] for e in self.terms)
+        return max((k >> off) & SLOT_MASK for k in self.packed)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.packed:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(self.packed) >> (SLOT * len(self.vars))
 
     def used_vars(self) -> Tuple[str, ...]:
-        used = [False] * len(self.vars)
-        for exps in self.terms:
-            for j, e in enumerate(exps):
-                if e:
-                    used[j] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
+        used = reduce(operator.or_, self.packed, 0)
+        n = len(self.vars)
+        return tuple(v for i, v in enumerate(self.vars)
+                     if (used >> (SLOT * (n - 1 - i))) & SLOT_MASK)
 
     def _var_index(self, var: str) -> int:
         try:
@@ -160,38 +281,41 @@ class Poly:
             raise UnknownVariableError(f"variable {var!r} not among {self.vars}") from None
 
     def coefficient(self, exps: ExpVec) -> Scalar:
-        return Scalar(self.field, self.terms.get(tuple(exps), self.field.zero()))
+        exps = tuple(exps)
+        raw = self.packed.get(pack(exps)) if _valid(exps, len(self.vars)) else None
+        return Scalar(self.field, self.field.zero() if raw is None else raw)
 
     def coeff_in(self, var: str, k: int) -> "Poly":
         """Coefficient of var**k, as a polynomial over the same variables
         (with that variable's exponent zeroed)."""
-        i = self._var_index(var)
-        out: Dict[ExpVec, object] = {}
-        for exps, c in self.terms.items():
-            if exps[i] == k:
-                out[exps[:i] + (0,) + exps[i + 1:]] = c
-        return Poly._raw(self.field, self.vars, out)
+        off, unit = self.slot(var)
+        shift = k * unit
+        return Poly._raw(self.field, self.vars, {e - shift: c for e, c in self.packed.items()
+                                                 if (e >> off) & SLOT_MASK == k})
 
     def coefficients_in(self, var: str) -> Dict[int, "Poly"]:
         """Split into {k: coefficient of var**k} with var zeroed out."""
-        i = self._var_index(var)
-        buckets: Dict[int, Dict[ExpVec, object]] = {}
-        for exps, c in self.terms.items():
-            buckets.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
+        off, unit = self.slot(var)
+        buckets: Dict[int, Dict[int, object]] = {}
+        for e, c in self.packed.items():
+            k = (e >> off) & SLOT_MASK
+            buckets.setdefault(k, {})[e - k * unit] = c
         return {k: Poly._raw(self.field, self.vars, t) for k, t in buckets.items()}
 
     def leading_term_grlex(self) -> Tuple[ExpVec, object]:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e = max(self.packed)
+        return unpack(e, len(self.vars)), self.packed[e]
 
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        n, packed = len(self.vars), self.packed
+        return [(unpack(k, n), packed[k]) for k in sorted(packed, reverse=True)]
 
     def sort_key(self):
-        """Deterministic total order on polynomials over one field."""
+        """Deterministic total order on polynomials over one field: the
+        terms in descending grlex order, compared as exponent tuples."""
         key = []
         for exps, c in self.sorted_terms():
             if self.field.kind is FieldKind.PRIME:
@@ -204,34 +328,36 @@ class Poly:
 
     def with_vars(self, new_vars: Iterable[str]) -> "Poly":
         """Re-embed into a variable tuple that contains every used variable
-        (any order, possibly larger or smaller)."""
+        (any order, possibly larger or smaller): one pass of shifts and
+        masks per term (see ``_embedding``)."""
         new_vars = tuple(new_vars)
         if new_vars == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(new_vars)}
-        mapping = []
-        for j, v in enumerate(self.vars):
-            mapping.append(pos.get(v, -1))
-        n = len(new_vars)
-        out: Dict[ExpVec, object] = {}
-        for exps, c in self.terms.items():
-            new = [0] * n
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                i = mapping[j]
-                if i < 0:
-                    raise UnknownVariableError(
-                        f"variable {self.vars[j]!r} is used but absent from {new_vars}"
-                    )
-                new[i] = e
-            out[tuple(new)] = c
+        dropped, top_old, top_new, moves = _embedding(self.vars, new_vars)
+        packed = self.packed
+        if dropped and reduce(operator.or_, packed, 0) & dropped:
+            lost = [v for v in self.used_vars() if v not in new_vars]
+            raise UnknownVariableError(
+                f"variable {lost[0]!r} is used but absent from {new_vars}")
+        if not moves:             # appending variables: one shift
+            out = {(k >> top_old) << top_new: c for k, c in packed.items()}
+        elif len(moves) == 1:     # inserting or dropping one block: one mask more
+            (o, m, s), = moves
+            out = {((k >> top_old) << top_new) | (((k >> o) & m) << s): c
+                   for k, c in packed.items()}
+        else:
+            out = {}
+            for k, c in packed.items():
+                new = (k >> top_old) << top_new
+                for o, m, s in moves:
+                    new |= ((k >> o) & m) << s
+                out[new] = c
         return Poly._raw(self.field, new_vars, out)
 
     # -- arithmetic ---------------------------------------------------------------
 
     def _check_compat(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"cannot combine {self.field.tag()} with {other.field.tag()}"
             )
@@ -239,22 +365,22 @@ class Poly:
             raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.const(self.field, self.vars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Scalar)):
+                return NotImplemented
+            other = Poly.const(self.field, self.vars, other)
         self._check_compat(other)
-        out = dict(self.terms)
+        out = dict(self.packed)
         if self.field.kind is FieldKind.PRIME:
             p = self.field.modulus
-            for e, c in other.terms.items():
+            for e, c in other.packed.items():
                 v = (out.get(e, 0) + c) % p
                 if v:
                     out[e] = v
                 elif e in out:
                     del out[e]
         else:
-            for e, c in other.terms.items():
+            for e, c in other.packed.items():
                 v = out.get(e)
                 v = c if v is None else v + c
                 if v:
@@ -267,13 +393,13 @@ class Poly:
 
     def __neg__(self):
         neg = self.field.neg
-        return Poly._raw(self.field, self.vars, {e: neg(c) for e, c in self.terms.items()})
+        return Poly._raw(self.field, self.vars, {e: neg(c) for e, c in self.packed.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.const(self.field, self.vars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Scalar)):
+                return NotImplemented
+            other = Poly.const(self.field, self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -286,27 +412,28 @@ class Poly:
         if self.field.kind is FieldKind.PRIME:
             p = self.field.modulus
             return Poly._raw(self.field, self.vars,
-                             {e: (v * raw) % p for e, v in self.terms.items()})
+                             {e: (v * raw) % p for e, v in self.packed.items()})
         return Poly._raw(self.field, self.vars,
-                         {e: q_norm(v * raw) for e, v in self.terms.items()})
+                         {e: q_norm(v * raw) for e, v in self.packed.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scaled(other)
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction, Scalar)):
+                return self.scaled(other)
             return NotImplemented
         self._check_compat(other)
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         if not a or not b:
             return Poly.zero(self.field, self.vars)
-        if self.total_degree() + other.total_degree() >= MAX_EXPONENT:
+        ds = SLOT * len(self.vars)
+        if (max(a) >> ds) + (max(b) >> ds) >= MAX_EXPONENT:
             raise OverflowError("product exponent would exceed 2**31")
         if len(a) > len(b):
             a, b = b, a
-        acc: Dict[ExpVec, object] = {}
+        acc: Dict[int, object] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
                 v = acc.get(e)
                 acc[e] = c1 * c2 if v is None else v + c1 * c2
         return Poly._from_sums(self.field, self.vars, acc)
@@ -319,12 +446,12 @@ class Poly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if e and not self.is_zero and self.total_degree() * e >= MAX_EXPONENT:
+        packed = self.packed
+        if e and packed and (max(packed) >> (SLOT * len(self.vars))) * e >= MAX_EXPONENT:
             raise OverflowError("power exponent would exceed 2**31")
-        if len(self.terms) == 1:  # (c*m)^e = c^e * m^e
-            (exps, c), = self.terms.items()
-            return Poly._raw(self.field, self.vars,
-                             {tuple(k * e for k in exps): self.field.pow(c, e)})
+        if len(packed) == 1:  # (c*m)^e = c^e * m^e
+            (key, c), = packed.items()
+            return Poly._raw(self.field, self.vars, {key * e: self.field.pow(c, e)})
         result = Poly.one(self.field, self.vars)
         base = self
         while e:
@@ -338,19 +465,17 @@ class Poly:
         """Multiply by var**k (exponent shift, no coefficient work)."""
         if k == 0:
             return self
-        i = self._var_index(var)
-        if not self.is_zero and self.degree_in(var) + k >= MAX_EXPONENT:
+        unit = self.slot(var)[1]
+        if self.packed and self.total_degree() + k >= MAX_EXPONENT:
             raise OverflowError("shifted exponent would exceed 2**31")
-        out = {}
-        for exps, c in self.terms.items():
-            out[exps[:i] + (exps[i] + k,) + exps[i + 1:]] = c
-        return Poly._raw(self.field, self.vars, out)
+        shift = k * unit
+        return Poly._raw(self.field, self.vars, {e + shift: c for e, c in self.packed.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         return (self.field == other.field and self.vars == other.vars
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -364,16 +489,16 @@ class Poly:
     # -- calculus / evaluation ------------------------------------------------------
 
     def derivative(self, var: str) -> "Poly":
-        i = self._var_index(var)
+        off, unit = self.slot(var)
         field = self.field
-        out: Dict[ExpVec, object] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
+        out: Dict[int, object] = {}
+        for k, c in self.packed.items():
+            e = (k >> off) & SLOT_MASK
             if e == 0:
                 continue
             v = field.mul(c, field.coerce(e))
             if v != 0:
-                out[exps[:i] + (e - 1,) + exps[i + 1:]] = v
+                out[k - unit] = v
         return Poly._raw(field, self.vars, out)
 
     def evaluate(self, assignment: Mapping[str, object]) -> Scalar:
@@ -384,14 +509,19 @@ class Poly:
                 raise UnknownVariableError(f"no value given for {v!r}")
             vals.append(self.field.coerce(assignment[v]))
         field = self.field
+        n = len(self.vars)
         acc = field.zero()
-        for exps, c in self.terms.items():
+        for k, c in self.packed.items():
             t = c
-            for val, e in zip(vals, exps):
+            for val, e in zip(vals, unpack(k, n)):
                 if e:
                     t = field.mul(t, field.pow(val, e))
             acc = field.add(acc, t)
         return Scalar(field, acc)
+
+
+# the slot setters, which bypass Poly.__setattr__ (it refuses every write)
+_set_field, _set_vars, _set_packed = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
 def canonical_var_union(*var_lists: Iterable[str]) -> Tuple[str, ...]:
@@ -424,7 +554,8 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
         vars_out = tuple(vars_out)
     pos = {v: i for i, v in enumerate(vars_out)}
     embedded = {v: q.with_vars(vars_out) for v, q in bindings.items()}
-    n = len(vars_out)
+    n, pn = len(vars_out), len(p.vars)
+    ds = SLOT * n
     field = p.field
     one = Poly.one(field, vars_out)
     pow_cache: Dict[str, Dict[int, Poly]] = {v: {0: one, 1: q} for v, q in embedded.items()}
@@ -440,33 +571,42 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
             cache[k] = acc
         return acc
 
-    acc: Dict[ExpVec, object] = {}
-    for exps, c in p.terms.items():
-        base = [0] * n
+    # each variable of p: its field offset, and either its binding or its
+    # unit key over vars_out (None when it is absent from vars_out)
+    bound, free = [], []
+    for j, v in enumerate(p.vars):
+        off = SLOT * (pn - 1 - j)
+        if v in embedded:
+            bound.append((off, v))
+        else:
+            i = pos.get(v)
+            free.append((off, None if i is None else unit_key(n, i), v))
+    acc: Dict[int, object] = {}
+    get = acc.get
+    for k, c in p.packed.items():
+        base = 0
         image = None  # the product of the bound variables' image powers
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            v = p.vars[j]
-            if v in embedded:
+        for off, v in bound:
+            e = (k >> off) & SLOT_MASK
+            if e:
                 f = power(v, e)
                 image = f if image is None else image * f
-            else:
-                i = pos.get(v)
-                if i is None:
+        for off, unit, v in free:
+            e = (k >> off) & SLOT_MASK
+            if e:
+                if unit is None:
                     raise UnknownVariableError(f"variable {v!r} absent from output variables")
-                base[i] = e
+                base += e * unit
         if image is None:
-            items = ((tuple(base), c),)
-        elif any(base):
-            if sum(base) + image.total_degree() >= MAX_EXPONENT:
-                raise OverflowError("product exponent would exceed 2**31")
-            items = ((tuple(map(operator.add, e, base)), c * v) for e, v in image.terms.items())
-        else:
-            items = ((e, c * v) for e, v in image.terms.items())
-        for key, v in items:
-            prev = acc.get(key)
-            acc[key] = v if prev is None else prev + v
+            prev = get(base)
+            acc[base] = c if prev is None else prev + c
+            continue
+        if base and (base >> ds) + (max(image.packed, default=0) >> ds) >= MAX_EXPONENT:
+            raise OverflowError("product exponent would exceed 2**31")
+        for e, v in image.packed.items():
+            e += base
+            prev = get(e)
+            acc[e] = c * v if prev is None else prev + c * v
     return Poly._from_sums(field, vars_out, acc)
 
 
@@ -476,42 +616,47 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     Single-divisor multivariate division with graded-lex leading terms; for
     a = b*q the algorithm always recovers q, and any term that escapes to
     the remainder proves indivisibility.  The remainder's leading term comes
-    from a max-heap of grlex keys (Monagan & Pearce, "Polynomial division
-    using dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
-    every term a step adds lies grlex-below the term it cancels, so the heap
-    stays valid, and a popped key whose term has since cancelled is skipped.
+    from a max-heap of packed keys (Monagan & Pearce, CASC 2007): every term
+    a step adds lies grlex-below the term it cancels, so the heap stays
+    valid, and a popped key whose term has since cancelled is skipped.  A
+    term escapes when the leading monomial of b does not divide it, which
+    the guard bits of the key difference show.
     """
     a._check_compat(b)
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return Poly.zero(a.field, a.vars)
+    n = len(a.vars)
+    if max(a.packed) >> (SLOT * n) >= MAX_EXPONENT:
+        raise OverflowError("dividend exponent reaches 2**31")
     field = a.field
-    lead_e, lead_c = b.leading_term_grlex()
-    inv_lead = field.inv(lead_c)
-    tail = [(be, bc) for be, bc in b.terms.items() if be != lead_e]
-    rem = dict(a.terms)
-    heap = [_heap_key(e) for e in rem]
+    lead = max(b.packed)
+    inv_lead = field.inv(b.packed[lead])
+    guard = _guard(n)
+    tail = [(be, bc) for be, bc in b.packed.items() if be != lead]
+    rem = dict(a.packed)
+    heap = [-e for e in rem]
     heapq.heapify(heap)
-    quo: Dict[ExpVec, object] = {}
+    quo: Dict[int, object] = {}
     prime = field.kind is FieldKind.PRIME
     p = field.modulus
     while heap:
-        e = heapq.heappop(heap)[2]
+        e = -heapq.heappop(heap)
         c = rem.pop(e, None)
         if c is None:
             continue
-        diff = tuple(map(operator.sub, e, lead_e))
-        if any(d < 0 for d in diff):
+        diff = e - lead
+        if diff & guard:
             return None
         qc = (c * inv_lead) % p if prime else q_norm(c * inv_lead)
         quo[diff] = qc
         for be, bc in tail:
-            te = tuple(map(operator.add, diff, be))
+            te = diff + be
             prev = rem.get(te)
             if prev is None:
                 v = -qc * bc
-                heapq.heappush(heap, _heap_key(te))
+                heapq.heappush(heap, -te)
             else:
                 v = prev - qc * bc
             v = v % p if prime else q_norm(v)
@@ -520,11 +665,6 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
             elif prev is not None:
                 del rem[te]
     return Poly._raw(field, a.vars, quo)
-
-
-def _heap_key(e: ExpVec):
-    """Min-heap entry that pops exponent vectors in descending grlex order."""
-    return (-sum(e), tuple(-k for k in e), e)
 
 
 def divmod_in(p: Poly, divisor: Poly, var: str) -> Tuple[Poly, Poly]:
@@ -541,25 +681,30 @@ def divmod_in(p: Poly, divisor: Poly, var: str) -> Tuple[Poly, Poly]:
     lc = divisor.coeff_in(var, dd)
     if not lc.is_constant:
         raise ValueError(f"divisor leading coefficient in {var!r} is not constant: {lc}")
+    top = -1 if p.is_zero else p.degree_in(var)
+    # clearing one level raises a term's total degree by at most this much
+    growth = max(0, divisor.total_degree() - dd)
+    if top >= dd and p.total_degree() + (top - dd + 1) * growth >= MAX_EXPONENT:
+        raise OverflowError("remainder exponent would exceed 2**31")
     field = p.field
     inv = field.inv(lc.constant_value().value)
     prime = field.kind is FieldKind.PRIME
     m = field.modulus
-    i = p._var_index(var)
+    off, unit = p.slot(var)
+    shift = dd * unit
     # the divisor's one term of degree dd in var is its leading term; every
     # other term lowers the var-degree, so each level is cleared in one pass
-    tail = [(be, bc) for be, bc in divisor.terms.items() if be[i] < dd]
-    rem = dict(p.terms)
-    quo: Dict[ExpVec, object] = {}
-    top = -1 if p.is_zero else p.degree_in(var)
+    tail = [(be, bc) for be, bc in divisor.packed.items() if (be >> off) & SLOT_MASK < dd]
+    rem = dict(p.packed)
+    quo: Dict[int, object] = {}
     for k in range(top, dd - 1, -1):
-        for e in [e for e in rem if e[i] == k]:
+        for e in [e for e in rem if (e >> off) & SLOT_MASK == k]:
             c = rem.pop(e)
             qc = (c * inv) % m if prime else q_norm(c * inv)
-            qe = e[:i] + (k - dd,) + e[i + 1:]
+            qe = e - shift
             quo[qe] = qc
             for be, bc in tail:
-                te = tuple(map(operator.add, qe, be))
+                te = qe + be
                 v = rem.get(te, 0) - qc * bc
                 v = v % m if prime else q_norm(v)
                 if v:

@@ -35,12 +35,12 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
 from .factor import Factorization, factor_univariate, gcd_univariate, squarefree_part
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, substitute
+from .poly import NEG_INF, SLOT_MASK, Poly, substitute, unit_key
 from .resultant import resultant_in
 
 AUX_ORDER = ("U", "V", "v", "W1")
 _BASE_VARS = ("X", "Y", "Z")
-_UNIT = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
+_UNIT = {v: unit_key(3, i) for i, v in enumerate(_BASE_VARS)}
 
 
 def aux_sort_key(name: str):
@@ -138,18 +138,18 @@ def _reduce_top_once(p: Poly, spec: SurfaceSpec) -> Poly:
 
     Helper for building the reduction cache; input Z-degree may be exactly d.
     """
-    zi = p.vars.index("Z")
+    off, unit = p.slot("Z")
     d = spec.d
-    plain: Dict[Tuple[int, ...], object] = {}
+    plain: Dict[int, object] = {}
     carry = Poly.zero(p.field, p.vars)
     base = None
-    for exps, c in p.terms.items():
-        if exps[zi] < d:
-            plain[exps] = c
+    for k, c in p.packed.items():
+        if (k >> off) & SLOT_MASK < d:
+            plain[k] = c
         else:
             if base is None:
                 base = spec._z_reduction(d).with_vars(p.vars)
-            mono = Poly._raw(p.field, p.vars, {exps[:zi] + (exps[zi] - d,) + exps[zi + 1:]: c})
+            mono = Poly._raw(p.field, p.vars, {k - d * unit: c})
             carry = carry + mono * base
     return Poly._raw(p.field, p.vars, plain) + carry
 
@@ -177,7 +177,7 @@ def make_surface(field: FieldSpec, f: Poly, P: Poly, _min_r: int = 2) -> Surface
     lead = P.coeff_in("Z", d)
     if not (lead.is_constant and lead.constant_value() == 1):
         raise SurfaceConstraintError("P is not monic in Z")
-    n = min(exps[0] for exps in f.terms)
+    n = min(f.packed) & SLOT_MASK            # one variable: the key's low field
     return SurfaceSpec(field, f, P, r, d, n)
 
 
@@ -232,17 +232,19 @@ class SurfaceElement:
         if bad:
             raise SurfaceConstraintError(f"coefficients use undeclared variables {sorted(bad)}")
         aux = tuple(a for a in aux if a in used)
-        vars_c = ("X", "Z") + aux
-        terms: Dict[Tuple[int, ...], object] = {}
+        vars_full = _BASE_VARS + aux
+        unit_y = unit_key(len(vars_full), 1)
+        terms: Dict[int, object] = {}
         for i, g in clean.items():
-            g = g.with_vars(vars_c)
+            g = g.with_vars(vars_full)
             dz = g.degree_in("Z")
             if dz is not NEG_INF and dz > spec.d - 1:
                 raise SurfaceConstraintError(
                     f"coefficient of y^{i} has Z-degree {dz} > d-1 = {spec.d - 1}")
-            for exps, c in g.terms.items():
-                terms[(exps[0], i) + exps[1:]] = c
-        self._set(spec, aux, Poly._raw(spec.field, _BASE_VARS + aux, terms))
+            shift = i * unit_y
+            for k, c in g.packed.items():
+                terms[k + shift] = c
+        self._set(spec, aux, Poly._raw(spec.field, vars_full, terms))
 
     def _set(self, spec: SurfaceSpec, aux: Tuple[str, ...], nf: Poly) -> None:
         object.__setattr__(self, "spec", spec)
@@ -257,8 +259,8 @@ class SurfaceElement:
         occur."""
         aux = nf.vars[3:]
         if aux:
-            terms = nf.terms
-            kept = tuple(a for k, a in enumerate(aux, 3) if any(e[k] for e in terms))
+            used = nf.used_vars()
+            kept = tuple(a for a in aux if a in used)
             if kept != aux:
                 aux = kept
                 nf = nf.with_vars(_BASE_VARS + kept)
@@ -274,19 +276,15 @@ class SurfaceElement:
         """{i: g_i}, read-only, built from the normal form on first use."""
         view = self._coeffs
         if view is None:
-            buckets: Dict[int, Dict[Tuple[int, ...], object]] = {}
-            for exps, c in self._nf.terms.items():
-                buckets.setdefault(exps[1], {})[exps[:1] + exps[2:]] = c
+            by_y = self._nf.coefficients_in("Y")
             vars_c = self.coeff_vars()
-            field = self.spec.field
-            view = MappingProxyType({i: Poly._raw(field, vars_c, buckets[i])
-                                     for i in sorted(buckets)})
+            view = MappingProxyType({i: by_y[i].with_vars(vars_c) for i in sorted(by_y)})
             object.__setattr__(self, "_coeffs", view)
         return view
 
     @property
     def is_zero(self) -> bool:
-        return not self._nf.terms
+        return not self._nf.packed
 
     def coeff_vars(self) -> Tuple[str, ...]:
         return ("X", "Z") + self.aux
@@ -301,7 +299,7 @@ class SurfaceElement:
 
     def _is_generator(self, var: str) -> bool:
         """Whether this element is the base generator named by ``var``."""
-        return not self.aux and self._nf.terms == {_UNIT[var]: 1}
+        return not self.aux and self._nf.packed == {_UNIT[var]: 1}
 
     def _join(self, other: "SurfaceElement") -> Tuple[str, ...]:
         """The raw variables of a result combining self and other."""
@@ -402,14 +400,16 @@ def normal_form(raw: Poly, spec: SurfaceSpec) -> SurfaceElement:
         aux = _sorted_aux(v for v in raw.used_vars() if v not in _BASE_VARS)
         raw = raw.with_vars(_BASE_VARS + aux)
     vars_full = raw.vars
-    plain: Dict[Tuple[int, ...], object] = {}
-    by_power: Dict[int, Dict[Tuple[int, ...], object]] = {}
-    for exps, c in raw.terms.items():
-        e = exps[2]
-        if e < spec.d:
-            plain[exps] = c
+    off, unit = raw.slot("Z")
+    d = spec.d
+    plain: Dict[int, object] = {}
+    by_power: Dict[int, Dict[int, object]] = {}
+    for k, c in raw.packed.items():
+        e = (k >> off) & SLOT_MASK
+        if e < d:
+            plain[k] = c
         else:
-            by_power.setdefault(e, {})[exps[:2] + (0,) + exps[3:]] = c
+            by_power.setdefault(e, {})[k - e * unit] = c
     if not by_power:
         return SurfaceElement._of(spec, raw)
     acc = Poly._raw(raw.field, vars_full, plain)
@@ -426,9 +426,8 @@ def aux_coefficient(e: SurfaceElement, var: str, k: int) -> SurfaceElement:
     if var not in e.aux:
         return e if k == 0 else e.spec.zero()
     nf = e.raw_lift()
-    i = nf.vars.index(var)
-    out = {exps[:i] + exps[i + 1:]: c for exps, c in nf.terms.items() if exps[i] == k}
-    return SurfaceElement._of(e.spec, Poly._raw(nf.field, nf.vars[:i] + nf.vars[i + 1:], out))
+    rest = tuple(v for v in nf.vars if v != var)
+    return SurfaceElement._of(e.spec, nf.coeff_in(var, k).with_vars(rest))
 
 
 def eval_poly_on_elements(p: Poly, images: Mapping[str, SurfaceElement],
@@ -467,8 +466,15 @@ def filtration_deg(e: SurfaceElement):
         raise PreconditionError("filtration degree is defined for elements of A only")
     if e.is_zero:
         return NEG_INF
+    return max(_filtration_degrees(e).values())
+
+
+def _filtration_degrees(e: SurfaceElement) -> Dict[int, int]:
+    """{key: filtration degree} over the terms of e's normal form."""
+    nf = e.raw_lift()
+    y_off, z_off = nf.slot("Y")[0], nf.slot("Z")[0]
     d = e.spec.d
-    return max(d * exps[1] + exps[2] for exps in e.raw_lift().terms)
+    return {k: d * ((k >> y_off) & SLOT_MASK) + ((k >> z_off) & SLOT_MASK) for k in nf.packed}
 
 
 def leading_form(e: SurfaceElement) -> SurfaceElement:
@@ -478,10 +484,10 @@ def leading_form(e: SurfaceElement) -> SurfaceElement:
         raise PreconditionError("the zero element has no leading form")
     if e.aux:
         raise PreconditionError("leading form is defined for elements of A only")
-    target = filtration_deg(e)
-    d = e.spec.d
+    degrees = _filtration_degrees(e)
+    target = max(degrees.values())
     nf = e.raw_lift()
-    kept = {exps: c for exps, c in nf.terms.items() if d * exps[1] + exps[2] == target}
+    kept = {k: c for k, c in nf.packed.items() if degrees[k] == target}
     return SurfaceElement._of(graded_surface(e.spec), Poly._raw(nf.field, nf.vars, kept))
 
 
@@ -499,9 +505,10 @@ def divide_by_x(e: SurfaceElement) -> Optional[SurfaceElement]:
     if e.spec.n < 1:
         raise PreconditionError("divide_by_x requires f(0) = 0")
     nf = e.raw_lift()
-    if any(exps[0] == 0 for exps in nf.terms):
+    off, unit = nf.slot("X")
+    if any(not (k >> off) & SLOT_MASK for k in nf.packed):
         return None
-    out = {(exps[0] - 1,) + exps[1:]: c for exps, c in nf.terms.items()}
+    out = {k - unit: c for k, c in nf.packed.items()}
     return SurfaceElement._of(e.spec, Poly._raw(nf.field, nf.vars, out))
 
 

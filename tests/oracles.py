@@ -15,21 +15,28 @@ every residue, not read off its factorization; and the product parser
 builds every factor of an expression as a ``Poly`` and every product and
 power with ``Poly`` arithmetic, where the library's parser keeps a product
 of literal factors as one monomial.
+
+The tuple-keyed kernel at the end is the reference for the packed one in
+``poly.py``: it keys terms by exponent tuples, orders them with
+``grlex_key``, multiplies by adding tuples, substitutes by repeated
+multiplication, divides by scanning for the grlex-largest term, and
+re-embeds by placing each exponent by name.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional
 
 from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_by_x,
                          exact_div, verify_iso)
-from danielewski.errors import ComaximalityError, PolyParseError
-from danielewski.fields import FieldKind
+from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariableError
+from danielewski.fields import FieldKind, q_norm
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
-from danielewski.poly import divmod_in, grlex_key, substitute
+from danielewski.poly import divmod_in, substitute
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
 from danielewski.surface import SurfaceElement, eval_poly_on_elements
 
@@ -347,7 +354,7 @@ class _ProductParser:
             for exps, c in self.term().terms.items():
                 sums[exps] = sums.get(exps, 0) + sign * c
             kind, val, _ = self.peek()
-        return Poly._from_sums(self.field, self.vars, sums)
+        return Poly(self.field, self.vars, sums)
 
     def term(self):
         p = self.factor()
@@ -415,6 +422,127 @@ class _ProductParser:
 
 def parse_by_products(text, field, vars):
     """The recursive-descent parser that builds every factor as a ``Poly``
-    and every product with ``Poly.__mul__``; same grammar, errors, positions
-    and degree/constant budgets as ``parsing.parse_poly``, no work budget."""
+    and every product with ``Poly.__mul__``; same grammar, errors, positions,
+    degree budget and constant-power budget as ``parsing.parse_poly``, no
+    work budget and no budget on constant products."""
     return _ProductParser(text, field, tuple(vars)).parse()
+
+
+# -- the tuple-keyed polynomial kernel -------------------------------------------
+
+
+def grlex_key(exps):
+    """Graded-lexicographic sort key: total degree first, then lexicographic
+    with earlier variables more significant."""
+    return (sum(exps), exps)
+
+
+def _normalized(field, sums):
+    """Accumulated sums as stored coefficients: reduced mod p over F_p,
+    ``q_norm`` over Q, zeros dropped."""
+    if field.kind is FieldKind.PRIME:
+        p = field.modulus
+        return {e: v % p for e, v in sums.items() if v % p}
+    return {e: q_norm(v) for e, v in sums.items() if v}
+
+
+def tuple_mul(field, a, b):
+    """The product of two tuple-keyed term maps."""
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return _normalized(field, acc)
+
+
+def tuple_with_vars(vars, terms, new_vars):
+    """Each exponent placed by its variable's name in ``new_vars``."""
+    pos = {v: i for i, v in enumerate(new_vars)}
+    out = {}
+    for exps, c in terms.items():
+        new = [0] * len(new_vars)
+        for v, e in zip(vars, exps):
+            if e:
+                if v not in pos:
+                    raise UnknownVariableError(f"variable {v!r} is used but absent")
+                new[pos[v]] = e
+        out[tuple(new)] = c
+    return out
+
+
+def tuple_substitute(p, bindings, vars_out):
+    """p with each bound variable replaced by its binding, term by term and
+    factor by factor; every polynomial is given as a ``Poly``."""
+    field = p.field
+    images = {v: tuple_with_vars(q.vars, dict(q.terms.items()), vars_out)
+              for v, q in bindings.items()}
+    acc = {}
+    for exps, c in p.terms.items():
+        kept = {v: e for v, e in zip(p.vars, exps) if v not in images}
+        term = tuple_with_vars(tuple(kept), {tuple(kept.values()): c}, vars_out)
+        for v, e in zip(p.vars, exps):
+            for _ in range(e if v in images else 0):
+                term = tuple_mul(field, term, images[v])
+        for e, v in term.items():
+            acc[e] = acc.get(e, 0) + v
+    return _normalized(field, acc)
+
+
+def _minus_product(field, rem, exps, c, b):
+    """rem - c * x^exps * b."""
+    acc = dict(rem)
+    for be, bc in b.items():
+        e = tuple(map(operator.add, exps, be))
+        acc[e] = acc.get(e, 0) - c * bc
+    return _normalized(field, acc)
+
+
+def tuple_exact_div(field, a, b):
+    """The quotient a / b of tuple-keyed term maps, or None when b does not
+    divide a: the grlex-largest remainder term is divided by b's leading
+    term until the remainder is zero or a term is not divisible."""
+    lead = max(b, key=grlex_key)
+    inv = field.inv(b[lead])
+    rem, quo = dict(a), {}
+    while rem:
+        e = max(rem, key=grlex_key)
+        diff = tuple(map(operator.sub, e, lead))
+        if any(d < 0 for d in diff):
+            return None
+        qc = field.mul(rem[e], inv)
+        quo[diff] = qc
+        rem = _minus_product(field, rem, diff, qc, b)
+    return quo
+
+
+def tuple_divmod_in(field, vars, p, divisor, var):
+    """(quotient, remainder) of tuple-keyed term maps as polynomials in
+    ``var``, the divisor's leading coefficient in ``var`` being a constant:
+    any term at or above the divisor's degree is cancelled, highest first."""
+    i = vars.index(var)
+    dd = max(e[i] for e in divisor)
+    lead = [e for e in divisor if e[i] == dd]
+    assert len(lead) == 1 and sum(lead[0]) == dd
+    inv = field.inv(divisor[lead[0]])
+    rem, quo = dict(p), {}
+    while True:
+        high = [e for e in rem if e[i] >= dd]
+        if not high:
+            return quo, rem
+        e = max(high, key=lambda e: (e[i], grlex_key(e)))
+        qe = e[:i] + (e[i] - dd,) + e[i + 1:]
+        qc = field.mul(rem[e], inv)
+        quo[qe] = qc
+        rem = _minus_product(field, rem, qe, qc, divisor)
+
+
+def tuple_sort_key(p):
+    """``Poly.sort_key`` from the tuple-keyed terms."""
+    key = []
+    for exps, c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+        if p.field.kind is FieldKind.PRIME:
+            key.append((exps, c))
+        else:
+            key.append((exps, c.numerator, c.denominator))
+    return tuple(key)

@@ -3,7 +3,9 @@
 The benchmark's tracer (bench/tracing.py) wraps library functions that it
 looks up by module attribute; a rename in the package must fail here, not in
 a traced benchmark run.  One iso-fp round, run in process, must give no
-failed verdict and refuse only honestly at the benchmark's cap."""
+failed verdict and refuse only honestly at the benchmark's cap.  Traced, the
+same round must give the same verdicts, leave no wrapper behind, and read
+term counts and coefficients without unpacking a single exponent key."""
 
 import importlib
 import importlib.util
@@ -32,3 +34,29 @@ def test_iso_fp_round_has_no_failures(monkeypatch):
     # a refusal that is not honest at the cap is recorded as FAILED
     assert [r.reason for r in records if r.outcome == workloads.FAILED] == []
     assert sum(r.outcome == workloads.REFUSED for r in records) < len(records)
+
+
+def test_traced_round_matches_untraced_and_unpacks_nothing(monkeypatch):
+    from danielewski import poly
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    unpacked = []
+    unpack = poly.unpack
+    monkeypatch.setattr(poly, "unpack", lambda key, n: unpacked.append(n) or unpack(key, n))
+    workload = workloads.WORKLOADS["iso-fp"]()
+    plain, _ = worker.run_pass(workload, 5, rounds=1)
+    untraced_unpacks = len(unpacked)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced, _ = worker.run_pass(workload, 5, rounds=1, tracer=tracer)
+    finally:
+        left = tracer.uninstall()
+    assert left == []
+    assert [r.digest for r in traced] == [r.digest for r in plain]
+    assert tracer.counters["poly.mul.term_products"] > 0 and tracer.calls["poly.exact_div"] > 0
+    # the library unpacks the same keys in both runs; the tracer's reads add none
+    assert len(unpacked) == 2 * untraced_unpacks

@@ -198,6 +198,15 @@ def test_input_budget_exits_2_at_once(capsys):
         assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
 
 
+def test_constant_product_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "surface", "info", "--field", "Q", "--f", "X^2",
+                         "--phi", "Z^2 + " + "*".join(["3^40000"] * 50))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
+
+
 def test_family_demo_range_is_bounded(capsys):
     for n_from, n_to in (("2", str(cli.MAX_FAMILY_N + 1)), ("2", "400")):
         code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2+1",

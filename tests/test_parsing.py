@@ -117,6 +117,25 @@ def test_constant_power_budget():
     assert parse_poly("7^2000000000", GF(97), V2).constant_value().value == pow(7, 2000000000, 97)
 
 
+def test_constant_product_budget():
+    V2 = ("X", "Z")
+    product = "*".join(["3^40000"] * 50)         # each factor inside the budget
+    for text in (product, "3^40000*3^40000", "(1/3)^40000*(1/3)^40000 + X",
+                 "(3^40000 + X)*(3^40000 + Z)", "(3^40000 + X)^2", f"2^{MAX_CONSTANT_BITS}*2"):
+        started = time.process_time()
+        with pytest.raises(PolyParseError, match="input budget"):
+            parse_poly(text, QQ, V2)
+        assert time.process_time() - started < 0.1, text
+    # a product is refused only when its value is certainly past 2^MAX_CONSTANT_BITS
+    assert parse_poly(f"2^{MAX_CONSTANT_BITS}*1*(-1)", QQ, V2).constant_value().value == (
+        -2 ** MAX_CONSTANT_BITS)
+    assert parse_poly(f"2^{MAX_CONSTANT_BITS // 2}*2^{MAX_CONSTANT_BITS // 2}", QQ,
+                      V2).constant_value().value == 2 ** MAX_CONSTANT_BITS
+    assert parse_poly("3^40000*(1/3)^40000*X", QQ, V2) == parse_poly("X", QQ, V2)
+    # over F_p every product is reduced as it is formed
+    assert parse_poly(product, GF(7), V2).constant_value().value == pow(3, 40000 * 50, 7)
+
+
 def test_long_sum_round_trip(rng):
     vars3 = ("X", "Y", "Z")
     for field in (QQ, GF(5)):

@@ -7,7 +7,7 @@ from danielewski import (GF, QQ, Poly, bezout_cofactors, build_stable_iso, exact
                          make_surface, parse_poly, resultant_in, substitute)
 from danielewski.errors import FieldMismatchError, UnknownVariableError
 from danielewski.jsonio import dumps, stable_to_doc
-from danielewski.poly import NEG_INF, divmod_in
+from danielewski.poly import NEG_INF, divmod_in, pack
 
 from conftest import random_coeff, random_poly
 
@@ -239,6 +239,11 @@ def test_divmod_in_multivariate(field, var):
     assert divmod_in(zero, Poly.variable(field, V, var), var) == (zero, zero)
 
 
+def _raw_from_tuples(field, vars, terms):
+    """A Poly that stores the given coefficients as they are, unnormalized."""
+    return Poly._raw(field, vars, {pack(e): c for e, c in terms.items()})
+
+
 def test_mixed_q_representations_give_identical_certificates():
     """The representation rule only decides which type is stored: a
     certificate built from Fraction-valued inputs, even ones kept as
@@ -247,7 +252,7 @@ def test_mixed_q_representations_give_identical_certificates():
     P = {(0, 3): 1, (1, 2): 3, (2, 1): 3, (3, 0): 1, (0, 0): -1}   # (Z + X)^3 - 1
     docs = set()
     for conv in (int, Fraction):
-        for build in (Poly, Poly._raw):
+        for build in (Poly, _raw_from_tuples):
             fx = build(QQ, ("X",), {e: conv(c) for e, c in f.items()})
             Px = build(QQ, ("X", "Z"), {e: conv(c) for e, c in P.items()})
             docs.add(dumps(stable_to_doc(build_stable_iso(make_surface(QQ, fx, Px)))))

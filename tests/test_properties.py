@@ -1,8 +1,9 @@
 """Property tests with hypothesis: the print/parse round trip over Q and
 F_p, the Leibniz rule of the higher derivation on random elements, the
 normal form (idempotent, rebuilt by the public constructor), the ring laws
-in A and A[U], and exact division.  Skipped when hypothesis is not
-installed."""
+in A and A[U], exact division, and resultants and Bezout cofactors against
+a univariate gcd and against planted common factors.  Skipped when
+hypothesis is not installed."""
 
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from danielewski import (GF, QQ, Poly, SurfaceElement, canonical_expmap,  # noqa: E402
-                         derivation_coeff, exact_div, normal_form, parse_poly, phi_degree,
-                         poly_str)
+from danielewski import (GF, QQ, Poly, SurfaceElement, bezout_cofactors,  # noqa: E402
+                         canonical_expmap, derivation_coeff, exact_div, gcd_univariate,
+                         normal_form, parse_poly, phi_degree, poly_str, resultant_in)
+from danielewski.errors import ComaximalityError  # noqa: E402
 from danielewski.poly import NEG_INF  # noqa: E402
 
 from conftest import STANDARD_SURFACES, surf  # noqa: E402
@@ -141,3 +143,102 @@ def test_exact_div_recovers_the_quotient(case):
     if not b.is_constant:
         # a*b + 1 is 1 modulo b, so b does not divide it
         assert exact_div(a * b + Poly.one(field, VARS), b) is None
+
+
+# -- resultants and Bezout cofactors ------------------------------------------
+
+FIELDS = (QQ, GF(2), GF(3), GF(5), GF(7))
+
+
+def field_coeffs(field):
+    return Q_COEFFS if field == QQ else st.integers(0, field.modulus - 1)
+
+
+def z_polys(field, max_degree=3):
+    """Nonzero polynomials in Z alone, over ("Z",)."""
+    return st.dictionaries(st.integers(0, max_degree), field_coeffs(field), min_size=1,
+                           max_size=4).map(
+        lambda t: Poly(field, ("Z",), {(e,): c for e, c in t.items()})).filter(
+        lambda p: not p.is_zero)
+
+
+def xz_polys(field, max_z=2):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, max_z))
+    return st.dictionaries(exps, field_coeffs(field), max_size=4).map(
+        lambda t: Poly(field, ("X", "Z"), t))
+
+
+def with_field(build):
+    return st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(st.just(f), *build(f)))
+
+
+@SETTINGS
+@given(with_field(lambda f: (st.booleans(), z_polys(f, 2), z_polys(f), z_polys(f))))
+def test_resultant_vanishes_exactly_on_a_common_factor(case):
+    """Res_Z(G*A, G*B), G planted or 1, is zero exactly when gcd(G*A, G*B)
+    has positive degree."""
+    field, planted, g, a, b = case
+    if not planted:
+        g = Poly.one(field, ("Z",))
+    p, q = g * a, g * b
+    if max(p.degree_in("Z"), q.degree_in("Z")) < 1:
+        return
+    shared = gcd_univariate(p, q).total_degree() > 0
+    assert resultant_in(p, q, "Z").is_zero == shared
+
+
+@SETTINGS
+@given(with_field(lambda f: (xz_polys(f), xz_polys(f), xz_polys(f))))
+def test_resultant_vanishes_on_a_planted_factor(case):
+    """A common factor of positive Z-degree over K[X] makes Res_Z zero."""
+    field, g, a, b = case
+    g = g + Poly.variable(field, ("X", "Z"), "Z")    # positive Z-degree
+    p, q = g * a, g * b
+    if g.degree_in("Z") < 1 or p.is_zero or q.is_zero:
+        return
+    assert resultant_in(p, q, "Z").is_zero
+
+
+def monic_z_polys(field):
+    """Monic polynomials of Z-degree 2 or 3 over ("X", "Z")."""
+    return st.tuples(st.integers(2, 3), xz_polys(field, max_z=1)).map(
+        lambda dt: dt[1] + Poly(field, ("X", "Z"), {(0, dt[0]): 1}))
+
+
+@SETTINGS
+@given(with_field(lambda f: (st.integers(2, 3), z_polys(f, 1), z_polys(f, 2))))
+def test_bezout_cofactors_exactly_when_coprime(case):
+    """For monic P in Z alone: (a, b) with a*Q + b*P = 1 when gcd(P, Q) = 1,
+    ComaximalityError otherwise."""
+    field, top, low, q = case
+    p = Poly.variable(field, ("Z",), "Z") ** top + low
+    coprime = gcd_univariate(p, q) == Poly.one(field, ("Z",))
+    try:
+        a, b = bezout_cofactors(p, q)
+    except ComaximalityError:
+        assert not coprime
+        return
+    assert coprime
+    assert a * q + b * p == Poly.one(field, ("Z",))
+    assert a.is_zero or a.degree_in("Z") < p.degree_in("Z")
+
+
+@SETTINGS
+@given(with_field(lambda f: (monic_z_polys(f), xz_polys(f))))
+def test_bezout_cofactors_over_k_x(case):
+    """For P monic in Z over K[X]: the cofactors of (P, P_Z) satisfy the
+    identity whenever they exist, and a planted common factor refuses."""
+    field, p, g = case
+    one = Poly.one(field, ("X", "Z"))
+    pz = p.derivative("Z")
+    try:
+        a, b = bezout_cofactors(p, pz)
+    except ComaximalityError:
+        res = resultant_in(p, pz, "Z") if not pz.is_zero else Poly.zero(field, p.vars)
+        assert res.is_zero or not res.is_constant
+    else:
+        assert a * pz + b * p == one
+    # Z - g(X) divides both P*(Z - g) and (Z - g)
+    linear = Poly.variable(field, ("X", "Z"), "Z") - g.coeff_in("Z", 0)
+    with pytest.raises(ComaximalityError):
+        bezout_cofactors(p * linear, linear * (one + one + Poly.variable(field, p.vars, "X")))
