@@ -14,9 +14,9 @@ quotient that the relation forces.
 
 A map keeps its last application (element, mode, image) in one private
 slot, so the higher derivation D_0(e), D_1(e), ... is read off a single
-phi(e), as in the paper.  Like the surface's reduction cache it is a
-deterministic memo: the image is immutable, the slot is replaced in one
-assignment, and copies made by ``replace`` start empty.
+phi(e), as in the paper.  It is a deterministic memo: the image is
+immutable, the slot is replaced in one assignment, and copies made by
+``replace`` start empty.
 """
 
 from __future__ import annotations

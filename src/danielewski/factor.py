@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import DanielewskiError
+from .errors import DanielewskiError, SearchCapExceededError
 from .fields import FieldKind, FieldSpec, Scalar, _is_prime, q_norm
 from .poly import SLOT_MASK, Poly, unit_key
 
@@ -343,9 +343,20 @@ def _hensel_lift(p, f, factors, l):
     return _hensel_lift(p, g, factors[:k], l) + _hensel_lift(p, h, factors[k:], l)
 
 
+# the most subsets of modular factors that Zassenhaus recombination tries
+MAX_RECOMBINATION_SUBSETS = 2**10
+
+
 def zz_factor_squarefree(f: List[int]) -> List[List[int]]:
     """Primitive squarefree integer polynomial of degree >= 1 -> primitive
-    irreducible factors with positive leading coefficients."""
+    irreducible factors with positive leading coefficients.
+
+    Recombination tries subsets of the modular factors, whose number grows
+    exponentially with the count of those factors (Swinnerton-Dyer
+    polynomials split into linear and quadratic factors modulo every
+    prime).  Before each enumeration of the subsets of one size it raises
+    ``SearchCapExceededError`` when the subsets tried so far plus those of
+    that size would pass ``MAX_RECOMBINATION_SUBSETS``."""
     n = _deg(f)
     if n == 1:
         return [f]
@@ -377,9 +388,14 @@ def zz_factor_squarefree(f: List[int]) -> List[List[int]]:
     rest = f
     available = list(range(len(lifted)))
     size = 1
+    tried = 0
     while 2 * size <= len(available):
+        needed = tried + math.comb(len(available), size)
+        if needed > MAX_RECOMBINATION_SUBSETS:
+            raise SearchCapExceededError(needed, MAX_RECOMBINATION_SUBSETS)
         found = False
         for combo in itertools.combinations(available, size):
+            tried += 1
             cand = [rest[-1] % m]
             for i in combo:
                 cand = zz_trunc_sym(_mul(cand, lifted[i], 0), m)

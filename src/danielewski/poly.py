@@ -673,6 +673,13 @@ def divmod_in(p: Poly, divisor: Poly, var: str) -> Tuple[Poly, Poly]:
     The divisor's leading coefficient in ``var`` must be a nonzero constant
     (e.g. any monic polynomial), so the division is defined over the
     coefficient ring in the remaining variables.
+
+    The terms of p at or above the divisor's degree dd in ``var`` are split
+    into one bucket per degree, in one pass, and the buckets are cleared
+    top-down.  The divisor's one term of degree dd is its leading term and
+    every other term lowers the degree, so a step adds only to lower
+    buckets or to the remainder.  A bucket collects raw sums, normalized
+    once when it is cleared; the remainder is kept normalized throughout.
     """
     p._check_compat(divisor)
     dd = divisor.degree_in(var)
@@ -681,31 +688,53 @@ def divmod_in(p: Poly, divisor: Poly, var: str) -> Tuple[Poly, Poly]:
     lc = divisor.coeff_in(var, dd)
     if not lc.is_constant:
         raise ValueError(f"divisor leading coefficient in {var!r} is not constant: {lc}")
-    top = -1 if p.is_zero else p.degree_in(var)
+    off, unit = p.slot(var)
+    levels: Dict[int, Dict[int, object]] = {}
+    rem: Dict[int, object] = {}
+    for e, c in p.packed.items():
+        k = (e >> off) & SLOT_MASK
+        if k < dd:
+            rem[e] = c
+        elif k in levels:
+            levels[k][e] = c
+        else:
+            levels[k] = {e: c}
+    field = p.field
+    if not levels:
+        return Poly.zero(field, p.vars), p
+    top = max(levels)
     # clearing one level raises a term's total degree by at most this much
     growth = max(0, divisor.total_degree() - dd)
-    if top >= dd and p.total_degree() + (top - dd + 1) * growth >= MAX_EXPONENT:
+    if p.total_degree() + (top - dd + 1) * growth >= MAX_EXPONENT:
         raise OverflowError("remainder exponent would exceed 2**31")
-    field = p.field
-    inv = field.inv(lc.constant_value().value)
+    inv = field.inv(lc.packed[0])
     prime = field.kind is FieldKind.PRIME
     m = field.modulus
-    off, unit = p.slot(var)
     shift = dd * unit
-    # the divisor's one term of degree dd in var is its leading term; every
-    # other term lowers the var-degree, so each level is cleared in one pass
-    tail = [(be, bc) for be, bc in divisor.packed.items() if (be >> off) & SLOT_MASK < dd]
-    rem = dict(p.packed)
+    # the divisor's other terms, negated, with how far each lowers the degree
+    tail = [(be, -bc, dd - ((be >> off) & SLOT_MASK))
+            for be, bc in divisor.packed.items() if (be >> off) & SLOT_MASK < dd]
     quo: Dict[int, object] = {}
     for k in range(top, dd - 1, -1):
-        for e in [e for e in rem if (e >> off) & SLOT_MASK == k]:
-            c = rem.pop(e)
+        level = levels.pop(k, None)
+        if not level:
+            continue
+        pending = [(be, nbc, levels.setdefault(k - drop, {}))
+                   for be, nbc, drop in tail if k - drop >= dd]
+        to_rem = [(be, nbc) for be, nbc, drop in tail if k - drop < dd]
+        for e, c in level.items():
             qc = (c * inv) % m if prime else q_norm(c * inv)
+            if not qc:
+                continue
             qe = e - shift
             quo[qe] = qc
-            for be, bc in tail:
+            for be, nbc, bucket in pending:
                 te = qe + be
-                v = rem.get(te, 0) - qc * bc
+                v = bucket.get(te)
+                bucket[te] = qc * nbc if v is None else v + qc * nbc
+            for be, nbc in to_rem:
+                te = qe + be
+                v = rem.get(te, 0) + qc * nbc
                 v = v % m if prime else q_norm(v)
                 if v:
                     rem[te] = v

@@ -9,10 +9,12 @@ Elements are kept in the unique normal form
 
     g = g_0(x,z) + g_1(x,z) y + ... + g_m(x,z) y^m,   deg_Z(g_i) <= d-1,
 
-obtained by rewriting Z^d -> f(X) Y - (P - Z^d) to exhaustion.  Structural
-equality of normal forms decides equality in A.  Auxiliary polynomial
-variables (U, V, v, W1) ride along inside the coefficients; the rewrite
-never touches them, which realizes A[U], A[U,V], A[v] for free.
+the remainder on division by the relation P - f(X) Y, monic in Z of degree
+d (``poly.divmod_in``); it rewrites Z^d -> f(X) Y - (P - Z^d) to
+exhaustion.  Structural equality of normal forms decides equality in A.
+Auxiliary polynomial variables (U, V, v, W1) ride along inside the
+coefficients; the division never touches them, which realizes A[U],
+A[U,V], A[v] for free.
 
 A ``SurfaceElement`` stores its normal form as one ``Poly`` over
 ("X", "Y", "Z") + aux, where aux lists exactly the auxiliary variables that
@@ -21,21 +23,22 @@ ring map works on it directly and ``normal_form`` wraps its reduced result
 without splitting it by powers of y.  The y-coefficients g_i of the public
 ``coeffs`` mapping are a read-only view, derived on first use.
 
-Everything is immutable; the per-spec reduction cache and the coefficient
-view are deterministic memos and never affect results.
+Everything is immutable.  A surface holds no state beyond its defining
+data; the coefficient view of an element is a deterministic memo and never
+affects results.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
 from .factor import Factorization, factor_univariate, gcd_univariate, squarefree_part
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, SLOT_MASK, Poly, substitute, unit_key
+from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, substitute, unit_key
 from .resultant import resultant_in
 
 AUX_ORDER = ("U", "V", "v", "W1")
@@ -77,7 +80,6 @@ class SurfaceSpec:
     r: int                       # deg f
     d: int                       # deg_Z P
     n: int                       # multiplicity of the root 0 in f
-    _zred: Dict[int, Poly] = dc_field(default_factory=dict, compare=False, repr=False)
 
     # -- generators and constants ----------------------------------------
 
@@ -109,49 +111,6 @@ class SurfaceSpec:
             return SurfaceElement._of(
                 self, Poly.variable(self.field, _BASE_VARS + (name,), name))
         return {"x": self.x, "y": self.y, "z": self.z}[name]()
-
-    # -- the rewrite cache -------------------------------------------------
-
-    def _z_reduction(self, e: int) -> Poly:
-        """Normal form of Z**e as a polynomial over ("X", "Y", "Z")."""
-        d = self.d
-        if e < d:
-            return Poly.monomial(self.field, _BASE_VARS, (0, 0, e))
-        cached = self._zred.get(e)
-        if cached is not None:
-            return cached
-        if e == d:
-            f3 = self.f.with_vars(_BASE_VARS)
-            P3 = self.P.with_vars(_BASE_VARS)
-            zd = Poly.monomial(self.field, _BASE_VARS, (0, 0, d))
-            y = Poly.variable(self.field, _BASE_VARS, "Y")
-            red = f3 * y - (P3 - zd)
-        else:
-            prev = self._z_reduction(e - 1).mul_var_power("Z", 1)
-            red = _reduce_top_once(prev, self)
-        self._zred[e] = red
-        return red
-
-
-def _reduce_top_once(p: Poly, spec: SurfaceSpec) -> Poly:
-    """Rewrite every Z**d occurrence in a polynomial whose Z-degree is <= d.
-
-    Helper for building the reduction cache; input Z-degree may be exactly d.
-    """
-    off, unit = p.slot("Z")
-    d = spec.d
-    plain: Dict[int, object] = {}
-    carry = Poly.zero(p.field, p.vars)
-    base = None
-    for k, c in p.packed.items():
-        if (k >> off) & SLOT_MASK < d:
-            plain[k] = c
-        else:
-            if base is None:
-                base = spec._z_reduction(d).with_vars(p.vars)
-            mono = Poly._raw(p.field, p.vars, {k - d * unit: c})
-            carry = carry + mono * base
-    return Poly._raw(p.field, p.vars, plain) + carry
 
 
 def make_surface(field: FieldSpec, f: Poly, P: Poly, _min_r: int = 2) -> SurfaceSpec:
@@ -390,33 +349,22 @@ class SurfaceElement:
 def normal_form(raw: Poly, spec: SurfaceSpec) -> SurfaceElement:
     """The unique normal form of an arbitrary representative.
 
-    ``raw`` may use X, Y, Z and auxiliary variables; every Z-power at or
-    above d is rewritten through the defining relation (via a cached table
-    of reduced Z-powers, one pass).  A product or substitution result that
-    already lives over ("X", "Y", "Z") + aux in canonical order is reduced
-    as it is, and aux variables that cancelled are dropped at the end."""
+    ``raw`` may use X, Y, Z and auxiliary variables.  Its normal form is
+    the remainder of ``raw`` on division by the defining relation
+    P - f(X) Y, which is monic in Z of degree d: one ``divmod_in`` in Z,
+    skipped when no Z-power reaches d.  A product or substitution result
+    that already lives over ("X", "Y", "Z") + aux in canonical order is
+    reduced as it is, and aux variables that cancelled are dropped at the
+    end."""
     aux = raw.vars[3:]
     if raw.vars[:3] != _BASE_VARS or not _is_canonical_aux(aux):
         aux = _sorted_aux(v for v in raw.used_vars() if v not in _BASE_VARS)
         raw = raw.with_vars(_BASE_VARS + aux)
-    vars_full = raw.vars
-    off, unit = raw.slot("Z")
-    d = spec.d
-    plain: Dict[int, object] = {}
-    by_power: Dict[int, Dict[int, object]] = {}
-    for k, c in raw.packed.items():
-        e = (k >> off) & SLOT_MASK
-        if e < d:
-            plain[k] = c
-        else:
-            by_power.setdefault(e, {})[k - e * unit] = c
-    if not by_power:
+    if raw.degree_in("Z") < spec.d:
         return SurfaceElement._of(spec, raw)
-    acc = Poly._raw(raw.field, vars_full, plain)
-    for e, monos in by_power.items():
-        red = spec._z_reduction(e).with_vars(vars_full)
-        acc = acc + Poly._raw(raw.field, vars_full, monos) * red
-    return SurfaceElement._of(spec, acc)
+    vs = raw.vars
+    relation = spec.P.with_vars(vs) - spec.f.with_vars(vs).mul_var_power("Y", 1)
+    return SurfaceElement._of(spec, divmod_in(raw, relation, "Z")[1])
 
 
 def aux_coefficient(e: SurfaceElement, var: str, k: int) -> SurfaceElement:

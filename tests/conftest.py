@@ -6,7 +6,21 @@ import random
 
 import pytest
 
-from danielewski import GF, QQ, Poly, make_surface, normal_form, parse_poly
+from danielewski import (GF, QQ, Poly, make_surface, normal_form, parse_poly, resultant_in,
+                         substitute)
+
+
+def swinnerton_dyer(primes):
+    """The minimal polynomial over Q of the sum of the square roots of
+    ``primes``, built as iterated resultants Res_Y(Y^2 - p, g(X - Y)):
+    irreducible of degree 2**len(primes), and split into linear and
+    quadratic factors modulo every prime."""
+    xy = ("X", "Y")
+    g = parse_poly(f"X^2 - {primes[0]}", QQ, xy)
+    for p in primes[1:]:
+        shifted = substitute(g, {"X": parse_poly("X - Y", QQ, xy)})
+        g = resultant_in(parse_poly(f"Y^2 - {p}", QQ, xy), shifted, "Y")
+    return g.with_vars(("X",))
 
 
 def surf(field, f_text, p_text):

@@ -5,7 +5,7 @@ determinant oracle is plain cofactor expansion; over a small prime field
 the isomorphism oracles try every (gamma, delta) pair for one (lambda, mu),
 with no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
 through verify_iso alone; the stepwise normal form rewrites one
-term at a time instead of through the reduced Z-power table, the Horner
+term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
 certificate is recomputed by applying the extended canonical map to theta,

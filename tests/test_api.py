@@ -1,0 +1,33 @@
+"""The public surface, pinned: a change to the exported names or to the
+fields of ``SurfaceSpec`` must come with a deliberate edit here (and in the
+README and CHANGES.md)."""
+
+from dataclasses import fields
+
+import danielewski
+from danielewski import SurfaceSpec
+
+PUBLIC_NAMES = [
+    "DanielewskiError", "ExpMap", "Factorization", "FamilyReport", "FiberKind",
+    "FiberReport", "FieldSpec", "GF", "IsoCertificate", "Obstruction", "Poly", "QQ",
+    "Scalar", "StableIsoCertificate", "SurfaceElement", "SurfaceSpec", "apply_map",
+    "automorphisms", "bezout_cofactors", "build_stable_iso", "canonical_expmap",
+    "check_hypotheses", "compose_certificates", "conjugate", "decide_isomorphism",
+    "derivation_coeff", "divide_by_x", "exact_div", "factor_univariate", "fiber",
+    "filtration_deg", "fingerprint", "gcd_univariate", "graded_surface",
+    "identity_certificate", "invert_certificate", "is_invariant", "is_squarefree",
+    "leading_form", "make_surface", "normal_form", "parse_field_tag", "parse_poly",
+    "parse_scalar", "phi_degree", "poly_str", "resultant_in", "roots_in_field",
+    "shift_surface", "sigma_family", "smoothness_check", "squarefree_part",
+    "substitute", "verify_expmap", "verify_iso", "verify_stable_iso",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(danielewski.__all__) == PUBLIC_NAMES
+    assert all(hasattr(danielewski, name) for name in PUBLIC_NAMES)
+
+
+def test_surface_spec_is_its_defining_data():
+    assert [f.name for f in fields(SurfaceSpec)] == ["field", "f", "P", "r", "d", "n"]
+    assert SurfaceSpec.__dataclass_params__.frozen

@@ -11,7 +11,7 @@ from danielewski.cli import main, paper_examples
 from danielewski.errors import UnknownVariableError, VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
 
-from conftest import D_ODD_PRIMES, surf
+from conftest import D_ODD_PRIMES, surf, swinnerton_dyer
 
 
 @pytest.fixture()
@@ -75,6 +75,14 @@ def test_iso_decide_cap_covers_a_free_lambda(capsys, tmp_path):
     code, out, err = run(capsys, "iso", "decide", "--left", str(path),
                          "--right", str(path), "--cap", "500")
     assert code == 3 and out == "" and "1008" in err and "cap is 500" in err
+
+
+def test_surface_info_refuses_a_recombination_past_the_bound(capsys):
+    f_text = str(swinnerton_dyer((2, 3, 5, 7, 11)))
+    code, out, err = run(capsys, "surface", "info", "--field", "Q",
+                         "--f", f_text, "--phi", "Z^2+1")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: search needs 2516 candidates, cap is 1024"]
 
 
 @pytest.mark.parametrize("field, f, expect", [

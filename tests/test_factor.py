@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from danielewski import (GF, QQ, Scalar, factor_univariate, gcd_univariate,
                          is_squarefree, parse_poly, poly_str, roots_in_field,
                          squarefree_part)
-from danielewski.factor import _add, _divmod, _gcd, _mul, _norm, _xgcd, dense_to_poly
+from danielewski.errors import SearchCapExceededError
+from danielewski.factor import (MAX_RECOMBINATION_SUBSETS, _add, _divmod, _gcd, _mul, _norm,
+                                _xgcd, dense_to_poly, fp_factor, poly_to_dense)
 
-from conftest import D_ODD_PRIMES as D, random_poly
+from conftest import D_ODD_PRIMES as D, random_poly, swinnerton_dyer
 from oracles import roots_by_evaluation
 
 
@@ -225,3 +228,21 @@ def test_factorization_roots_and_one_factorization_in_surface_info(monkeypatch, 
     assert cli.main(["surface", "info", "--field", "Q", "--f", f_text, "--phi", "Z^2+1"]) == 0
     assert "fiber over x = 0" in capsys.readouterr().out
     assert calls.count(poly_str(q(f_text))) == 1
+
+
+def test_zassenhaus_recombination_is_bounded():
+    # degree 16: 8 modular factors at p = 11, irreducible after 8 + 28 + 56 + 70
+    # = 162 subsets, within the bound
+    sd16 = swinnerton_dyer((2, 3, 5, 7))
+    assert sd16.degree_in("X") == 16
+    assert len(fp_factor([c % 11 for c in poly_to_dense(sd16, "X")], 11)[1]) == 8
+    assert factor_univariate(sd16).factors == ((sd16, 1),)
+    # degree 32: 16 modular factors at p = 19; the subsets of size 4 would
+    # take the count to 16 + 120 + 560 + 1820 = 2516, so it is refused at once
+    sd32 = swinnerton_dyer((2, 3, 5, 7, 11))
+    assert sd32.degree_in("X") == 32
+    start = time.process_time()
+    with pytest.raises(SearchCapExceededError) as info:
+        factor_univariate(sd32)
+    assert time.process_time() - start < 1.0
+    assert (info.value.needed, info.value.cap) == (2516, MAX_RECOMBINATION_SUBSETS)

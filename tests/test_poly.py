@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from danielewski import (GF, QQ, Poly, bezout_cofactors, build_stable_iso, exact_div,
-                         make_surface, parse_poly, resultant_in, substitute)
+                         make_surface, normal_form, parse_poly, resultant_in, substitute)
 from danielewski.errors import FieldMismatchError, UnknownVariableError
 from danielewski.jsonio import dumps, stable_to_doc
 from danielewski.poly import NEG_INF, divmod_in, pack
@@ -118,6 +118,19 @@ def test_divmod_in_monic(rng):
         assert rem.is_zero or rem.degree_in("X") < 2
 
 
+def test_divmod_in_rejects_a_nonconstant_leading_coefficient():
+    message = "divisor leading coefficient in 'Z' is not constant: X + 1"
+    divisor = q("X*Z^2 + Z^2 + Y")
+    # p's Z-degree above, equal to and below the divisor's; zero p too
+    for p in (q("Z^3 + X"), q("Z^2"), q("X*Z + Y"), q("X^4"), q("0")):
+        with pytest.raises(ValueError) as info:
+            divmod_in(p, divisor, "Z")
+        assert str(info.value) == message
+    for p in (q("Z^3"), q("X"), q("0")):
+        with pytest.raises(ZeroDivisionError):
+            divmod_in(p, q("0"), "Z")
+
+
 def test_with_vars_embedding():
     p = q("X + 1", ("X",))
     p3 = p.with_vars(V)
@@ -184,6 +197,13 @@ def test_q_coefficients_are_ints_or_proper_fractions(rng):
         divisor = _random_q_poly(rng, V, max_exp=1) + Poly(QQ, V, {(0, 0, 2): lead})
         for r in divmod_in(a, divisor, "Z"):
             _assert_canonical(r)
+    # surface products reach divmod_in through normal_form
+    spec = make_surface(QQ, q("X^2 - 1/2*X", ("X",)), q("Z^3 - 2/3*X*Z + 1/2", ("X", "Z")))
+    for _ in range(25):
+        a, b = (normal_form(_random_q_poly(rng, V, max_exp=2), spec) for _ in range(2))
+        for el in (a * b, a * a * b, (a + b) ** 2):
+            _assert_canonical(el.raw_lift())
+            assert el.raw_lift().is_zero or el.raw_lift().degree_in("Z") < 3
     for _ in range(6):
         P = _monic_cubic(rng)
         Pz = P.derivative("Z")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from danielewski import (GF, QQ, build_stable_iso, canonical_expmap, divide_by_x, fiber,
@@ -5,10 +7,10 @@ from danielewski import (GF, QQ, build_stable_iso, canonical_expmap, divide_by_x
                          parse_poly, poly_str, shift_surface, smoothness_check)
 from danielewski import surface
 from danielewski.errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
-from danielewski.poly import NEG_INF, Poly
-from danielewski.surface import FiberKind, SurfaceElement, eval_poly_on_elements
+from danielewski.poly import NEG_INF, Poly, substitute
+from danielewski.surface import FiberKind, SurfaceElement, SurfaceSpec, eval_poly_on_elements
 
-from conftest import random_poly, random_raw, surf
+from conftest import random_coeff, random_poly, random_raw, surf
 from oracles import eval_by_horner, normal_form_stepwise
 
 
@@ -37,14 +39,50 @@ def test_normal_form_examples(surfaces):
     assert dict(nfx.coeffs) == {0: parse_poly("X*Z", GF(2), ("X", "Z"))}
 
 
+# surfaces of higher Z-degree, over F_p with p | d among them
+WIDE_SURFACES = (
+    (GF(3), "X^2*(X+1)", "Z^3+X*Z+X^2"),
+    (GF(2), "X^3+X", "Z^4+X*Z^3+Z+1"),
+    (QQ, "X^2-X", "Z^3-X*Z+1/2"),
+)
+
+
+def _random_aux_raw(rng, spec):
+    """A representative over X, Y, Z and some of U, V, v in a shuffled
+    variable order, with Z-degree up to d(d-1); half the time it is built
+    as a multiple of P(X, theta) with deg_Z theta = d - 1, where such
+    degrees come from."""
+    names = ["X", "Y", "Z"] + rng.sample(["U", "V", "v"], rng.randint(1, 3))
+    rng.shuffle(names)
+    vs = tuple(names)
+    top = spec.d * (spec.d - 1)
+    raw = random_poly(rng, spec.field, vs, max_exp=2, max_terms=4)
+    z = vs.index("Z")
+    raw = raw + Poly(spec.field, vs, {
+        tuple(rng.randint(0, top) if i == z else rng.randint(0, 1) for i in range(len(vs))):
+        random_coeff(rng, spec.field) for _ in range(rng.randint(1, 3))})
+    if rng.random() < 0.5:
+        theta = (Poly.monomial(spec.field, ("X", "Z"), (0, spec.d - 1))
+                 + random_poly(rng, spec.field, ("X", "Z"), max_exp=1, max_terms=2))
+        at_theta = substitute(spec.P, {"Z": theta}).with_vars(vs)
+        raw = raw + at_theta * random_poly(rng, spec.field, vs, max_exp=1, max_terms=2)
+    return raw
+
+
 def test_normal_form_uniqueness_across_orders(rng, surfaces):
-    for spec in surfaces:
-        for _ in range(60):
-            raw = random_raw(rng, spec)
+    wide = tuple(surf(*s) for s in WIDE_SURFACES)
+    for spec in surfaces + wide:
+        state = repr(vars(spec))
+        raws = [random_raw(rng, spec) for _ in range(60)]
+        raws += [_random_aux_raw(rng, spec) for _ in range(20)]
+        for raw in raws:
             fast = normal_form(raw, spec)
             high = normal_form_stepwise(raw, spec, "high")
             low = normal_form_stepwise(raw, spec, "low")
             assert fast == high == low
+        # no per-surface state: normalizing leaves the surface as it was
+        assert set(vars(spec)) == {f.name for f in fields(SurfaceSpec)}
+        assert repr(vars(spec)) == state
 
 
 def test_element_arithmetic(surfaces):
