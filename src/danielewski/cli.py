@@ -327,7 +327,8 @@ def _positive_int(text: str) -> int:
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                   help="cap on the candidates an isomorphism search examines (>= 1)")
+                   help="cap on the candidates an isomorphism search tries or "
+                        "produces (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,11 +47,13 @@ class ComaximalityError(DanielewskiError):
 
 
 class SearchCapExceededError(DanielewskiError):
-    """A search would examine more candidates than the configured cap allows.
+    """A search would count more candidates than the configured cap allows.
 
-    ``needed`` is the count of candidates examined so far plus those of the
-    step that was refused, or a lower bound on the whole search when it is
-    refused before it starts; a refused step is not run.
+    The isomorphism search counts the (lambda, mu) pairs it tries, the
+    values of a free lambda or gamma, and the delta residues it produces
+    with their CRT combinations; factoring over Q counts the subsets it
+    recombines.  ``needed`` is the count so far plus that of the step that
+    was refused, and a refused step lists nothing.
     """
 
     def __init__(self, needed: int, cap: int):

@@ -271,6 +271,169 @@ def fp_factor(f, p) -> Tuple[int, List[Tuple[List[int], int]]]:
 
 
 # ---------------------------------------------------------------------------
+# polynomials over F_q = F_p[X]/(q) and their roots in F_q
+# ---------------------------------------------------------------------------
+
+
+class Fq:
+    """The field F_q = F_p[X]/(q), q monic irreducible over F_p, and dense
+    polynomials in one variable T over it.
+
+    An element is its dense F_p remainder mod q (``[]`` is zero); a
+    polynomial is an ascending list of elements without trailing zeros.
+    Element arithmetic is the F_p kernel above followed by one reduction
+    mod q.  Inverses are cached: a small field repeats them, and the cache
+    lives as long as the object."""
+
+    def __init__(self, q: List[int], p: int):
+        self.q = q
+        self.p = p
+        self.degree = _deg(q)
+        self.size = p ** self.degree
+        self._inverses = {}
+
+    # elements
+
+    def reduce(self, a):
+        return _divmod(a, self.q, self.p)[1] if len(a) > self.degree else a
+
+    def mul(self, a, b):
+        return self.reduce(_mul(a, b, self.p))
+
+    def inv(self, a):
+        key = tuple(a)
+        inv = self._inverses.get(key)
+        if inv is None:
+            inv = self._inverses[key] = _xgcd(a, self.q, self.p)[1]
+        return inv
+
+    def neg(self, a):
+        return _norm([-c for c in a], self.p)
+
+    def elements(self):
+        """Every element, in a fixed order."""
+        for digits in itertools.product(range(self.p), repeat=self.degree):
+            yield _norm(list(digits), self.p)
+
+    # polynomials in T
+
+    def poly(self, coeffs):
+        """An F_p[X]-coefficient list read mod q, trailing zeros dropped."""
+        out = [self.reduce(c) for c in coeffs]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def add(self, f, g):
+        p = self.p
+        n = max(len(f), len(g))
+        out = [_add(f[i] if i < len(f) else [], g[i] if i < len(g) else [], p)
+               for i in range(n)]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def sub(self, f, g):
+        return self.add(f, [self.neg(c) for c in g])
+
+    def pmul(self, f, g):
+        if not f or not g:
+            return []
+        p = self.p
+        out = [[] for _ in range(len(f) + len(g) - 1)]
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    if b:
+                        out[i + j] = _add(out[i + j], _mul(a, b, p), p)
+        return self.poly(out)
+
+    def pdivmod(self, f, g):
+        """(quotient, remainder) of f by a nonzero g."""
+        p = self.p
+        r = list(f)
+        dg = len(g) - 1
+        inv = self.inv(g[-1])
+        quo = [[] for _ in range(max(0, len(r) - dg))]
+        # entries of r below the lead stay unreduced mod q until they lead
+        while len(r) > dg:
+            lead = self.reduce(r.pop())
+            if lead:
+                k = len(r) - dg
+                c = quo[k] = self.mul(lead, inv)
+                for i, b in enumerate(g[:-1]):
+                    r[k + i] = _sub(r[k + i], _mul(c, b, p), p)
+        return quo, self.poly(r)
+
+    def monic(self, f):
+        if not f:
+            return []
+        inv = self.inv(f[-1])
+        return [self.mul(c, inv) for c in f]
+
+    def gcd(self, f, g):
+        """Monic gcd; gcd(0, 0) = []."""
+        while g:
+            f, g = g, self.pdivmod(f, g)[1]
+        return self.monic(f)
+
+    def pow_mod(self, f, e, g):
+        """f**e mod g."""
+        result = [[1]]
+        base = self.pdivmod(f, g)[1]
+        while e:
+            if e & 1:
+                result = self.pdivmod(self.pmul(result, base), g)[1]
+            base = self.pdivmod(self.pmul(base, base), g)[1]
+            e >>= 1
+        return result
+
+    def roots(self, f) -> List[List[int]]:
+        """The distinct roots in F_q of a nonzero f, sorted.
+
+        A linear f gives its root at once.  Otherwise the roots are those of
+        gcd(f, T^size - T), a product of distinct linear factors, which is
+        split by equal degree: with (T + a)^((size - 1)/2) - 1 for random a
+        when p is odd, seeded from the input as ``fp_factor`` does, and with
+        the trace maps Tr(X^j T) for p = 2."""
+        f = self.monic(f)
+        if len(f) > 2:
+            t = [[], [1]]
+            f = self.gcd(f, self.sub(self.pow_mod(t, self.size, f), t))
+        return sorted(self._split(f))
+
+    def _split(self, f) -> List[List[int]]:
+        if len(f) <= 2:
+            return [self.neg(f[0])] if len(f) == 2 else []
+        for g in self._splitters(f):
+            g = self.gcd(f, g)
+            if 1 < len(g) < len(f):
+                return self._split(g) + self._split(self.pdivmod(f, g)[0])
+        raise DanielewskiError(f"no equal-degree split of a product of linear factors {f}")
+
+    def _splitters(self, f):
+        """Polynomials whose gcd with f, a product of at least two distinct
+        monic linear factors over F_q, is a proper factor, often (p odd)
+        or for at least one of them (p = 2)."""
+        if self.p == 2:
+            # Tr(b r) for the roots r of f is not constant for some b in the
+            # basis X^j: the trace form is nondegenerate
+            for j in range(self.degree):
+                cur = [[], [0] * j + [1]]
+                trace = []
+                for _ in range(self.degree):
+                    trace = self.add(trace, cur)
+                    cur = self.pdivmod(self.pmul(cur, cur), f)[1]
+                yield trace
+            return
+        rng = random.Random(f"roots|{self.p}|{self.q}|{f}")
+        half = (self.size - 1) // 2
+        while True:
+            a = _norm([rng.randrange(self.p) for _ in range(self.degree)], self.p)
+            yield self.sub(self.pow_mod([a, [1]], half, f), [[1]])
+
+
+# ---------------------------------------------------------------------------
 # factorization over Z (Hensel lifting and Zassenhaus recombination)
 # ---------------------------------------------------------------------------
 

@@ -14,13 +14,14 @@ hold.  The solver finds all (lam, mu) from (III) -- linearly eliminating mu
 when the characteristic does not divide r, exhaustively otherwise -- then
 all (gam, delta) from (vi) -- eliminating delta through the z^(d-1)
 coefficient when the characteristic p does not divide d, otherwise by
-lifting delta modulo each prime-power factor of f_2 one power at a time and
-combining the residues by CRT (``_DeltaLifting``).  One search cap bounds
-the candidates a decision examines: the (lam, mu) pairs of the first
-exhaustive branch plus the delta residues of the lifting.  When an
-elimination leaves lam or gam free over F_p, its p - 1 values are refused
-before they are listed if they pass the cap.  Every
-certificate it emits is re-verified first.  delta is stored as the
+solving for delta modulo each prime-power factor q^m of f_2: roots over
+F_p[X]/(q) first, then one affine step per higher power of q, the residues
+combined by CRT (``_DeltaLifting``).  One search cap bounds the candidates
+a decision counts: the (lam, mu) pairs tried when p divides r, plus the
+delta residues produced at every power and their CRT combinations.  When
+an elimination leaves lam or gam free over F_p, its p - 1 values count
+too.  A step that would pass the cap is refused before it lists anything.
+Every certificate it emits is re-verified first.  delta is stored as the
 canonical representative of degree < r; any lift delta + f_2 * e also
 yields an isomorphism and is not enumerated.
 
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
-from .factor import (Factorization, _add, _divmod, _mul, _norm, _xgcd, dense_to_poly,
+from .factor import (Factorization, Fq, _add, _divmod, _mul, _norm, _xgcd, dense_to_poly,
                      factor_univariate, gcd_univariate, poly_to_dense, roots_in_field)
 from .fields import FieldKind, Scalar
 from .poly import NEG_INF, SLOT, SLOT_MASK, Poly, divmod_in, substitute
@@ -238,33 +240,33 @@ class _DeltaLifting:
     D(X, Z, T) = P_1(lam X + mu, gam Z + T) - gam^d P_2.  It holds exactly
     when it holds modulo every prime-power factor q^m of f_2, and
     D(X, Z, delta) mod q^j depends only on delta mod q^j.  So each factor is
-    solved by lifting: a survivor s mod q^(j-1) gives the p^(deg q)
-    candidates s + t q^(j-1), deg t < deg q, and a candidate survives when
-    every Z-coefficient of D(X, Z, delta) vanishes mod q^j.  The survivors
-    mod the q_i^(m_i) combine by CRT into every delta mod f_2 of degree < r.
+    solved one power of q at a time, and the residues mod the q_i^(m_i)
+    combine by CRT into every delta mod f_2 of degree < r.
 
-    Plain enumeration examines p^(m deg q) candidates for a factor q^m;
-    lifting examines sum_{j=1..m} |S_(j-1)| p^(deg q), where S_(j-1) is the
-    set of survivors mod q^(j-1).  That is usually far fewer, and under
-    2 p^(m deg q) even when every candidate survives.
+    Mod q each Z-coefficient g_j(T) of D is a polynomial over the field
+    F_q = F_p[X]/(q), and the residues of delta mod q are the roots in F_q
+    of G = gcd_j g_j.  G is never zero: the Z^0 coefficient holds T^d.
+    Past the first power, a residue s mod q^(j-1) lifts to s + t q^(j-1)
+    exactly when a + t b = 0 in F_q for every Z-coefficient, where
+    a = (D(s) mod q^j) / q^(j-1) and b = D'(s) mod q (Hensel: the terms in
+    t^2 vanish mod q^j).  So s lifts to one residue, to none, or -- when
+    every a and every b vanish -- to all of F_q.
 
-    One count of candidates examined covers the decision: it starts at
-    ``examined`` (the (lam, mu) pairs already tried) and grows over every
-    (lam, mu, gam) and every level.  A level that would take it past the cap
-    raises SearchCapExceededError before any of its candidates is examined.
-    Each of the ``runs`` (lam, mu, gam) examines at least the first level of
-    the first factor, so when those alone pass the cap the search is refused
-    at once.
+    One count against the cap covers the decision: it starts at
+    ``examined`` (the (lam, mu) pairs already tried) and adds, over every
+    (lam, mu, gam), each residue produced at each power and the number of
+    CRT combinations before they are listed.  A step that would take it
+    past the cap raises SearchCapExceededError before it lists anything.
     """
 
     def __init__(self, f2: Poly, factors: Tuple[Tuple[Poly, int], ...], cap: int,
-                 examined: int, runs: int):
+                 examined: int):
         p = f2.field.modulus
         self.p = p
         self.cap = cap
         self.examined = examined
         f = self.f = poly_to_dense(f2, "X")
-        self.factors = []       # (q, m, CRT idempotent: 1 mod q^m, 0 mod f_2 / q^m)
+        self.factors = []       # (F_q, m, CRT idempotent: 1 mod q^m, 0 mod f_2 / q^m)
         for q_poly, m in factors:
             q = poly_to_dense(q_poly, "X")
             block = [1]
@@ -272,21 +274,25 @@ class _DeltaLifting:
                 block = _mul(block, q, p)
             cofactor = _divmod(f, block, p)[0]
             inverse = _xgcd(cofactor, block, p)[1]
-            self.factors.append((q, m, _divmod(_mul(cofactor, inverse, p), f, p)[1]))
-        least = examined + runs * p ** (len(self.factors[0][0]) - 1)
-        if least > cap:
-            raise SearchCapExceededError(least, cap)
+            self.factors.append((Fq(q, p), m, _divmod(_mul(cofactor, inverse, p), f, p)[1]))
+
+    def _count(self, produced: int):
+        needed = self.examined + produced
+        if needed > self.cap:
+            raise SearchCapExceededError(needed, self.cap)
+        self.examined = needed
 
     def deltas(self, table: Dict[int, List[list]]) -> List[list]:
         """Every delta mod f_2 (dense, degree < r) with D(X, Z, delta) = 0
         mod f_2; ``table[j][k]`` is the X-coefficient list of Z^j T^k in D."""
         p = self.p
         parts = []
-        for q, m, idempotent in self.factors:
-            residues = self._lift(table, q, m)
+        for fq, m, idempotent in self.factors:
+            residues = self._lift(list(table.values()), fq, m)
             if not residues:
                 return []
             parts.append([_mul(s, idempotent, p) for s in residues])
+        self._count(math.prod(len(part) for part in parts))
         out = []
         for combo in itertools.product(*parts):
             delta = []
@@ -295,43 +301,65 @@ class _DeltaLifting:
             out.append(_divmod(delta, self.f, p)[1])
         return out
 
-    def _lift(self, table, q, m) -> List[list]:
+    def _lift(self, rows, fq: Fq, m: int) -> List[list]:
         """Every residue of delta mod q^m that solves D = 0 mod q^m."""
-        p = self.p
-        survivors: List[list] = [[]]
-        below = [1]                       # q^(j-1)
-        for _ in range(m):
-            needed = self.examined + len(survivors) * p ** (len(q) - 1)
-            if needed > self.cap:
-                raise SearchCapExceededError(needed, self.cap)
-            self.examined = needed
+        p, q = self.p, fq.q
+        g = None
+        for row in sorted(rows, key=len):
+            row = fq.poly(row)
+            if row:
+                g = row if g is None else fq.gcd(g, row)
+                if len(g) == 1:
+                    return []
+        survivors = fq.roots(g)
+        self._count(len(survivors))
+        if m == 1 or not survivors:
+            return survivors
+        # D'(T) mod q, one list per Z-coefficient
+        slopes = [fq.poly([_norm([k * c for c in coeff], p) for k, coeff in enumerate(row)][1:])
+                  for row in rows]
+        below = q                         # q^(j-1)
+        for _ in range(m - 1):
             modulus = _mul(below, q, p)   # q^j
-            rows = [[_divmod(c, modulus, p)[1] for c in row] for row in table.values()]
-            survivors = [cand for s in survivors
-                         for cand in (_add(s, t, p) for t in _shifts(below, len(q) - 1, p))
-                         if _vanishes(rows, cand, modulus, p)]
+            reduced = [[_divmod(c, modulus, p)[1] for c in row] for row in rows]
+            lifted = []
+            for s in survivors:
+                shifts = self._affine_step(reduced, slopes, s, below, modulus, fq)
+                self._count(fq.size if shifts is None else len(shifts))
+                for t in (fq.elements() if shifts is None else shifts):
+                    lifted.append(_add(s, _mul(t, below, p), p))
+            survivors = lifted
             if not survivors:
                 break
             below = modulus
         return survivors
 
+    def _affine_step(self, reduced, slopes, s, below, modulus, fq: Fq) -> Optional[List[list]]:
+        """The t in F_q with D(s + t q^(j-1)) = 0 mod q^j, for a residue s
+        mod q^(j-1) that solves D = 0 mod q^(j-1): [t], [], or None for
+        every t.  ``below`` is q^(j-1), ``modulus`` q^j."""
+        p = self.p
+        s_low = fq.reduce(s)
+        t = None
+        for row, slope in zip(reduced, slopes):
+            a = _divmod(_horner(row, s, modulus, p), below, p)[0]
+            b = _horner(slope, s_low, fq.q, p)
+            if t is not None:
+                if _add(a, fq.mul(t, b), p):
+                    return []
+            elif b:
+                t = fq.neg(fq.mul(a, fq.inv(b)))
+            elif a:
+                return []
+        return None if t is None else [t]
 
-def _shifts(below, k, p):
-    """Every t * ``below`` with deg t < k, one at a time."""
-    for t in itertools.product(range(p), repeat=k):
-        yield _mul(_norm(list(t), p), below, p)
 
-
-def _vanishes(rows, delta, modulus, p) -> bool:
-    """Whether sum_k row[k] delta^k = 0 mod ``modulus`` for every row, by
-    Horner's rule; stops at the first row that does not vanish."""
-    for row in rows:
-        acc = []
-        for c in reversed(row):
-            acc = _divmod(_add(_mul(acc, delta, p), c, p), modulus, p)[1]
-        if acc:
-            return False
-    return True
+def _horner(row, x, modulus, p) -> list:
+    """sum_k row[k] x^k mod ``modulus``."""
+    acc = []
+    for c in reversed(row):
+        acc = _divmod(_add(_mul(acc, x, p), c, p), modulus, p)[1]
+    return acc
 
 
 def _defect_table(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
@@ -463,7 +491,7 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     p = s1.field.characteristic()
     lifting = None
     if p and s1.d % p == 0:
-        lifting = _DeltaLifting(s2.f, fac2.factors, cap, examined, len(pairs) * (p - 1))
+        lifting = _DeltaLifting(s2.f, fac2.factors, cap, examined)
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:

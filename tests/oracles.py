@@ -10,11 +10,12 @@ evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
 certificate is recomputed by applying the extended canonical map to theta,
 s and w through that evaluator instead of being deduced from V2 and V4;
-the roots of a polynomial over a prime field are found by evaluating it at
-every residue, not read off its factorization; and the product parser
-builds every factor of an expression as a ``Poly`` and every product and
-power with ``Poly`` arithmetic, where the library's parser keeps a product
-of literal factors as one monomial.
+the roots of a polynomial over a prime field, or over F_p[X]/(q), are
+found by evaluating it at every element, not read off its factorization or
+split by equal degree; and the product parser builds every factor of an
+expression as a ``Poly`` and every product and power with ``Poly``
+arithmetic, where the library's parser keeps a product of literal factors
+as one monomial.
 
 The tuple-keyed kernel at the end is the reference for the packed one in
 ``poly.py``: it keys terms by exponent tuples, orders them with
@@ -114,6 +115,23 @@ def roots_by_evaluation(p, var="X"):
             roots.append(root)
             rest = quo
     return roots
+
+
+def fq_roots_by_evaluation(f, q):
+    """Distinct roots of f in F_q = F_p[X]/(q), ascending as coefficient
+    lists.  f is a Poly over ("X", "T") and q a monic irreducible Poly over
+    ("X",); every a of degree < deg q is substituted for T and the value is
+    reduced mod q."""
+    field = f.field
+    roots = []
+    for digits in itertools.product(range(field.modulus), repeat=q.degree_in("X")):
+        a = Poly(field, ("X",), {(i,): c for i, c in enumerate(digits)})
+        if divmod_in(substitute(f, {"T": a}, vars_out=("X",)), q, "X")[1].is_zero:
+            root = list(digits)
+            while root and root[-1] == 0:
+                root.pop()
+            roots.append(root)
+    return sorted(roots)
 
 
 def exhaustive_gamma_delta(s1, s2, lam, mu):

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from danielewski import (GF, QQ, Scalar, factor_univariate, gcd_univariate,
+from danielewski import (GF, QQ, Poly, Scalar, factor_univariate, gcd_univariate,
                          is_squarefree, parse_poly, poly_str, roots_in_field,
                          squarefree_part)
 from danielewski.errors import SearchCapExceededError
-from danielewski.factor import (MAX_RECOMBINATION_SUBSETS, _add, _divmod, _gcd, _mul, _norm,
-                                _xgcd, dense_to_poly, fp_factor, poly_to_dense)
+from danielewski.factor import (MAX_RECOMBINATION_SUBSETS, Fq, _add, _divmod, _gcd, _mul,
+                                _norm, _xgcd, dense_to_poly, fp_factor, poly_to_dense)
 
 from conftest import D_ODD_PRIMES as D, random_poly, swinnerton_dyer
-from oracles import roots_by_evaluation
+from oracles import fq_roots_by_evaluation, roots_by_evaluation
 
 
 def q(text):
@@ -246,3 +246,40 @@ def test_zassenhaus_recombination_is_bounded():
         factor_univariate(sd32)
     assert time.process_time() - start < 1.0
     assert (info.value.needed, info.value.cap) == (2516, MAX_RECOMBINATION_SUBSETS)
+
+
+# (p, q): F_2^3, F_3^2, F_5^2, F_7 and F_2
+FQ_FIELDS = [(2, "X^3+X+1"), (3, "X^2+1"), (5, "X^2+2"), (7, "X"), (2, "X")]
+
+
+def _fq_poly_from(coeffs, p):
+    """A polynomial in T over F_q as a Poly over ("X", "T")."""
+    return Poly(GF(p), ("X", "T"), {(i, k): c for k, el in enumerate(coeffs)
+                                    for i, c in enumerate(el)})
+
+
+@pytest.mark.parametrize("p, q_text", FQ_FIELDS)
+def test_fq_roots_match_evaluation(rng, p, q_text):
+    q = fp(q_text, p)
+    fq = Fq(poly_to_dense(q, "X"), p)
+    elements = list(fq.elements())
+    assert len(elements) == fq.size
+
+    cases = [
+        [[1]],                                            # a unit: no roots
+        [[], [1]],                                        # T
+        [[], [], [1]],                                    # T^2: a repeated root
+        [[], [1], [1]],                                   # T^2 + T: a split of degree 2
+    ]
+    for _ in range(30):
+        # products of linear factors, roots repeated or not, times a random
+        # factor that may have roots or none
+        f = [[1]]
+        for _ in range(rng.randint(0, 5)):
+            f = fq.pmul(f, [fq.neg(rng.choice(elements)), [1]])
+        tail = [rng.choice(elements) for _ in range(rng.randint(0, 3))] + [[1]]
+        cases.append(fq.pmul(f, tail))
+    cases.append([[], [p - 1]] + [[]] * (fq.size - 2) + [[1]])  # T^size - T: every element
+    for f in cases:
+        scaled = fq.pmul(f, [rng.choice(elements) or [1]])
+        assert fq.roots(scaled) == fq_roots_by_evaluation(_fq_poly_from(scaled, p), q), f

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -325,6 +326,10 @@ LIFTING_CASES = (
     (GF(5), "(X^2+2)^2", None, "self"),             # q^2 with deg q = 2
     (GF(5), "X^3*(X^2+X+1)", "Z^5 + X^2 + 1", "self"),  # P = Z^p + c(X), r = 5
     (GF(7), "X^2*(X+1)", None, "random"),           # r = 3, no (gamma, delta)
+    (GF(5), "X^3+X+1", None, "moved"),              # irreducible cubic
+    (GF(7), "X^3+X+1", None, "self"),               # irreducible cubic
+    (GF(2), "(X^3+X+1)^2", "Z^2 + Z + X", "self"),  # p = 2, deg q = 3: two roots in F_8
+    (GF(3), "(X^2+1)^2", "Z^3 + X^2 + X", "self"),  # P = Z^p + c(X): every shift lifts
 )
 
 
@@ -379,33 +384,71 @@ def test_baseline_automorphisms_form_a_group(p):
 
 def test_cap_counts_candidates_examined():
     s = _baseline(5)
-    assert automorphisms(s, cap=500)
-    # lambda = 1, mu = 0 only; per gamma, X^5 lifts over five levels and
-    # X + 1 takes one, 120 candidates in all
-    assert automorphisms(s, cap=120)
+    # lambda = 1, mu = 0 only; per gamma, D = T^5 + T + (1 - gamma) X has a
+    # simple root mod X and mod X + 1 (D' = 1), so X^5 produces one residue
+    # at each of five powers, X + 1 one, and the CRT one combination:
+    # 4 * (5 + 1 + 1) = 28
+    assert automorphisms(s, cap=28)
     with pytest.raises(SearchCapExceededError) as err:
-        automorphisms(s, cap=119)
-    assert err.value.cap == 119 and err.value.needed > 119
+        automorphisms(s, cap=27)
+    assert err.value.cap == 27 and err.value.needed == 28
 
 
 def test_cap_counts_affine_pairs_and_lifted_residues_together():
     # 5 divides r = 5: twenty (lambda, mu) pairs are tried, one survives;
-    # then per gamma X^4 lifts over four levels and X + 1 takes one
+    # then per gamma X^4 produces one residue at each of four powers, X + 1
+    # one, and the CRT one combination: 20 + 4 * (4 + 1 + 1) = 44
     s = surf(GF(5), "X^4*(X+1)", "Z^5+Z+X")
-    assert automorphisms(s, cap=20 + 4 * 25)
+    assert automorphisms(s, cap=20 + 4 * 6)
     with pytest.raises(SearchCapExceededError) as err:
-        automorphisms(s, cap=20 + 4 * 25 - 1)
-    assert err.value.needed == 20 + 4 * 25
+        automorphisms(s, cap=20 + 4 * 6 - 1)
+    assert err.value.needed == 20 + 4 * 6
 
 
-def test_unreachable_cap_is_refused_before_lifting():
-    # irreducible f of degree 8 over F_7: every gamma must try all 7^8
-    # residues of the first level, so the default cap is refused up front
+def test_cap_counts_crt_combinations():
+    # lambda = 1, mu = 0 only; D = T^5 + (1 - gamma)(X^2 + 1) has one root
+    # in F_125 for each gamma.  For gamma = 1 that root is 0, D' = 0 and D
+    # vanishes, so all 125 shifts lift, and the CRT lists 125 combinations;
+    # for the other three gammas no shift lifts: 1 + 125 + 125 + 3 = 254
+    s = surf(GF(5), "(X^3+X+1)^2", "Z^5+X^2+1")
+    assert len(automorphisms(s, cap=254)) == 125
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(s, cap=253)
+    assert err.value.needed == 254
+
+
+def test_cap_refuses_crt_combinations_before_listing():
+    # f = ((X + 5)(cubic))^2 over F_7: for lambda = gamma = 1, mu = 0 every
+    # shift at the second power lifts, 7 residues mod (X + 5)^2 and 7^3 mod
+    # cubic^2, and their 7 * 7^3 = 2401 combinations pass the cap; each
+    # factor's own count stays under it
+    s = surf(GF(7), "(X^4+X+3)^2", "Z^7+X")
+    assert fingerprint(s).degrees == (1, 3)
+    start = time.process_time()
+    with pytest.raises(SearchCapExceededError) as err:
+        automorphisms(s, cap=2000)
+    assert time.process_time() - start < 0.1
+    assert err.value.needed >= 7 * 7 ** 3
+
+
+def test_irreducible_octic_answers_at_the_default_cap():
+    # irreducible f of degree 8 over F_7: the residues of delta mod f are
+    # the roots in F_(7^8) of the defect's Z-coefficients, never listed
     s = surf(GF(7), "X^8+X+3", "Z^7+Z+X")
     assert fingerprint(s).degrees == (8,)
+    certs = automorphisms(s, cap=DEFAULT_CAP)
+    assert any(c.is_identity() for c in certs) and all(verify_iso(c).ok for c in certs)
+
+
+def test_free_shifts_past_the_cap_are_refused():
+    # f = q^2 with q = X^4 + X^2 + 3 irreducible over F_7 and P = Z^7 + X:
+    # for lambda = gamma = 1, mu = 0, D = T^7 has the root 0 mod q, D' = 0
+    # and D(0) = 0, so the second power frees all 7^4 shifts
+    s = surf(GF(7), "(X^4+X^2+3)^2", "Z^7+X")
+    assert fingerprint(s).degrees == (4,)
     with pytest.raises(SearchCapExceededError) as err:
-        automorphisms(s)
-    assert err.value.needed == 6 * 7 ** 8 > DEFAULT_CAP
+        automorphisms(s, cap=500)
+    assert err.value.needed >= 7 ** 4
 
 
 @pytest.mark.parametrize("f, phi", [("X^2", "Z^2+1"), ("X^2+1", "Z^2")],
