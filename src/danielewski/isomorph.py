@@ -12,13 +12,21 @@ and the data is admissible exactly when the two polynomial identities
 
 hold.  The solver finds all (lam, mu) from (III) -- linearly eliminating mu
 when the characteristic does not divide r, exhaustively otherwise -- then
-all (gam, delta) from (vi) -- eliminating delta through the z^(d-1)
-coefficient when the characteristic p does not divide d, otherwise by
-solving for delta modulo each prime-power factor q^m of f_2: roots over
-F_p[X]/(q) first, then one affine step per higher power of q, the residues
-combined by CRT (``_DeltaLifting``).  One search cap bounds the candidates
-a decision counts: the (lam, mu) pairs tried when p divides r, plus the
-delta residues produced at every power and their CRT combinations.  When
+all (gam, delta) from (vi).  gam comes off the Taylor rows of (vi): with
+c1_k, c2_k the z^k coefficients of P_1(lam X + mu, z) and P_2 reduced mod
+f_2, the binomial theorem turns the z-rows of (vi) into conditions
+a = gam^e b mod f_2, and a gcd of the binomials T^e - c they give holds
+every admissible gam.  When the characteristic p does not divide d, the
+z^(d-1) row gives delta = delta_0 + gam delta_1, the rows are those of both
+sides rewritten in z + delta_1, and each gam the gcd leaves is confirmed by
+the exact split of (vi).  Otherwise the rows of P_1(lam X + mu, z + T) free
+of T constrain gam, and delta is solved for only those gam, modulo each
+prime-power factor q^m of f_2: roots over F_p[X]/(q) first, then one affine
+step per higher power of q, the residues combined by CRT
+(``_DeltaLifting``).  One search cap bounds the candidates a decision
+counts: the (lam, mu) pairs tried when p divides r, plus the delta
+residues produced at every power and their CRT combinations; a gam that a
+T-free row rules out is never lifted and counts nothing.  When
 an elimination leaves lam or gam free over F_p, its p - 1 values count
 too.  A step that would pass the cap is refused before it lists anything.
 Every certificate it emits is re-verified first.  delta is stored as the
@@ -39,10 +47,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
-from .factor import (Factorization, Fq, _add, _divmod, _mul, _norm, _xgcd, dense_to_poly,
-                     factor_univariate, gcd_univariate, poly_to_dense, roots_in_field)
+from .factor import (Factorization, Fq, _add, _divmod, _gcd, _inv, _mul, _norm, _sub, _xgcd,
+                     dense_to_poly, factor_univariate, gcd_univariate, poly_to_dense,
+                     roots_in_field)
 from .fields import FieldKind, Scalar
-from .poly import NEG_INF, SLOT, SLOT_MASK, Poly, divmod_in, substitute
+from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, substitute
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
 
@@ -169,6 +178,9 @@ def _roots_or_all(g: Optional[Poly], field, cap: int) -> Tuple[List[Scalar], boo
                 raise SearchCapExceededError(field.modulus - 1, cap)
             return [Scalar(field, c) for c in range(1, field.modulus)], False
         return [], True
+    if g.total_degree() == 1:     # read off, not factored
+        root = -g.coefficient((0,)) / g.coefficient((1,))
+        return ([root] if root else []), False
     return [s for s in dict.fromkeys(roots_in_field(g)) if s], False
 
 
@@ -233,8 +245,76 @@ def _congruence_split(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
     return divmod_in(defect, s2.f.with_vars(vars2), "X")
 
 
+def _z_rows(P: Poly, f: list, m: int) -> List[list]:
+    """The coefficients c_k(X) of Z^k in P over (X, Z), k = 0 .. deg_Z P, as
+    dense lists reduced mod the monic dense f."""
+    x_off, z_off = P.slot("X")[0], P.slot("Z")[0]
+    rows: List[list] = [[] for _ in range(P.degree_in("Z") + 1)]
+    for key, c in P.packed.items():
+        i, row = (key >> x_off) & SLOT_MASK, rows[(key >> z_off) & SLOT_MASK]
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] = c
+    return [_divmod(row, f, m)[1] for row in rows]
+
+
+class _TaylorRows:
+    """sum_k c_k(X) Z^k, with the c_k dense mod f, rewritten in W = Z - s:
+    row i is the W^i coefficient sum_k C(k, i) c_k s^(k-i) mod f (binomial
+    theorem).  Rows are computed when first read."""
+
+    def __init__(self, c: List[list], s: list, f: list, m: int):
+        self.c, self.s, self.f, self.m = c, s, f, m
+        self.powers = [[1]]             # s^j mod f
+        self.rows: Dict[int, list] = {}
+
+    def __getitem__(self, i: int) -> list:
+        row = self.rows.get(i)
+        if row is None:
+            c, f, m, powers = self.c, self.f, self.m, self.powers
+            while len(powers) < len(c) - i:
+                powers.append(_divmod(_mul(powers[-1], self.s, m), f, m)[1])
+            row = []
+            for k in range(i, len(c)):
+                term = _mul(c[k], powers[k - i], m)
+                if term:
+                    row = _add(row, [math.comb(k, i) * a for a in term], m)
+            row = self.rows[i] = _divmod(row, f, m)[1]
+        return row
+
+
+def _binomial_gcd(rows, m: int) -> Optional[list]:
+    """The gcd of the conditions a = gam^e b mod f_2 on a nonzero gam, given
+    as (a, b, e) with a, b dense mod f_2: each is T^e - c when a = c b for a
+    scalar c, no condition when a = b = 0, and unsolvable otherwise ([1]).
+    Over F_p, gam^(p-1) = 1 reduces e mod p - 1, so a row with e = 0 asks
+    c = 1 and no binomial reaches degree p - 1.  None when no row
+    constrains gam.  Stops once the gcd has degree <= 1: the rows left
+    unread are the caller's to check."""
+    g = None
+    for a, b, e in rows:
+        if not a or not b:
+            if a or b:
+                return [1]
+            continue
+        c = a[-1] * _inv(b[-1], m) % m if m else a[-1] * _inv(b[-1], m)
+        if len(a) != len(b) or _norm([c * v for v in b], m) != a:
+            return [1]
+        if m:
+            e %= m - 1
+        if not e:
+            if c != 1:
+                return [1]
+            continue
+        binomial = [-c] + [0] * (e - 1) + [1]
+        g = _norm(binomial, m) if g is None else _gcd(g, binomial, m)
+        if len(g) <= 2:
+            break
+    return g
+
+
 class _DeltaLifting:
-    """The (gamma, delta) search of one decision when char K = p divides d.
+    """The delta search of one decision when char K = p divides d, for the
+    gam that the T-free rows of the defect allow.
 
     Congruence (vi) reads D(X, Z, delta) = 0 mod f_2, where
     D(X, Z, T) = P_1(lam X + mu, gam Z + T) - gam^d P_2.  It holds exactly
@@ -254,18 +334,19 @@ class _DeltaLifting:
 
     One count against the cap covers the decision: it starts at
     ``examined`` (the (lam, mu) pairs already tried) and adds, over every
-    (lam, mu, gam), each residue produced at each power and the number of
-    CRT combinations before they are listed.  A step that would take it
-    past the cap raises SearchCapExceededError before it lists anything.
+    (lam, mu) and every gam lifted, each residue produced at each power and
+    the number of CRT combinations before they are listed.  A gam that a
+    T-free row rules out is never lifted and adds nothing.  A step that
+    would take the count past the cap raises SearchCapExceededError before
+    it lists anything.
     """
 
-    def __init__(self, f2: Poly, factors: Tuple[Tuple[Poly, int], ...], cap: int,
+    def __init__(self, f: list, p: int, factors: Tuple[Tuple[Poly, int], ...], cap: int,
                  examined: int):
-        p = f2.field.modulus
         self.p = p
         self.cap = cap
         self.examined = examined
-        f = self.f = poly_to_dense(f2, "X")
+        self.f = f
         self.factors = []       # (F_q, m, CRT idempotent: 1 mod q^m, 0 mod f_2 / q^m)
         for q_poly, m in factors:
             q = poly_to_dense(q_poly, "X")
@@ -282,13 +363,14 @@ class _DeltaLifting:
             raise SearchCapExceededError(needed, self.cap)
         self.examined = needed
 
-    def deltas(self, table: Dict[int, List[list]]) -> List[list]:
+    def deltas(self, rows: List[List[list]]) -> List[list]:
         """Every delta mod f_2 (dense, degree < r) with D(X, Z, delta) = 0
-        mod f_2; ``table[j][k]`` is the X-coefficient list of Z^j T^k in D."""
+        mod f_2; each row lists the X-coefficients of Z^j T^k in D over k,
+        one row per Z^j that is nonzero mod f_2."""
         p = self.p
         parts = []
         for fq, m, idempotent in self.factors:
-            residues = self._lift(list(table.values()), fq, m)
+            residues = self._lift(rows, fq, m)
             if not residues:
                 return []
             parts.append([_mul(s, idempotent, p) for s in residues])
@@ -362,75 +444,71 @@ def _horner(row, x, modulus, p) -> list:
     return acc
 
 
-def _defect_table(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                  gamma: Scalar) -> Dict[int, List[list]]:
-    """D(X, Z, T) = P_1(lam X + mu, gam Z + T) - gam^d P_2 from one
-    substitution, as {j: [X-coefficient list of Z^j T^k for k = 0, 1, ...]}."""
-    field = s1.field
-    vars3 = ("X", "Z", "T")
-    x = Poly.variable(field, vars3, "X")
-    z = Poly.variable(field, vars3, "Z")
-    t = Poly.variable(field, vars3, "T")
-    lhs = substitute(s1.P, {"X": x.scaled(lam) + Poly.const(field, vars3, mu),
-                            "Z": z.scaled(gamma) + t}, vars_out=vars3)
-    defect = lhs - s2.P.with_vars(vars3).scaled(gamma ** s1.d)
-    dense: Dict[int, Dict[int, list]] = {}
-    for key, c in defect.packed.items():
-        i, j, k = (key >> 2 * SLOT) & SLOT_MASK, (key >> SLOT) & SLOT_MASK, key & SLOT_MASK
-        row = dense.setdefault(j, {})
-        coeffs = row.setdefault(k, [])
-        coeffs.extend([0] * (i + 1 - len(coeffs)))
-        coeffs[i] = c
-    return {j: [row.get(k, []) for k in range(max(row) + 1)]
-            for j, row in sorted(dense.items())}
-
-
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                           lifting: Optional[_DeltaLifting], cap: int):
+                           target: _TaylorRows, lifting: Optional[_DeltaLifting], cap: int):
     """All (gamma, delta, theta) with the congruence (vi); returns
     (solutions, gamma_free) where gamma_free marks the char-0 infinite case.
     theta is the quotient of the congruence when the check that admitted the
-    solution computed it, else None.  ``lifting`` carries the search when the
-    characteristic divides d, else it is None."""
+    solution computed it, else None.
+
+    Both branches read gamma off rows of (vi) of the form
+    a_j = gam^(d-j) b_j mod f_2 (``_binomial_gcd``), where the b_j are the
+    rows of P_2 in ``target``, built once per decision: the Z^j
+    coefficients c2_j of P_2 when the characteristic divides d, and the
+    W^j coefficients in W = Z + delta_1 when it does not.  ``lifting``
+    carries the delta search in the first case, else it is None."""
     field = s1.field
-    d = s1.d
+    m, d, f = field.modulus, s1.d, target.f
+    vars2 = ("X", "Z")
+    xb = Poly.variable(field, vars2, "X").scaled(lam) + Poly.const(field, vars2, mu)
+    c1 = _z_rows(substitute(s1.P, {"X": xb}, vars_out=vars2), f, m)
     if lifting is not None:
+        # E[j][k] = C(j+k, j) c1_(j+k): P_1(lam X + mu, Z + T) = sum E[j][k] Z^j T^k.
+        # A T-free row j (E[j][k] = 0 for k >= 1; j = d - 1 always, as p | d)
+        # requires c1_j = gam^(d-j) c2_j outright
+        table = [[_norm([math.comb(j + k, j) * a for a in c1[j + k]], m)
+                  for k in range(d + 1 - j)] for j in range(d + 1)]
+        g = _binomial_gcd(((c1[j], target[j], d - j) for j in range(d - 1, -1, -1)
+                           if not any(table[j][1:])), m)
+        if g is None:
+            gammas = range(1, m)
+        else:
+            roots, _ = _roots_or_all(dense_to_poly(g, field, ("GAM",), "GAM"), field, cap)
+            gammas = [gam.value for gam in roots]
         sols = []
-        for gam_raw in range(1, field.modulus):
-            gamma = Scalar(field, gam_raw)
-            for delta in lifting.deltas(_defect_table(s1, s2, lam, mu, gamma)):
-                sols.append((gamma, dense_to_poly(delta, field, ("X",), "X"), None))
+        for gam in gammas:
+            gam_d = pow(gam, d, m)
+            rows = []
+            for j, entries in enumerate(table):
+                gam_j = pow(gam, j, m)
+                row = [[gam_j * a % m for a in e] for e in entries]
+                row[0] = _sub(row[0], [gam_d * a for a in target[j]], m)
+                while row and not row[-1]:
+                    row.pop()
+                if row:
+                    rows.append(row)
+            for delta in lifting.deltas(rows):
+                sols.append((Scalar(field, gam), dense_to_poly(delta, field, ("X",), "X"), None))
         return sols, False
-    # characteristic does not divide d: compare z^(d-1) coefficients,
-    # delta = d^{-1} (gamma c2_{d-1}(X) - c1_{d-1}(lam X + mu)) mod f_2
-    d_inv = Scalar(field, field.inv(field.coerce(d)))
-    c1 = s1.P.coeff_in("Z", d - 1).with_vars(("X",))
-    c2 = s2.P.coeff_in("Z", d - 1).with_vars(("X",))
-    c1_shift = _affine_x(c1, lam, mu)
-    delta0 = divmod_in((-c1_shift).scaled(d_inv), s2.f, "X")[1]
-    delta1 = divmod_in(c2.scaled(d_inv), s2.f, "X")[1]
-    vars3 = ("X", "Z", "GAM")
-    gam_var = Poly.variable(field, vars3, "GAM")
-    x3 = Poly.variable(field, vars3, "X")
-    z3 = Poly.variable(field, vars3, "Z")
-    xb = x3.scaled(lam) + Poly.const(field, vars3, mu)
-    zb = z3 * gam_var + delta0.with_vars(vars3) + delta1.with_vars(vars3) * gam_var
-    lhs = substitute(s1.P.with_vars(("X", "Z")), {"X": xb, "Z": zb}, vars_out=vars3)
-    defect = lhs - s2.P.with_vars(vars3) * gam_var ** d
-    _, rem = divmod_in(defect, s2.f.with_vars(vars3), "X")
-    equations: List[Poly] = []
-    for zc in rem.coefficients_in("Z").values():
-        for xc in zc.coefficients_in("X").values():
-            equations.append(xc.with_vars(("GAM",)))
-    g: Optional[Poly] = None
-    for eq in equations:
-        g = eq if g is None else gcd_univariate(g, eq)
-    gammas, gamma_free = _roots_or_all(g, field, cap)
+    # characteristic does not divide d: comparing Z^(d-1) coefficients gives
+    # delta = delta_0 + gam delta_1 with delta_0 = -c1_(d-1)/d and
+    # delta_1 = c2_(d-1)/d mod f_2.  In W = Z + delta_1, (vi) reads
+    # sum_i (gam^i A_i - gam^d B_i) W^i = 0 mod f_2, where A_i and B_i are the
+    # Taylor rows of P_1(lam X + mu, Z) at delta_0 and of P_2 at -delta_1; the
+    # rows i = d, d - 1 hold for every gam
+    delta0 = _norm([-_inv(d, m) * a for a in c1[d - 1]], m)
+    shifted = _TaylorRows(c1, delta0, f, m)
+    g = _binomial_gcd(((shifted[i], target[i], d - i) for i in range(d - 2, -1, -1)), m)
+    gammas, gamma_free = _roots_or_all(
+        None if g is None else dense_to_poly(g, field, ("GAM",), "GAM"), field, cap)
     if gamma_free:
         gammas = [Scalar(field, 1)]
     sols = []
     for gamma in gammas:
-        delta = delta0 + delta1.scaled(gamma)
+        # target.s is -delta_1; the split is the exact check of the rows
+        # the gcd left unread
+        delta = dense_to_poly(_sub(delta0, [gamma.value * a for a in target.s], m),
+                              field, ("X",), "X")
         theta, check_rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
         if check_rem.is_zero:
             sols.append((gamma, delta, theta))
@@ -488,14 +566,20 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
                      f"{set_str(fp1.degrees)} vs {set_str(fp2.degrees)}")
         return Obstruction(ObstructionKind.NO_AFFINE_MATCH,
                            "no (lambda, mu) transports f_1 onto f_2" + extra)
-    p = s1.field.characteristic()
+    m = s1.field.modulus
+    f2 = poly_to_dense(s2.f, "X")
+    c2 = _z_rows(s2.P, f2, m)
     lifting = None
-    if p and s1.d % p == 0:
-        lifting = _DeltaLifting(s2.f, fac2.factors, cap, examined)
+    if m and s1.d % m == 0:
+        lifting = _DeltaLifting(f2, m, fac2.factors, cap, examined)
+        target = _TaylorRows(c2, [], f2, m)
+    else:
+        # W = Z + delta_1, delta_1 = c2_(d-1)/d mod f_2
+        target = _TaylorRows(c2, _norm([-_inv(s1.d, m) * a for a in c2[-2]], m), f2, m)
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:
-        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, lifting, cap)
+        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, target, lifting, cap)
         gamma_free = gamma_free or free
         for gamma, delta, theta in sols:
             certs.append(_assemble(s1, s2, lam, mu, gamma, delta, theta))

@@ -160,13 +160,19 @@ def exhaustive_gamma_delta(s1, s2, lam, mu):
 
 def brute_force_certificates(s1, s2):
     """Every certificate over a prime field, by exhaustive enumeration of
-    (lambda, mu, gamma, delta) filtered through verify_iso."""
+    (lambda, mu, gamma, delta) filtered through verify_iso.  A (lambda, mu)
+    with f_1(lambda X + mu) != lambda^r f_2 fails verify_iso whatever
+    (gamma, delta) is, so its (gamma, delta) are not tried."""
     field = s1.field
     p = field.modulus
+    x = Poly.variable(field, ("X",), "X")
     found = {}
     for lam_raw in range(1, p):
         for mu_raw in range(p):
             lam, mu = Scalar(field, lam_raw), Scalar(field, mu_raw)
+            moved = substitute(s1.f, {"X": x.scaled(lam) + Poly.const(field, ("X",), mu)})
+            if moved != s2.f.scaled(lam ** s1.r):
+                continue
             for gamma, delta, theta in exhaustive_gamma_delta(s1, s2, lam, mu):
                 try:
                     cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)

@@ -330,6 +330,7 @@ LIFTING_CASES = (
     (GF(7), "X^3+X+1", None, "self"),               # irreducible cubic
     (GF(2), "(X^3+X+1)^2", "Z^2 + Z + X", "self"),  # p = 2, deg q = 3: two roots in F_8
     (GF(3), "(X^2+1)^2", "Z^3 + X^2 + X", "self"),  # P = Z^p + c(X): every shift lifts
+    (GF(3), "X^2*(X+1)", "Z^3 + X*Z^2 + Z + 1", "moved"),  # the Z^2 row pins gamma
 )
 
 
@@ -478,3 +479,133 @@ def test_elimination_branch_reuses_theta(monkeypatch):
     assert certs and all(verify_iso(c).ok for c in certs)
     # one split per gamma checked; none again when the certificate is assembled
     assert len(calls) == len(certs)
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_elimination_matches_bruteforce_oracle_over_f5_f7(p, r):
+    # p does not divide d, so gamma is read off the Taylor rows
+    rng = random.Random(1000 * p + r)
+    field = GF(p)
+    degrees = [d for d in (2, 3, 4) if d % p]
+    positives = 0
+    for k in range(6 if p == 5 else 3):
+        d = degrees[k % len(degrees)]
+        f1, _ = _random_surface(rng, field, r)
+        s1 = surf_from(field, f1, _seeded_phi(rng, field, d))
+        mode = k % 3
+        if mode == 0:
+            s2 = s1
+        elif mode == 1:
+            s2 = _transformed_copy(rng, s1)
+        else:
+            s2 = surf_from(field, _random_surface(rng, field, r)[0], _seeded_phi(rng, field, d))
+        expected = brute_force_certificates(s1, s2)
+        result = decide_isomorphism(s1, s2)
+        got = set() if isinstance(result, Obstruction) else {c.tuple_key() for c in result}
+        assert got == set(expected), (str(s1.f), str(s1.P), str(s2.f), str(s2.P))
+        positives += bool(got)
+    assert positives >= 2
+
+
+@pytest.mark.parametrize("field, f_text, p_text", [
+    (GF(5), "X^2+X+1", "Z^3 + (X^2+X+1)*Z + X + 2"),
+    (GF(7), "X^3+X+1", "Z^3 + (X^3+X+1)*X*Z + 3*X^2"),
+    (GF(7), "X^2+3", "Z^4 + 2*Z^3 + (X^2+3)*Z^2 + Z + X"),
+])
+def test_rows_that_vanish_mod_f2_constrain_nothing(field, f_text, p_text):
+    # with P_1 = P_2 the W^(d-2) row has A = B = 0 mod f_2 (its coefficient
+    # is a multiple of f), and so has a transformed copy's
+    rng = random.Random(17)
+    s1 = surf(field, f_text, p_text)
+    for s2 in (s1, _transformed_copy(rng, s1)):
+        expected = brute_force_certificates(s1, s2)
+        result = decide_isomorphism(s1, s2)
+        assert isinstance(result, list)
+        assert {c.tuple_key() for c in result} == set(expected)
+
+
+def test_early_stop_keeps_both_rational_gammas():
+    # W^2 row: 1 = gam^2 / 9, W^0 row: 1 = gam^4 / 81; the gcd stops at
+    # T^2 - 9 and keeps gamma = 3 and gamma = -3
+    s1 = surf(QQ, "X^2*(X-1)", "Z^4 + Z^2 + 1")
+    s2 = surf(QQ, "X^2*(X-1)", "Z^4 + 1/9*Z^2 + 1/81")
+    result = decide_isomorphism(s1, s2)
+    assert sorted(str(c.gamma) for c in result) == ["-3", "3"]
+    assert all(c.delta.is_zero and verify_iso(c).ok for c in result)
+
+
+def test_early_stop_candidates_are_confirmed_by_the_split(monkeypatch):
+    # the W^2 and W^1 rows give T^2 - 1 and T^3 - 1, so the gcd stops at
+    # T - 1; the W^0 row (X vs 2X, -X vs 2X for lambda = -1) is left to the
+    # split, which refutes gamma = 1 for both (lambda, mu)
+    from danielewski import isomorph
+    calls = []
+    original = isomorph._congruence_split
+    monkeypatch.setattr(isomorph, "_congruence_split",
+                        lambda *args: calls.append(args[4]) or original(*args))
+    s1 = surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + X")
+    s2 = surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + 2*X")
+    result = decide_isomorphism(s1, s2)
+    assert isinstance(result, Obstruction) and result.kind is ObstructionKind.NO_GAMMA_DELTA
+    assert not brute_force_certificates(s1, s2)
+    assert calls == [Scalar(GF(7), 1)] * 2
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_lifting_lifts_only_the_gamma_a_t_free_row_allows(monkeypatch):
+    # d = p = 5: the Z^4 row of P_1(lam X + mu, Z + T) is free of T, and
+    # c2_4 != 0 mod f_2 makes it pin gamma, so delta is lifted for at most
+    # one gamma per (lambda, mu), where enumerating gamma lifted for all 4
+    from danielewski import isomorph
+    from danielewski.poly import divmod_in
+    field = GF(5)
+    phi = " + ".join(["Z^5"] + [f"{1 + (3 * j + a) % 4}*X^{a}*Z^{j}"
+                                for j in range(5) for a in range(3)])
+    s1 = surf(field, "X^3+2*X+1", phi)
+    s2 = _transformed_copy(random.Random(3), s1)
+    assert not divmod_in(s2.P.coeff_in("Z", 4), s2.f.with_vars(("X", "Z")), "X")[1].is_zero
+    lifts = _count_calls(monkeypatch, isomorph._DeltaLifting, "deltas")
+    pairs = _count_calls(monkeypatch, isomorph, "_gamma_delta_solutions")
+    result = decide_isomorphism(s1, s2)
+    assert isinstance(result, list)
+    assert pairs and len(lifts) <= len(pairs)
+    assert {c.tuple_key() for c in result} == set(brute_force_certificates(s1, s2))
+
+
+def test_baseline_lifts_every_gamma(monkeypatch):
+    # Z^5 + Z + X: no T-free row constrains gamma (the Z^1 row asks
+    # gamma^4 = 1, true on all of F_5^*), so each of the four gammas is
+    # lifted, and each gives one certificate
+    from danielewski import isomorph
+    lifts = _count_calls(monkeypatch, isomorph._DeltaLifting, "deltas")
+    autos = automorphisms(_baseline(5))
+    assert len(lifts) == 4
+    assert sorted((str(c.gamma), str(c.delta)) for c in autos) == [
+        ("1", "0"), ("2", "2*X^5 + X"), ("3", "4*X^5 + 2*X"), ("4", "X^5 + 3*X")]
+
+
+def test_elimination_makes_no_three_variable_substitution(monkeypatch):
+    from danielewski import isomorph
+    widths = []
+    original = isomorph.substitute
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        widths.append(len(out.vars))
+        return out
+    monkeypatch.setattr(isomorph, "substitute", recorded)
+    for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"), (GF(7), "X^3+X+1", "Z^4+X*Z^3+Z"),
+                          (QQ, "X^2*(X-1)", "Z^2+X*Z+1")):
+        s = surf(field, f, phi)
+        assert decide_isomorphism(s, s)
+    assert widths and max(widths) <= 2
