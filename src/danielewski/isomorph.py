@@ -10,28 +10,40 @@ and the data is admissible exactly when the two polynomial identities
     (III)  f_1(lam X + mu) = u f_2(X)
     (vi)   P_1(lam x + mu, gam z + delta) = gam^d P_2 + f_2 theta
 
-hold.  The solver finds all (lam, mu) from (III) -- linearly eliminating mu
-when the characteristic does not divide r, exhaustively otherwise -- then
-all (gam, delta) from (vi).  gam comes off the Taylor rows of (vi): with
-c1_k, c2_k the z^k coefficients of P_1(lam X + mu, z) and P_2 reduced mod
-f_2, the binomial theorem turns the z-rows of (vi) into conditions
-a = gam^e b mod f_2, and a gcd of the binomials T^e - c they give holds
-every admissible gam.  When the characteristic p does not divide d, the
-z^(d-1) row gives delta = delta_0 + gam delta_1, the rows are those of both
-sides rewritten in z + delta_1, and each gam the gcd leaves is confirmed by
-the exact split of (vi).  Otherwise the rows of P_1(lam X + mu, z + T) free
-of T constrain gam, and delta is solved for only those gam, modulo each
-prime-power factor q^m of f_2: roots over F_p[X]/(q) first, then one affine
-step per higher power of q, the residues combined by CRT
-(``_DeltaLifting``).  One search cap bounds the candidates a decision
-counts: the (lam, mu) pairs tried when p divides r, plus the delta
-residues produced at every power and their CRT combinations; a gam that a
-T-free row rules out is never lifted and counts nothing.  When
-an elimination leaves lam or gam free over F_p, its p - 1 values count
-too.  A step that would pass the cap is refused before it lists anything.
-Every certificate it emits is re-verified first.  delta is stored as the
-canonical representative of degree < r; any lift delta + f_2 * e also
-yields an isomorphism and is not enumerated.
+hold.  After the degree obstructions, the solver finds all (lam, mu) from
+(III), read row by row off the Taylor rows T_k of f_1: with b_k the
+coefficients of f_2, row k asks T_k(mu) = lam^(r-k) b_k.  When the
+characteristic does not divide r, row r - 1 eliminates mu linearly, and a
+gcd of the other rows, as polynomials in lam, holds every admissible lam;
+otherwise, for each lam in F_p^*, mu ranges over the roots in F_p of a gcd
+of the rows.  f is factored only when the verdict needs it: when no pair is
+found, or the search for one is refused, the multiplicity multisets
+(Thm 4.1(ii)) decide between the two obstructions, since a pair makes them
+equal; and when the lifting below needs the prime-power factors of f_2.
+
+Then the solver finds all (gam, delta) from (vi).  gam comes off the Taylor
+rows of (vi): with c1_k, c2_k the z^k coefficients of P_1(lam X + mu, z)
+and P_2 reduced mod f_2, the binomial theorem turns the z-rows of (vi) into
+conditions a = gam^e b mod f_2, and a gcd of the binomials T^e - c they
+give holds every admissible gam.  When the characteristic p does not divide
+d, the z^(d-1) row gives delta = delta_0 + gam delta_1, the rows are those
+of both sides rewritten in z + delta_1, and each gam the gcd leaves is
+confirmed by the exact split of (vi).  Otherwise the rows of
+P_1(lam X + mu, z + T) free of T constrain gam, and delta is solved for
+only those gam, modulo each prime-power factor q^m of f_2: roots over
+F_p[X]/(q) first, then one affine step per higher power of q, the residues
+combined by CRT (``_DeltaLifting``).
+
+One search cap bounds the candidates a decision counts: the (p - 1) p pairs
+(lam, mu) the search covers when p divides r, plus the delta residues
+produced at every power and their CRT combinations; a gam that a T-free row
+rules out is never lifted and counts nothing.  When an elimination leaves
+lam or gam free over F_p, its p - 1 values count too.  A step that would
+pass the cap is refused before it lists anything, but a refused (lam, mu)
+search still returns the multiplicity obstruction when the multisets
+differ.  Every certificate it emits is re-verified first.  delta is stored
+as the canonical representative of degree < r; any lift delta + f_2 * e
+also yields an isomorphism and is not enumerated.
 
 Obstructions carry the structural invariant they violate, so refutations
 are citable.
@@ -48,7 +60,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
 from .factor import (Factorization, Fq, _add, _divmod, _gcd, _inv, _mul, _norm, _sub, _xgcd,
-                     dense_to_poly, factor_univariate, gcd_univariate, poly_to_dense,
+                     dense_to_poly, factor_univariate, poly_to_dense,
                      roots_in_field)
 from .fields import FieldKind, Scalar
 from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, substitute
@@ -146,7 +158,8 @@ class Fingerprint:
 
 def fingerprint(spec: SurfaceSpec, factors: Optional[Factorization] = None) -> Fingerprint:
     """The invariants, read off ``factors`` (the factorization of f) when
-    the caller already has it."""
+    the caller already has it.  ``decide_isomorphism`` computes them only
+    when no (lam, mu) transports f_1 onto f_2: a pair makes them equal."""
     fac = factor_univariate(spec.f) if factors is None else factors
     return Fingerprint(spec.d, spec.r,
                        fac.multiplicity_multiset(), fac.degree_multiset())
@@ -162,10 +175,6 @@ def _affine_x(p: Poly, lam: Scalar, mu: Scalar) -> Poly:
     x = Poly.variable(p.field, ("X",), "X")
     return substitute(p, {"X": x.scaled(lam) + Poly.const(p.field, ("X",), mu)},
                       vars_out=("X",))
-
-
-def _f_transport_holds(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar) -> bool:
-    return _affine_x(s1.f, lam, mu) == s2.f.scaled(lam ** s1.r)
 
 
 def _roots_or_all(g: Optional[Poly], field, cap: int) -> Tuple[List[Scalar], bool]:
@@ -184,49 +193,102 @@ def _roots_or_all(g: Optional[Poly], field, cap: int) -> Tuple[List[Scalar], boo
     return [s for s in dict.fromkeys(roots_in_field(g)) if s], False
 
 
+def _taylor_rows(a: list, m: int) -> List[list]:
+    """The Taylor rows T_k(M) = sum_(j >= k) C(j, k) a_j M^(j-k) of the
+    dense a, k = 0 .. deg a: a(M + X) = sum_k T_k(M) X^k."""
+    return [_norm([math.comb(j, k) * a[j] for j in range(k, len(a))], m)
+            for k in range(len(a))]
+
+
+def _affine_shift(row: list, mu, lam, m: int) -> list:
+    """row(lam X + mu) for a dense row (Horner in the linear polynomial)."""
+    acc: list = []
+    for c in reversed(row):
+        nxt = [c] + [0] * len(acc)
+        for i, v in enumerate(acc):
+            nxt[i] += v * mu
+            nxt[i + 1] += v * lam
+        acc = _norm(nxt, m)
+    return acc
+
+
+def _transports(a: list, b: list, lam, mu, m: int) -> bool:
+    """(III) at (lam, mu) for dense f_1 = a and f_2 = b: one Horner shift."""
+    return _affine_shift(a, mu, lam, m) == _norm([lam ** (len(b) - 1) * c for c in b], m)
+
+
+def _row_gcd(rows, m: int) -> list:
+    """The monic gcd of the dense rows, read in turn; [] when every row read
+    is zero.  Stops once the gcd has degree <= 1: the rows left unread are
+    the caller's to check."""
+    g: list = []
+    for row in rows:
+        g = _gcd(g, row, m)
+        if 0 < len(g) <= 2:
+            break
+    return g
+
+
 def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
     """All (lam, mu) with f_1(lam X + mu) = lam^r f_2(X).
 
+    With T_k the Taylor rows of f_1 and f_2 = sum b_k X^k, row k of (III)
+    reads T_k(mu) = lam^(r-k) b_k.  When the characteristic does not divide
+    r, row r - 1 gives mu = (lam b_(r-1) - a_(r-1)) / r, and the other rows
+    become polynomials in lam, T_k(mu(lam)) - b_k lam^(r-k), whose gcd holds
+    every admissible lam.  Otherwise, for each lam in F_p^*, mu ranges over
+    the roots in F_p of the gcd of the rows T_k(M) - lam^(r-k) b_k (every
+    mu when they all vanish).  Either gcd stops early, and every pair is
+    confirmed by shifting f_1.
+
     Returns (pairs, lambda_free, examined); lambda_free marks the char-0
     case where every lam works (positive-dimensional family), and examined
-    counts the (lam, mu) pairs tried when the characteristic divides r."""
+    counts the (lam, mu) pairs the search covers when the characteristic
+    divides r, (p - 1) p, refused up front past the cap."""
     field = s1.field
-    r = s1.r
-    p = field.characteristic()
-    if p and r % p == 0:
-        count = (p - 1) * p
+    r, m = s1.r, field.modulus
+    a, b = poly_to_dense(s1.f, "X"), poly_to_dense(s2.f, "X")
+    rows = _taylor_rows(a, m)
+    if m and r % m == 0:
+        count = (m - 1) * m
         if count > cap:
             raise SearchCapExceededError(count, cap)
+        prime_field = Fq([0, 1], m)          # F_p = F_p[X]/(X), for the roots in mu
         pairs = []
-        for lam_raw in range(1, p):
-            for mu_raw in range(p):
-                lam, mu = Scalar(field, lam_raw), Scalar(field, mu_raw)
-                if _f_transport_holds(s1, s2, lam, mu):
-                    pairs.append((lam, mu))
+        for lam in range(1, m):
+            g = _row_gcd((_sub(rows[k], [pow(lam, r - k, m) * b[k]], m)
+                          for k in range(r - 1, -1, -1)), m)
+            if g:
+                mus = [c[0] if c else 0
+                       for c in prime_field.roots([[c] if c else [] for c in g])]
+            else:
+                mus = range(m)
+            pairs.extend((Scalar(field, lam), Scalar(field, mu)) for mu in mus
+                         if _transports(a, b, lam, mu, m))
         return pairs, False, count
-    # characteristic does not divide r: mu = (lam b_{r-1} - a_{r-1}) / r
-    vars2 = ("X", "LAM")
-    lam_var = Poly.variable(field, vars2, "LAM")
-    a_top = s1.f.coefficient((r - 1,))
-    b_top = s2.f.coefficient((r - 1,))
-    r_inv = Scalar(field, field.inv(field.coerce(r)))
-    mu_of_lam = (lam_var.scaled(b_top) - Poly.const(field, vars2, a_top)).scaled(r_inv)
-    x_var = Poly.variable(field, vars2, "X")
-    composed = substitute(s1.f.with_vars(("X",)),
-                          {"X": x_var * lam_var + mu_of_lam}, vars_out=vars2)
-    defect = composed - s2.f.with_vars(vars2) * lam_var ** r
-    equations = [c.with_vars(("LAM",)) for c in defect.coefficients_in("X").values()]
-    g: Optional[Poly] = None
-    for eq in equations:
-        g = eq if g is None else gcd_univariate(g, eq)
-    lams, lambda_free = _roots_or_all(g, field, cap)
+    # the characteristic does not divide r: mu = u0 + u1 lam, and row k reads
+    # T_k(u0 + u1 lam) = b_k lam^(r-k)
+    r_inv = _inv(r, m)
+    u0, u1 = -a[r - 1] * r_inv, b[r - 1] * r_inv
+    if m:
+        u0, u1 = u0 % m, u1 % m
+
+    def lam_row(k):
+        row = _affine_shift(rows[k], u0, u1, m)
+        row.extend([0] * (r - k + 1 - len(row)))
+        row[r - k] -= b[k]
+        return _norm(row, m)
+
+    g = _row_gcd((lam_row(k) for k in range(r - 2, -1, -1)), m)
+    lams, lambda_free = _roots_or_all(
+        dense_to_poly(g, field, ("LAM",), "LAM") if g else None, field, cap)
     if lambda_free:
         lams = [Scalar(field, 1)]
     pairs = []
     for lam in lams:
-        mu = mu_of_lam.evaluate({"X": Scalar(field, 0), "LAM": lam})
-        if _f_transport_holds(s1, s2, lam, mu):
-            pairs.append((lam, mu))
+        mu = u0 + u1 * lam.value
+        if _transports(a, b, lam.value, mu, m):
+            pairs.append((lam, Scalar(field, mu)))
     return pairs, lambda_free, 0
 
 
@@ -245,16 +307,16 @@ def _congruence_split(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
     return divmod_in(defect, s2.f.with_vars(vars2), "X")
 
 
-def _z_rows(P: Poly, f: list, m: int) -> List[list]:
+def _z_rows(P: Poly) -> List[list]:
     """The coefficients c_k(X) of Z^k in P over (X, Z), k = 0 .. deg_Z P, as
-    dense lists reduced mod the monic dense f."""
+    dense lists."""
     x_off, z_off = P.slot("X")[0], P.slot("Z")[0]
     rows: List[list] = [[] for _ in range(P.degree_in("Z") + 1)]
     for key, c in P.packed.items():
         i, row = (key >> x_off) & SLOT_MASK, rows[(key >> z_off) & SLOT_MASK]
         row.extend([0] * (i + 1 - len(row)))
         row[i] = c
-    return [_divmod(row, f, m)[1] for row in rows]
+    return rows
 
 
 class _TaylorRows:
@@ -333,9 +395,9 @@ class _DeltaLifting:
     every a and every b vanish -- to all of F_q.
 
     One count against the cap covers the decision: it starts at
-    ``examined`` (the (lam, mu) pairs already tried) and adds, over every
-    (lam, mu) and every gam lifted, each residue produced at each power and
-    the number of CRT combinations before they are listed.  A gam that a
+    ``examined`` (the (lam, mu) pairs the search covered) and adds, over
+    every (lam, mu) and every gam lifted, each residue produced at each
+    power and the number of CRT combinations before they are listed.  A gam that a
     T-free row rules out is never lifted and adds nothing.  A step that
     would take the count past the cap raises SearchCapExceededError before
     it lists anything.
@@ -445,23 +507,25 @@ def _horner(row, x, modulus, p) -> list:
 
 
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                           target: _TaylorRows, lifting: Optional[_DeltaLifting], cap: int):
+                           rows1: List[list], target: _TaylorRows,
+                           lifting: Optional[_DeltaLifting], cap: int):
     """All (gamma, delta, theta) with the congruence (vi); returns
     (solutions, gamma_free) where gamma_free marks the char-0 infinite case.
     theta is the quotient of the congruence when the check that admitted the
     solution computed it, else None.
 
     Both branches read gamma off rows of (vi) of the form
-    a_j = gam^(d-j) b_j mod f_2 (``_binomial_gcd``), where the b_j are the
+    a_j = gam^(d-j) b_j mod f_2 (``_binomial_gcd``).  The a_j come from the
+    Z^j coefficients c1_j of P_1(lam X + mu, Z): the Z-rows of P_1
+    (``rows1``, read once per decision) shifted by lam X + mu and reduced
+    mod f_2.  The b_j are the
     rows of P_2 in ``target``, built once per decision: the Z^j
     coefficients c2_j of P_2 when the characteristic divides d, and the
     W^j coefficients in W = Z + delta_1 when it does not.  ``lifting``
     carries the delta search in the first case, else it is None."""
     field = s1.field
     m, d, f = field.modulus, s1.d, target.f
-    vars2 = ("X", "Z")
-    xb = Poly.variable(field, vars2, "X").scaled(lam) + Poly.const(field, vars2, mu)
-    c1 = _z_rows(substitute(s1.P, {"X": xb}, vars_out=vars2), f, m)
+    c1 = [_divmod(_affine_shift(row, mu.value, lam.value, m), f, m)[1] for row in rows1]
     if lifting is not None:
         # E[j][k] = C(j+k, j) c1_(j+k): P_1(lam X + mu, Z + T) = sum E[j][k] Z^j T^k.
         # A T-free row j (E[j][k] = 0 for k >= 1; j = d - 1 always, as p | d)
@@ -551,15 +615,24 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     if s1.r != s2.r:
         return Obstruction(ObstructionKind.F_DEGREE_MISMATCH,
                            f"deg f: {s1.r} vs {s2.r}")
-    fac2 = factor_univariate(s2.f)
-    fp1, fp2 = fingerprint(s1), fingerprint(s2, fac2)
-    if fp1.multiplicities != fp2.multiplicities:
-        return Obstruction(
-            ObstructionKind.MULTIPLICITY_MULTISET_MISMATCH,
-            f"multiplicity multisets {set_str(fp1.multiplicities)} vs "
-            f"{set_str(fp2.multiplicities)}")
-    pairs, lambda_free, examined = _affine_candidates(s1, s2, cap)
+    refusal = None
+    try:
+        pairs, lambda_free, examined = _affine_candidates(s1, s2, cap)
+    except SearchCapExceededError as exc:
+        refusal, pairs, lambda_free = exc, [], False
     if not pairs and not lambda_free:
+        # a pair would make the multiplicity multisets equal (Thm 4.1(ii)
+        # follows from (III)), so f is factored only here; f_2 first, so a
+        # factorization refused on both sides reports f_2's count
+        fp2 = fingerprint(s2)
+        fp1 = fingerprint(s1)
+        if fp1.multiplicities != fp2.multiplicities:
+            return Obstruction(
+                ObstructionKind.MULTIPLICITY_MULTISET_MISMATCH,
+                f"multiplicity multisets {set_str(fp1.multiplicities)} vs "
+                f"{set_str(fp2.multiplicities)}")
+        if refusal is not None:
+            raise refusal
         extra = ""
         if fp1.degrees != fp2.degrees:
             extra = (f"; irreducible-factor degree multisets differ: "
@@ -568,10 +641,11 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
                            "no (lambda, mu) transports f_1 onto f_2" + extra)
     m = s1.field.modulus
     f2 = poly_to_dense(s2.f, "X")
-    c2 = _z_rows(s2.P, f2, m)
+    rows1 = _z_rows(s1.P)
+    c2 = [_divmod(row, f2, m)[1] for row in _z_rows(s2.P)]
     lifting = None
     if m and s1.d % m == 0:
-        lifting = _DeltaLifting(f2, m, fac2.factors, cap, examined)
+        lifting = _DeltaLifting(f2, m, factor_univariate(s2.f).factors, cap, examined)
         target = _TaylorRows(c2, [], f2, m)
     else:
         # W = Z + delta_1, delta_1 = c2_(d-1)/d mod f_2
@@ -579,7 +653,7 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:
-        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, target, lifting, cap)
+        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, rows1, target, lifting, cap)
         gamma_free = gamma_free or free
         for gamma, delta, theta in sols:
             certs.append(_assemble(s1, s2, lam, mu, gamma, delta, theta))

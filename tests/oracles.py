@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths they judge: the
 determinant oracle is plain cofactor expansion; over a small prime field
-the isomorphism oracles try every (gamma, delta) pair for one (lambda, mu),
-with no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
+the isomorphism oracles try every (lambda, mu) pair by substitution, with
+no Taylor rows or gcd, every (gamma, delta) pair for one (lambda, mu), with
+no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
 through verify_iso alone; the stepwise normal form rewrites one
 term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
@@ -158,28 +159,37 @@ def exhaustive_gamma_delta(s1, s2, lam, mu):
     return found
 
 
-def brute_force_certificates(s1, s2):
-    """Every certificate over a prime field, by exhaustive enumeration of
-    (lambda, mu, gamma, delta) filtered through verify_iso.  A (lambda, mu)
-    with f_1(lambda X + mu) != lambda^r f_2 fails verify_iso whatever
-    (gamma, delta) is, so its (gamma, delta) are not tried."""
+def affine_pairs_by_enumeration(s1, s2):
+    """Every (lambda, mu) with f_1(lambda X + mu) = lambda^r f_2 over a prime
+    field, by trying all (p-1) p pairs: one substitution each."""
     field = s1.field
     p = field.modulus
     x = Poly.variable(field, ("X",), "X")
-    found = {}
+    pairs = []
     for lam_raw in range(1, p):
         for mu_raw in range(p):
             lam, mu = Scalar(field, lam_raw), Scalar(field, mu_raw)
             moved = substitute(s1.f, {"X": x.scaled(lam) + Poly.const(field, ("X",), mu)})
-            if moved != s2.f.scaled(lam ** s1.r):
+            if moved == s2.f.scaled(lam ** s1.r):
+                pairs.append((lam, mu))
+    return pairs
+
+
+def brute_force_certificates(s1, s2):
+    """Every certificate over a prime field, by exhaustive enumeration of
+    (lambda, mu, gamma, delta) filtered through verify_iso.  A (lambda, mu)
+    with f_1(lambda X + mu) != lambda^r f_2 fails verify_iso whatever
+    (gamma, delta) is, so only the pairs of ``affine_pairs_by_enumeration``
+    have their (gamma, delta) tried."""
+    found = {}
+    for lam, mu in affine_pairs_by_enumeration(s1, s2):
+        for gamma, delta, theta in exhaustive_gamma_delta(s1, s2, lam, mu):
+            try:
+                cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
+            except ValueError:
                 continue
-            for gamma, delta, theta in exhaustive_gamma_delta(s1, s2, lam, mu):
-                try:
-                    cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
-                except ValueError:
-                    continue
-                if verify_iso(cert).ok:
-                    found[cert.tuple_key()] = cert
+            if verify_iso(cert).ok:
+                found[cert.tuple_key()] = cert
     return found
 
 

@@ -85,6 +85,18 @@ def test_surface_info_refuses_a_recombination_past_the_bound(capsys):
     assert err.splitlines() == ["error: search needs 2516 candidates, cap is 1024"]
 
 
+def test_iso_decide_answers_without_factoring_past_the_bound(capsys, tmp_path):
+    # the same f, but the decision finds (lambda, mu) = (1, 0) and so never
+    # needs f factored
+    path = tmp_path / "sd.json"
+    spec = surf(QQ, str(swinnerton_dyer((2, 3, 5, 7, 11))), "Z^2 + X")
+    path.write_text(dumps(surface_to_doc(spec)))
+    code, out, _ = run(capsys, "iso", "decide", "--left", str(path), "--right", str(path),
+                       "--json")
+    assert code == 0
+    assert [c["gamma"] for c in json.loads(out)["certificates"]] == ["-1", "1"]
+
+
 @pytest.mark.parametrize("field, f, expect", [
     ("F2147483647", "X^2+1", "factor degrees {2}"),
     ("Q", "X^2 - 2^200", "fiber over x = 1267650600228229401496703205376:"),

@@ -10,10 +10,11 @@ from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
 from danielewski.errors import (FieldMismatchError, InfiniteFamilyError,
                                 SearchCapExceededError)
 from danielewski.isomorph import (DEFAULT_CAP, IsoCertificate, ObstructionKind,
-                                  _affine_x, apply_certificate)
+                                  _affine_candidates, _affine_x, apply_certificate)
 
-from conftest import random_poly, surf
-from oracles import brute_force_certificates, exhaustive_gamma_delta
+from conftest import random_poly, surf, swinnerton_dyer
+from oracles import (affine_pairs_by_enumeration, brute_force_certificates,
+                     exhaustive_gamma_delta)
 
 
 def test_fingerprint_examples():
@@ -351,9 +352,7 @@ def test_lifting_matches_exhaustive_oracle():
             s2 = surf_from(field, f, _seeded_phi(rng, field, p))
         result = decide_isomorphism(s1, s2)
         certs = [] if isinstance(result, Obstruction) else result
-        pairs = [(Scalar(field, a), Scalar(field, b)) for a in range(1, p) for b in range(p)
-                 if _affine_x(s1.f, Scalar(field, a), Scalar(field, b))
-                 == s2.f.scaled(Scalar(field, a) ** s1.r)]
+        pairs = affine_pairs_by_enumeration(s1, s2)
         assert pairs
         assert all((c.lam, c.mu) in pairs for c in certs)
         for lam, mu in pairs:
@@ -609,3 +608,125 @@ def test_elimination_makes_no_three_variable_substitution(monkeypatch):
         s = surf(field, f, phi)
         assert decide_isomorphism(s, s)
     assert widths and max(widths) <= 2
+
+
+def _moved_f(f, lam, mu):
+    """lam^(-r) f(lam X + mu): f transported by a known pair."""
+    field = f.field
+    lam, mu = Scalar(field, lam), Scalar(field, mu)
+    return _affine_x(f, lam, mu).scaled((lam ** f.total_degree()).inverse())
+
+
+def _monic(field, coeffs):
+    return Poly(field, ("X",), {(i,): c for i, c in enumerate(list(coeffs) + [1])})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_affine_solve_matches_enumeration_oracle(p):
+    # rigid f, X^r, (X + c)^r and X^p - X, against themselves, a transformed
+    # copy and a random partner, for r with p | r and with p not dividing r
+    rng = random.Random(31 * p)
+    field = GF(p)
+    phi = parse_poly("Z^2", field, ("X", "Z"))
+    degrees = sorted({2, 3, 4, p} | ({2 * p} if 2 * p <= 8 else set()))
+    assert any(r % p == 0 for r in degrees) and any(r % p for r in degrees)
+    positives = 0
+    for r in degrees:
+        c = rng.randrange(1, p)
+        fs = [_monic(field, [rng.randrange(p) for _ in range(r)]),
+              parse_poly(f"X^{r}", field, ("X",)),
+              parse_poly(f"(X+{c})^{r}", field, ("X",))]
+        if r == p:
+            fs.append(parse_poly(f"X^{p}-X", field, ("X",)))
+        for f in fs:
+            lam, mu = rng.randrange(1, p), rng.randrange(p)
+            other = _monic(field, [rng.randrange(p) for _ in range(r)])
+            for k, f2 in enumerate((f, _moved_f(f, lam, mu), other)):
+                s1, s2 = surf_from(field, f, phi), surf_from(field, f2, phi)
+                pairs, free, examined = _affine_candidates(s1, s2, DEFAULT_CAP)
+                expected = affine_pairs_by_enumeration(s1, s2)
+                assert not free and len(pairs) == len(set(pairs))
+                assert set(pairs) == set(expected), (str(f), str(f2))
+                assert examined == ((p - 1) * p if r % p == 0 else 0)
+                if k == 1:
+                    assert (Scalar(field, lam), Scalar(field, mu)) in pairs
+                positives += bool(pairs)
+    assert positives >= 2 * len(degrees)
+
+
+@pytest.mark.parametrize("p, f1, f2", [
+    (5, "X^4+2*X^3+3*X+1", "X^4+2*X^3+3*X+3"),    # p does not divide r
+    (7, "X^4+4*X^3+3*X+3", "X^4+4*X^3+3*X+2"),
+    (3, "X^3+X^2+X", "X^3+X^2+2"),                # p | r
+])
+def test_affine_candidates_of_an_early_stop_are_confirmed(monkeypatch, p, f1, f2):
+    # the gcd of the rows read first has degree <= 1; the rows left unread
+    # refute its root, so no pair survives
+    from danielewski import isomorph
+    checks = _count_calls(monkeypatch, isomorph, "_transports")
+    s1, s2 = surf(GF(p), f1, "Z^2"), surf(GF(p), f2, "Z^2")
+    assert not affine_pairs_by_enumeration(s1, s2)
+    assert _affine_candidates(s1, s2, DEFAULT_CAP)[0] == []
+    assert len(checks) == 1
+
+
+def test_decision_with_a_pair_factors_only_for_the_lifting(monkeypatch):
+    from danielewski import isomorph
+    calls = _count_calls(monkeypatch, isomorph, "factor_univariate")
+    s = surf(GF(5), "X^2+X+1", "Z^3+2*Z+X")      # 5 does not divide d = 3: elimination
+    assert decide_isomorphism(s, _transformed_copy(random.Random(2), s))
+    assert calls == []
+    s1 = surf(GF(5), "X^3*(X+1)", "Z^5+Z+X")     # 5 divides d: lifting
+    s2 = _transformed_copy(random.Random(4), s1)
+    assert decide_isomorphism(s1, s2)
+    assert [args[0] for args in calls] == [s2.f]
+
+
+def test_automorphisms_factor_f_once(monkeypatch):
+    from danielewski import isomorph
+    calls = _count_calls(monkeypatch, isomorph, "factor_univariate")
+    assert automorphisms(_baseline(5))
+    assert [str(args[0]) for args in calls] == ["X^6 + X^5", "X + 1"]
+
+
+def test_affine_and_gamma_solves_substitute_nothing(monkeypatch):
+    import sys
+    from danielewski import isomorph
+    callers = []
+    original = isomorph.substitute
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(isomorph, "substitute", recorded)
+    for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"),    # elimination, p does not divide r
+                          (GF(5), "X^4*(X+1)", "Z^5+Z+X"),    # lifting, p | r
+                          (GF(3), "X^3+2*X+1", "Z^2+X*Z+1"),  # elimination, p | r
+                          (QQ, "X^2*(X-1)", "Z^2+X*Z+1")):
+        s = surf(field, f, phi)
+        assert decide_isomorphism(s, s)
+    assert callers        # the confirming split and verify_iso still substitute
+    assert not {"_affine_candidates", "_gamma_delta_solutions"} & set(callers)
+
+
+def test_multiplicity_obstruction_precedes_a_refused_affine_search():
+    # 23 divides r = 23: the (lambda, mu) search would cover 22 * 23 = 506
+    # pairs, past the cap, but the multisets {23} and {1, 22} already differ
+    res = decide_isomorphism(surf(GF(23), "(X+1)^23", "Z^2"),
+                             surf(GF(23), "X^22*(X+1)", "Z^2"), cap=500)
+    assert isinstance(res, Obstruction)
+    assert res.kind is ObstructionKind.MULTIPLICITY_MULTISET_MISMATCH
+    s = surf(GF(23), "X^23+X+1", "Z^2")
+    with pytest.raises(SearchCapExceededError) as err:
+        decide_isomorphism(s, s, cap=500)
+    assert err.value.needed == 506 and err.value.cap == 500
+
+
+def test_a_pair_answers_without_factoring_past_the_zassenhaus_bound():
+    # f of degree 32 needs 2516 recombination subsets to factor, past the
+    # bound; the decision finds lambda = 1, mu = 0 and never factors f
+    s = surf_from(QQ, swinnerton_dyer((2, 3, 5, 7, 11)), parse_poly("Z^2 + X", QQ, ("X", "Z")))
+    certs = decide_isomorphism(s, s)
+    assert sorted(str(c.gamma) for c in certs) == ["-1", "1"]
+    assert all(c.lam == 1 and c.mu == 0 and verify_iso(c).ok for c in certs)
+

@@ -1,8 +1,9 @@
 """Property tests with hypothesis: the print/parse round trip over Q and
 F_p, the Leibniz rule of the higher derivation on random elements, the
 normal form (idempotent, rebuilt by the public constructor), the ring laws
-in A and A[U], exact division, and resultants and Bezout cofactors against
-a univariate gcd and against planted common factors.  Skipped when
+in A and A[U], exact division, resultants and Bezout cofactors against
+a univariate gcd and against planted common factors, and the (lambda, mu)
+solve of the isomorphism decision against a planted transport.  Skipped when
 hypothesis is not installed."""
 
 from fractions import Fraction
@@ -12,10 +13,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from danielewski import (GF, QQ, Poly, SurfaceElement, bezout_cofactors,  # noqa: E402
+from danielewski import (GF, QQ, Poly, Scalar, SurfaceElement, bezout_cofactors,  # noqa: E402
                          canonical_expmap, derivation_coeff, exact_div, gcd_univariate,
-                         normal_form, parse_poly, phi_degree, poly_str, resultant_in)
+                         make_surface, normal_form, parse_poly, phi_degree, poly_str,
+                         resultant_in, substitute)
 from danielewski.errors import ComaximalityError  # noqa: E402
+from danielewski.isomorph import DEFAULT_CAP, _affine_candidates  # noqa: E402
 from danielewski.poly import NEG_INF  # noqa: E402
 
 from conftest import STANDARD_SURFACES, surf  # noqa: E402
@@ -242,3 +245,35 @@ def test_bezout_cofactors_over_k_x(case):
     linear = Poly.variable(field, ("X", "Z"), "Z") - g.coeff_in("Z", 0)
     with pytest.raises(ComaximalityError):
         bezout_cofactors(p * linear, linear * (one + one + Poly.variable(field, p.vars, "X")))
+
+
+@st.composite
+def transports(draw):
+    """(field, f, lam, mu): a monic f of degree 2..6 and a pair lam != 0, mu."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5), GF(7))))
+    if field == QQ:
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        lam = draw(coeffs.filter(bool))
+    else:
+        coeffs = st.integers(0, field.modulus - 1)
+        lam = draw(st.integers(1, field.modulus - 1))
+    r = draw(st.integers(2, 6))
+    lower = draw(st.lists(coeffs, min_size=r, max_size=r))
+    f = Poly(field, ("X",), {(i,): c for i, c in enumerate(lower + [1])})
+    return field, f, Scalar(field, lam), Scalar(field, draw(coeffs))
+
+
+@SETTINGS
+@given(transports())
+def test_affine_solve_finds_a_planted_transport(case):
+    """f_2 = lam^(-r) f_1(lam X + mu) always yields (lam, mu); over Q a free
+    lam yields the lam = 1 slice instead."""
+    field, f, lam, mu = case
+    phi = parse_poly("Z^2", field, ("X", "Z"))
+    x = Poly.variable(field, ("X",), "X")
+    moved = substitute(f, {"X": x.scaled(lam) + Poly.const(field, ("X",), mu)})
+    s1 = make_surface(field, f, phi)
+    s2 = make_surface(field, moved.scaled((lam ** s1.r).inverse()), phi)
+    pairs, free, _ = _affine_candidates(s1, s2, DEFAULT_CAP)
+    assert (lam, mu) in pairs or (free and field == QQ)
+    assert not free or field == QQ
