@@ -12,7 +12,10 @@ ring over a copy of B.  The construction is fully explicit:
 
 where corr collects the t**k, k >= 2, terms of the expansion
 P(x, z + t) = sum e_k(x, z) t**k at t = h v, with the guaranteed factor
-x h pulled out: corr = sum_{k>=2} e_k v^k h^{k-2} X^{n-2} g.
+x h pulled out: corr = sum_{k>=2} e_k v^k h^{k-2} X^{n-2} g.  The e_k are
+the Hasse derivatives of P in Z, e_k = sum_j C(j, k) p_j Z^(j-k) for
+P = sum_j p_j(X) Z^j, read off P's Z-coefficients in any characteristic
+(``Poly.hasse_derivative``); nothing is substituted.
 
 The verifier re-checks every identity the construction claims on the
 stored data alone, and names the two steps it takes on faith (the slice
@@ -24,7 +27,7 @@ phi(w) = w - U exactly from that, V2 and V4 (A[v][U] is a domain).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .errors import (ComaximalityError, HypothesisError, PreconditionError,
                      SurfaceConstraintError, VerificationInternalError)
@@ -93,16 +96,6 @@ class StableIsoCertificate:
     w: SurfaceElement            # (v - s a(x, theta)) / x
 
 
-def _taylor_coefficients(P: Poly) -> Dict[int, Poly]:
-    """e_k with P(X, Z + T) = sum e_k(X, Z) T**k (valid in any
-    characteristic; e_1 = P_Z)."""
-    vars3 = ("X", "Z", "T")
-    z = Poly.variable(P.field, vars3, "Z")
-    t = Poly.variable(P.field, vars3, "T")
-    shifted = substitute(P.with_vars(("X", "Z")), {"Z": z + t}, vars_out=vars3)
-    return {k: c.with_vars(("X", "Z")) for k, c in shifted.coefficients_in("T").items()}
-
-
 def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
     """Run the construction; every claimed identity is asserted as it is
     built, and the certificate passes ``verify_stable_iso`` by construction.
@@ -114,26 +107,22 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
             "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed),
             hyp)
     field = spec_a.field
-    n = spec_a.n
-    x1 = Poly.monomial(field, ("X",), (1,))
-    h = exact_div(spec_a.f, x1)
-    g = exact_div(spec_a.f, Poly.monomial(field, ("X",), (n,)))
+    h = exact_div(spec_a.f, Poly.monomial(field, ("X",), (1,)))
     spec_b = make_surface(field, h, spec_a.P, _min_r=1)
 
     v_el = spec_a.generator("v")
     h_el = spec_a.from_xz_poly(h.with_vars(("X", "Z")))
     theta = h_el * v_el + spec_a.z()
 
-    e = _taylor_coefficients(spec_a.P)
+    # corr = sum_(k >= 2) e_k v^k h^(k-2) X^(n-2) g, where X^(n-2) g = f / X^2
     vars_c = ("X", "Z", "v")
-    corr_poly = Poly.zero(field, vars_c)
-    xg = (Poly.monomial(field, ("X",), (n - 2,)) * g).with_vars(vars_c)
     h_c = h.with_vars(vars_c)
-    v_c = Poly.variable(field, vars_c, "v")
-    for k, ek in sorted(e.items()):
-        if k < 2:
-            continue
-        corr_poly = corr_poly + ek.with_vars(vars_c) * v_c ** k * h_c ** (k - 2) * xg
+    corr_poly = Poly.zero(field, vars_c)
+    h_power = exact_div(spec_a.f, Poly.monomial(field, ("X",), (2,))).with_vars(vars_c)
+    for k in range(2, spec_a.d + 1):
+        e_k = spec_a.P.hasse_derivative("Z", k).with_vars(vars_c)
+        corr_poly = corr_poly + (e_k * h_power).mul_var_power("v", k)
+        h_power = h_power * h_c
     corr = spec_a.from_xz_poly(corr_poly)
 
     # P(x, theta) = P(x, z) + h (v P_Z + x corr)   [Eq (7)]

@@ -1,0 +1,365 @@
+"""Dense univariate polynomials: ascending coefficient lists, ``[]`` is zero.
+
+One kernel does all dense arithmetic over Z/m, where the modulus ``m`` is a
+prime p (int residues in [0, p) over F_p), p**k (inside the Hensel step,
+dividing only by monic polynomials) or 0 (exact arithmetic on raw Q values,
+``int`` or ``Fraction``, or on Z); callers pass ``field.modulus``, which is
+0 for Q.  ``hasse`` is its one Taylor routine.  ``Fq`` does the same
+arithmetic over F_p[X]/(q) and finds roots there without factoring.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+from typing import List, Tuple
+
+from .errors import DanielewskiError
+from .fields import FieldSpec, q_norm
+from .poly import SLOT_MASK, Poly, unit_key
+
+# ---------------------------------------------------------------------------
+# the kernel over Z/m (m = p, p**k, or 0 for exact Q/Z arithmetic)
+# ---------------------------------------------------------------------------
+
+
+def deg(f: List) -> int:
+    return len(f) - 1
+
+
+def norm(f, m) -> List:
+    """A new list: entries reduced mod m (when m > 0), leading zeros dropped."""
+    f = [c % m for c in f] if m else list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def inv(c, m):
+    if m:
+        return pow(c, -1, m)
+    # an integral inverse (a monic divisor) keeps int entries int
+    return q_norm(1 / Fraction(c))
+
+
+def add(f, g, m):
+    n = max(len(f), len(g))
+    return norm([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
+                 for i in range(n)], m)
+
+
+def sub(f, g, m):
+    return add(f, [-c for c in g], m)
+
+
+def mul(f, g, m):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return norm(out, m)
+
+
+def divrem(f, g, m):
+    """(q, r) with f = q*g + r and deg r < deg g.  The lead of g must be a
+    unit mod m.  For m = 0, int entries stay int only when lead(g) is +-1."""
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    r = norm(f, m)
+    dg = deg(g)
+    lead_inv = inv(g[-1], m)
+    q = [0] * max(0, len(r) - dg)
+    while len(r) > dg:
+        k = len(r) - 1 - dg
+        c = r[-1] * lead_inv % m if m else r[-1] * lead_inv
+        q[k] = c
+        if m:
+            for i, b in enumerate(g):
+                r[k + i] = (r[k + i] - c * b) % m
+        else:
+            for i, b in enumerate(g):
+                r[k + i] -= c * b
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def monic(f, m):
+    if not f:
+        return []
+    lead_inv = inv(f[-1], m)
+    return [c * lead_inv % m for c in f] if m else [c * lead_inv for c in f]
+
+
+def gcd(f, g, m):
+    """Monic gcd; gcd(0, 0) = []."""
+    while g:
+        f, g = g, divrem(f, g, m)[1]
+    return monic(f, m)
+
+
+def xgcd(f, g, m):
+    """(d, s, t) with d the monic gcd and s*f + t*g = d; f, g not both zero."""
+    r0, r1 = norm(f, m), norm(g, m)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = divrem(r0, r1, m)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, m), m)
+        t0, t1 = t1, sub(t0, mul(q, t1, m), m)
+    lead_inv = [inv(r0[-1], m)]
+    return monic(r0, m), mul(s0, lead_inv, m), mul(t0, lead_inv, m)
+
+
+def pow_mod(f, e, g, m):
+    """f**e mod g."""
+    result = [1]
+    base = divrem(f, g, m)[1]
+    while e:
+        if e & 1:
+            result = divrem(mul(result, base, m), g, m)[1]
+        base = divrem(mul(base, base, m), g, m)[1]
+        e >>= 1
+    return result
+
+
+def hasse(c: List, k: int, m) -> List:
+    """The k-th Hasse derivative sum_(i >= k) C(i, k) c_i T^(i-k) of
+    c = sum_i c_i T^i, so that c(Z + T) = sum_k hasse(c, k)(Z) T^k in every
+    characteristic (von zur Gathen & Gerhard, "Fast algorithms for Taylor
+    shifts and certain difference equations", ISSAC 1997); hasse(c, 1) is
+    the derivative.  The c_i are scalars, or dense polynomials in another
+    variable: then each entry is scaled and normalized, zero entries kept."""
+    if c and isinstance(c[0], list):
+        return [norm([math.comb(i, k) * a for a in c[i]], m) for i in range(k, len(c))]
+    return norm([math.comb(i, k) * c[i] for i in range(k, len(c))], m)
+
+
+def affine_shift(row: List, mu, lam, m) -> List:
+    """row(lam X + mu) for a dense row (Horner in the linear polynomial)."""
+    acc: List = []
+    for c in reversed(row):
+        nxt = [c] + [0] * len(acc)
+        for i, v in enumerate(acc):
+            nxt[i] += v * mu
+            nxt[i + 1] += v * lam
+        acc = norm(nxt, m)
+    return acc
+
+
+def horner(row: List, x: List, modulus: List, m) -> List:
+    """sum_k row[k] x^k mod ``modulus``, for dense polynomials row[k] and x."""
+    acc: List = []
+    for c in reversed(row):
+        acc = divrem(add(mul(acc, x, m), c, m), modulus, m)[1]
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_q = F_p[X]/(q) and their roots in F_q
+# ---------------------------------------------------------------------------
+
+
+class Fq:
+    """The field F_q = F_p[X]/(q), q monic irreducible over F_p, and dense
+    polynomials in one variable T over it.
+
+    An element is its dense F_p remainder mod q (``[]`` is zero); a
+    polynomial is an ascending list of elements without trailing zeros.
+    Element arithmetic is the F_p kernel above followed by one reduction
+    mod q.  Inverses are cached: a small field repeats them, and the cache
+    lives as long as the object."""
+
+    def __init__(self, q: List[int], p: int):
+        self.q = q
+        self.p = p
+        self.degree = deg(q)
+        self.size = p ** self.degree
+        self._inverses = {}
+
+    # elements
+
+    def reduce(self, a):
+        return divrem(a, self.q, self.p)[1] if len(a) > self.degree else a
+
+    def mul(self, a, b):
+        return self.reduce(mul(a, b, self.p))
+
+    def inv(self, a):
+        key = tuple(a)
+        a_inv = self._inverses.get(key)
+        if a_inv is None:
+            a_inv = self._inverses[key] = xgcd(a, self.q, self.p)[1]
+        return a_inv
+
+    def neg(self, a):
+        return norm([-c for c in a], self.p)
+
+    def elements(self):
+        """Every element, in a fixed order."""
+        for digits in itertools.product(range(self.p), repeat=self.degree):
+            yield norm(list(digits), self.p)
+
+    # polynomials in T
+
+    def poly(self, coeffs):
+        """An F_p[X]-coefficient list read mod q, trailing zeros dropped."""
+        out = [self.reduce(c) for c in coeffs]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def add(self, f, g):
+        p = self.p
+        n = max(len(f), len(g))
+        return self.poly([add(f[i] if i < len(f) else [], g[i] if i < len(g) else [], p)
+                          for i in range(n)])
+
+    def sub(self, f, g):
+        return self.add(f, [self.neg(c) for c in g])
+
+    def pmul(self, f, g):
+        if not f or not g:
+            return []
+        p = self.p
+        out = [[] for _ in range(len(f) + len(g) - 1)]
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    if b:
+                        out[i + j] = add(out[i + j], mul(a, b, p), p)
+        return self.poly(out)
+
+    def pdivmod(self, f, g):
+        """(quotient, remainder) of f by a nonzero g."""
+        p = self.p
+        r = list(f)
+        dg = len(g) - 1
+        lead_inv = self.inv(g[-1])
+        quo = [[] for _ in range(max(0, len(r) - dg))]
+        # entries of r below the lead stay unreduced mod q until they lead
+        while len(r) > dg:
+            lead = self.reduce(r.pop())
+            if lead:
+                k = len(r) - dg
+                c = quo[k] = self.mul(lead, lead_inv)
+                for i, b in enumerate(g[:-1]):
+                    r[k + i] = sub(r[k + i], mul(c, b, p), p)
+        return quo, self.poly(r)
+
+    def monic(self, f):
+        if not f:
+            return []
+        lead_inv = self.inv(f[-1])
+        return [self.mul(c, lead_inv) for c in f]
+
+    def gcd(self, f, g):
+        """Monic gcd; gcd(0, 0) = []."""
+        while g:
+            f, g = g, self.pdivmod(f, g)[1]
+        return self.monic(f)
+
+    def pow_mod(self, f, e, g):
+        """f**e mod g."""
+        result = [[1]]
+        base = self.pdivmod(f, g)[1]
+        while e:
+            if e & 1:
+                result = self.pdivmod(self.pmul(result, base), g)[1]
+            base = self.pdivmod(self.pmul(base, base), g)[1]
+            e >>= 1
+        return result
+
+    def roots(self, f) -> List[List[int]]:
+        """The distinct roots in F_q of a nonzero f, sorted.
+
+        A linear f gives its root at once.  Otherwise the roots are those of
+        gcd(f, T^size - T), a product of distinct linear factors, which is
+        split by equal degree: with (T + a)^((size - 1)/2) - 1 for random a
+        when p is odd, seeded from the input as ``factor.fp_factor`` does,
+        and with the trace maps Tr(X^j T) for p = 2."""
+        f = self.monic(f)
+        if len(f) > 2:
+            t = [[], [1]]
+            f = self.gcd(f, self.sub(self.pow_mod(t, self.size, f), t))
+        return sorted(self._split(f))
+
+    def _split(self, f) -> List[List[int]]:
+        if len(f) <= 2:
+            return [self.neg(f[0])] if len(f) == 2 else []
+        for g in self._splitters(f):
+            g = self.gcd(f, g)
+            if 1 < len(g) < len(f):
+                return self._split(g) + self._split(self.pdivmod(f, g)[0])
+        raise DanielewskiError(f"no equal-degree split of a product of linear factors {f}")
+
+    def _splitters(self, f):
+        """Polynomials whose gcd with f, a product of at least two distinct
+        monic linear factors over F_q, is a proper factor, often (p odd)
+        or for at least one of them (p = 2)."""
+        if self.p == 2:
+            # Tr(b r) for the roots r of f is not constant for some b in the
+            # basis X^j: the trace form is nondegenerate
+            for j in range(self.degree):
+                cur = [[], [0] * j + [1]]
+                trace = []
+                for _ in range(self.degree):
+                    trace = self.add(trace, cur)
+                    cur = self.pdivmod(self.pmul(cur, cur), f)[1]
+                yield trace
+            return
+        rng = random.Random(f"roots|{self.p}|{self.q}|{f}")
+        half = (self.size - 1) // 2
+        while True:
+            a = norm([rng.randrange(self.p) for _ in range(self.degree)], self.p)
+            yield self.sub(self.pow_mod([a, [1]], half, f), [[1]])
+
+
+def fp_roots(f: List[int], p: int) -> List[int]:
+    """The distinct roots in F_p of a nonzero dense f over F_p, ascending:
+    ``Fq.roots`` over F_p[X]/(X), with no factorization."""
+    return [c[0] if c else 0 for c in Fq([0, 1], p).roots([[c] if c else [] for c in f])]
+
+
+# ---------------------------------------------------------------------------
+# conversion from and to Poly
+# ---------------------------------------------------------------------------
+
+
+def poly_to_dense(p: Poly, var: str) -> List:
+    if p.is_zero:
+        return []
+    off = p.slot(var)[0]
+    out = [p.field.zero()] * (p.degree_in(var) + 1)
+    for k, c in p.packed.items():
+        out[(k >> off) & SLOT_MASK] = c
+    return out
+
+
+def dense_to_poly(dense, field: FieldSpec, vars: Tuple[str, ...], var: str) -> Poly:
+    vars = tuple(vars)
+    unit = unit_key(len(vars), vars.index(var))
+    terms = {}
+    for e, c in enumerate(dense):
+        raw = field.coerce(c)
+        if raw != 0:
+            terms[e * unit] = raw
+    return Poly._raw(field, vars, terms)
+
+
+def z_rows(P: Poly) -> List[List]:
+    """The coefficients c_k(X) of Z^k in P over (X, Z), k = 0 .. deg_Z P, as
+    dense lists."""
+    x_off, z_off = P.slot("X")[0], P.slot("Z")[0]
+    rows: List[List] = [[] for _ in range(P.degree_in("Z") + 1)]
+    for key, c in P.packed.items():
+        i, row = (key >> x_off) & SLOT_MASK, rows[(key >> z_off) & SLOT_MASK]
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] = c
+    return rows

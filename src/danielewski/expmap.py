@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError, SurfaceConstraintError, VerificationInternalError
-from .poly import NEG_INF, Poly, exact_div, substitute
+from .poly import NEG_INF, Poly
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec, aux_coefficient, eval_poly_on_elements
 
@@ -88,18 +88,22 @@ class ExpMap:
 
 def canonical_expmap(spec: SurfaceSpec) -> ExpMap:
     """The exponential map x -> x, z -> z + f(x) U, y -> y + (P(x, z + f U)
-    - P(x, z)) / f; verified before returning."""
+    - P(x, z)) / f; verified before returning.
+
+    With e_k the k-th Hasse derivative of P in Z, P(x, z + f U) - P(x, z)
+    = sum_(k >= 1) e_k (f U)^k, so the quotient sum_(k >= 1) e_k f^(k-1) U^k
+    is read off P's Z-coefficients, with no substitution or division."""
     field = spec.field
     vars3 = ("X", "Z", "U")
     f3 = spec.f.with_vars(vars3)
-    P3 = spec.P.with_vars(vars3)
-    z3 = Poly.variable(field, vars3, "Z")
-    u3 = Poly.variable(field, vars3, "U")
-    z_shift = z3 + f3 * u3
-    quotient = exact_div(substitute(P3, {"Z": z_shift}, vars_out=vars3) - P3, f3)
-    if quotient is None:
-        raise VerificationInternalError("P(x, z + fU) - P(x, z) not divisible by f")
+    quotient = Poly.zero(field, vars3)
+    f_power = Poly.one(field, vars3)             # f^(k-1)
+    for k in range(1, spec.d + 1):
+        e_k = spec.P.hasse_derivative("Z", k).with_vars(vars3)
+        quotient = quotient + (e_k * f_power).mul_var_power("U", k)
+        f_power = f_power * f3
     image_y = spec.y() + spec.from_xz_poly(quotient)
+    z_shift = Poly.variable(field, vars3, "Z") + f3 * Poly.variable(field, vars3, "U")
     m = ExpMap(spec, spec.x(), spec.from_xz_poly(z_shift), image_y).verified()
     if m.status is not VerifyStatus.VERIFIED:
         raise VerificationInternalError(f"canonical map failed verification: {m.reason}")

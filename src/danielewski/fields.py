@@ -39,7 +39,7 @@ class FieldKind(enum.Enum):
     PRIME = "F"
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -62,7 +62,7 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind is FieldKind.PRIME:
             p = self.modulus
-            if not isinstance(p, int) or not 2 <= p < 2**31 or not _is_prime(p):
+            if not isinstance(p, int) or not 2 <= p < 2**31 or not is_prime(p):
                 raise ValueError(f"modulus must be a prime below 2**31, got {p!r}")
         else:
             if self.modulus != 0:

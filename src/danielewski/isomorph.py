@@ -59,11 +59,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
-from .factor import (Factorization, Fq, _add, _divmod, _gcd, _inv, _mul, _norm, _sub, _xgcd,
-                     dense_to_poly, factor_univariate, poly_to_dense,
-                     roots_in_field)
+from .dense import (Fq, add, affine_shift, dense_to_poly, divrem, fp_roots, gcd, hasse, horner,
+                    inv, mul, norm, poly_to_dense, sub, xgcd, z_rows)
+from .factor import Factorization, factor_univariate, roots_in_field
 from .fields import FieldKind, Scalar
-from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, substitute
+from .poly import NEG_INF, Poly, divmod_in, substitute
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
 
@@ -177,44 +177,29 @@ def _affine_x(p: Poly, lam: Scalar, mu: Scalar) -> Poly:
                       vars_out=("X",))
 
 
-def _roots_or_all(g: Optional[Poly], field, cap: int) -> Tuple[List[Scalar], bool]:
-    """Nonzero roots of g; g identically zero means every field element is a
-    root (finite only over F_p, and refused past the cap before listing --
-    the bool flags the char-0 free case)."""
-    if g is None or g.is_zero:
+def _roots_or_all(g: Optional[list], field, cap: int) -> Tuple[List[Scalar], bool]:
+    """Nonzero roots of the dense monic g.  g identically zero (None or [])
+    frees every value: over F_p its p - 1 values, refused past the cap before
+    listing; over Q the slice [1], with the bool set to mark the family.
+    Only over Q is a g of degree >= 2 factored."""
+    if not g:
         if field.kind is FieldKind.PRIME:
             if field.modulus - 1 > cap:
                 raise SearchCapExceededError(field.modulus - 1, cap)
             return [Scalar(field, c) for c in range(1, field.modulus)], False
-        return [], True
-    if g.total_degree() == 1:     # read off, not factored
-        root = -g.coefficient((0,)) / g.coefficient((1,))
-        return ([root] if root else []), False
-    return [s for s in dict.fromkeys(roots_in_field(g)) if s], False
-
-
-def _taylor_rows(a: list, m: int) -> List[list]:
-    """The Taylor rows T_k(M) = sum_(j >= k) C(j, k) a_j M^(j-k) of the
-    dense a, k = 0 .. deg a: a(M + X) = sum_k T_k(M) X^k."""
-    return [_norm([math.comb(j, k) * a[j] for j in range(k, len(a))], m)
-            for k in range(len(a))]
-
-
-def _affine_shift(row: list, mu, lam, m: int) -> list:
-    """row(lam X + mu) for a dense row (Horner in the linear polynomial)."""
-    acc: list = []
-    for c in reversed(row):
-        nxt = [c] + [0] * len(acc)
-        for i, v in enumerate(acc):
-            nxt[i] += v * mu
-            nxt[i + 1] += v * lam
-        acc = _norm(nxt, m)
-    return acc
+        return [Scalar(field, 1)], True
+    if len(g) == 2:               # read off
+        roots = [Scalar(field, -g[0])]
+    elif field.kind is FieldKind.PRIME:
+        roots = [Scalar(field, c) for c in fp_roots(g, field.modulus)]
+    else:
+        roots = roots_in_field(dense_to_poly(g, field, ("T",), "T"))
+    return [s for s in dict.fromkeys(roots) if s], False
 
 
 def _transports(a: list, b: list, lam, mu, m: int) -> bool:
     """(III) at (lam, mu) for dense f_1 = a and f_2 = b: one Horner shift."""
-    return _affine_shift(a, mu, lam, m) == _norm([lam ** (len(b) - 1) * c for c in b], m)
+    return affine_shift(a, mu, lam, m) == norm([lam ** (len(b) - 1) * c for c in b], m)
 
 
 def _row_gcd(rows, m: int) -> list:
@@ -223,7 +208,7 @@ def _row_gcd(rows, m: int) -> list:
     the caller's to check."""
     g: list = []
     for row in rows:
-        g = _gcd(g, row, m)
+        g = gcd(g, row, m)
         if 0 < len(g) <= 2:
             break
     return g
@@ -248,42 +233,34 @@ def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
     field = s1.field
     r, m = s1.r, field.modulus
     a, b = poly_to_dense(s1.f, "X"), poly_to_dense(s2.f, "X")
-    rows = _taylor_rows(a, m)
+    rows = [hasse(a, k, m) for k in range(len(a))]
     if m and r % m == 0:
         count = (m - 1) * m
         if count > cap:
             raise SearchCapExceededError(count, cap)
-        prime_field = Fq([0, 1], m)          # F_p = F_p[X]/(X), for the roots in mu
         pairs = []
         for lam in range(1, m):
-            g = _row_gcd((_sub(rows[k], [pow(lam, r - k, m) * b[k]], m)
+            g = _row_gcd((sub(rows[k], [pow(lam, r - k, m) * b[k]], m)
                           for k in range(r - 1, -1, -1)), m)
-            if g:
-                mus = [c[0] if c else 0
-                       for c in prime_field.roots([[c] if c else [] for c in g])]
-            else:
-                mus = range(m)
+            mus = fp_roots(g, m) if g else range(m)
             pairs.extend((Scalar(field, lam), Scalar(field, mu)) for mu in mus
                          if _transports(a, b, lam, mu, m))
         return pairs, False, count
     # the characteristic does not divide r: mu = u0 + u1 lam, and row k reads
     # T_k(u0 + u1 lam) = b_k lam^(r-k)
-    r_inv = _inv(r, m)
+    r_inv = inv(r, m)
     u0, u1 = -a[r - 1] * r_inv, b[r - 1] * r_inv
     if m:
         u0, u1 = u0 % m, u1 % m
 
     def lam_row(k):
-        row = _affine_shift(rows[k], u0, u1, m)
+        row = affine_shift(rows[k], u0, u1, m)
         row.extend([0] * (r - k + 1 - len(row)))
         row[r - k] -= b[k]
-        return _norm(row, m)
+        return norm(row, m)
 
     g = _row_gcd((lam_row(k) for k in range(r - 2, -1, -1)), m)
-    lams, lambda_free = _roots_or_all(
-        dense_to_poly(g, field, ("LAM",), "LAM") if g else None, field, cap)
-    if lambda_free:
-        lams = [Scalar(field, 1)]
+    lams, lambda_free = _roots_or_all(g, field, cap)
     pairs = []
     for lam in lams:
         mu = u0 + u1 * lam.value
@@ -307,40 +284,19 @@ def _congruence_split(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
     return divmod_in(defect, s2.f.with_vars(vars2), "X")
 
 
-def _z_rows(P: Poly) -> List[list]:
-    """The coefficients c_k(X) of Z^k in P over (X, Z), k = 0 .. deg_Z P, as
-    dense lists."""
-    x_off, z_off = P.slot("X")[0], P.slot("Z")[0]
-    rows: List[list] = [[] for _ in range(P.degree_in("Z") + 1)]
-    for key, c in P.packed.items():
-        i, row = (key >> x_off) & SLOT_MASK, rows[(key >> z_off) & SLOT_MASK]
-        row.extend([0] * (i + 1 - len(row)))
-        row[i] = c
-    return rows
-
-
 class _TaylorRows:
     """sum_k c_k(X) Z^k, with the c_k dense mod f, rewritten in W = Z - s:
-    row i is the W^i coefficient sum_k C(k, i) c_k s^(k-i) mod f (binomial
-    theorem).  Rows are computed when first read."""
+    row i is the W^i coefficient, the i-th Hasse derivative in Z evaluated
+    at Z = s mod f (Horner).  Rows are computed when first read."""
 
     def __init__(self, c: List[list], s: list, f: list, m: int):
         self.c, self.s, self.f, self.m = c, s, f, m
-        self.powers = [[1]]             # s^j mod f
         self.rows: Dict[int, list] = {}
 
     def __getitem__(self, i: int) -> list:
         row = self.rows.get(i)
         if row is None:
-            c, f, m, powers = self.c, self.f, self.m, self.powers
-            while len(powers) < len(c) - i:
-                powers.append(_divmod(_mul(powers[-1], self.s, m), f, m)[1])
-            row = []
-            for k in range(i, len(c)):
-                term = _mul(c[k], powers[k - i], m)
-                if term:
-                    row = _add(row, [math.comb(k, i) * a for a in term], m)
-            row = self.rows[i] = _divmod(row, f, m)[1]
+            row = self.rows[i] = horner(hasse(self.c, i, self.m), self.s, self.f, self.m)
         return row
 
 
@@ -358,8 +314,8 @@ def _binomial_gcd(rows, m: int) -> Optional[list]:
             if a or b:
                 return [1]
             continue
-        c = a[-1] * _inv(b[-1], m) % m if m else a[-1] * _inv(b[-1], m)
-        if len(a) != len(b) or _norm([c * v for v in b], m) != a:
+        c = a[-1] * inv(b[-1], m) % m if m else a[-1] * inv(b[-1], m)
+        if len(a) != len(b) or norm([c * v for v in b], m) != a:
             return [1]
         if m:
             e %= m - 1
@@ -368,7 +324,7 @@ def _binomial_gcd(rows, m: int) -> Optional[list]:
                 return [1]
             continue
         binomial = [-c] + [0] * (e - 1) + [1]
-        g = _norm(binomial, m) if g is None else _gcd(g, binomial, m)
+        g = norm(binomial, m) if g is None else gcd(g, binomial, m)
         if len(g) <= 2:
             break
     return g
@@ -414,10 +370,10 @@ class _DeltaLifting:
             q = poly_to_dense(q_poly, "X")
             block = [1]
             for _ in range(m):
-                block = _mul(block, q, p)
-            cofactor = _divmod(f, block, p)[0]
-            inverse = _xgcd(cofactor, block, p)[1]
-            self.factors.append((Fq(q, p), m, _divmod(_mul(cofactor, inverse, p), f, p)[1]))
+                block = mul(block, q, p)
+            cofactor = divrem(f, block, p)[0]
+            inverse = xgcd(cofactor, block, p)[1]
+            self.factors.append((Fq(q, p), m, divrem(mul(cofactor, inverse, p), f, p)[1]))
 
     def _count(self, produced: int):
         needed = self.examined + produced
@@ -435,14 +391,14 @@ class _DeltaLifting:
             residues = self._lift(rows, fq, m)
             if not residues:
                 return []
-            parts.append([_mul(s, idempotent, p) for s in residues])
+            parts.append([mul(s, idempotent, p) for s in residues])
         self._count(math.prod(len(part) for part in parts))
         out = []
         for combo in itertools.product(*parts):
             delta = []
             for piece in combo:
-                delta = _add(delta, piece, p)
-            out.append(_divmod(delta, self.f, p)[1])
+                delta = add(delta, piece, p)
+            out.append(divrem(delta, self.f, p)[1])
         return out
 
     def _lift(self, rows, fq: Fq, m: int) -> List[list]:
@@ -460,18 +416,17 @@ class _DeltaLifting:
         if m == 1 or not survivors:
             return survivors
         # D'(T) mod q, one list per Z-coefficient
-        slopes = [fq.poly([_norm([k * c for c in coeff], p) for k, coeff in enumerate(row)][1:])
-                  for row in rows]
+        slopes = [fq.poly(hasse(row, 1, p)) for row in rows]
         below = q                         # q^(j-1)
         for _ in range(m - 1):
-            modulus = _mul(below, q, p)   # q^j
-            reduced = [[_divmod(c, modulus, p)[1] for c in row] for row in rows]
+            modulus = mul(below, q, p)   # q^j
+            reduced = [[divrem(c, modulus, p)[1] for c in row] for row in rows]
             lifted = []
             for s in survivors:
                 shifts = self._affine_step(reduced, slopes, s, below, modulus, fq)
                 self._count(fq.size if shifts is None else len(shifts))
                 for t in (fq.elements() if shifts is None else shifts):
-                    lifted.append(_add(s, _mul(t, below, p), p))
+                    lifted.append(add(s, mul(t, below, p), p))
             survivors = lifted
             if not survivors:
                 break
@@ -486,24 +441,16 @@ class _DeltaLifting:
         s_low = fq.reduce(s)
         t = None
         for row, slope in zip(reduced, slopes):
-            a = _divmod(_horner(row, s, modulus, p), below, p)[0]
-            b = _horner(slope, s_low, fq.q, p)
+            a = divrem(horner(row, s, modulus, p), below, p)[0]
+            b = horner(slope, s_low, fq.q, p)
             if t is not None:
-                if _add(a, fq.mul(t, b), p):
+                if add(a, fq.mul(t, b), p):
                     return []
             elif b:
                 t = fq.neg(fq.mul(a, fq.inv(b)))
             elif a:
                 return []
         return None if t is None else [t]
-
-
-def _horner(row, x, modulus, p) -> list:
-    """sum_k row[k] x^k mod ``modulus``."""
-    acc = []
-    for c in reversed(row):
-        acc = _divmod(_add(_mul(acc, x, p), c, p), modulus, p)[1]
-    return acc
 
 
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
@@ -525,19 +472,18 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     carries the delta search in the first case, else it is None."""
     field = s1.field
     m, d, f = field.modulus, s1.d, target.f
-    c1 = [_divmod(_affine_shift(row, mu.value, lam.value, m), f, m)[1] for row in rows1]
+    c1 = [divrem(affine_shift(row, mu.value, lam.value, m), f, m)[1] for row in rows1]
     if lifting is not None:
-        # E[j][k] = C(j+k, j) c1_(j+k): P_1(lam X + mu, Z + T) = sum E[j][k] Z^j T^k.
-        # A T-free row j (E[j][k] = 0 for k >= 1; j = d - 1 always, as p | d)
-        # requires c1_j = gam^(d-j) c2_j outright
-        table = [[_norm([math.comb(j + k, j) * a for a in c1[j + k]], m)
-                  for k in range(d + 1 - j)] for j in range(d + 1)]
+        # row j of the table, the T^k coefficients of Z^j in P_1(lam X + mu, Z + T),
+        # is the j-th Hasse derivative of sum_k c1_k T^k.  A T-free row j
+        # (j = d - 1 always, as p | d) requires c1_j = gam^(d-j) c2_j outright
+        table = [hasse(c1, j, m) for j in range(d + 1)]
         g = _binomial_gcd(((c1[j], target[j], d - j) for j in range(d - 1, -1, -1)
                            if not any(table[j][1:])), m)
         if g is None:
             gammas = range(1, m)
         else:
-            roots, _ = _roots_or_all(dense_to_poly(g, field, ("GAM",), "GAM"), field, cap)
+            roots, _ = _roots_or_all(g, field, cap)
             gammas = [gam.value for gam in roots]
         sols = []
         for gam in gammas:
@@ -546,7 +492,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
             for j, entries in enumerate(table):
                 gam_j = pow(gam, j, m)
                 row = [[gam_j * a % m for a in e] for e in entries]
-                row[0] = _sub(row[0], [gam_d * a for a in target[j]], m)
+                row[0] = sub(row[0], [gam_d * a for a in target[j]], m)
                 while row and not row[-1]:
                     row.pop()
                 if row:
@@ -560,18 +506,15 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     # sum_i (gam^i A_i - gam^d B_i) W^i = 0 mod f_2, where A_i and B_i are the
     # Taylor rows of P_1(lam X + mu, Z) at delta_0 and of P_2 at -delta_1; the
     # rows i = d, d - 1 hold for every gam
-    delta0 = _norm([-_inv(d, m) * a for a in c1[d - 1]], m)
+    delta0 = norm([-inv(d, m) * a for a in c1[d - 1]], m)
     shifted = _TaylorRows(c1, delta0, f, m)
     g = _binomial_gcd(((shifted[i], target[i], d - i) for i in range(d - 2, -1, -1)), m)
-    gammas, gamma_free = _roots_or_all(
-        None if g is None else dense_to_poly(g, field, ("GAM",), "GAM"), field, cap)
-    if gamma_free:
-        gammas = [Scalar(field, 1)]
+    gammas, gamma_free = _roots_or_all(g, field, cap)
     sols = []
     for gamma in gammas:
         # target.s is -delta_1; the split is the exact check of the rows
         # the gcd left unread
-        delta = dense_to_poly(_sub(delta0, [gamma.value * a for a in target.s], m),
+        delta = dense_to_poly(sub(delta0, [gamma.value * a for a in target.s], m),
                               field, ("X",), "X")
         theta, check_rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
         if check_rem.is_zero:
@@ -641,15 +584,15 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
                            "no (lambda, mu) transports f_1 onto f_2" + extra)
     m = s1.field.modulus
     f2 = poly_to_dense(s2.f, "X")
-    rows1 = _z_rows(s1.P)
-    c2 = [_divmod(row, f2, m)[1] for row in _z_rows(s2.P)]
+    rows1 = z_rows(s1.P)
+    c2 = [divrem(row, f2, m)[1] for row in z_rows(s2.P)]
     lifting = None
     if m and s1.d % m == 0:
         lifting = _DeltaLifting(f2, m, factor_univariate(s2.f).factors, cap, examined)
         target = _TaylorRows(c2, [], f2, m)
     else:
         # W = Z + delta_1, delta_1 = c2_(d-1)/d mod f_2
-        target = _TaylorRows(c2, _norm([-_inv(s1.d, m) * a for a in c2[-2]], m), f2, m)
+        target = _TaylorRows(c2, norm([-inv(s1.d, m) * a for a in c2[-2]], m), f2, m)
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:

@@ -44,6 +44,7 @@ Everything here is immutable and pure, safe for concurrent use.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import struct
 from collections.abc import Mapping
@@ -489,17 +490,21 @@ class Poly:
     # -- calculus / evaluation ------------------------------------------------------
 
     def derivative(self, var: str) -> "Poly":
+        return self.hasse_derivative(var, 1)
+
+    def hasse_derivative(self, var: str, k: int) -> "Poly":
+        """The k-th Hasse derivative in ``var``: the coefficient of T**k in
+        self(var + T), sum C(e, k) c var^(e-k) over the terms c var^e with
+        e >= k.  It is defined in every characteristic; k = 1 gives the
+        derivative."""
         off, unit = self.slot(var)
-        field = self.field
-        out: Dict[int, object] = {}
-        for k, c in self.packed.items():
-            e = (k >> off) & SLOT_MASK
-            if e == 0:
-                continue
-            v = field.mul(c, field.coerce(e))
-            if v != 0:
-                out[k - unit] = v
-        return Poly._raw(field, self.vars, out)
+        shift = k * unit
+        sums: Dict[int, object] = {}
+        for key, c in self.packed.items():
+            e = (key >> off) & SLOT_MASK
+            if e >= k:
+                sums[key - shift] = math.comb(e, k) * c
+        return Poly._from_sums(self.field, self.vars, sums)
 
     def evaluate(self, assignment: Mapping[str, object]) -> Scalar:
         """Evaluate at scalars, one per variable."""

@@ -11,6 +11,10 @@ evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
 certificate is recomputed by applying the extended canonical map to theta,
 s and w through that evaluator instead of being deduced from V2 and V4;
+the Taylor coefficients e_k of P(X, Z + T), which the library reads off
+P's Z-coefficients as Hasse derivatives, are found by substituting Z + T
+for Z, and the canonical map's y-image by that substitution followed by
+an exact division by f;
 the roots of a polynomial over a prime field, or over F_p[X]/(q), are
 found by evaluating it at every element, not read off its factorization or
 split by equal degree; and the product parser builds every factor of an
@@ -296,6 +300,26 @@ def v5_by_application(cert):
 
     return (phi(cert.theta) == cert.theta, phi(cert.s) == cert.s,
             phi(cert.w) == cert.w - spec.generator("U"))
+
+
+def taylor_by_substitution(P, var="Z"):
+    """{k: e_k} with P(..., var + T) = sum_k e_k T**k, the nonzero e_k only:
+    var + T is substituted for var over P's variables and T, and the
+    T-coefficients are read off (valid in any characteristic; e_1 is the
+    derivative in var)."""
+    vars_t = P.vars + ("T",)
+    shifted = substitute(P, {var: Poly.variable(P.field, vars_t, var)
+                             + Poly.variable(P.field, vars_t, "T")}, vars_out=vars_t)
+    return {k: c.with_vars(P.vars) for k, c in shifted.coefficients_in("T").items()}
+
+
+def canonical_quotient_by_division(spec):
+    """(P(X, Z + f U) - P(X, Z)) / f over ("X", "Z", "U"): the y-image of the
+    canonical map minus y, by one substitution and one exact division."""
+    vars3 = ("X", "Z", "U")
+    f3, P3 = spec.f.with_vars(vars3), spec.P.with_vars(vars3)
+    z_shift = Poly.variable(spec.field, vars3, "Z") + f3 * Poly.variable(spec.field, vars3, "U")
+    return exact_div(substitute(P3, {"Z": z_shift}, vars_out=vars3) - P3, f3)
 
 
 def _by_products_tokenize(text):

@@ -2,7 +2,9 @@
 fields of ``SurfaceSpec`` must come with a deliberate edit here (and in the
 README and CHANGES.md)."""
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import danielewski
 from danielewski import SurfaceSpec
@@ -31,3 +33,14 @@ def test_public_names_are_pinned():
 def test_surface_spec_is_its_defining_data():
     assert [f.name for f in fields(SurfaceSpec)] == ["field", "f", "P", "r", "d", "n"]
     assert SurfaceSpec.__dataclass_params__.frozen
+
+
+def test_modules_import_no_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted(Path(danielewski.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("danielewski")):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []

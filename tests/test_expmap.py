@@ -4,15 +4,15 @@ import math
 import pytest
 
 from danielewski import (GF, QQ, ExpMap, Poly, Scalar, apply_map, automorphisms,
-                         canonical_expmap, conjugate, derivation_coeff, is_invariant,
-                         normal_form, parse_poly, phi_degree, verify_expmap)
-from danielewski import expmap
+                         build_stable_iso, canonical_expmap, conjugate, derivation_coeff,
+                         is_invariant, normal_form, parse_poly, phi_degree, verify_expmap)
+from danielewski import cancel, expmap, poly
 from danielewski.errors import PreconditionError
 from danielewski.expmap import VerifyStatus
 from danielewski.poly import NEG_INF
 
 from conftest import random_element, surf
-from oracles import eval_by_horner
+from oracles import canonical_quotient_by_division, eval_by_horner
 
 
 def test_canonical_examples(surfaces):
@@ -309,3 +309,47 @@ def test_apply_map_leaves_a_fixed_x_unbound(surfaces, rng, monkeypatch):
     assert phi_degree(m, e) == 3
     assert derivation_coeff(m, e, 3) == derivation_coeff(m, e, 3)
     assert not derivation_coeff(m, e, 3).is_zero and derivation_coeff(m, e, 4).is_zero
+
+
+# deg_Z P >= p, so that some binomial coefficients of the Taylor step vanish
+# mod p; f has a double root at 0 and (P, P_Z) = (1), as build_stable_iso needs
+TAYLOR_SURFACES = (
+    (QQ, "X^2*(X-1)*(X+3)", "(Z+X)^3-1"),
+    (GF(2), "X^2*(X+1)", "Z^4+X*Z^2+Z+X"),
+    (GF(3), "X^3+X^2", "Z^6+X*Z^3+Z+X"),
+    (GF(5), "X^2*(X+2)", "Z^5+Z+X"),
+    (GF(7), "X^2*(X+3)", "Z^7+Z+X^2"),
+)
+
+
+@pytest.mark.parametrize("field, f, phi", TAYLOR_SURFACES, ids=str)
+def test_canonical_image_y_matches_substitution_and_division(field, f, phi):
+    spec = surf(field, f, phi)
+    want = spec.y() + spec.from_xz_poly(canonical_quotient_by_division(spec))
+    assert canonical_expmap(spec).image_y == want
+
+
+def test_taylor_step_makes_no_substitution_or_division_by_f(monkeypatch):
+    # the e_k of P(X, Z + T) are read off P's Z-coefficients: neither the
+    # canonical map nor the stable-isomorphism build substitutes in three
+    # variables or divides by f
+    widths, divisors = [], []
+
+    def recorded_substitute(*args, **kwargs):
+        out = poly.substitute(*args, **kwargs)
+        widths.append(len(out.vars))
+        return out
+
+    def recorded_exact_div(a, b):
+        divisors.append(b)
+        return poly.exact_div(a, b)
+    for module in (expmap, cancel):
+        monkeypatch.setattr(module, "substitute", recorded_substitute, raising=False)
+        monkeypatch.setattr(module, "exact_div", recorded_exact_div, raising=False)
+    for field, f, phi in TAYLOR_SURFACES:
+        spec = surf(field, f, phi)
+        divisors.clear()
+        canonical_expmap(spec)
+        build_stable_iso(spec)
+        assert all(b != spec.f.with_vars(b.vars) for b in divisors)
+    assert max(widths, default=0) <= 2

@@ -7,8 +7,10 @@ from danielewski import (GF, QQ, Poly, Scalar, factor_univariate, gcd_univariate
                          is_squarefree, parse_poly, poly_str, roots_in_field,
                          squarefree_part)
 from danielewski.errors import SearchCapExceededError
-from danielewski.factor import (MAX_RECOMBINATION_SUBSETS, Fq, _add, _divmod, _gcd, _mul,
-                                _norm, _xgcd, dense_to_poly, fp_factor, poly_to_dense)
+from danielewski.dense import Fq, dense_to_poly, poly_to_dense
+from danielewski.dense import add as _add, divrem as _divmod, gcd as _gcd, mul as _mul
+from danielewski.dense import norm as _norm, xgcd as _xgcd
+from danielewski.factor import MAX_RECOMBINATION_SUBSETS, fp_factor
 
 from conftest import D_ODD_PRIMES as D, random_poly, swinnerton_dyer
 from oracles import fq_roots_by_evaluation, roots_by_evaluation

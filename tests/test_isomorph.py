@@ -593,6 +593,20 @@ def test_baseline_lifts_every_gamma(monkeypatch):
         ("1", "0"), ("2", "2*X^5 + X"), ("3", "4*X^5 + 2*X"), ("4", "X^5 + 3*X")]
 
 
+def test_fp_roots_of_a_quadratic_gcd_factor_nothing(monkeypatch):
+    # over F_5, with p dividing neither d nor r, the lambda rows reduce to
+    # 3 (1 - lambda^2) / 4 and the gamma rows to gamma^2 = 1: both gcds have
+    # degree 2, and their roots are read without a factorization
+    from danielewski import factor, isomorph
+    calls = _count_calls(monkeypatch, factor, "factor_univariate")
+    monkeypatch.setattr(isomorph, "factor_univariate", factor.factor_univariate)
+    s = surf(GF(5), "X^2+X+1", "Z^2+X")
+    result = decide_isomorphism(s, s)
+    assert calls == []
+    assert sorted(str(c.gamma) for c in result) == ["1", "4"]
+    assert {c.tuple_key() for c in result} == set(brute_force_certificates(s, s))
+
+
 def test_elimination_makes_no_three_variable_substitution(monkeypatch):
     from danielewski import isomorph
     widths = []
