@@ -17,11 +17,14 @@ the Hasse derivatives of P in Z, e_k = sum_j C(j, k) p_j Z^(j-k) for
 P = sum_j p_j(X) Z^j, read off P's Z-coefficients in any characteristic
 (``Poly.hasse_derivative``); nothing is substituted.
 
-The verifier re-checks every identity the construction claims on the
-stored data alone, and names the two steps it takes on faith (the slice
+The Bezout solve, one elimination per build or per family (whose links
+share P), is the test of (P, P_Z) = (1); Res_Z(P, P_Z) only explains a
+refusal.  The verifier re-checks every identity the construction claims on
+the stored data alone, and names the two steps it takes on faith (the slice
 argument R = R^phi[w] and the surjectivity-between-equal-dimensions step).
-Of V5 it computes phi(theta) = theta and deduces phi(s) = s and
-phi(w) = w - U exactly from that, V2 and V4 (A[v][U] is a domain).
+V1 reads comaximality off the exact identity of V3.  Of V5 it computes
+phi(theta) = theta and deduces phi(s) = s and phi(w) = w - U exactly from
+that, V2 and V4 (A[v][U] is a domain).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .expmap import apply_map, canonical_expmap
 from .factor import factor_univariate, gcd_univariate
 from .fields import FieldSpec, Scalar
 from .isomorph import Fingerprint, fingerprint, set_str
-from .poly import NEG_INF, Poly, exact_div, substitute
+from .poly import NEG_INF, Poly, exact_div
 from .reports import Check, VerificationReport
 from .resultant import bezout_cofactors, resultant_in
 from .surface import (SurfaceElement, SurfaceSpec, divide_by_x, eval_poly_on_elements,
@@ -60,17 +63,6 @@ class HypothesisReport:
         return (self.double_root, self.comaximal)
 
 
-def _comaximality(P: Poly) -> Check:
-    """(P, P_Z) = (1) over ("X", "Z"), decided by Res_Z(P, P_Z) being a
-    nonzero constant."""
-    Pz = P.derivative("Z")
-    if Pz.is_zero:
-        return Check("(P, P_Z) = (1)", "Eq (10)", False, "P_Z = 0")
-    res = resultant_in(P, Pz, "Z")
-    return Check("(P, P_Z) = (1)", "Eq (10)", not res.is_zero and res.is_constant,
-                 f"Res_Z(P, P_Z) = {res}")
-
-
 def check_hypotheses(spec: SurfaceSpec) -> HypothesisReport:
     """n >= 2 (the root 0 of f is at least double; shift first if the double
     root sits elsewhere) and Res_Z(P, P_Z) a nonzero constant."""
@@ -78,7 +70,14 @@ def check_hypotheses(spec: SurfaceSpec) -> HypothesisReport:
     double_root = Check(
         "f has a double root at 0", "Thm 5.1 hypothesis", ok_n,
         f"multiplicity of 0 in f is {spec.n}")
-    return HypothesisReport(double_root, _comaximality(spec.P))
+    Pz = spec.P.derivative("Z")
+    if Pz.is_zero:
+        comaximal = Check("(P, P_Z) = (1)", "Eq (10)", False, "P_Z = 0")
+    else:
+        res = resultant_in(spec.P, Pz, "Z")
+        comaximal = Check("(P, P_Z) = (1)", "Eq (10)", not res.is_zero and res.is_constant,
+                          f"Res_Z(P, P_Z) = {res}")
+    return HypothesisReport(double_root, comaximal)
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,22 @@ class StableIsoCertificate:
 def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
     """Run the construction; every claimed identity is asserted as it is
     built, and the certificate passes ``verify_stable_iso`` by construction.
-    Raises HypothesisError, carrying the HypothesisReport, when the
-    hypotheses fail."""
+    The Bezout solve is the comaximality test.  Raises HypothesisError,
+    carrying the HypothesisReport, when n < 2 or (P, P_Z) is proper."""
+    if spec_a.n >= 2:
+        try:
+            a, b = bezout_cofactors(spec_a.P, spec_a.P.derivative("Z"), "Z")
+        except ComaximalityError:
+            pass
+        else:
+            return _construct(spec_a, a, b)
     hyp = check_hypotheses(spec_a)
-    if not hyp.ok:
-        raise HypothesisError(
-            "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed),
-            hyp)
+    raise HypothesisError(
+        "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed), hyp)
+
+
+def _construct(spec_a: SurfaceSpec, a: Poly, b: Poly) -> StableIsoCertificate:
+    """The construction of Thm 5.1 for n >= 2, given a P_Z + b P = 1."""
     field = spec_a.field
     h = exact_div(spec_a.f, Poly.monomial(field, ("X",), (1,)))
     spec_b = make_surface(field, h, spec_a.P, _min_r=1)
@@ -138,8 +146,6 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
     if h_el * s != p_at_theta:
         raise VerificationInternalError("h s = P(x, theta) (Eq 8) failed")
 
-    a, b = bezout_cofactors(spec_a.P, Pz, "Z")
-
     a_at_theta = eval_poly_on_elements(a, {"Z": theta}, spec_a)
     numerator = v_el - s * a_at_theta
     w = divide_by_x(numerator)
@@ -162,10 +168,13 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     field = spec.field
     checks: List[Check] = []
 
-    hyp = check_hypotheses(spec)
+    # V1: the exact identity of V3 proves (P, P_Z) = (1); nothing is eliminated
+    Pz = spec.P.derivative("Z")
+    v3 = cert.a * Pz + cert.b * spec.P == Poly.one(field, ("X", "Z"))
     checks.append(Check("V1 hypotheses (double root, comaximality)",
-                        "Thm 5.1 hypothesis", hyp.ok,
-                        "; ".join(c.detail for c in hyp.checks())))
+                        "Thm 5.1 hypothesis", spec.n >= 2 and v3,
+                        f"multiplicity of 0 in f is {spec.n}; "
+                        f"(P, P_Z) = (1): {_deduced((('V3', v3),))}"))
 
     h_ok = (cert.h == exact_div(spec.f, Poly.monomial(field, ("X",), (1,)))
             and cert.spec_b.P == spec.P and cert.spec_b.f == cert.h)
@@ -184,9 +193,6 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     checks.append(Check("V2 h(x) s = P(x, theta)", "Eq (8)", v2,
                         "" if v2 else f"difference {h_el * cert.s - p_at_theta}"))
 
-    Pz = spec.P.derivative("Z")
-    one2 = Poly.one(field, ("X", "Z"))
-    v3 = cert.a * Pz + cert.b * spec.P == one2
     checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
 
     a_at_theta = eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec)
@@ -218,13 +224,13 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
         "V6 generator identities: z, v, x y recovered from (x, theta, s, w)",
         "Eq (13) context", v6, f"z: {v6_z}, v: {v6_v}, x y: {v6_xy}"))
 
-    p0 = substitute(spec.P, {"X": Poly.zero(field, ("X", "Z"))}, vars_out=("X", "Z"))
-    pz0 = substitute(Pz, {"X": Poly.zero(field, ("X", "Z"))}, vars_out=("X", "Z"))
+    p0 = spec.P.coeff_in("X", 0).with_vars(("Z",))
+    pz0 = p0.derivative("Z")
     if pz0.is_zero:
         v7 = False
         detail = "P_Z(0, Z) = 0"
     else:
-        gcd0 = gcd_univariate(p0.with_vars(("Z",)), pz0.with_vars(("Z",)))
+        gcd0 = gcd_univariate(p0, pz0)
         v7 = gcd0.total_degree() == 0
         detail = f"gcd(P(0,Z), P_Z(0,Z)) = {gcd0}"
     checks.append(Check("V7 P_Z(0, Z) invertible mod P(0, Z)", "Eq (16) context", v7, detail))
@@ -264,7 +270,7 @@ class FamilyReport:
 def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> FamilyReport:
     """Surfaces A_n = K[X,Y,Z]/(X^n g Y - P) for n in [n_from, n_to]:
     pairwise non-isomorphic by fingerprint, stably isomorphic along the
-    chain A_n ~ A_{n-1} built by ``build_stable_iso``."""
+    chain A_n ~ A_{n-1}, every link built from one Bezout pair of P."""
     if n_from < 2 or n_to < n_from:
         raise PreconditionError("need 2 <= n_from <= n_to")
     g = g.with_vars(("X",))
@@ -279,16 +285,9 @@ def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> 
         fac = factor_univariate(g)
         if not fac.is_squarefree():
             raise SurfaceConstraintError(f"g has a repeated factor: {fac.factors}")
-    comax = _comaximality(P.with_vars(("X", "Z")))
-    if not comax.passed:
-        raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal"
-                                if comax.detail == "P_Z = 0"
-                                else f"{comax.detail} is not a nonzero constant")
-
-    surfaces = []
-    for n in range(n_from, n_to + 1):
-        f = Poly.monomial(field, ("X",), (n,)) * g
-        surfaces.append(make_surface(field, f, P))
+    surfaces = [make_surface(field, Poly.monomial(field, ("X",), (n,)) * g, P)
+                for n in range(n_from, n_to + 1)]
+    a, b = bezout_cofactors(surfaces[0].P, surfaces[0].P.derivative("Z"), "Z")
     prints = [fingerprint(s) for s in surfaces]
     verdicts = []
     for i in range(len(surfaces)):
@@ -304,7 +303,7 @@ def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> 
     chain = []
     for idx in range(len(surfaces) - 1, 0, -1):
         upper = surfaces[idx]
-        cert = build_stable_iso(upper)
+        cert = _construct(upper, a, b)
         if cert.spec_b != surfaces[idx - 1]:
             raise VerificationInternalError(
                 "chain partner surface is not the next family member")

@@ -69,10 +69,16 @@ def test_tampered_certificates_fail():
     report = verify_stable_iso(worse)
     failed = {c.name.split()[0] for c in report.failures()}
     assert "V2" in failed
-    # a := a + P leaves a nonzero defect in V3 (and shifts V4)
+    v1 = verify_stable_iso(cert).checks[0]
+    assert v1.passed and v1.detail == "multiplicity of 0 in f is 2; (P, P_Z) = (1): True"
+    # a := a + P leaves a nonzero defect in V3 (and shifts V4), so V1 can no
+    # longer read comaximality off the Bezout identity
     worse = dataclasses.replace(cert, a=cert.a + cert.spec_a.P)
     report = verify_stable_iso(worse)
     assert any(c.name.startswith("V3") for c in report.failures())
+    v1 = report.checks[0]
+    assert v1.name.startswith("V1") and not v1.passed
+    assert v1.detail == "multiplicity of 0 in f is 2; (P, P_Z) = (1): not deduced (V3 failed)"
     worse = dataclasses.replace(cert, w=cert.w + cert.spec_a.one())
     report = verify_stable_iso(worse)
     assert any(c.name.startswith("V4") for c in report.failures())

@@ -172,17 +172,45 @@ def test_cancel_build_refuses_bad_hypotheses(capsys):
     assert code == 1 and "hypotheses fail" in out
 
 
-@pytest.mark.parametrize("phi, code", [("(Z+X)^5-1", 0), ("Z^2", 1)])
-def test_cancel_build_computes_the_resultant_once(capsys, monkeypatch, phi, code):
+def _counting(monkeypatch, module, name):
     calls = []
+    fn = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return resultant.resultant_in(*args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cancel, "resultant_in", counted)
-    got, _, _ = run(capsys, "cancel", "build", "--field", "Q", "--f", "X^3-X^2", "--phi", phi)
-    assert got == code and len(calls) == 1
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_elimination_per_P(capsys, monkeypatch, tmp_path):
+    """The Bezout solve is the only elimination: a build runs one, a verify
+    reads comaximality off V3, and a family solves once for its shared P."""
+    eliminations = _counting(monkeypatch, resultant, "_bareiss")
+    resultants = _counting(monkeypatch, cancel, "resultant_in")
+    code, out, _ = run(capsys, "cancel", "build", "--field", "Q", "--f", "X^3-X^2",
+                       "--phi", "(Z+X)^5-1", "--json")
+    assert code == 0 and len(eliminations) == 1 and not resultants
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    eliminations.clear()
+    code, out, _ = run(capsys, "cancel", "verify", "--cert", str(path))
+    assert code == 0 and "VERIFIED" in out and not eliminations
+    code, out, _ = run(capsys, "family", "demo", "--g", "X-1", "--phi", "(Z+X)^5-1",
+                       "--field", "Q", "--from", "2", "--to", "4")
+    assert code == 0 and out.count("VERIFIED") == 2 and len(eliminations) == 1
+
+
+def test_cancel_build_refusal_is_explained_by_one_resultant(capsys, monkeypatch):
+    resultants = _counting(monkeypatch, cancel, "resultant_in")
+    code, out, err = run(capsys, "cancel", "build", "--field", "Q", "--f", "X^3-X^2",
+                         "--phi", "Z^2")
+    assert code == 1 and err == "" and len(resultants) == 1
+    assert out == ("hypotheses fail:\n"
+                   "  [PASS] f has a double root at 0 [Thm 5.1 hypothesis]: "
+                   "multiplicity of 0 in f is 2\n"
+                   "  [FAIL] (P, P_Z) = (1) [Eq (10)]: Res_Z(P, P_Z) = 0\n")
 
 
 def test_family_demo(capsys):
@@ -202,6 +230,11 @@ def test_family_demo_empty_range_is_malformed_input(capsys):
         code, out, err = run(capsys, "family", "demo", "--g", g, "--phi", "Z^2+1",
                              "--field", "Q", "--from", "2", "--to", "3")
         assert code == 2 and out == "" and err.startswith("error:"), g
+    # a malformed P: not monic in Z, degree 1 in Z
+    for phi in ("X*Z^2+1", "Z"):
+        code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", phi,
+                             "--field", "Q", "--from", "2", "--to", "3")
+        assert code == 2 and out == "" and err.startswith("error:"), phi
     # a comaximality failure is a refusal, not malformed input
     code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2",
                          "--field", "Q", "--from", "2", "--to", "3")
