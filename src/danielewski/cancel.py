@@ -18,10 +18,11 @@ P = sum_j p_j(X) Z^j, read off P's Z-coefficients in any characteristic
 (``Poly.hasse_derivative``); nothing is substituted.
 
 The Bezout solve, one elimination per build or per family (whose links
-share P), is the test of (P, P_Z) = (1); Res_Z(P, P_Z) only explains a
-refusal.  The verifier re-checks every identity the construction claims on
-the stored data alone, and names the two steps it takes on faith (the slice
-argument R = R^phi[w] and the surjectivity-between-equal-dimensions step).
+share P), is the test of (P, P_Z) = (1); the Res_Z(P, P_Z) it computes
+explains a refusal.  The verifier re-checks every identity the construction
+claims on the stored data alone, and names the two steps it takes on faith
+(the slice argument R = R^phi[w] and the surjectivity-between-equal-dimensions
+step).
 V1 reads comaximality off the exact identity of V3.  Of V5 it computes
 phi(theta) = theta and deduces phi(s) = s and phi(w) = w - U exactly from
 that, V2 and V4 (A[v][U] is a domain).
@@ -66,15 +67,18 @@ class HypothesisReport:
 def check_hypotheses(spec: SurfaceSpec) -> HypothesisReport:
     """n >= 2 (the root 0 of f is at least double; shift first if the double
     root sits elsewhere) and Res_Z(P, P_Z) a nonzero constant."""
-    ok_n = spec.n >= 2
-    double_root = Check(
-        "f has a double root at 0", "Thm 5.1 hypothesis", ok_n,
-        f"multiplicity of 0 in f is {spec.n}")
     Pz = spec.P.derivative("Z")
-    if Pz.is_zero:
+    return _hypothesis_report(spec, None if Pz.is_zero else resultant_in(spec.P, Pz, "Z"))
+
+
+def _hypothesis_report(spec: SurfaceSpec, res) -> HypothesisReport:
+    """The hypothesis report, given Res_Z(P, P_Z) (None when P_Z = 0)."""
+    double_root = Check(
+        "f has a double root at 0", "Thm 5.1 hypothesis", spec.n >= 2,
+        f"multiplicity of 0 in f is {spec.n}")
+    if res is None:
         comaximal = Check("(P, P_Z) = (1)", "Eq (10)", False, "P_Z = 0")
     else:
-        res = resultant_in(spec.P, Pz, "Z")
         comaximal = Check("(P, P_Z) = (1)", "Eq (10)", not res.is_zero and res.is_constant,
                           f"Res_Z(P, P_Z) = {res}")
     return HypothesisReport(double_root, comaximal)
@@ -98,16 +102,18 @@ class StableIsoCertificate:
 def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
     """Run the construction; every claimed identity is asserted as it is
     built, and the certificate passes ``verify_stable_iso`` by construction.
-    The Bezout solve is the comaximality test.  Raises HypothesisError,
-    carrying the HypothesisReport, when n < 2 or (P, P_Z) is proper."""
-    if spec_a.n >= 2:
+    The Bezout solve is the comaximality test, and a refusal reports the
+    resultant it computed.  Raises HypothesisError, carrying the
+    HypothesisReport, when n < 2 or (P, P_Z) is proper."""
+    if spec_a.n < 2:
+        hyp = check_hypotheses(spec_a)
+    else:
         try:
             a, b = bezout_cofactors(spec_a.P, spec_a.P.derivative("Z"), "Z")
-        except ComaximalityError:
-            pass
+        except ComaximalityError as exc:
+            hyp = _hypothesis_report(spec_a, exc.resultant)
         else:
             return _construct(spec_a, a, b)
-    hyp = check_hypotheses(spec_a)
     raise HypothesisError(
         "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed), hyp)
 
@@ -185,7 +191,8 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     v_el = spec.generator("v")
     h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
     z_el = spec.z()
-    theta_ok = cert.theta == h_el * v_el + z_el
+    hv = h_el * v_el
+    theta_ok = cert.theta == hv + z_el
     checks.append(Check("theta = h(x) v + z", "Thm 5.1 setup", theta_ok))
 
     p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
@@ -196,7 +203,8 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
 
     a_at_theta = eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec)
-    v4 = x_el * cert.w == v_el - cert.s * a_at_theta
+    xw, sa = x_el * cert.w, cert.s * a_at_theta
+    v4 = xw == v_el - sa
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
 
     # V5: invariance under the extended canonical map (phi(v) = v - x U).
@@ -214,10 +222,11 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
         f"theta fixed: {theta_fixed}, s fixed: {_deduced(premises[:3])}, "
         f"phi(w) = w - U: {_deduced(premises)}"))
 
-    # V6: the localized generator identities, as exact statements in A[v]
+    # V6: the localized generator identities, as exact statements in A[v],
+    # from the products of the theta check and V4
     pz_el = spec.from_xz_poly(Pz)
-    v6_z = z_el == cert.theta - h_el * v_el
-    v6_v = v_el == x_el * cert.w + cert.s * a_at_theta
+    v6_z = z_el == cert.theta - hv
+    v6_v = v_el == xw + sa
     v6_xy = x_el * spec.y() == cert.s - v_el * pz_el - x_el * cert.corr
     v6 = v6_z and v6_v and v6_xy
     checks.append(Check(

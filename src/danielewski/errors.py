@@ -43,7 +43,12 @@ class HypothesisError(PreconditionError):
 
 
 class ComaximalityError(DanielewskiError):
-    """(P, P_Z) is not the unit ideal, so no Bezout pair exists."""
+    """(P, P_Z) is not the unit ideal, so no Bezout pair exists; ``resultant``
+    is the Res_Z(P, P_Z) the solve computed (None when P_Z = 0)."""
+
+    def __init__(self, message: str, resultant=None):
+        super().__init__(message)
+        self.resultant = resultant
 
 
 class SearchCapExceededError(DanielewskiError):

@@ -9,14 +9,20 @@ three exact symbolic checks:
     (A1) setting U = 0 returns x, z, y
     (A2) phi_V(phi_U(g)) = phi_{U+V}(g) in A[U,V] for each generator g
 
+(W) and the left sides of (A2) move x, y or z and are substitutions.  The
+maps U -> 0, U -> V and U -> U + V fix x, y and z, so they cannot change a
+normal form: they are read off each image's stored U-expansion (its U^0
+slice, the rename U -> V, and sum_j V^j H_j(g) with H_j the j-th Hasse
+derivative in U).  One verification makes four substitutions.
+
 The canonical map fixes x, sends z to z + f(x) U, and sends y to the exact
 quotient that the relation forces.
 
-A map keeps its last application (element, mode, image) in one private
-slot, so the higher derivation D_0(e), D_1(e), ... is read off a single
-phi(e), as in the paper.  It is a deterministic memo: the image is
-immutable, the slot is replaced in one assignment, and copies made by
-``replace`` start empty.
+A map keeps its last application (element, mode, image, U-split) in one
+private slot, so the higher derivation D_0(e), D_1(e), ... is read off a
+single phi(e), as in the paper, split by powers of U once.  It is a
+deterministic memo: the image and its split are never modified, the slot is
+replaced in one assignment, and copies made by ``replace`` start empty.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ from .errors import PreconditionError, SurfaceConstraintError, VerificationInter
 from .poly import NEG_INF, Poly
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec, aux_coefficient, eval_poly_on_elements
+
+
+# a map's last application: (element, extended, image, {i: U**i slice} or None)
+_Applied = Tuple[SurfaceElement, bool, SurfaceElement,
+                 Optional[Dict[int, SurfaceElement]]]
 
 
 class VerifyStatus(enum.Enum):
@@ -45,8 +56,9 @@ class ExpMap:
     image_y: SurfaceElement
     status: VerifyStatus = VerifyStatus.UNVERIFIED
     reason: str = ""
-    # [(element, extended, image)] of the last apply_map call, or [None]
-    _last: List[Optional[Tuple[SurfaceElement, bool, SurfaceElement]]] = dc_field(
+    # [(element, extended, image, U-split or None)] of the last application,
+    # or [None]
+    _last: List[Optional[_Applied]] = dc_field(
         default_factory=lambda: [None], init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -111,7 +123,13 @@ def canonical_expmap(spec: SurfaceSpec) -> ExpMap:
 
 
 def verify_expmap(m: ExpMap) -> VerificationReport:
-    """Run the three defining checks, symbolically and exactly."""
+    """Run the three defining checks, symbolically and exactly.
+
+    (W) and the left sides phi_V(phi_U(g)) move x, y or z and are
+    substitutions.  The maps U -> 0, U -> V and U -> U + V move only U and
+    cannot change a normal form, so they are read off each image's stored
+    normal form: its U^0 slice, the rename U -> V, and the Taylor expansion
+    sum_j V^j H_j(g) in the Hasse derivatives H_j in U."""
     spec = m.spec
     checks = []
 
@@ -127,21 +145,18 @@ def verify_expmap(m: ExpMap) -> VerificationReport:
     # (A1) evaluation at U = 0 is the identity
     for var, img in m.images().items():
         name = var.lower()
-        at0 = eval_poly_on_elements(img.raw_lift(), {"U": spec.zero()}, spec)
+        at0 = aux_coefficient(img, "U", 0)
         want = spec.generator(name)
         checks.append(Check(
             f"evaluation at U=0 returns {name}", "Def 2.1(i)",
             at0 == want, "" if at0 == want else f"got {at0}"))
 
     # (A2) the cocycle law in A[U,V]
-    v_el = spec.generator("V")
-    images_v = {var: eval_poly_on_elements(img.raw_lift(), {"U": v_el}, spec)
-                for var, img in m.images().items()}
-    u_plus_v = {"U": spec.generator("U") + v_el}
+    images_v = {var: _rename_u_to_v(img) for var, img in m.images().items()}
     for var, img in m.images().items():
         name = var.lower()
         lhs = eval_poly_on_elements(img.raw_lift(), images_v, spec)
-        rhs = eval_poly_on_elements(img.raw_lift(), u_plus_v, spec)
+        rhs = _shift_u_by_v(img)
         ok = lhs == rhs
         checks.append(Check(
             f"cocycle law on {name}: phi_V(phi_U({name})) = phi_(U+V)({name})",
@@ -150,10 +165,38 @@ def verify_expmap(m: ExpMap) -> VerificationReport:
     return VerificationReport("exponential map", tuple(checks))
 
 
+def _rename_u_to_v(img: SurfaceElement) -> SurfaceElement:
+    """phi_V(g): the image g over (X, Y, Z, U) read over (X, Y, Z, V); the
+    packed keys stay the same."""
+    if not img.aux:
+        return img
+    nf = img.raw_lift()
+    return SurfaceElement._of(img.spec, Poly._raw(nf.field, ("X", "Y", "Z", "V"), nf.packed))
+
+
+def _shift_u_by_v(img: SurfaceElement) -> SurfaceElement:
+    """phi_(U+V)(g) = g(U + V) = sum_j V^j H_j(g), with H_j the j-th Hasse
+    derivative in U; the V-powers keep the pieces' keys apart, so they are
+    gathered in one dict."""
+    if not img.aux:
+        return img
+    nf = img.raw_lift().with_vars(("X", "Y", "Z", "U", "V"))
+    terms = {}
+    for j in range(nf.degree_in("U") + 1):
+        terms.update(nf.hasse_derivative("U", j).mul_var_power("V", j).packed)
+    return SurfaceElement._of(img.spec, Poly._raw(nf.field, nf.vars, terms))
+
+
 def apply_map(m: ExpMap, e: SurfaceElement, extended: bool = False) -> SurfaceElement:
     """phi(e) in A[U]; with ``extended`` the map also sends the adjoined
     variable v to v - x U (the A[v] extension used by the stable-isomorphism
     construction)."""
+    return _application(m, e, extended)[2]
+
+
+def _application(m: ExpMap, e: SurfaceElement, extended: bool) -> _Applied:
+    """The slot entry (e, extended, phi(e), U-split or None) for e, applying
+    phi when the slot holds another element or mode."""
     if m.status is not VerifyStatus.VERIFIED:
         raise PreconditionError("refusing to apply an unverified exponential map")
     allowed = ("v",) if extended else ()
@@ -163,14 +206,14 @@ def apply_map(m: ExpMap, e: SurfaceElement, extended: bool = False) -> SurfaceEl
             + ("only v is allowed in extended mode" if extended else "none allowed"))
     last = m._last[0]
     if last is not None and last[1] == extended and last[0] == e:
-        return last[2]
+        return last
     images = m.images()
     if extended:
         spec = m.spec
         images["v"] = spec.generator("v") - spec.x() * spec.generator("U")
-    image = eval_poly_on_elements(e.raw_lift(), images, m.spec)
-    m._last[0] = (e, extended, image)
-    return image
+    last = (e, extended, eval_poly_on_elements(e.raw_lift(), images, m.spec), None)
+    m._last[0] = last
+    return last
 
 
 def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
@@ -186,10 +229,26 @@ def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
 def derivation_coeff(m: ExpMap, e: SurfaceElement, i: int) -> SurfaceElement:
     """The coefficient of U**i in phi(e): the i-th member of the associated
     higher derivation, an element of A (zero beyond the U-degree).  Calls
-    for D_0(e), D_1(e), ... share one application of phi."""
+    for D_0(e), D_1(e), ... share one application of phi, split by powers
+    of U once and kept in the slot beside the image."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise PreconditionError(f"derivation index must be a nonnegative integer, got {i!r}")
-    return aux_coefficient(apply_map(m, e), "U", i)
+    last = _application(m, e, False)
+    split = last[3]
+    if split is None:
+        split = _split_by_u(last[2])
+        m._last[0] = last[:3] + (split,)
+    return split[i] if i in split else m.spec.zero()
+
+
+def _split_by_u(a: SurfaceElement) -> Dict[int, SurfaceElement]:
+    """{i: coefficient of U**i} of an element of A[U], in one pass."""
+    if "U" not in a.aux:
+        return {} if a.is_zero else {0: a}
+    nf = a.raw_lift()
+    rest = tuple(v for v in nf.vars if v != "U")
+    return {i: SurfaceElement._of(a.spec, c.with_vars(rest))
+            for i, c in nf.coefficients_in("U").items()}
 
 
 def is_invariant(m: ExpMap, e: SurfaceElement, extended: bool = False) -> bool:

@@ -56,7 +56,7 @@ from typing import Iterable, Tuple
 
 from .errors import PolyParseError
 from .fields import FieldKind, FieldSpec, Scalar, q_norm
-from .poly import SLOT, Poly, unit_key, unpack
+from .poly import SLOT, SLOT_MASK, Poly, unit_key
 
 MAX_DEGREE = 256
 MAX_CONSTANT_BITS = 2**16
@@ -308,16 +308,6 @@ def scalar_str(s: Scalar) -> str:
     return str(s.value)
 
 
-def _monomial_str(vars: Tuple[str, ...], exps: Tuple[int, ...]) -> str:
-    parts = []
-    for v, e in zip(vars, exps):
-        if e == 1:
-            parts.append(v)
-        elif e > 1:
-            parts.append(f"{v}^{e}")
-    return "*".join(parts)
-
-
 def poly_str(p: Poly) -> str:
     """Canonical rendering; parse(poly_str(p)) == p."""
     if p.is_zero:
@@ -325,11 +315,17 @@ def poly_str(p: Poly) -> str:
     rational = p.field.kind is FieldKind.RATIONALS
     pieces = []
     n, packed = len(p.vars), p.packed
+    fields = [(v, SLOT * (n - 1 - i)) for i, v in enumerate(p.vars)]
     for key in sorted(packed, reverse=True):   # integer order is grlex order
         c = packed[key]
         negative = rational and c < 0
         mag = -c if negative else c
-        mono = _monomial_str(p.vars, unpack(key, n))
+        factors = []
+        for v, off in fields:
+            e = (key >> off) & SLOT_MASK
+            if e:
+                factors.append(v if e == 1 else f"{v}^{e}")
+        mono = "*".join(factors)
         if not mono:
             body = str(mag)
         elif mag == 1:

@@ -149,8 +149,8 @@ def resultant_in(p: Poly, q: Poly, var: str) -> Poly:
 def bezout_cofactors(P: Poly, Pz: Poly, var: str = "Z") -> Tuple[Poly, Poly]:
     """Polynomials (a, b) with a*Pz + b*P = 1 and deg a < deg P, for P monic
     of degree >= 2 in ``var`` with Res_var(P, Pz) a nonzero constant.  The
-    identity is expanded and checked before returning; ComaximalityError
-    otherwise."""
+    identity is expanded and checked before returning; ComaximalityError,
+    carrying Res_var(P, Pz), otherwise."""
     P._check_compat(Pz)
     m = P.degree_in(var)
     if m is NEG_INF or m < 2:
@@ -165,11 +165,11 @@ def bezout_cofactors(P: Poly, Pz: Poly, var: str = "Z") -> Tuple[Poly, Poly]:
         raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal")
     if Pz.degree_in(var) == 0 and not Pz.is_constant:
         raise ComaximalityError(
-            f"resultant {Pz}**{m} is non-constant, (P, P_Z) is a proper ideal")
+            f"resultant {Pz}**{m} is non-constant, (P, P_Z) is a proper ideal", Pz ** m)
     matrix = _multiplication_matrix(P, Pz, var)
     res, adj_e0 = _bareiss(matrix, field, vars, [one] + [zero] * (m - 1))
     if res.is_zero or not res.is_constant:
-        raise ComaximalityError(f"Res_{var}(P, P_Z) = {res} is not a nonzero constant")
+        raise ComaximalityError(f"Res_{var}(P, P_Z) = {res} is not a nonzero constant", res)
     inv_res = res.constant_value().inverse()
     a = zero
     for i, c in enumerate(adj_e0):

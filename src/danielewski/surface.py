@@ -383,12 +383,15 @@ def eval_poly_on_elements(p: Poly, images: Mapping[str, SurfaceElement],
     """Apply the ring map K[X,Y,Z,aux] -> A[aux] that sends each variable of
     ``p`` bound in ``images`` to its image and fixes every other variable.
 
-    This is the one way the workbench applies a ring map (exponential maps,
-    isomorphism certificates, evaluations at (x, theta)): one simultaneous
-    substitution of the images' normal forms, then one ``normal_form``.  The
-    normal form is unique, so the result does not depend on representatives.
-    A base generator whose image is that generator itself (phi(x) = x, the
-    common case) is left unbound.
+    This is the one way the workbench applies a ring map that moves x, y or
+    z (exponential maps, isomorphism certificates, evaluations at
+    (x, theta)): one simultaneous substitution of the images' normal forms,
+    then one ``normal_form``.  The normal form is unique, so the result does
+    not depend on representatives.  A base generator whose image is that
+    generator itself (phi(x) = x, the common case) is left unbound.  Maps
+    that move only U (U -> 0, U -> V, U -> U + V in exponential-map
+    verification) cannot change a normal form and are read off the
+    U-expansion instead (``aux_coefficient``, ``Poly.hasse_derivative``).
     """
     used = p.used_vars()
     aux = [v for v in used if v not in images and v not in _BASE_VARS]

@@ -14,7 +14,9 @@ s and w through that evaluator instead of being deduced from V2 and V4;
 the Taylor coefficients e_k of P(X, Z + T), which the library reads off
 P's Z-coefficients as Hasse derivatives, are found by substituting Z + T
 for Z, and the canonical map's y-image by that substitution followed by
-an exact division by f;
+an exact division by f; the exponential-map verifier evaluates U -> 0,
+U -> V and U -> U + V by substitution, where the library reads them off
+each image's U-expansion;
 the roots of a polynomial over a prime field, or over F_p[X]/(q), are
 found by evaluating it at every element, not read off its factorization or
 split by equal degree; and the product parser builds every factor of an
@@ -43,6 +45,7 @@ from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariabl
 from danielewski.fields import FieldKind, q_norm
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
 from danielewski.poly import divmod_in, substitute
+from danielewski.reports import Check, VerificationReport
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
 from danielewski.surface import SurfaceElement, eval_poly_on_elements
 
@@ -320,6 +323,47 @@ def canonical_quotient_by_division(spec):
     f3, P3 = spec.f.with_vars(vars3), spec.P.with_vars(vars3)
     z_shift = Poly.variable(spec.field, vars3, "Z") + f3 * Poly.variable(spec.field, vars3, "U")
     return exact_div(substitute(P3, {"Z": z_shift}, vars_out=vars3) - P3, f3)
+
+
+def verify_expmap_by_substitution(m):
+    """The three defining checks of an exponential map, each identity by
+    substitution and renormalization: 13 ``eval_poly_on_elements`` calls."""
+    spec = m.spec
+    checks = []
+
+    # (W) the defining relation maps to zero
+    vars3 = ("X", "Y", "Z")
+    relation = (spec.f.with_vars(vars3) * Poly.variable(spec.field, vars3, "Y")
+                - spec.P.with_vars(vars3))
+    defect = eval_poly_on_elements(relation, m.images(), spec)
+    checks.append(Check(
+        "well-defined: f(phi x) phi y - P(phi x, phi z) = 0", "Def 2.1",
+        defect.is_zero, "" if defect.is_zero else f"nonzero witness: {defect}"))
+
+    # (A1) evaluation at U = 0 is the identity
+    for var, img in m.images().items():
+        name = var.lower()
+        at0 = eval_poly_on_elements(img.raw_lift(), {"U": spec.zero()}, spec)
+        want = spec.generator(name)
+        checks.append(Check(
+            f"evaluation at U=0 returns {name}", "Def 2.1(i)",
+            at0 == want, "" if at0 == want else f"got {at0}"))
+
+    # (A2) the cocycle law in A[U,V]
+    v_el = spec.generator("V")
+    images_v = {var: eval_poly_on_elements(img.raw_lift(), {"U": v_el}, spec)
+                for var, img in m.images().items()}
+    u_plus_v = {"U": spec.generator("U") + v_el}
+    for var, img in m.images().items():
+        name = var.lower()
+        lhs = eval_poly_on_elements(img.raw_lift(), images_v, spec)
+        rhs = eval_poly_on_elements(img.raw_lift(), u_plus_v, spec)
+        ok = lhs == rhs
+        checks.append(Check(
+            f"cocycle law on {name}: phi_V(phi_U({name})) = phi_(U+V)({name})",
+            "Def 2.1(ii)", ok, "" if ok else f"difference {lhs - rhs}"))
+
+    return VerificationReport("exponential map", tuple(checks))
 
 
 def _by_products_tokenize(text):

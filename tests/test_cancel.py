@@ -4,8 +4,9 @@ import pytest
 
 from danielewski import (GF, QQ, build_stable_iso, check_hypotheses, parse_poly,
                          poly_str, sigma_family, verify_stable_iso)
-from danielewski.errors import (ComaximalityError, PreconditionError,
+from danielewski.errors import (ComaximalityError, HypothesisError, PreconditionError,
                                 SurfaceConstraintError)
+from danielewski.resultant import bezout_cofactors, resultant_in
 
 from conftest import surf
 from oracles import corr_by_division, eq7_defect, v5_by_application
@@ -20,6 +21,27 @@ def test_hypotheses_examples():
     assert not rep.ok and not rep.comaximal.passed
     rep = check_hypotheses(surf(QQ, "X^2+1", "Z^2+1"))
     assert not rep.double_root.passed
+
+
+@pytest.mark.parametrize("field, f, phi", [
+    (QQ, "X^3-X^2", "Z^2"),            # Res_Z(P, P_Z) = 0
+    (QQ, "X^3-X^2", "Z^2+X"),          # a nonconstant resultant
+    (GF(3), "X^2*(X+1)", "Z^3+X*Z"),   # P_Z = X: the resultant X^3, no matrix
+    (GF(2), "X^2*(X+1)", "Z^2+X"),     # P_Z = 0
+    (QQ, "X^2+1", "Z^2"),              # n < 2, and not comaximal
+], ids=str)
+def test_build_refusal_reports_the_bezout_resultant(field, f, phi):
+    spec = surf(field, f, phi)
+    with pytest.raises(HypothesisError) as refused:
+        build_stable_iso(spec)
+    want = check_hypotheses(spec)
+    assert refused.value.report == want
+    assert str(refused.value) == "hypotheses fail: " + "; ".join(
+        c.line() for c in want.checks() if not c.passed)
+    Pz = spec.P.derivative("Z")
+    with pytest.raises(ComaximalityError) as solve:
+        bezout_cofactors(spec.P, Pz, "Z")
+    assert solve.value.resultant == (None if Pz.is_zero else resultant_in(spec.P, Pz, "Z"))
 
 
 def test_build_matches_hand_derivation():

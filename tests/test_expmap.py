@@ -10,9 +10,11 @@ from danielewski import cancel, expmap, poly
 from danielewski.errors import PreconditionError
 from danielewski.expmap import VerifyStatus
 from danielewski.poly import NEG_INF
+from danielewski.surface import aux_coefficient
 
 from conftest import random_element, surf
-from oracles import canonical_quotient_by_division, eval_by_horner
+from oracles import (canonical_quotient_by_division, eval_by_horner,
+                     verify_expmap_by_substitution)
 
 
 def test_canonical_examples(surfaces):
@@ -353,3 +355,81 @@ def test_taylor_step_makes_no_substitution_or_division_by_f(monkeypatch):
         build_stable_iso(spec)
         assert all(b != spec.f.with_vars(b.vars) for b in divisors)
     assert max(widths, default=0) <= 2
+
+
+# -- verification off the U-expansion against the substitution oracle --------
+
+
+def _same_report(m):
+    assert verify_expmap(m).to_doc() == verify_expmap_by_substitution(m).to_doc()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=lambda f: f.tag())
+def test_verify_matches_substitution_oracle_on_canonical_maps(field):
+    for d in range(2, 8):
+        for phi in (f"Z^{d}+X*Z+1", f"(Z+X)^{d}+X^2"):
+            _same_report(canonical_expmap(surf(field, "X^2*(X+1)", phi)))
+
+
+def test_verify_matches_substitution_oracle_on_conjugated_maps():
+    moved = 0
+    for field, f, phi in ((QQ, "X^3-X^2", "Z^2+1"), (GF(2), "X^2+X", "Z^2"),
+                          (GF(3), "X^2*(X+1)", "Z^3+X"), (GF(5), "X^2*(X+2)", "Z^2+X+1")):
+        spec = surf(field, f, phi)
+        m = canonical_expmap(spec)
+        for cert in automorphisms(spec):
+            c = conjugate(m, cert)
+            moved += c != m
+            _same_report(c)
+    assert moved >= 2
+
+
+def test_verify_matches_substitution_oracle_on_broken_maps(surfaces):
+    s45 = surfaces[2]
+    m = canonical_expmap(s45)
+    sq = surf(QQ, "X^2", "Z^2+1")
+    vars4 = ("X", "Y", "Z", "U")
+
+    def el(spec, text):
+        return normal_form(parse_poly(text, spec.field, vars4), spec)
+    broken = (
+        ExpMap(s45, m.image_x, m.image_z, s45.y()),                   # (W) fails
+        ExpMap(sq, sq.x(), el(sq, "Z + X^2*U^2"),                     # (A2) fails
+               el(sq, "Y + 2*Z*U^2 + X^2*U^4")),
+        ExpMap(sq, el(sq, "X + U"), el(sq, "Z + 1 + U"), el(sq, "Y - U^3")),  # all fail
+        ExpMap(sq, sq.x(), el(sq, "Z + 1"), sq.y()),                  # no U, (W), (A1) fail
+    )
+    for b in broken:
+        assert not verify_expmap(b).ok
+        _same_report(b)
+    for spec in surfaces:                                             # no U, verifies
+        trivial = ExpMap(spec, spec.x(), spec.z(), spec.y())
+        assert verify_expmap(trivial).ok
+        _same_report(trivial)
+
+
+def test_derivation_coeff_matches_aux_coefficient(rng):
+    for spec in (surf(QQ, "X^2-X", "Z^3+X*Z+1"), surf(GF(2), "X^2+X", "Z^3+Z+X"),
+                 surf(GF(3), "X^2*(X+1)", "Z^3+X")):
+        m = canonical_expmap(spec)
+        for e in [spec.zero(), spec.x(), spec.z() * spec.y()] + [
+                random_element(rng, spec, max_terms=4) for _ in range(4)]:
+            top = phi_degree(m, e)
+            top = 0 if top is NEG_INF else int(top)
+            for i in range(top + 3):
+                assert derivation_coeff(m, e, i) == aux_coefficient(apply_map(m, e), "U", i)
+
+
+def test_verify_substitutes_four_times(monkeypatch, surfaces):
+    # (W) and the three left sides phi_V(phi_U(g)) are substitutions; U -> 0,
+    # U -> V and U -> U + V are read off the images
+    calls = []
+    real = expmap.eval_poly_on_elements
+    monkeypatch.setattr(expmap, "eval_poly_on_elements",
+                        lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+    for spec in surfaces:
+        m = canonical_expmap(spec)
+        for candidate in (m, ExpMap(spec, spec.x(), spec.z(), spec.y())):
+            calls.clear()
+            verify_expmap(candidate)
+            assert len(calls) == 4
