@@ -15,7 +15,7 @@ from .errors import DanielewskiError, InputError
 from .expmap import ExpMap
 from .fields import parse_field_tag
 from .isomorph import IsoCertificate, Obstruction
-from .parsing import parse_poly, parse_scalar, poly_str, scalar_str
+from .parsing import coefficient_strs, parse_poly, parse_scalar, poly_str, scalar_str
 from .poly import Poly
 from .surface import SurfaceElement, SurfaceSpec, make_surface, normal_form
 
@@ -61,7 +61,7 @@ def surface_from_doc(doc: dict) -> SurfaceSpec:
 
 
 def element_to_doc(e: SurfaceElement) -> dict:
-    return {"coeffs": {str(i): poly_str(g) for i, g in sorted(e.coeffs.items())},
+    return {"coeffs": {str(i): g for i, g in coefficient_strs(e.raw_lift(), "Y").items()},
             "aux": list(e.aux)}
 
 

@@ -13,17 +13,28 @@ multiplication is not allowed.  Canonical printing lists terms in
 descending graded-lexicographic order with explicit ``*`` and ``^``, so
 print-then-parse is the identity.
 
-One compiled regular expression splits the text into tokens, after a
-second has rejected any character outside the grammar.  While a
-term is a product of integer, rational and variable factors (each with an
-optional ``^k``), the parser keeps it as one coefficient and one packed
-exponent key (see ``poly``): a variable factor ``V^e`` adds ``e`` times
-V's unit key, so no exponent tuple is ever built.  Coefficients combine in
-the field as it goes (over F_p a constant power is one modular ``pow``);
-the terms of a sum go straight into one coefficient dict.  A ``Poly``
-product is built only for a parenthesized sum with two or more terms, or a
-power of one, so a canonical sum of monomials is read without any
-polynomial multiplication.
+One compiled regular expression reads the tokens, one at a time with one
+token of lookahead, after a second has rejected any character outside the
+grammar; each error carries the position of the token that raised it.  A
+term first tries ``_MONOMIAL``: one match reads a whole literal monomial
+(sign, integer or ``a/b`` coefficient, ``V`` or ``V^e`` factors joined by
+``*``) and the token after it; in a sum the sign it reads is the binary
+operator.  When the match fails or the reader declines the term (an
+unknown variable, a bad denominator, a degree past the budget), the
+recursive descent reads the term from the same position and raises what
+it always raised, so both accept the same inputs.  A canonical sum of
+monomials is read one match per term, without the descent.
+
+Either way a product of literal factors stays one coefficient and one
+packed exponent key (see ``poly``): ``V^e`` adds ``e`` times V's unit key,
+so no exponent tuple is ever built.  Coefficients combine in the field as
+they go (over F_p a constant power is one modular ``pow``); the terms of a
+sum go straight into one coefficient dict.  A ``Poly`` product is built
+only for a parenthesized sum with two or more terms, or a power of one.
+
+One routine renders terms: ``poly_str`` prints a polynomial, and
+``coefficient_strs`` the coefficients of one variable's powers (an
+element's y-coefficients) straight off its packed keys.
 
 Input budget, checked before anything is expanded, each refusal a
 ``PolyParseError`` that names the input budget:
@@ -34,17 +45,20 @@ Input budget, checked before anything is expanded, each refusal a
   than ``MAX_CONSTANT_BITS`` bits in its numerator or denominator (bit
   lengths add under multiplication, so a product is checked before it is
   formed; the degree bound caps every other exponent);
+- in every field, an integer literal with more digits than
+  2^(``MAX_CONSTANT_BITS`` + 1), the widest constant a product may form:
+  such a constant prints within the interpreter's 4,300-digit limit for
+  int-string conversion, and a literal is never converted past it;
 - a polynomial product, or a multiply or squaring step of a power, that
   would form more than ``MAX_TERM_PRODUCTS`` products of terms, or, over
   Q, whose operands' widest coefficients together pass
   ``MAX_CONSTANT_BITS`` bits.
 
-All three sit far above desk scale: over two benchmark rounds at seeds
+All of them sit far above desk scale: over two benchmark rounds at seeds
 7 and 11, no parsed polynomial passes total degree 49 or 30-bit
 coefficients, and no product forms more than 3,010 term products.  The
 work budget refuses ``(Z+X+1)^64`` at its last squaring (561 by 561
-terms) instead of expanding it.  An error's position is recovered from
-the token index only when the error is raised.
+terms) instead of expanding it.
 """
 
 from __future__ import annotations
@@ -52,77 +66,92 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .errors import PolyParseError
 from .fields import FieldKind, FieldSpec, Scalar, q_norm
 from .poly import SLOT, SLOT_MASK, Poly, unit_key
 
 MAX_DEGREE = 256
-MAX_CONSTANT_BITS = 2**16
+MAX_CONSTANT_BITS = 2**13
 MAX_TERM_PRODUCTS = 2**18
 
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9]*|[-+*^()/])")
+# the digits of 2^(MAX_CONSTANT_BITS + 1): any constant a product may form
+# prints within them, and no literal may have more
+_LITERAL_DIGITS = int((MAX_CONSTANT_BITS + 1) * math.log10(2)) + 1
+
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9]*|[-+*^()/]|\Z)")
 _BAD = re.compile(r"[^\sA-Za-z0-9*^()/+-]")
 
-
-def _tokenize(text: str) -> list:
-    """The token strings, ending with "" for the end of input."""
-    bad = _BAD.search(text)
-    if bad:
-        raise PolyParseError(f"unexpected character {bad.group()!r}", bad.start())
-    tokens = _TOKEN.findall(text)
-    tokens.append("")
-    return tokens
+# A literal monomial: a sign, an integer or a/b coefficient, then V or V^e
+# factors joined by '*'; then the token after it, which must end the
+# monomial.  In a sum the sign is the binary operator before the term;
+# elsewhere only a unary '-' is allowed.  A literal shorter than
+# _LITERAL_DIGITS is below 2^MAX_CONSTANT_BITS, so no product with it passes
+# the bit budget; a longer one is left to the descent, which checks it.
+_INT = rf"([0-9]{{1,{_LITERAL_DIGITS - 1}}})"
+_POWER = rf"[A-Za-z][A-Za-z0-9]*(?:\^[0-9]{{1,{_LITERAL_DIGITS - 1}}})?"
+_FACTORS = rf"{_POWER}(?:\*{_POWER})*"
+_MONOMIAL = re.compile(
+    rf"([-+]?)\s*(?:{_INT}(?:/{_INT})?(?:\*({_FACTORS}))?|({_FACTORS}))\s*([-+*)]|\Z)")
 
 
 class _Parser:
-    """Recursive descent over the token list.  A factor or term is either a
-    monomial ``(coefficient, packed key)`` with a canonical raw coefficient
-    (0 for the zero monomial) or, once a sum has been multiplied or raised
-    to a power, a ``Poly``.  Token positions are found only when an error
-    needs one."""
+    """Recursive descent with one token of lookahead: ``tok`` is the current
+    token ("" at the end of input), ``at`` its position, ``end`` the
+    position after it.  A factor or term is either a monomial
+    ``(coefficient, packed key)`` with a canonical raw coefficient (0 for
+    the zero monomial) or, once a sum has been multiplied or raised to a
+    power, a ``Poly``.  A term first tries ``_MONOMIAL`` at its position;
+    ``factor`` reads what that leaves, from the same position."""
 
     def __init__(self, text: str, field: FieldSpec, vars: Tuple[str, ...]):
+        bad = _BAD.search(text)
+        if bad:
+            raise PolyParseError(f"unexpected character {bad.group()!r}", bad.start())
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
         self.field = field
         self.vars = vars
         self.unit = {v: unit_key(len(vars), i) for i, v in enumerate(vars)}
         self.degree_shift = SLOT * len(vars)
         self.p = field.modulus if field.kind is FieldKind.PRIME else 0
+        self.end = 0
+        self.advance()
 
-    def at(self, k: int) -> int:
-        """Character position of token k."""
-        for j, m in enumerate(_TOKEN.finditer(self.text)):
-            if j == k:
-                return m.start(1)
-        return len(self.text)
+    def advance(self) -> None:
+        m = _TOKEN.match(self.text, self.end)
+        self.tok = m[1]
+        self.at, self.end = m.span(1)
+
+    def literal(self) -> int:
+        """The current token, an integer literal, as an int."""
+        if len(self.tok) > _LITERAL_DIGITS:
+            raise PolyParseError(f"a literal of {len(self.tok)} digits exceeds the input "
+                                 f"budget of {_LITERAL_DIGITS} digits", self.at)
+        return int(self.tok)
 
     def check_degree(self, degree: int, at: int) -> None:
         if degree > MAX_DEGREE:
             raise PolyParseError(f"total degree {degree} exceeds the input budget of "
-                                 f"{MAX_DEGREE}", self.at(at))
+                                 f"{MAX_DEGREE}", at)
 
     def check_bits(self, bits: int, at: int) -> None:
         if bits > MAX_CONSTANT_BITS:
             raise PolyParseError(f"a constant product of about {bits} bits exceeds the "
-                                 f"input budget of {MAX_CONSTANT_BITS}", self.at(at))
+                                 f"input budget of {MAX_CONSTANT_BITS}", at)
 
     def check_work(self, a: Poly, b: Poly, at: int) -> None:
         if len(a) * len(b) > MAX_TERM_PRODUCTS:
             raise PolyParseError(f"a product of {len(a)} by {len(b)} terms "
                                  f"exceeds the input budget of {MAX_TERM_PRODUCTS} term "
-                                 f"products", self.at(at))
+                                 f"products", at)
         if not self.p:
             self.check_bits(_widest(a) + _widest(b), at)
 
     def parse(self) -> Poly:
         x = self.expr()
-        tok = self.tokens[self.pos]
-        if tok:
-            raise PolyParseError(f"unexpected {tok!r}", self.at(self.pos))
+        if self.tok:
+            raise PolyParseError(f"unexpected {self.tok!r}", self.at)
         return self._poly(x)
 
     def _poly(self, x) -> Poly:
@@ -133,8 +162,7 @@ class _Parser:
 
     def expr(self):
         x = self.term()
-        tokens = self.tokens
-        tok = tokens[self.pos]
+        tok = self.tok
         if tok != "+" and tok != "-":
             return x
         # one running dict for the whole sum, normalized once at the end
@@ -145,21 +173,70 @@ class _Parser:
                 for key, c in x.packed.items():
                     sums[key] = sums.get(key, 0) + sign * c
             elif x[0]:
-                key = x[1]
-                sums[key] = sums.get(key, 0) + sign * x[0]
+                c, key = x
+                # no 0 + c or 1 * c: over Q both dispatch through Fraction
+                c = c if sign > 0 else -c
+                sums[key] = sums[key] + c if key in sums else c
             if tok != "+" and tok != "-":
                 return Poly._from_sums(self.field, self.vars, sums)
-            sign = 1 if tok == "+" else -1
-            self.pos += 1
-            x = self.term()
-            tok = tokens[self.pos]
+            m = _MONOMIAL.match(self.text, self.at)     # its sign is tok
+            x = self.monomial(m) if m else None
+            if x is None:
+                sign = 1 if tok == "+" else -1
+                self.advance()
+                x = self.term()
+            else:
+                sign = 1            # the monomial carries the operator's sign
+                if self.tok == "*":
+                    x = self.product(x)
+            tok = self.tok
 
     def term(self):
-        x = self.factor()
-        tokens = self.tokens
-        while tokens[self.pos] == "*":
-            at = self.pos
-            self.pos += 1
+        m = _MONOMIAL.match(self.text, self.at)
+        x = self.monomial(m) if m and m[1] != "+" else None      # no unary '+'
+        return self.product(self.factor() if x is None else x)
+
+    def monomial(self, m):
+        """The literal monomial matched by ``m``, read past, or None when the
+        descent must read it: an unknown variable, a zero or non-invertible
+        denominator, or a degree past the budget.  The descent then raises
+        the error it always raised, at the same position; a monomial
+        accepted here is one it accepts."""
+        sign, num, den, scaled, bare, tok = m.groups()
+        p = self.p
+        c = int(num) if num else 1
+        if den:
+            den = int(den)
+            if not (den % p if p else den):
+                return None
+            c = c * pow(den, -1, p) if p else q_norm(Fraction(c, den))
+        if sign == "-":
+            c = -c
+        if p:
+            c %= p
+        key = 0
+        factors = scaled or bare
+        if factors:
+            unit = self.unit
+            for f in factors.split("*"):
+                v, _, e = f.partition("^")
+                u = unit.get(v)
+                if u is None:
+                    return None
+                key += int(e) * u if e else u
+            # an exponent too wide for its field carries into higher fields,
+            # which only raises the degree read here
+            if key >> self.degree_shift > MAX_DEGREE:
+                return None
+        self.tok = tok
+        self.at, self.end = m.span(6)
+        return (c, key)
+
+    def product(self, x):
+        """x times the factors that follow while the next token is '*'."""
+        while self.tok == "*":
+            at = self.at
+            self.advance()
             y = self.factor()
             if type(x) is tuple and type(y) is tuple:
                 if x[0] and y[0]:
@@ -185,25 +262,23 @@ class _Parser:
         return x
 
     def factor(self):
-        tokens = self.tokens
-        if tokens[self.pos] == "-":
-            self.pos += 1
+        if self.tok == "-":
+            self.advance()
             x = self.factor()
             if type(x) is Poly:
                 return -x
             return ((-x[0]) % self.p if self.p else -x[0], x[1])
         x = self.base()
-        if tokens[self.pos] != "^":
+        if self.tok != "^":
             return x
-        self.pos += 1
-        at = self.pos
-        tok = tokens[at]
-        if not tok.isdigit():
-            raise PolyParseError("exponent must be an integer literal", self.at(at))
-        self.pos += 1
-        e = int(tok)
+        self.advance()
+        at = self.at
+        if not self.tok.isdigit():
+            raise PolyParseError("exponent must be an integer literal", at)
+        e = self.literal()
+        self.advance()
         if e >= 2**31:
-            raise PolyParseError("exponent beyond 2**31", self.at(at))
+            raise PolyParseError("exponent beyond 2**31", at)
         return self._power(x, e, at)
 
     def _power(self, x, e: int, at: int):
@@ -240,45 +315,43 @@ class _Parser:
             bits = e * math.log2(max(abs(c.numerator), c.denominator))
             if bits > MAX_CONSTANT_BITS:
                 raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
-                                     f"the input budget of {MAX_CONSTANT_BITS}", self.at(at))
+                                     f"the input budget of {MAX_CONSTANT_BITS}", at)
         return (q_norm(c ** e), key * e)
 
     def base(self):
-        tokens = self.tokens
-        k = self.pos
-        tok = tokens[k]
-        self.pos += 1
+        tok, at = self.tok, self.at
         if tok.isdigit():
-            num = int(tok)
-            if tokens[self.pos] != "/":
+            num = self.literal()
+            self.advance()
+            if self.tok != "/":
                 return (num % self.p if self.p else num, 0)
-            k = self.pos + 1
-            tok = tokens[k]
-            if not tok.isdigit():
-                raise PolyParseError("denominator must be an integer literal", self.at(k))
-            self.pos += 2
-            den = int(tok)
+            self.advance()
+            at = self.at
+            if not self.tok.isdigit():
+                raise PolyParseError("denominator must be an integer literal", at)
+            den = self.literal()
+            self.advance()
             if den == 0:
-                raise PolyParseError("zero denominator", self.at(k))
+                raise PolyParseError("zero denominator", at)
             if self.p:
                 if den % self.p == 0:
                     raise PolyParseError(
-                        f"denominator {den} is not invertible in {self.field.tag()}", self.at(k))
+                        f"denominator {den} is not invertible in {self.field.tag()}", at)
                 return (num * pow(den, -1, self.p) % self.p, 0)
             return (q_norm(Fraction(num, den)), 0)
+        self.advance()
         if tok[:1].isalpha():
             unit = self.unit.get(tok)
             if unit is None:
-                raise PolyParseError(f"unknown variable {tok!r}", self.at(k))
+                raise PolyParseError(f"unknown variable {tok!r}", at)
             return (1, unit)
         if tok == "(":
             x = self.expr()
-            if tokens[self.pos] != ")":
-                raise PolyParseError("expected ')'", self.at(self.pos))
-            self.pos += 1
+            if self.tok != ")":
+                raise PolyParseError("expected ')'", self.at)
+            self.advance()
             return x
-        raise PolyParseError(f"unexpected {tok!r}" if tok else "unexpected end of input",
-                             self.at(k))
+        raise PolyParseError(f"unexpected {tok!r}" if tok else "unexpected end of input", at)
 
 
 def _log2(n: int) -> int:
@@ -312,11 +385,32 @@ def poly_str(p: Poly) -> str:
     """Canonical rendering; parse(poly_str(p)) == p."""
     if p.is_zero:
         return "0"
-    rational = p.field.kind is FieldKind.RATIONALS
-    pieces = []
-    n, packed = len(p.vars), p.packed
+    n = len(p.vars)
+    return _terms_str(p, sorted(p.packed, reverse=True),   # integer order is grlex order
+                      [(v, SLOT * (n - 1 - i)) for i, v in enumerate(p.vars)])
+
+
+def coefficient_strs(p: Poly, var: str) -> Dict[int, str]:
+    """{k: poly_str of the coefficient of var^k} over p's other variables,
+    in increasing k, printed straight off p's packed keys.  One sort serves
+    every k: keys that share var's exponent differ from the coefficient's
+    keys by the same amount, so they keep its grlex order."""
+    n = len(p.vars)
     fields = [(v, SLOT * (n - 1 - i)) for i, v in enumerate(p.vars)]
-    for key in sorted(packed, reverse=True):   # integer order is grlex order
+    off = fields.pop(p.vars.index(var))[1]
+    groups: Dict[int, list] = {}
+    for key in sorted(p.packed, reverse=True):
+        groups.setdefault((key >> off) & SLOT_MASK, []).append(key)
+    return {k: _terms_str(p, groups[k], fields) for k in sorted(groups)}
+
+
+def _terms_str(p: Poly, keys, fields) -> str:
+    """The terms of p at ``keys``, in that order, with the exponents read
+    from ``fields``, (name, bit offset) pairs."""
+    rational = p.field.kind is FieldKind.RATIONALS
+    packed = p.packed
+    pieces = []
+    for key in keys:
         c = packed[key]
         negative = rational and c < 0
         mag = -c if negative else c

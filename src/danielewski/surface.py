@@ -329,12 +329,11 @@ class SurfaceElement:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self):
-        from .parsing import poly_str
+        from .parsing import coefficient_strs
         if self.is_zero:
             return "0"
         parts = []
-        for i, g in self.coeffs.items():
-            g = poly_str(g)
+        for i, g in coefficient_strs(self._nf, "Y").items():
             if i == 0:
                 parts.append(g)
             else:

@@ -21,8 +21,11 @@ the roots of a polynomial over a prime field, or over F_p[X]/(q), are
 found by evaluating it at every element, not read off its factorization or
 split by equal degree; and the product parser builds every factor of an
 expression as a ``Poly`` and every product and power with ``Poly``
-arithmetic, where the library's parser keeps a product of literal factors
-as one monomial.
+arithmetic, where the library's parser reads a literal monomial in one
+regular-expression match and keeps a product of literal factors as one
+monomial; and an element document or string is printed through the
+``coeffs`` view, one ``poly_str`` per y-coefficient, where the library
+prints the y-coefficients straight off the stored normal form.
 
 The tuple-keyed kernel at the end is the reference for the packed one in
 ``poly.py``: it keys terms by exponent tuples, orders them with
@@ -43,7 +46,7 @@ from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_
                          exact_div, verify_iso)
 from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariableError
 from danielewski.fields import FieldKind, q_norm
-from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, poly_str
 from danielewski.poly import divmod_in, substitute
 from danielewski.reports import Check, VerificationReport
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
@@ -397,6 +400,16 @@ def _by_products_tokenize(text):
     return tokens
 
 
+_BP_LITERAL_DIGITS = len(str(2 ** (MAX_CONSTANT_BITS + 1)))
+
+
+def _bp_literal(val, at):
+    if len(val) > _BP_LITERAL_DIGITS:
+        raise PolyParseError(f"a literal of {len(val)} digits exceeds the input budget "
+                             f"of {_BP_LITERAL_DIGITS} digits", at)
+    return int(val)
+
+
 def _bp_check_degree(degree, at):
     if degree > MAX_DEGREE:
         raise PolyParseError(
@@ -484,7 +497,7 @@ class _ProductParser:
             if kind != "int":
                 raise PolyParseError("exponent must be an integer literal", at)
             self.advance()
-            e = int(val)
+            e = _bp_literal(val, at)
             if e >= 2**31:
                 raise PolyParseError("exponent beyond 2**31", at)
             _bp_check_power(p, e, at)
@@ -494,7 +507,7 @@ class _ProductParser:
     def base(self):
         kind, val, at = self.advance()
         if kind == "int":
-            num = int(val)
+            num = _bp_literal(val, at)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.advance()
@@ -502,7 +515,7 @@ class _ProductParser:
                 if k3 != "int":
                     raise PolyParseError("denominator must be an integer literal", at3)
                 self.advance()
-                den = int(v3)
+                den = _bp_literal(v3, at3)
                 if den == 0:
                     raise PolyParseError("zero denominator", at3)
                 if self.field.kind is FieldKind.PRIME and den % self.field.modulus == 0:
@@ -525,9 +538,31 @@ class _ProductParser:
 def parse_by_products(text, field, vars):
     """The recursive-descent parser that builds every factor as a ``Poly``
     and every product with ``Poly.__mul__``; same grammar, errors, positions,
-    degree budget and constant-power budget as ``parsing.parse_poly``, no
-    work budget and no budget on constant products."""
+    degree budget, literal budget and constant-power budget as
+    ``parsing.parse_poly``, no work budget and no budget on constant
+    products."""
     return _ProductParser(text, field, tuple(vars)).parse()
+
+
+def element_doc_by_coeffs(e):
+    """The element document printed through the ``coeffs`` view."""
+    return {"coeffs": {str(i): poly_str(g) for i, g in sorted(e.coeffs.items())},
+            "aux": list(e.aux)}
+
+
+def element_str_by_coeffs(e):
+    """``str(e)`` printed through the ``coeffs`` view."""
+    if e.is_zero:
+        return "0"
+    parts = []
+    for i, g in e.coeffs.items():
+        g = poly_str(g)
+        if i == 0:
+            parts.append(g)
+        else:
+            ypow = "y" if i == 1 else f"y^{i}"
+            parts.append(f"({g})*{ypow}")
+    return " + ".join(parts)
 
 
 # -- the tuple-keyed polynomial kernel -------------------------------------------

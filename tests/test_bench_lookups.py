@@ -5,7 +5,10 @@ looks up by module attribute; a rename in the package must fail here, not in
 a traced benchmark run.  One iso-fp round, run in process, must give no
 failed verdict and no refusal at the benchmark's cap.  Traced, the
 same round must give the same verdicts, leave no wrapper behind, and read
-term counts and coefficients without unpacking a single exponent key."""
+term counts and coefficients without unpacking a single exponent key.  The
+documents a round's operations read are printed by ``poly_str``: every
+polynomial in them is read by the literal-monomial reader, never by the
+parser's descent."""
 
 import importlib
 import importlib.util
@@ -60,3 +63,27 @@ def test_traced_round_matches_untraced_and_unpacks_nothing(monkeypatch):
     assert tracer.counters["poly.mul.term_products"] > 0 and tracer.calls["poly.exact_div"] > 0
     # the library unpacks the same keys in both runs; the tracer's reads add none
     assert len(unpacked) == 2 * untraced_unpacks
+
+
+def test_operation_documents_parse_without_the_descent(monkeypatch):
+    from danielewski import parsing
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    calls = []
+    factor = parsing._Parser.factor
+    monkeypatch.setattr(parsing._Parser, "factor",
+                        lambda self: calls.append(self.text) or factor(self))
+    parsed = []
+    parse_poly = parsing._Parser.parse
+    monkeypatch.setattr(parsing._Parser, "parse",
+                        lambda self: parsed.append(self.text) or parse_poly(self))
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload()
+        ops = w.round(7, 0)          # the round's own inputs are built with parentheses
+        calls.clear()
+        parsed.clear()
+        state = {}
+        for op in ops:
+            w.execute(op, state)
+        assert len(parsed) > len(ops), name
+        assert calls == [], name

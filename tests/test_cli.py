@@ -10,6 +10,7 @@ from danielewski import GF, QQ, cancel, cli, resultant
 from danielewski.cli import main, paper_examples
 from danielewski.errors import UnknownVariableError, VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
+from danielewski.parsing import MAX_CONSTANT_BITS
 
 from conftest import D_ODD_PRIMES, surf, swinnerton_dyer
 
@@ -256,10 +257,21 @@ def test_input_budget_exits_2_at_once(capsys):
 def test_constant_product_budget_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "surface", "info", "--field", "Q", "--f", "X^2",
-                         "--phi", "Z^2 + " + "*".join(["3^40000"] * 50))
+                         "--phi", "Z^2 + " + "*".join([f"3^{MAX_CONSTANT_BITS // 2}"] * 50))
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
     assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
+
+
+def test_constants_the_printer_cannot_write_exit_2(capsys):
+    # 3^9100 passes the interpreter's 4,300-digit limit for int-string
+    # conversion, and so does a 5,000-digit literal: both are refused at parse
+    for phi, position in (("Z^2 + 3^9100", 8), ("Z^2 + 1" + "0" * 5000, 6)):
+        code, out, err = run(capsys, "surface", "info", "--field", "Q", "--f", "X^3",
+                             "--phi", phi)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
+        assert f"(at position {position})" in err
 
 
 def test_family_demo_range_is_bounded(capsys):

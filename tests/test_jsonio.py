@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
-from danielewski import (QQ, automorphisms, build_stable_iso, canonical_expmap,
+from danielewski import (GF, QQ, Poly, automorphisms, build_stable_iso, canonical_expmap,
                          sigma_family, parse_poly, verify_expmap, verify_iso,
                          verify_stable_iso)
 from danielewski.errors import InputError
 from danielewski.expmap import VerifyStatus
+from danielewski.surface import normal_form
 from danielewski.jsonio import (dumps, element_from_doc, element_to_doc, expmap_from_doc,
                                 expmap_to_doc, family_to_doc, iso_from_doc, iso_to_doc,
                                 stable_from_doc, stable_to_doc, surface_from_doc,
@@ -41,6 +44,35 @@ def test_element_round_trip(rng, surfaces):
     doc = element_to_doc(v_el)
     assert doc["aux"] == ["v"]
     assert element_from_doc(doc, sq) == v_el
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7)), ids=lambda f: f.tag())
+def test_element_printing_matches_coeffs_view(rng, field):
+    from oracles import element_doc_by_coeffs, element_str_by_coeffs
+    spec = surf(field, "X^2*(X+1)", "Z^3 + X*Z + 1")
+    p = field.characteristic()
+    for aux in ((), ("U",), ("V",), ("v",), ("U", "V")):
+        vars_raw = ("X", "Y", "Z") + aux
+        elements = [spec.zero(), spec.one(), spec.z(), spec.from_scalar(-1)]
+        for _ in range(30):
+            terms = {}
+            top_y = rng.choice((0, 0, 1, 3))
+            top_z = 4 if top_y else 2              # no Y at all in a quarter of them
+            for _ in range(rng.randint(1, 8)):
+                exps = (rng.randint(0, 4), rng.randint(0, top_y), rng.randint(0, top_z)) + tuple(
+                    rng.randint(0, 2) for _ in aux)
+                terms[exps] = (rng.randrange(1, p) if p else
+                               Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 7))))
+            elements.append(normal_form(Poly(field, vars_raw, terms), spec))
+        assert any(e.aux for e in elements) == bool(aux)
+        assert min(len(e.coeffs) for e in elements) == 0              # the zero element
+        assert any(list(e.coeffs) == [0] for e in elements)            # no Y
+        assert max(len(e.coeffs) for e in elements) > 2
+        for e in elements:
+            assert element_to_doc(e) == element_doc_by_coeffs(e)
+            assert list(element_to_doc(e)["coeffs"]) == list(element_doc_by_coeffs(e)["coeffs"])
+            assert str(e) == element_str_by_coeffs(e)
+            assert element_from_doc(element_to_doc(e), spec) == e
 
 
 def test_expmap_round_trip(surfaces):

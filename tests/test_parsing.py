@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -119,9 +120,10 @@ def test_constant_power_budget():
 
 def test_constant_product_budget():
     V2 = ("X", "Z")
-    product = "*".join(["3^40000"] * 50)         # each factor inside the budget
-    for text in (product, "3^40000*3^40000", "(1/3)^40000*(1/3)^40000 + X",
-                 "(3^40000 + X)*(3^40000 + Z)", "(3^40000 + X)^2", f"2^{MAX_CONSTANT_BITS}*2"):
+    k = MAX_CONSTANT_BITS * 3 // 5                # 3^k is inside the budget, 3^(2k) is not
+    product = "*".join([f"3^{k}"] * 50)
+    for text in (product, f"3^{k}*3^{k}", f"(1/3)^{k}*(1/3)^{k} + X",
+                 f"(3^{k} + X)*(3^{k} + Z)", f"(3^{k} + X)^2", f"2^{MAX_CONSTANT_BITS}*2"):
         started = time.process_time()
         with pytest.raises(PolyParseError, match="input budget"):
             parse_poly(text, QQ, V2)
@@ -131,9 +133,9 @@ def test_constant_product_budget():
         -2 ** MAX_CONSTANT_BITS)
     assert parse_poly(f"2^{MAX_CONSTANT_BITS // 2}*2^{MAX_CONSTANT_BITS // 2}", QQ,
                       V2).constant_value().value == 2 ** MAX_CONSTANT_BITS
-    assert parse_poly("3^40000*(1/3)^40000*X", QQ, V2) == parse_poly("X", QQ, V2)
+    assert parse_poly(f"3^{k}*(1/3)^{k}*X", QQ, V2) == parse_poly("X", QQ, V2)
     # over F_p every product is reduced as it is formed
-    assert parse_poly(product, GF(7), V2).constant_value().value == pow(3, 40000 * 50, 7)
+    assert parse_poly(product, GF(7), V2).constant_value().value == pow(3, k * 50, 7)
 
 
 def test_long_sum_round_trip(rng):
@@ -250,3 +252,64 @@ def test_canonical_sum_needs_no_polynomial_product(monkeypatch, rng):
     assert parse_poly("-3/4*X^2*Y*Z^3 + 2^5*X - -Y", QQ, vars3).terms == {
         (2, 1, 3): Fraction(-3, 4), (1, 0, 0): 32, (0, 1, 0): 1}
     assert calls == []
+
+
+# -- the literal-monomial reader: edge cases against the product parser -------
+
+MONOMIAL_EDGE_CASES = (
+    "13*", "X*", "X^", "X^0", "3*X*X", "X*2",
+    "--X", " - X", "X  +  Z ",
+    "0*X^300", "X^300", "X^200*Z^100", "X^2147483648",
+    "1/0*X", "2/3*X",
+    "W", "2*W^2",
+)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(3)), ids=("Q", "F3"))
+@pytest.mark.parametrize("case", MONOMIAL_EDGE_CASES)
+def test_monomial_edge_cases_match_product_parser(case, field):
+    from oracles import parse_by_products
+    # alone, as a summand after each operator, and inside parentheses
+    for text in (case, f"Y + {case}", f"Y - {case}", f"Y-{case}", f"({case})*Y"):
+        assert _outcome(parse_poly, text, field) == _outcome(parse_by_products, text, field), text
+
+
+def test_monomial_edge_case_errors():
+    V3 = ("X", "Y", "Z")
+    for text, position in (("X^200*Z^100", 5), ("Y + X^200*Z^100", 9), ("13*", 3),
+                           ("X^300", 2), ("0*X^300", 4), ("1/0*X", 2), ("X - W", 4)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, QQ, V3)
+        assert err.value.position == position, text
+    with pytest.raises(PolyParseError, match="not invertible") as err:
+        parse_poly("Y + 2/3*X", GF(3), V3)
+    assert err.value.position == 6
+    # a zero coefficient drops the monomial but not the checks on its powers
+    assert parse_poly("0*X^200*Z^100 + Y", QQ, V3) == parse_poly("Y", QQ, V3)
+    assert parse_poly("3*X^200*Z^100 + Y", GF(3), V3) == parse_poly("Y", GF(3), V3)
+
+
+def test_long_literals_are_refused_at_their_position():
+    # a literal may have as many digits as 2^(MAX_CONSTANT_BITS + 1), no more
+    digits = len(str(2 ** (MAX_CONSTANT_BITS + 1)))
+    longest, past = "9" * digits, "1" + "0" * digits
+    for field in (QQ, GF(5)):
+        for text, position in ((past, 0), (f"X + {past}*Z", 4), (f"1/{past}", 2),
+                               (f"X^{past}", 2), (f"Z - ({past})", 5), ("1" * 5000, 0)):
+            with pytest.raises(PolyParseError, match="input budget") as err:
+                parse_poly(text, field, ("X", "Z"))
+            assert err.value.position == position, (field, text[:12])
+        assert parse_poly(f"X + {longest}", field, ("X", "Z")).terms[(0, 0)] == (
+            field.coerce(10 ** digits - 1))
+    # a product with the longest literal still meets the bit budget
+    with pytest.raises(PolyParseError, match="constant product"):
+        parse_poly(f"X + {longest}*Z", QQ, ("X", "Z"))
+
+
+def test_constants_within_the_bit_budget_print_and_parse_back():
+    V2 = ("X", "Z")
+    bits = MAX_CONSTANT_BITS
+    for text in (f"2^{bits}", f"2^{bits}*Z + X", f"-(1/3)^{int(bits / math.log2(3))}*X",
+                 f"2^{bits}*1*(-1) + X", f"{2 ** (bits + 1) - 1}*Z", f"1/{2 ** (bits + 1) - 1}"):
+        p = parse_poly(text, QQ, V2)
+        assert parse_poly(poly_str(p), QQ, V2) == p, text[:20]
