@@ -324,11 +324,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p):
+def _add_common(p, cap: bool = False):
+    """--json, and --cap for the commands that run an isomorphism search."""
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                   help="cap on the candidates an isomorphism search tries or "
-                        "produces (>= 1)")
+    if cap:
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                       help="cap on the candidates an isomorphism search tries or "
+                            "produces (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = iso.add_parser("decide", help="decide isomorphism of two surfaces")
     p.add_argument("--left", required=True, help="surface JSON document")
     p.add_argument("--right", required=True, help="surface JSON document")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(handler=_cmd_iso_decide)
     p = iso.add_parser("verify", help="verify an isomorphism certificate")
     p.add_argument("--cert", required=True)
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_family_demo)
 
     p = sub.add_parser("paper-examples", help="run the built-in example corpus")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(handler=_cmd_paper_examples)
 
     return parser

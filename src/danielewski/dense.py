@@ -4,12 +4,17 @@ One kernel does all dense arithmetic over Z/m, where the modulus ``m`` is a
 prime p (int residues in [0, p) over F_p), p**k (inside the Hensel step,
 dividing only by monic polynomials) or 0 (exact arithmetic on raw Q values,
 ``int`` or ``Fraction``, or on Z); callers pass ``field.modulus``, which is
-0 for Q.  ``hasse`` is its one Taylor routine.  ``Fq`` does the same
-arithmetic over F_p[X]/(q) and finds roots there without factoring.
+0 for Q.  ``hasse`` is its one Taylor routine.
+
+Over a finite field, root finding and the equal-degree split are written
+once (``FiniteField``), for two fields: ``Fp``, whose elements are ints and
+whose ring operations are the kernel with m = p, and ``Fq`` = F_p[X]/(q),
+whose elements are F_p[X] remainders mod q.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -162,19 +167,133 @@ def horner(row: List, x: List, modulus: List, m) -> List:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_q = F_p[X]/(q) and their roots in F_q
+# finite fields: one root finder and one equal-degree split for F_p and F_q
 # ---------------------------------------------------------------------------
 
 
-class Fq:
-    """The field F_q = F_p[X]/(q), q monic irreducible over F_p, and dense
-    polynomials in one variable T over it.
+class FiniteField:
+    """Dense polynomials in one variable T over a finite field with ``size``
+    = p**``degree`` elements, their roots and their equal-degree factors.
 
-    An element is its dense F_p remainder mod q (``[]`` is zero); a
-    polynomial is an ascending list of elements without trailing zeros.
-    Element arithmetic is the F_p kernel above followed by one reduction
-    mod q.  Inverses are cached: a small field repeats them, and the cache
-    lives as long as the object."""
+    A subclass fixes the elements (``zero``, ``one``, ``element``, ``neg``,
+    ``mul``, ``inv``; every zero is falsy) and the ring operations on
+    polynomials, ascending lists of elements without trailing zeros
+    (``poly``, ``add``, ``sub``, ``pmul``, ``pdivmod``).  The rest is
+    written once here, Cantor-Zassenhaus included (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 14)."""
+
+    def elements(self):
+        """Every element, in a fixed order."""
+        for digits in itertools.product(range(self.p), repeat=self.degree):
+            yield self.element(list(digits))
+
+    def monic(self, f):
+        if not f:
+            return []
+        lead_inv = self.inv(f[-1])
+        return [self.mul(c, lead_inv) for c in f]
+
+    def gcd(self, f, g):
+        """Monic gcd; gcd(0, 0) = []."""
+        while g:
+            f, g = g, self.pdivmod(f, g)[1]
+        return self.monic(f)
+
+    def pow_mod(self, f, e, g):
+        """f**e mod g."""
+        result = [self.one]
+        base = self.pdivmod(f, g)[1]
+        while e:
+            if e & 1:
+                result = self.pdivmod(self.pmul(result, base), g)[1]
+            base = self.pdivmod(self.pmul(base, base), g)[1]
+            e >>= 1
+        return result
+
+    def roots(self, f) -> list:
+        """The distinct roots of a nonzero f, sorted, without factoring f:
+        a linear f gives its root at once, and otherwise the roots are those
+        of gcd(f, T^size - T), split into its linear factors."""
+        f = self.monic(f)
+        if len(f) > 2:
+            t = [self.zero, self.one]
+            f = self.gcd(f, self.sub(self.pow_mod(t, self.size, f), t))
+        return sorted(self.neg(g[0]) for g in self.split(f, 1))
+
+    def split(self, f, k: int) -> list:
+        """The monic irreducible factors, sorted, of a monic f that is a
+        product of distinct irreducibles of degree k; f = 1 has none."""
+        if len(f) - 1 <= k:
+            return [f] if len(f) > 1 else []
+        for g in self._splitters(f, k):
+            g = self.gcd(f, g)
+            if 1 < len(g) < len(f):
+                return sorted(self.split(g, k) + self.split(self.pdivmod(f, g)[0], k))
+        raise DanielewskiError(f"no equal-degree split of {f} into factors of degree {k}")
+
+    def _splitters(self, f, k: int):
+        """Polynomials whose gcd with f, a product of at least two distinct
+        monic irreducibles of degree k, is a proper factor: often, for odd
+        p; for at least one of them, for p = 2."""
+        n = len(f) - 1
+        if self.p == 2:
+            # in F[T]/(f), a product of fields, each trace down to F_2 is 0
+            # or 1 in every field; the b T^i (b over the basis X^j, i < n)
+            # span the ring and Tr(b) is the same in every field, so for
+            # some i > 0 Tr(b T^i) is not
+            for i in range(1, n):
+                for j in range(self.degree):
+                    cur = [self.zero] * i + [self.element([0] * j + [1])]
+                    trace = []
+                    for _ in range(self.degree * k):
+                        trace = self.add(trace, cur)
+                        cur = self.pdivmod(self.pmul(cur, cur), f)[1]
+                    yield trace
+            return
+        # the output is sorted, so it does not depend on the seed
+        rng = random.Random(f"split|{self.size}|{k}|{f}")
+        half = (self.size ** k - 1) // 2
+        while True:
+            r = self.poly([self.element([rng.randrange(self.p) for _ in range(self.degree)])
+                           for _ in range(n)])
+            if len(r) > 1:
+                yield r
+                yield self.sub(self.pow_mod(r, half, f), [self.one])
+
+
+class Fp(FiniteField):
+    """The prime field F_p: an element is an int in [0, p), and the ring
+    operations on polynomials are the kernel above with m = p."""
+
+    zero, one, degree = 0, 1, 1
+
+    def __init__(self, p: int):
+        self.p = self.size = p
+        self.poly, self.add, self.sub, self.pmul, self.pdivmod = (
+            functools.partial(op, m=p) for op in (norm, add, sub, mul, divrem))
+
+    def element(self, digits):
+        return digits[0] % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+
+class Fq(FiniteField):
+    """The field F_q = F_p[X]/(q), q monic irreducible over F_p.
+
+    An element is its dense F_p remainder mod q (``[]`` is zero).  Element
+    arithmetic is the F_p kernel above followed by one reduction mod q.
+    Inverses are cached: a small field repeats them, and the cache lives as
+    long as the object."""
+
+    zero, one = [], [1]
 
     def __init__(self, q: List[int], p: int):
         self.q = q
@@ -184,6 +303,9 @@ class Fq:
         self._inverses = {}
 
     # elements
+
+    def element(self, digits):
+        return norm(digits, self.p)
 
     def reduce(self, a):
         return divrem(a, self.q, self.p)[1] if len(a) > self.degree else a
@@ -200,11 +322,6 @@ class Fq:
 
     def neg(self, a):
         return norm([-c for c in a], self.p)
-
-    def elements(self):
-        """Every element, in a fixed order."""
-        for digits in itertools.product(range(self.p), repeat=self.degree):
-            yield norm(list(digits), self.p)
 
     # polynomials in T
 
@@ -252,79 +369,6 @@ class Fq:
                 for i, b in enumerate(g[:-1]):
                     r[k + i] = sub(r[k + i], mul(c, b, p), p)
         return quo, self.poly(r)
-
-    def monic(self, f):
-        if not f:
-            return []
-        lead_inv = self.inv(f[-1])
-        return [self.mul(c, lead_inv) for c in f]
-
-    def gcd(self, f, g):
-        """Monic gcd; gcd(0, 0) = []."""
-        while g:
-            f, g = g, self.pdivmod(f, g)[1]
-        return self.monic(f)
-
-    def pow_mod(self, f, e, g):
-        """f**e mod g."""
-        result = [[1]]
-        base = self.pdivmod(f, g)[1]
-        while e:
-            if e & 1:
-                result = self.pdivmod(self.pmul(result, base), g)[1]
-            base = self.pdivmod(self.pmul(base, base), g)[1]
-            e >>= 1
-        return result
-
-    def roots(self, f) -> List[List[int]]:
-        """The distinct roots in F_q of a nonzero f, sorted.
-
-        A linear f gives its root at once.  Otherwise the roots are those of
-        gcd(f, T^size - T), a product of distinct linear factors, which is
-        split by equal degree: with (T + a)^((size - 1)/2) - 1 for random a
-        when p is odd, seeded from the input as ``factor.fp_factor`` does,
-        and with the trace maps Tr(X^j T) for p = 2."""
-        f = self.monic(f)
-        if len(f) > 2:
-            t = [[], [1]]
-            f = self.gcd(f, self.sub(self.pow_mod(t, self.size, f), t))
-        return sorted(self._split(f))
-
-    def _split(self, f) -> List[List[int]]:
-        if len(f) <= 2:
-            return [self.neg(f[0])] if len(f) == 2 else []
-        for g in self._splitters(f):
-            g = self.gcd(f, g)
-            if 1 < len(g) < len(f):
-                return self._split(g) + self._split(self.pdivmod(f, g)[0])
-        raise DanielewskiError(f"no equal-degree split of a product of linear factors {f}")
-
-    def _splitters(self, f):
-        """Polynomials whose gcd with f, a product of at least two distinct
-        monic linear factors over F_q, is a proper factor, often (p odd)
-        or for at least one of them (p = 2)."""
-        if self.p == 2:
-            # Tr(b r) for the roots r of f is not constant for some b in the
-            # basis X^j: the trace form is nondegenerate
-            for j in range(self.degree):
-                cur = [[], [0] * j + [1]]
-                trace = []
-                for _ in range(self.degree):
-                    trace = self.add(trace, cur)
-                    cur = self.pdivmod(self.pmul(cur, cur), f)[1]
-                yield trace
-            return
-        rng = random.Random(f"roots|{self.p}|{self.q}|{f}")
-        half = (self.size - 1) // 2
-        while True:
-            a = norm([rng.randrange(self.p) for _ in range(self.degree)], self.p)
-            yield self.sub(self.pow_mod([a, [1]], half, f), [[1]])
-
-
-def fp_roots(f: List[int], p: int) -> List[int]:
-    """The distinct roots in F_p of a nonzero dense f over F_p, ascending:
-    ``Fq.roots`` over F_p[X]/(X), with no factorization."""
-    return [c[0] if c else 0 for c in Fq([0, 1], p).roots([[c] if c else [] for c in f])]
 
 
 # ---------------------------------------------------------------------------

@@ -6,26 +6,26 @@ over F_p (modulus p), over Z/p**k inside the Hensel step, and over Q
 
 One pipeline serves both fields.  A squarefree split (``squarefree_list``,
 p-th-power aware over F_p) comes first.  Over F_p each squarefree part is
-then split by distinct degree and by equal degree -- randomized for odd p,
-a deterministic trace-map variant for p = 2.  Over Q each squarefree part
-of degree >= 2 is factored modulo a good odd prime, Hensel-lifted, and
+then split by distinct degree, and each product of irreducibles of one
+degree by the equal-degree split of ``dense.Fp``, the Cantor-Zassenhaus
+that also finds roots over F_p and F_q.  Over Q each squarefree part of
+degree >= 2 is factored modulo a good odd prime, Hensel-lifted, and
 recombined by subsets (Zassenhaus).  Roots are read off the linear factors.
 
 Each factorization re-expands its output and compares with the input
-before returning.  The output is sorted, so it does not depend on the
-random choices of the equal-degree splitting.
+before returning.  The equal-degree split sorts its output, so nothing
+depends on its random choices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .dense import (add, deg, dense_to_poly, divrem, gcd, hasse, monic, mul, norm,
+from .dense import (Fp, add, deg, dense_to_poly, divrem, gcd, hasse, monic, mul, norm,
                     poly_to_dense, pow_mod, sub, xgcd)
 from .errors import DanielewskiError, SearchCapExceededError
 from .fields import FieldKind, Scalar, is_prime
@@ -88,68 +88,15 @@ def fp_distinct_degree(f, p) -> List[Tuple[List[int], int]]:
     return out
 
 
-def _fp_edf_odd(f, k, p, rng: random.Random) -> List[List[int]]:
-    n = deg(f)
-    if n == k:
-        return [f]
-    half = (p ** k - 1) // 2
-    while True:
-        r = norm([rng.randrange(p) for _ in range(n)], p)
-        if deg(r) < 1:
-            continue
-        g = gcd(r, f, p)
-        if 0 < deg(g) < n:
-            break
-        s = pow_mod(r, half, f, p)
-        g = gcd(sub(s, [1], p), f, p)
-        if 0 < deg(g) < n:
-            break
-    rest = divrem(f, g, p)[0]
-    return _fp_edf_odd(g, k, p, rng) + _fp_edf_odd(rest, k, p, rng)
-
-
-def _fp_edf_two(f, k) -> List[List[int]]:
-    """Deterministic equal-degree splitting over F_2 via trace maps."""
-    p = 2
-    n = deg(f)
-    if n == k:
-        return [f]
-    j = 1
-    while True:
-        r = divrem([0] * j + [1], f, p)[1]  # X^j mod f
-        t = []
-        cur = r
-        for _ in range(k):
-            t = add(t, cur, p)
-            cur = divrem(mul(cur, cur, p), f, p)[1]
-        g = gcd(t, f, p)
-        if 0 < deg(g) < n:
-            rest = divrem(f, g, p)[0]
-            return _fp_edf_two(g, k) + _fp_edf_two(rest, k)
-        j += 1
-
-
-def fp_factor_squarefree(f, p, rng: random.Random) -> List[List[int]]:
-    """Monic squarefree -> list of monic irreducibles."""
-    out = []
-    for g, k in fp_distinct_degree(f, p):
-        if p == 2:
-            out.extend(_fp_edf_two(g, k))
-        else:
-            out.extend(_fp_edf_odd(g, k, p, rng))
-    return out
-
-
 def fp_factor(f, p) -> Tuple[int, List[Tuple[List[int], int]]]:
-    """Any nonzero dense poly -> (leading coefficient, [(monic irred, mult)])."""
-    lc = f[-1] % p
-    f = monic(f, p)
-    rng = random.Random(f"factor|{p}|{f}")
+    """Any nonzero dense poly -> (leading coefficient, [(monic irred, mult)]):
+    squarefree split, distinct-degree split, then equal-degree split."""
+    field = Fp(p)
     factors = []
-    for g, m in squarefree_list(f, p):
-        for q in fp_factor_squarefree(g, p, rng):
-            factors.append((q, m))
-    return lc, factors
+    for g, m in squarefree_list(monic(f, p), p):
+        for h, k in fp_distinct_degree(g, p):
+            factors.extend((q, m) for q in field.split(h, k))
+    return f[-1] % p, factors
 
 
 # ---------------------------------------------------------------------------

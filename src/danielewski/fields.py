@@ -34,6 +34,19 @@ def q_norm(x: RawValue) -> RawValue:
     return x.numerator if x.denominator == 1 else x
 
 
+def number_str(x: RawValue) -> str:
+    """str(x) for an int or Fraction, also past the interpreter's limit on
+    int-to-string conversion (4,300 digits by default), which ``decimal``
+    is not bound by: ``Decimal(n)`` holds an int exactly."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+        if type(x) is int:
+            return str(Decimal(x))
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
 class FieldKind(enum.Enum):
     RATIONALS = "Q"
     PRIME = "F"
@@ -67,9 +80,6 @@ class FieldSpec:
         else:
             if self.modulus != 0:
                 raise ValueError("the rationals take no modulus")
-
-    def characteristic(self) -> int:
-        return self.modulus if self.kind is FieldKind.PRIME else 0
 
     def tag(self) -> str:
         """File/CLI tag: "Q" or "F<p>"."""
@@ -248,7 +258,7 @@ class Scalar:
         return (self.value.numerator, self.value.denominator)
 
     def __str__(self):
-        return str(self.value)
+        return number_str(self.value)
 
     def __repr__(self):
-        return f"Scalar({self.field.tag()}, {self.value})"
+        return f"Scalar({self.field.tag()}, {number_str(self.value)})"

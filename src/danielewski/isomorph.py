@@ -59,13 +59,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
-from .dense import (Fq, add, affine_shift, dense_to_poly, divrem, fp_roots, gcd, hasse, horner,
+from .dense import (Fp, Fq, add, affine_shift, dense_to_poly, divrem, gcd, hasse, horner,
                     inv, mul, norm, poly_to_dense, sub, xgcd, z_rows)
 from .factor import Factorization, factor_univariate, roots_in_field
 from .fields import FieldKind, Scalar
 from .poly import NEG_INF, Poly, divmod_in, substitute
 from .reports import Check, VerificationReport
-from .surface import SurfaceElement, SurfaceSpec, eval_poly_on_elements
+from .surface import SurfaceElement, SurfaceSpec
 
 DEFAULT_CAP = 10**7
 
@@ -101,12 +101,6 @@ class IsoCertificate:
     def sort_key(self):
         return (self.lam.sort_key(), self.mu.sort_key(), self.gamma.sort_key(),
                 self.delta.sort_key(), self.theta_rem.sort_key())
-
-    def tuple_key(self):
-        """Hashable identity (lam, mu, gamma, delta) -- theta and u are
-        determined by these."""
-        return (self.lam.sort_key(), self.mu.sort_key(), self.gamma.sort_key(),
-                self.delta.sort_key())
 
     def is_identity(self) -> bool:
         return (self.source == self.target and self.lam == 1 and self.mu == 0
@@ -191,7 +185,7 @@ def _roots_or_all(g: Optional[list], field, cap: int) -> Tuple[List[Scalar], boo
     if len(g) == 2:               # read off
         roots = [Scalar(field, -g[0])]
     elif field.kind is FieldKind.PRIME:
-        roots = [Scalar(field, c) for c in fp_roots(g, field.modulus)]
+        roots = [Scalar(field, c) for c in Fp(field.modulus).roots(g)]
     else:
         roots = roots_in_field(dense_to_poly(g, field, ("T",), "T"))
     return [s for s in dict.fromkeys(roots) if s], False
@@ -238,11 +232,11 @@ def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
         count = (m - 1) * m
         if count > cap:
             raise SearchCapExceededError(count, cap)
-        pairs = []
+        pairs, fp = [], Fp(m)
         for lam in range(1, m):
             g = _row_gcd((sub(rows[k], [pow(lam, r - k, m) * b[k]], m)
                           for k in range(r - 1, -1, -1)), m)
-            mus = fp_roots(g, m) if g else range(m)
+            mus = fp.roots(g) if g else range(m)
             pairs.extend((Scalar(field, lam), Scalar(field, mu)) for mu in mus
                          if _transports(a, b, lam, mu, m))
         return pairs, False, count
@@ -664,15 +658,6 @@ def certificate_images(cert: IsoCertificate) -> Dict[str, SurfaceElement]:
         "Z": t.z().scaled(cert.gamma) + t.from_xz_poly(cert.delta.with_vars(("X", "Z"))),
         "Y": t.y().scaled(u_inv * gd) + theta_el.scaled(u_inv),
     }
-
-
-def apply_certificate(cert: IsoCertificate, e: SurfaceElement) -> SurfaceElement:
-    """Push an element of the source through the encoded map."""
-    if e.spec != cert.source:
-        raise PreconditionError("element does not live on the certificate source")
-    if e.aux:
-        raise PreconditionError("apply_certificate takes elements of A only")
-    return eval_poly_on_elements(e.raw_lift(), certificate_images(cert), cert.target)
 
 
 def invert_certificate(cert: IsoCertificate) -> IsoCertificate:

@@ -44,11 +44,15 @@ Input budget, checked before anything is expanded, each refusal a
 - over Q, a power or a product of constants whose value would need more
   than ``MAX_CONSTANT_BITS`` bits in its numerator or denominator (bit
   lengths add under multiplication, so a product is checked before it is
-  formed; the degree bound caps every other exponent);
+  formed; the degree bound caps every other exponent), and a coefficient
+  that two or more terms of a sum add up to, checked at the operator
+  before the term that takes it past;
 - in every field, an integer literal with more digits than
-  2^(``MAX_CONSTANT_BITS`` + 1), the widest constant a product may form:
-  such a constant prints within the interpreter's 4,300-digit limit for
-  int-string conversion, and a literal is never converted past it;
+  2^(``MAX_CONSTANT_BITS`` + 1), the widest constant a product may form,
+  so a literal is never converted past the interpreter's 4,300-digit
+  limit for int-string conversion, and every coefficient read prints as a
+  literal the parser accepts (``number_str`` prints a computed value past
+  that limit too);
 - a polynomial product, or a multiply or squaring step of a power, that
   would form more than ``MAX_TERM_PRODUCTS`` products of terms, or, over
   Q, whose operands' widest coefficients together pass
@@ -69,7 +73,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from .errors import PolyParseError
-from .fields import FieldKind, FieldSpec, Scalar, q_norm
+from .fields import FieldKind, FieldSpec, Scalar, number_str, q_norm
 from .poly import SLOT, SLOT_MASK, Poly, unit_key
 
 MAX_DEGREE = 256
@@ -135,18 +139,36 @@ class _Parser:
             raise PolyParseError(f"total degree {degree} exceeds the input budget of "
                                  f"{MAX_DEGREE}", at)
 
-    def check_bits(self, bits: int, at: int) -> None:
+    def check_bits(self, bits: int, at: int, what: str = "constant product") -> None:
         if bits > MAX_CONSTANT_BITS:
-            raise PolyParseError(f"a constant product of about {bits} bits exceeds the "
+            raise PolyParseError(f"a {what} of about {bits} bits exceeds the "
                                  f"input budget of {MAX_CONSTANT_BITS}", at)
 
-    def check_work(self, a: Poly, b: Poly, at: int) -> None:
+    def multiply(self, a: Poly, b: Poly, at: int) -> Poly:
+        """a * b, refused before it is formed past the work budget or, over
+        Q, when the operands' widest coefficients together pass the bit
+        budget, and after, when a coefficient summed from several products
+        passes it."""
         if len(a) * len(b) > MAX_TERM_PRODUCTS:
             raise PolyParseError(f"a product of {len(a)} by {len(b)} terms "
                                  f"exceeds the input budget of {MAX_TERM_PRODUCTS} term "
                                  f"products", at)
+        if self.p:
+            return a * b
+        self.check_bits(_widest(a) + _widest(b), at)
+        c = a * b
+        self.check_bits(_widest(c), at, "coefficient sum")
+        return c
+
+    def add(self, a, b, at: int):
+        """a + b, two terms of a sum; over Q refused past the constant
+        budget at ``at``, the operator before b, so that every coefficient
+        read prints as a literal the parser accepts."""
+        c = a + b
         if not self.p:
-            self.check_bits(_widest(a) + _widest(b), at)
+            self.check_bits(_log2(max(abs(c.numerator), c.denominator)), at,
+                            "coefficient sum")
+        return c
 
     def parse(self) -> Poly:
         x = self.expr()
@@ -171,14 +193,15 @@ class _Parser:
         while True:
             if type(x) is Poly:
                 for key, c in x.packed.items():
-                    sums[key] = sums.get(key, 0) + sign * c
+                    sums[key] = self.add(sums[key], sign * c, at) if key in sums else sign * c
             elif x[0]:
                 c, key = x
                 # no 0 + c or 1 * c: over Q both dispatch through Fraction
                 c = c if sign > 0 else -c
-                sums[key] = sums[key] + c if key in sums else c
+                sums[key] = self.add(sums[key], c, at) if key in sums else c
             if tok != "+" and tok != "-":
                 return Poly._from_sums(self.field, self.vars, sums)
+            at = self.at
             m = _MONOMIAL.match(self.text, self.at)     # its sign is tok
             x = self.monomial(m) if m else None
             if x is None:
@@ -257,8 +280,7 @@ class _Parser:
                 x = Poly.zero(self.field, self.vars)
                 continue
             self.check_degree(x.total_degree() + y.total_degree(), at)
-            self.check_work(x, y, at)
-            x = x * y
+            x = self.multiply(x, y, at)
         return x
 
     def factor(self):
@@ -298,24 +320,21 @@ class _Parser:
                         if result is None:
                             result = x
                         else:
-                            self.check_work(result, x, at)
-                            result = result * x
+                            result = self.multiply(result, x, at)
                     e >>= 1
                     if not e:
                         return result
-                    self.check_work(x, x, at)
-                    x = x * x
+                    x = self.multiply(x, x, at)
         c, key = x
         if not c:
             return x
         self.check_degree((key >> self.degree_shift) * e, at)
         if self.p:
             return (pow(c, e, self.p), key * e)
-        if not key:
-            bits = e * math.log2(max(abs(c.numerator), c.denominator))
-            if bits > MAX_CONSTANT_BITS:
-                raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
-                                     f"the input budget of {MAX_CONSTANT_BITS}", at)
+        bits = e * math.log2(max(abs(c.numerator), c.denominator))
+        if bits > MAX_CONSTANT_BITS:
+            raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "
+                                 f"the input budget of {MAX_CONSTANT_BITS}", at)
         return (q_norm(c ** e), key * e)
 
     def base(self):
@@ -378,7 +397,7 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
 
 
 def scalar_str(s: Scalar) -> str:
-    return str(s.value)
+    return number_str(s.value)
 
 
 def poly_str(p: Poly) -> str:
@@ -421,11 +440,11 @@ def _terms_str(p: Poly, keys, fields) -> str:
                 factors.append(v if e == 1 else f"{v}^{e}")
         mono = "*".join(factors)
         if not mono:
-            body = str(mag)
+            body = number_str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{number_str(mag)}*{mono}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

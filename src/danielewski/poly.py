@@ -303,12 +303,6 @@ class Poly:
             buckets.setdefault(k, {})[e - k * unit] = c
         return {k: Poly._raw(self.field, self.vars, t) for k, t in buckets.items()}
 
-    def leading_term_grlex(self) -> Tuple[ExpVec, object]:
-        if not self.packed:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.packed)
-        return unpack(e, len(self.vars)), self.packed[e]
-
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order."""
         n, packed = len(self.vars), self.packed

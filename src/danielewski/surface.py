@@ -248,9 +248,6 @@ class SurfaceElement:
     def coeff_vars(self) -> Tuple[str, ...]:
         return ("X", "Z") + self.aux
 
-    def raw_vars(self) -> Tuple[str, ...]:
-        return self._nf.vars
-
     def raw_lift(self) -> Poly:
         """The distinguished representative sum(g_i * Y**i) in K[X,Y,Z,aux]:
         the stored normal form itself."""

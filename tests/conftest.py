@@ -55,7 +55,7 @@ def rng():
 
 
 def random_coeff(rng, field):
-    p = field.characteristic()
+    p = field.modulus
     if p:
         return rng.randrange(p)
     return rng.randint(-5, 5)

@@ -19,9 +19,12 @@ U -> V and U -> U + V by substitution, where the library reads them off
 each image's U-expansion;
 the roots of a polynomial over a prime field, or over F_p[X]/(q), are
 found by evaluating it at every element, not read off its factorization or
-split by equal degree; and the product parser builds every factor of an
-expression as a ``Poly`` and every product and power with ``Poly``
-arithmetic, where the library's parser reads a literal monomial in one
+split by equal degree; the equal-degree split over F_p is checked against
+two separate splitters on the dense kernel, randomized for odd p and by
+trace maps for p = 2, not the library's one split shared with F_q; and
+the product parser builds every factor of an expression as a ``Poly``
+and every product and power with ``Poly`` arithmetic, where the
+library's parser reads a literal monomial in one
 regular-expression match and keeps a product of literal factors as one
 monomial; and an element document or string is printed through the
 ``coeffs`` view, one ``poly_str`` per y-coefficient, where the library
@@ -39,13 +42,16 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
 from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_by_x,
                          exact_div, verify_iso)
+from danielewski.dense import add, deg, divrem, gcd, mul, norm, pow_mod, sub
 from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariableError
 from danielewski.fields import FieldKind, q_norm
+from danielewski.isomorph import certificate_images
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, poly_str
 from danielewski.poly import divmod_in, substitute
 from danielewski.reports import Check, VerificationReport
@@ -145,6 +151,55 @@ def fq_roots_by_evaluation(f, q):
     return sorted(roots)
 
 
+def _fp_edf_odd(f, k, p, rng: random.Random) -> List[List[int]]:
+    n = deg(f)
+    if n == k:
+        return [f]
+    half = (p ** k - 1) // 2
+    while True:
+        r = norm([rng.randrange(p) for _ in range(n)], p)
+        if deg(r) < 1:
+            continue
+        g = gcd(r, f, p)
+        if 0 < deg(g) < n:
+            break
+        s = pow_mod(r, half, f, p)
+        g = gcd(sub(s, [1], p), f, p)
+        if 0 < deg(g) < n:
+            break
+    rest = divrem(f, g, p)[0]
+    return _fp_edf_odd(g, k, p, rng) + _fp_edf_odd(rest, k, p, rng)
+
+
+def _fp_edf_two(f, k) -> List[List[int]]:
+    """Deterministic equal-degree splitting over F_2 via trace maps."""
+    p = 2
+    n = deg(f)
+    if n == k:
+        return [f]
+    j = 1
+    while True:
+        r = divrem([0] * j + [1], f, p)[1]  # X^j mod f
+        t = []
+        cur = r
+        for _ in range(k):
+            t = add(t, cur, p)
+            cur = divrem(mul(cur, cur, p), f, p)[1]
+        g = gcd(t, f, p)
+        if 0 < deg(g) < n:
+            rest = divrem(f, g, p)[0]
+            return _fp_edf_two(g, k) + _fp_edf_two(rest, k)
+        j += 1
+
+
+def fp_split_reference(f, k, p):
+    """The monic irreducible factors, sorted, of a monic dense f over F_p
+    that is a product of distinct irreducibles of degree k."""
+    if p == 2:
+        return sorted(_fp_edf_two(f, k))
+    return sorted(_fp_edf_odd(f, k, p, random.Random(f"factor|{p}|{f}")))
+
+
 def exhaustive_gamma_delta(s1, s2, lam, mu):
     """Every (gamma, delta, theta) with
     P_1(lam X + mu, gamma Z + delta) - gamma^d P_2 = theta f_2 and
@@ -199,8 +254,22 @@ def brute_force_certificates(s1, s2):
             except ValueError:
                 continue
             if verify_iso(cert).ok:
-                found[cert.tuple_key()] = cert
+                found[cert_key(cert)] = cert
     return found
+
+
+def cert_key(cert):
+    """Hashable identity (lam, mu, gamma, delta) of a certificate -- theta
+    and u are determined by these."""
+    return (cert.lam.sort_key(), cert.mu.sort_key(), cert.gamma.sort_key(),
+            cert.delta.sort_key())
+
+
+def apply_certificate(cert, e: SurfaceElement) -> SurfaceElement:
+    """Push an element of the source (A, no auxiliary variable) through the
+    encoded map."""
+    assert e.spec == cert.source and not e.aux
+    return eval_poly_on_elements(e.raw_lift(), certificate_images(cert), cert.target)
 
 
 def _split_by_y(p, spec):
@@ -420,8 +489,8 @@ def _bp_check_power(p, e, at):
     if not e or p.is_zero:
         return
     _bp_check_degree(p.total_degree() * e, at)
-    if p.is_constant and p.field.kind is FieldKind.RATIONALS:
-        c = p.constant_value().value
+    if len(p) == 1 and p.field.kind is FieldKind.RATIONALS:
+        (c,) = p.terms.values()
         bits = e * math.log2(max(abs(c.numerator), c.denominator))
         if bits > MAX_CONSTANT_BITS:
             raise PolyParseError(f"a constant power of about {bits:.0f} bits exceeds "

@@ -44,3 +44,30 @@ def test_modules_import_no_private_name_from_a_sibling():
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+# the defs of src/ that nothing in src/ names, with the file outside src/
+# that uses each
+USED_OUTSIDE_SRC = {"is_identity": "bench/workloads.py"}
+
+
+def test_every_def_in_src_has_a_user():
+    # a def that no code in src/ names (a docstring does not count), that is
+    # not exported and not listed above is dead code or a test-only helper
+    defs, named = [], set()
+    for path in sorted(Path(danielewski.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = [f"{file}: {name}" for file, name in defs
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in named and name not in danielewski.__all__
+              and name not in USED_OUTSIDE_SRC]
+    assert unused == []
+    root = Path(__file__).resolve().parent.parent
+    for name, user in USED_OUTSIDE_SRC.items():
+        assert name in (root / user).read_text(), (name, user)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -272,6 +273,45 @@ def test_constants_the_printer_cannot_write_exit_2(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
         assert f"(at position {position})" in err
+
+
+def test_a_coefficient_sum_past_the_budget_exits_2(capsys):
+    # each power is within the budget, but the denominator of their sum has
+    # about 16,000 bits: refused at the '+' before the second power
+    code, out, err = run(capsys, "surface", "info", "--field", "Q", "--f", "X^3",
+                         "--phi", "Z^2 + (1/3)^5000 + (1/5)^3500")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "input budget" in err and err.count("\n") == 1
+    assert "(at position 17)" in err
+
+
+def test_a_result_past_the_digit_limit_prints_exactly(capsys):
+    # Res_Z(P, P_Z) = 4 (2^8000)^3 + 27 has 7,226 digits, past the
+    # interpreter's 4,300-digit limit for int-string conversion, which
+    # stays as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "surface", "info", "--field", "Q", "--f", "X^3",
+                         "--phi", "Z^3 + 2^8000*Z + 1", "--json")
+    assert code == 0 and err == ""
+    assert Decimal(json.loads(out)["resultant"]) == Decimal(4 * 2**24000 + 27)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "info", "--field", "Q", "--f", "X^3", "--phi", "Z^2+1"],
+    ["expmap", "canonical", "--field", "Q", "--f", "X^3", "--phi", "Z^2+1"],
+    ["expmap", "verify", "--cert", "map.json"],
+    ["iso", "verify", "--cert", "cert.json"],
+    ["cancel", "build", "--field", "Q", "--f", "X^3", "--phi", "Z^2+1"],
+    ["cancel", "verify", "--cert", "cert.json"],
+    ["family", "demo", "--g", "X-1", "--phi", "Z^2+1", "--field", "Q", "--from", "2",
+     "--to", "3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cap_is_refused_where_no_search_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
 
 
 def test_family_demo_range_is_bounded(capsys):

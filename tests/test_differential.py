@@ -23,8 +23,8 @@ Z = sympy.Symbol("z")
 def to_sympy(p: Poly):
     coeffs = [sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c
               for c in reversed(poly_to_dense(p, "X"))] or [0]
-    if p.field.characteristic():
-        return sympy.Poly(coeffs, X, modulus=p.field.characteristic())
+    if p.field.modulus:
+        return sympy.Poly(coeffs, X, modulus=p.field.modulus)
     return sympy.Poly(coeffs, X, domain=sympy.QQ)
 
 
@@ -42,7 +42,7 @@ def ours_key(g: Poly):
 
 def random_product(rng, field, max_deg=12):
     """A lead times a product of random factors with multiplicities, degree <= max_deg."""
-    p = field.characteristic()
+    p = field.modulus
     poly = Poly.one(field, ("X",))
     budget = max_deg
     for _ in range(rng.randint(1, 4)):
@@ -63,7 +63,7 @@ def random_product(rng, field, max_deg=12):
                          ids=lambda f: f.tag())
 def test_factor_gcd_roots_match_sympy(field):
     rng = random.Random(f"differential|{field.tag()}")
-    p = field.characteristic()
+    p = field.modulus
     for _ in range(40):
         a = random_product(rng, field)
         common = random_product(rng, field, max_deg=4)
@@ -96,9 +96,9 @@ def to_sympy_xz(p: Poly):
     """A polynomial over ("X", "Z") as a sympy Poly in (z, x)."""
     terms = {(ez, ex): (sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction)
                         else c) for (ex, ez), c in p.terms.items()}
-    if p.field.characteristic():
+    if p.field.modulus:
         return sympy.Poly.from_dict(terms or {(0, 0): 0}, Z, X,
-                                    modulus=p.field.characteristic())
+                                    modulus=p.field.modulus)
     return sympy.Poly.from_dict(terms or {(0, 0): 0}, Z, X, domain=sympy.QQ)
 
 
@@ -132,7 +132,7 @@ def sympy_resultant(P: Poly, Q: Poly):
 
 
 def random_xz(rng, field, deg_z, monic=False):
-    p = field.characteristic()
+    p = field.modulus
     terms = {}
     for k in range(deg_z):
         for _ in range(rng.randint(0, 2)):
@@ -149,7 +149,7 @@ def random_xz(rng, field, deg_z, monic=False):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(97)], ids=lambda f: f.tag())
 def test_resultant_matches_sympy(field):
     rng = random.Random(f"differential-resultant|{field.tag()}")
-    p = field.characteristic()
+    p = field.modulus
     for trial in range(24):
         monic = trial % 2 == 0
         P = random_xz(rng, field, rng.randint(2, 7), monic=monic)

@@ -160,8 +160,8 @@ def test_inertness_spot_check(rng, surfaces):
         for k in range(10):
             pa = Poly(spec.field, ("X", "Y", "Z"), {(k % 3, 0, 0): 1, (0, 0, 0): k})
             pb = Poly(spec.field, ("X", "Y", "Z"), {(k % 2 + 1, 0, 0): 1})
-            a = normal_form(pa + rel.scaled(k % spec.field.characteristic()
-                                            if spec.field.characteristic() else k), spec)
+            a = normal_form(pa + rel.scaled(k % spec.field.modulus
+                                            if spec.field.modulus else k), spec)
             b = normal_form(pb - rel, spec)
             prod = a * b
             if prod.is_zero:

@@ -7,7 +7,7 @@ from danielewski import (GF, QQ, Poly, Scalar, factor_univariate, gcd_univariate
                          is_squarefree, parse_poly, poly_str, roots_in_field,
                          squarefree_part)
 from danielewski.errors import SearchCapExceededError
-from danielewski.dense import Fq, dense_to_poly, poly_to_dense
+from danielewski.dense import Fp, Fq, dense_to_poly, poly_to_dense
 from danielewski.dense import add as _add, divrem as _divmod, gcd as _gcd, mul as _mul
 from danielewski.dense import norm as _norm, xgcd as _xgcd
 from danielewski.factor import MAX_RECOMBINATION_SUBSETS, fp_factor
@@ -114,7 +114,7 @@ def test_roots_match_evaluation(rng):
             roots = roots_in_field(p)
             for s in roots:
                 assert p.evaluate({"X": s}) == 0
-            if field.characteristic():
+            if field.modulus:
                 exhaustive = [c for c in range(7)
                               if p.evaluate({"X": Scalar(field, c)}) == 0]
                 assert sorted(set(s.value for s in roots)) == exhaustive
@@ -250,8 +250,10 @@ def test_zassenhaus_recombination_is_bounded():
     assert (info.value.needed, info.value.cap) == (2516, MAX_RECOMBINATION_SUBSETS)
 
 
-# (p, q): F_2^3, F_3^2, F_5^2, F_7 and F_2
-FQ_FIELDS = [(2, "X^3+X+1"), (3, "X^2+1"), (5, "X^2+2"), (7, "X"), (2, "X")]
+# (p, q): F_2^3, F_3^2, F_5^2, F_7 and F_2 as F_p[X]/(q), then F_2, F_3, F_5
+# and F_7 as Fp(p), on ints
+FQ_FIELDS = [(2, "X^3+X+1"), (3, "X^2+1"), (5, "X^2+2"), (7, "X"), (2, "X"),
+             (2, None), (3, None), (5, None), (7, None)]
 
 
 def _fq_poly_from(coeffs, p):
@@ -260,28 +262,35 @@ def _fq_poly_from(coeffs, p):
                                     for i, c in enumerate(el)})
 
 
+def _roots_by_evaluation(f, p, q_text):
+    if q_text is None:
+        return sorted({r.value for r in roots_by_evaluation(dense_to_poly(f, GF(p), ("X",), "X"))})
+    return fq_roots_by_evaluation(_fq_poly_from(f, p), fp(q_text, p))
+
+
 @pytest.mark.parametrize("p, q_text", FQ_FIELDS)
 def test_fq_roots_match_evaluation(rng, p, q_text):
-    q = fp(q_text, p)
-    fq = Fq(poly_to_dense(q, "X"), p)
-    elements = list(fq.elements())
-    assert len(elements) == fq.size
+    field = Fp(p) if q_text is None else Fq(poly_to_dense(fp(q_text, p), "X"), p)
+    elements = list(field.elements())
+    assert len(elements) == field.size
+    zero, one = field.zero, field.one
 
     cases = [
-        [[1]],                                            # a unit: no roots
-        [[], [1]],                                        # T
-        [[], [], [1]],                                    # T^2: a repeated root
-        [[], [1], [1]],                                   # T^2 + T: a split of degree 2
+        [one],                                            # a unit: no roots
+        [zero, one],                                      # T
+        [zero, zero, one],                                # T^2: a repeated root
+        [zero, one, one],                                 # T^2 + T: a split of degree 2
     ]
     for _ in range(30):
         # products of linear factors, roots repeated or not, times a random
         # factor that may have roots or none
-        f = [[1]]
+        f = [one]
         for _ in range(rng.randint(0, 5)):
-            f = fq.pmul(f, [fq.neg(rng.choice(elements)), [1]])
-        tail = [rng.choice(elements) for _ in range(rng.randint(0, 3))] + [[1]]
-        cases.append(fq.pmul(f, tail))
-    cases.append([[], [p - 1]] + [[]] * (fq.size - 2) + [[1]])  # T^size - T: every element
+            f = field.pmul(f, [field.neg(rng.choice(elements)), one])
+        tail = [rng.choice(elements) for _ in range(rng.randint(0, 3))] + [one]
+        cases.append(field.pmul(f, tail))
+    # T^size - T: every element
+    cases.append([zero, field.element([p - 1])] + [zero] * (field.size - 2) + [one])
     for f in cases:
-        scaled = fq.pmul(f, [rng.choice(elements) or [1]])
-        assert fq.roots(scaled) == fq_roots_by_evaluation(_fq_poly_from(scaled, p), q), f
+        scaled = field.pmul(f, [rng.choice(elements) or one])
+        assert field.roots(scaled) == _roots_by_evaluation(scaled, p, q_text), f

@@ -1,14 +1,15 @@
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 
 from danielewski import GF, QQ, Scalar, parse_field_tag
 from danielewski.errors import FieldMismatchError
-from danielewski.fields import q_norm
+from danielewski.fields import number_str, q_norm
 
 
 def test_characteristics():
-    assert QQ.characteristic() == 0
-    assert GF(7).characteristic() == 7
+    assert QQ.modulus == 0
+    assert GF(7).modulus == 7
 
 
 def test_modulus_must_be_prime():
@@ -107,3 +108,12 @@ def test_q_coerce_never_truncates():
     assert _same(QQ.coerce("-1.5"), Fraction(-3, 2))
     for x in (2.5, 0.1, "3/4", -1.5):
         assert type(QQ.coerce(x)) is not float
+
+
+def test_number_str_prints_past_the_digit_limit():
+    big = 3 ** 10000          # 4,772 digits, past the 4,300-digit limit of str(int)
+    assert number_str(-big) == str(Decimal(-big))
+    assert number_str(Fraction(-1, big)) == f"-1/{Decimal(big)}"
+    assert number_str(Fraction(2, 3)) == "2/3" and number_str(7) == "7"
+    assert str(Scalar(QQ, Fraction(1, big))) == f"1/{Decimal(big)}"
+    assert repr(Scalar(QQ, -big)) == f"Scalar(Q, {Decimal(-big)})"

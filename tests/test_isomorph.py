@@ -10,11 +10,11 @@ from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
 from danielewski.errors import (FieldMismatchError, InfiniteFamilyError,
                                 SearchCapExceededError)
 from danielewski.isomorph import (DEFAULT_CAP, IsoCertificate, ObstructionKind,
-                                  _affine_candidates, _affine_x, apply_certificate)
+                                  _affine_candidates, _affine_x)
 
 from conftest import random_poly, surf, swinnerton_dyer
-from oracles import (affine_pairs_by_enumeration, brute_force_certificates,
-                     exhaustive_gamma_delta)
+from oracles import (affine_pairs_by_enumeration, apply_certificate, brute_force_certificates,
+                     cert_key, exhaustive_gamma_delta)
 
 
 def test_fingerprint_examples():
@@ -204,7 +204,7 @@ def test_solver_matches_bruteforce_oracle(rng):
         if isinstance(result, Obstruction):
             assert not expected, f"solver refuted but oracle found {expected}"
         else:
-            got = {c.tuple_key() for c in result}
+            got = {cert_key(c) for c in result}
             assert got == set(expected), (str(s1.f), str(s1.P), str(s2.f), str(s2.P))
             positives += 1
         checked += 1
@@ -225,9 +225,9 @@ def test_symmetry_and_inverse_verification(rng):
         bwd = decide_isomorphism(s2, s1)
         assert isinstance(fwd, list) == isinstance(bwd, list)
         if isinstance(fwd, list):
-            back_keys = {c.tuple_key() for c in bwd}
+            back_keys = {cert_key(c) for c in bwd}
             for c in fwd:
-                assert invert_certificate(c).tuple_key() in back_keys
+                assert cert_key(invert_certificate(c)) in back_keys
         seen += 1
 
 
@@ -248,12 +248,12 @@ def test_certificate_application_is_a_homomorphism(rng):
 def test_automorphism_set_is_a_group():
     # the solver's certificate set must be closed under composition and inverse
     autos = automorphisms(surf(GF(2), "X^2*(X+1)^2", "Z^2"))
-    keys = {c.tuple_key() for c in autos}
+    keys = {cert_key(c) for c in autos}
     assert len(autos) == 8
     for a in autos:
-        assert invert_certificate(a).tuple_key() in keys
+        assert cert_key(invert_certificate(a)) in keys
         for b in autos:
-            assert compose_certificates(a, b).tuple_key() in keys
+            assert cert_key(compose_certificates(a, b)) in keys
 
 
 def test_composition_is_associative():
@@ -261,7 +261,7 @@ def test_composition_is_associative():
     a, b, c = autos[1], autos[3], autos[5]
     lhs = compose_certificates(compose_certificates(a, b), c)
     rhs = compose_certificates(a, compose_certificates(b, c))
-    assert lhs.tuple_key() == rhs.tuple_key()
+    assert cert_key(lhs) == cert_key(rhs)
 
 
 def test_delta_elimination_over_q(rng):
@@ -375,11 +375,11 @@ def test_baseline_automorphisms_form_a_group(p):
     autos = automorphisms(_baseline(p))
     assert any(c.is_identity() for c in autos)
     assert all(verify_iso(c).ok for c in autos)
-    keys = {c.tuple_key() for c in autos}
+    keys = {cert_key(c) for c in autos}
     for a in autos:
-        assert invert_certificate(a).tuple_key() in keys
+        assert cert_key(invert_certificate(a)) in keys
         for b in autos:
-            assert compose_certificates(a, b).tuple_key() in keys
+            assert cert_key(compose_certificates(a, b)) in keys
 
 
 def test_cap_counts_candidates_examined():
@@ -500,7 +500,7 @@ def test_elimination_matches_bruteforce_oracle_over_f5_f7(p, r):
             s2 = surf_from(field, _random_surface(rng, field, r)[0], _seeded_phi(rng, field, d))
         expected = brute_force_certificates(s1, s2)
         result = decide_isomorphism(s1, s2)
-        got = set() if isinstance(result, Obstruction) else {c.tuple_key() for c in result}
+        got = set() if isinstance(result, Obstruction) else {cert_key(c) for c in result}
         assert got == set(expected), (str(s1.f), str(s1.P), str(s2.f), str(s2.P))
         positives += bool(got)
     assert positives >= 2
@@ -520,7 +520,7 @@ def test_rows_that_vanish_mod_f2_constrain_nothing(field, f_text, p_text):
         expected = brute_force_certificates(s1, s2)
         result = decide_isomorphism(s1, s2)
         assert isinstance(result, list)
-        assert {c.tuple_key() for c in result} == set(expected)
+        assert {cert_key(c) for c in result} == set(expected)
 
 
 def test_early_stop_keeps_both_rational_gammas():
@@ -578,7 +578,7 @@ def test_lifting_lifts_only_the_gamma_a_t_free_row_allows(monkeypatch):
     result = decide_isomorphism(s1, s2)
     assert isinstance(result, list)
     assert pairs and len(lifts) <= len(pairs)
-    assert {c.tuple_key() for c in result} == set(brute_force_certificates(s1, s2))
+    assert {cert_key(c) for c in result} == set(brute_force_certificates(s1, s2))
 
 
 def test_baseline_lifts_every_gamma(monkeypatch):
@@ -604,7 +604,17 @@ def test_fp_roots_of_a_quadratic_gcd_factor_nothing(monkeypatch):
     result = decide_isomorphism(s, s)
     assert calls == []
     assert sorted(str(c.gamma) for c in result) == ["1", "4"]
-    assert {c.tuple_key() for c in result} == set(brute_force_certificates(s, s))
+    assert {cert_key(c) for c in result} == set(brute_force_certificates(s, s))
+
+
+def test_fp_roots_construct_no_fq(monkeypatch):
+    # p divides neither d nor r: the lambda and gamma gcds (lambda^12 = 1,
+    # gamma^12 = 1, 12 roots each) are split on ints, with no F_p[X]/(q)
+    from danielewski import dense
+    calls = _count_calls(monkeypatch, dense.Fq, "__init__")
+    s = surf(GF(97), "X^12", "Z^12+1")
+    assert len(decide_isomorphism(s, s)) == 1152
+    assert calls == []
 
 
 def test_elimination_makes_no_three_variable_substitution(monkeypatch):

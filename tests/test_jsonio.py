@@ -50,7 +50,7 @@ def test_element_round_trip(rng, surfaces):
 def test_element_printing_matches_coeffs_view(rng, field):
     from oracles import element_doc_by_coeffs, element_str_by_coeffs
     spec = surf(field, "X^2*(X+1)", "Z^3 + X*Z + 1")
-    p = field.characteristic()
+    p = field.modulus
     for aux in ((), ("U",), ("V",), ("v",), ("U", "V")):
         vars_raw = ("X", "Y", "Z") + aux
         elements = [spec.zero(), spec.one(), spec.z(), spec.from_scalar(-1)]

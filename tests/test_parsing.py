@@ -207,7 +207,7 @@ def _outcome(parse, text, field):
 def test_parser_matches_product_parser(rng):
     from oracles import parse_by_products
     for field in (QQ, GF(2), GF(5), GF(7)):
-        p = field.characteristic()
+        p = field.modulus
         for _ in range(300):
             text = _random_expr(rng, p)
             want = _outcome(parse_by_products, text, field)
@@ -304,6 +304,24 @@ def test_long_literals_are_refused_at_their_position():
     # a product with the longest literal still meets the bit budget
     with pytest.raises(PolyParseError, match="constant product"):
         parse_poly(f"X + {longest}*Z", QQ, ("X", "Z"))
+
+
+def test_coefficients_built_from_several_factors_or_terms_keep_the_bit_budget():
+    # each operand is inside the budget, but a coefficient that a sum, a
+    # product of sums or a power of a monomial builds is past it: refused at
+    # its operator, so that every accepted input prints as literals the
+    # parser accepts again
+    V2 = ("X", "Z")
+    for text, position in (("Z^2 + (1/3)^5000 + (1/5)^3500", 17),
+                           ("(1/3)^5000*X + Z - (1/5)^3500*X", 17),
+                           ("((1/3)^1300*X + (1/5)^1100)*((1/7)^900*X + (1/11)^700)", 27),
+                           ("(3^5000*X)^2", 11)):
+        with pytest.raises(PolyParseError, match="input budget") as err:
+            parse_poly(text, QQ, V2)
+        assert err.value.position == position, text
+    # a sum whose partial sums all stay inside the budget is read
+    p = parse_poly("(1/3)^5000*X + Z - (1/3)^5000*X", QQ, V2)
+    assert p == parse_poly("Z", QQ, V2)
 
 
 def test_constants_within_the_bit_budget_print_and_parse_back():

@@ -216,7 +216,7 @@ def test_q_coefficients_are_ints_or_proper_fractions(rng):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(97)], ids=lambda f: f.tag())
 def test_one_term_power_matches_repeated_multiplication(field):
     vars2 = ("X", "Z")
-    coeffs = [1, 2, 7, 96] if field.characteristic() else [
+    coeffs = [1, 2, 7, 96] if field.modulus else [
         1, -1, 3, -2, Fraction(2, 3), Fraction(-5, 7), Fraction(4, 2)]
     monos = [(0, 0), (1, 0), (2, 3), (0, 5)]
     one = Poly.one(field, vars2)
@@ -246,7 +246,7 @@ def test_divmod_in_multivariate(field, var):
              else random_poly(rng, field, V, max_exp=4, max_terms=8))
         dd = rng.randint(0, 3)
         lead = Fraction(rng.choice((-3, 2, 5)), rng.choice((1, 3))) if field is QQ else (
-            rng.randrange(1, field.characteristic()))
+            rng.randrange(1, field.modulus))
         lower = {tuple(rng.randint(0, dd - 1) if j == i else rng.randint(0, 2)
                        for j in range(3)): random_coeff(rng, field)
                  for _ in range(rng.randint(0, 4))} if dd else {}

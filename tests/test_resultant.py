@@ -116,7 +116,7 @@ def _bezout_corpus(field):
     """Seeded monic P over ("X", "Z"): random degrees 2..6, degrees divisible
     by the characteristic (P_Z drops degree), and P with a repeated factor."""
     rng = random.Random(f"bezout|{field.tag()}")
-    p = field.characteristic()
+    p = field.modulus
     corpus = [_monic_in_z(rng, field, rng.randint(2, 6)) for _ in range(20)]
     if p:
         corpus += [_monic_in_z(rng, field, m) for m in range(p, 8, p) for _ in range(4)]
@@ -128,7 +128,7 @@ def _bezout_corpus(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=lambda f: f.tag())
 def test_bezout_matches_cramer_oracle(field):
-    p = field.characteristic()
+    p = field.modulus
     seen = {"comaximal": 0, "refused": 0, "degree drop": 0}
     for P in _bezout_corpus(field):
         Pz = P.derivative("Z")
