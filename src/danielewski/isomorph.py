@@ -359,6 +359,7 @@ class _DeltaLifting:
         self.cap = cap
         self.examined = examined
         self.f = f
+        self.fp = Fp(p)
         self.factors = []       # (F_q, m, CRT idempotent: 1 mod q^m, 0 mod f_2 / q^m)
         for q_poly, m in factors:
             q = poly_to_dense(q_poly, "X")
@@ -398,14 +399,21 @@ class _DeltaLifting:
     def _lift(self, rows, fq: Fq, m: int) -> List[list]:
         """Every residue of delta mod q^m that solves D = 0 mod q^m."""
         p, q = self.p, fq.q
+        # when deg q = 1, F_q is F_p: the roots are found over ints, each
+        # element [a] of F_q read as a (and [] as 0)
+        field = self.fp if fq.degree == 1 else fq
         g = None
         for row in sorted(rows, key=len):
             row = fq.poly(row)
+            if field is not fq:
+                row = [c[0] if c else 0 for c in row]
             if row:
-                g = row if g is None else fq.gcd(g, row)
+                g = row if g is None else field.gcd(g, row)
                 if len(g) == 1:
                     return []
-        survivors = fq.roots(g)
+        survivors = field.roots(g)
+        if field is not fq:
+            survivors = [[a] if a else [] for a in survivors]
         self._count(len(survivors))
         if m == 1 or not survivors:
             return survivors

@@ -533,6 +533,34 @@ def canonical_var_union(*var_lists: Iterable[str]) -> Tuple[str, ...]:
     return tuple(seen)
 
 
+def _cached_power(cache: Dict[int, Poly], e: int) -> Poly:
+    """a^e for a = cache[1], kept in ``cache`` with every power it builds.
+
+    Over F_p, for e >= p, a^e = (a^(e // p))^p a^(e % p), and the p-th power
+    is a term map: each key times p, the coefficients unchanged since c^p = c
+    (the Frobenius map; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    ch. 14).  Smaller powers are built by repeated multiplication."""
+    if e in cache:
+        return cache[e]
+    a = cache[1]
+    p = a.field.modulus                 # 0 over Q
+    if p and e >= p:
+        base = _cached_power(cache, e // p).packed
+        if base and (max(base) >> (SLOT * len(a.vars))) * p >= MAX_EXPONENT:
+            raise OverflowError("power exponent would exceed 2**31")
+        acc = Poly._raw(a.field, a.vars, {k * p: c for k, c in base.items()})
+        if e % p:
+            acc = acc * _cached_power(cache, e % p)
+        cache[e] = acc
+        return acc
+    best = max(k for k in cache if k <= e)
+    acc = cache[best]
+    for k in range(best + 1, e + 1):
+        acc = acc * a
+        cache[k] = acc
+    return acc
+
+
 def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterable[str]] = None) -> Poly:
     """Simultaneous substitution of polynomials for variables.
 
@@ -556,19 +584,7 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
     n, pn = len(vars_out), len(p.vars)
     ds = SLOT * n
     field = p.field
-    one = Poly.one(field, vars_out)
-    pow_cache: Dict[str, Dict[int, Poly]] = {v: {0: one, 1: q} for v, q in embedded.items()}
-
-    def power(v: str, e: int) -> Poly:
-        cache = pow_cache[v]
-        if e in cache:
-            return cache[e]
-        best = max(k for k in cache if k <= e)
-        acc = cache[best]
-        for k in range(best + 1, e + 1):
-            acc = acc * cache[1]
-            cache[k] = acc
-        return acc
+    pow_cache: Dict[str, Dict[int, Poly]] = {v: {1: q} for v, q in embedded.items()}
 
     # each variable of p: its field offset, and either its binding or its
     # unit key over vars_out (None when it is absent from vars_out)
@@ -588,7 +604,7 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
         for off, v in bound:
             e = (k >> off) & SLOT_MASK
             if e:
-                f = power(v, e)
+                f = _cached_power(pow_cache[v], e)
                 image = f if image is None else image * f
         for off, unit, v in free:
             e = (k >> off) & SLOT_MASK

@@ -420,9 +420,10 @@ def test_derivation_coeff_matches_aux_coefficient(rng):
                 assert derivation_coeff(m, e, i) == aux_coefficient(apply_map(m, e), "U", i)
 
 
-def test_verify_substitutes_four_times(monkeypatch, surfaces):
-    # (W) and the three left sides phi_V(phi_U(g)) are substitutions; U -> 0,
-    # U -> V and U -> U + V are read off the images
+def test_verify_substitutes_three_times_and_four_on_failure(monkeypatch, surfaces):
+    # (W) and the left sides phi_V(phi_U(g)) are substitutions; U -> 0,
+    # U -> V and U -> U + V are read off the images.  The y law follows from
+    # the other checks, so phi_V(phi_U(y)) is substituted only when one fails
     calls = []
     real = expmap.eval_poly_on_elements
     monkeypatch.setattr(expmap, "eval_poly_on_elements",
@@ -431,5 +432,11 @@ def test_verify_substitutes_four_times(monkeypatch, surfaces):
         m = canonical_expmap(spec)
         for candidate in (m, ExpMap(spec, spec.x(), spec.z(), spec.y())):
             calls.clear()
-            verify_expmap(candidate)
-            assert len(calls) == 4
+            assert verify_expmap(candidate).ok
+            assert len(calls) == 3
+            assert candidate.image_y.raw_lift() not in calls
+        unshifted_y = ExpMap(spec, m.image_x, m.image_z, spec.y())   # (W) fails
+        calls.clear()
+        report = verify_expmap(unshifted_y)
+        assert not report.checks[0].passed
+        assert len(calls) == 4 and calls[-1] == spec.y().raw_lift()

@@ -320,8 +320,8 @@ def _seeded_phi(rng, field, d):
     return Poly(field, ("X", "Z"), terms)
 
 
-# (field, f, P or None for a seeded P, partner); d = p throughout, so the
-# solver takes its lifting branch
+# (field, f, P or None for a seeded P, partner); p divides d throughout
+# (d = p, or d = p^2 in the last case), so the solver takes its lifting branch
 LIFTING_CASES = (
     (GF(5), "X^3*(X+1)", None, "moved"),            # repeated linear factor
     (GF(5), "(X^2+2)^2", None, "self"),             # q^2 with deg q = 2
@@ -332,6 +332,7 @@ LIFTING_CASES = (
     (GF(2), "(X^3+X+1)^2", "Z^2 + Z + X", "self"),  # p = 2, deg q = 3: two roots in F_8
     (GF(3), "(X^2+1)^2", "Z^3 + X^2 + X", "self"),  # P = Z^p + c(X): every shift lifts
     (GF(3), "X^2*(X+1)", "Z^3 + X*Z^2 + Z + 1", "moved"),  # the Z^2 row pins gamma
+    (GF(3), "X^2*(X+1)*(X+2)", "Z^9 + X*Z^3 + Z + X", "moved"),  # three linear q, d = p^2
 )
 
 

@@ -196,6 +196,45 @@ def test_exponent_boundary():
         substitute(Poly(QQ, vars2, {(1, 1): 1}), {"X": Poly(QQ, vars2, {(top, 0): 1})})
 
 
+@pytest.mark.parametrize("field", (GF(2), GF(3), GF(7)), ids=lambda f: f.tag())
+def test_substitute_frobenius_powers_match_repeated_multiplication(field):
+    # over F_p, substitute builds a^e for e >= p as (a^(e // p))^p a^(e % p),
+    # the p-th power being a term map
+    p = field.modulus
+    rng = random.Random(f"frobenius-{p}")
+    exponents = (p, p + 1, 2 * p - 1, p ** 2, p ** 2 + 1)
+    for _ in range(3):
+        a = random_poly(rng, field, ("Y", "Z"), max_exp=2, max_terms=4)
+        power, want = Poly.one(field, ("Y", "Z")), {}
+        for e in range(1, max(exponents) + 1):
+            power = power * a
+            if e in exponents:
+                want[e] = power
+        for e in exponents:
+            x_e = Poly(field, ("X",), {(e,): 1})
+            assert substitute(x_e, {"X": a}, vars_out=("Y", "Z")) == want[e]
+        # one substitution asking for every power at once shares one cache
+        mixed = Poly(field, ("X", "W"), {(e, i): 1 for i, e in enumerate(exponents)})
+        got = substitute(mixed, {"X": a}, vars_out=("Y", "Z", "W"))
+        w = Poly.variable(field, ("Y", "Z", "W"), "W")
+        assert got == sum((want[e].with_vars(("Y", "Z", "W")) * w ** i
+                           for i, e in enumerate(exponents)), Poly.zero(field, got.vars))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_substitute_frobenius_power_stops_below_the_exponent_bound(p):
+    field = GF(p)
+    x_p = Poly(field, ("X",), {(p,): 1})
+    edge = (MAX_EXPONENT - 1) // p              # p * edge < 2**31 <= p * (edge + 1)
+    for top, fits in ((edge, True), (edge + 1, False)):
+        image = Poly(field, ("Y",), {(top,): 1, (0,): 1})
+        if fits:
+            assert terms(substitute(x_p, {"X": image}, ("Y",))) == {(p * top,): 1, (0,): 1}
+        else:
+            with pytest.raises(OverflowError):
+                substitute(x_p, {"X": image}, ("Y",))
+
+
 def test_terms_view_reads_without_unpacking(monkeypatch):
     p = Poly(GF(5), ("X", "Y", "Z"), {(1, 0, 2): 3, (0, 4, 0): 1, (0, 0, 0): 2})
     calls = []
