@@ -28,7 +28,7 @@ conditions a = gam^e b mod f_2, and a gcd of the binomials T^e - c they
 give holds every admissible gam.  When the characteristic p does not divide
 d, the z^(d-1) row gives delta = delta_0 + gam delta_1, the rows are those
 of both sides rewritten in z + delta_1, and each gam the gcd leaves is
-confirmed by the exact split of (vi).  Otherwise the rows of
+confirmed by dividing the defect of (vi) by f_2.  Otherwise the rows of
 P_1(lam X + mu, z + T) free of T constrain gam, and delta is solved for
 only those gam, modulo each prime-power factor q^m of f_2: roots over
 F_p[X]/(q) first, then one affine step per higher power of q, the residues
@@ -41,9 +41,11 @@ rules out is never lifted and counts nothing.  When an elimination leaves
 lam or gam free over F_p, its p - 1 values count too.  A step that would
 pass the cap is refused before it lists anything, but a refused (lam, mu)
 search still returns the multiplicity obstruction when the multisets
-differ.  Every certificate it emits is re-verified first.  delta is stored
-as the canonical representative of degree < r; any lift delta + f_2 * e
-also yields an isomorphism and is not enumerated.
+differ.  Every certificate it emits passes the checks of ``verify_iso``,
+run on the one defect of (vi) whose quotient by f_2 is theta: the defect is
+a function of (lam, mu, gam, delta), and the product f_2 theta checks the
+division.  delta is stored as the canonical representative of degree < r;
+any lift delta + f_2 * e also yields an isomorphism and is not enumerated.
 
 Obstructions carry the structural invariant they violate, so refutations
 are citable.
@@ -99,8 +101,9 @@ class IsoCertificate:
             raise ValueError(f"theta has Z-degree {dz} > d-1")
 
     def sort_key(self):
+        """Orders the certificates of one decision; theta, fixed by the rest, breaks no tie."""
         return (self.lam.sort_key(), self.mu.sort_key(), self.gamma.sort_key(),
-                self.delta.sort_key(), self.theta_rem.sort_key())
+                self.delta.sort_key())
 
     def is_identity(self) -> bool:
         return (self.source == self.target and self.lam == 1 and self.mu == 0
@@ -261,21 +264,6 @@ def _affine_candidates(s1: SurfaceSpec, s2: SurfaceSpec, cap: int):
         if _transports(a, b, lam.value, mu, m):
             pairs.append((lam, Scalar(field, mu)))
     return pairs, lambda_free, 0
-
-
-def _congruence_split(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                      gamma: Scalar, delta: Poly) -> Tuple[Poly, Poly]:
-    """theta, remainder with P_1(lam x + mu, gam z + delta) - gam^d P_2
-    = theta * f_2 + remainder (remainder reduced mod f_2 in X)."""
-    field = s1.field
-    vars2 = ("X", "Z")
-    x = Poly.variable(field, vars2, "X")
-    z = Poly.variable(field, vars2, "Z")
-    xb = x.scaled(lam) + Poly.const(field, vars2, mu)
-    zb = z.scaled(gamma) + delta.with_vars(vars2)
-    lhs = substitute(s1.P, {"X": xb, "Z": zb}, vars_out=vars2)
-    defect = lhs - s2.P.scaled(gamma ** s1.d)
-    return divmod_in(defect, s2.f.with_vars(vars2), "X")
 
 
 class _TaylorRows:
@@ -458,10 +446,9 @@ class _DeltaLifting:
 def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
                            rows1: List[list], target: _TaylorRows,
                            lifting: Optional[_DeltaLifting], cap: int):
-    """All (gamma, delta, theta) with the congruence (vi); returns
-    (solutions, gamma_free) where gamma_free marks the char-0 infinite case.
-    theta is the quotient of the congruence when the check that admitted the
-    solution computed it, else None.
+    """The certificates of every (gamma, delta) with the congruence (vi) at
+    (lam, mu); returns (certificates, gamma_free) where gamma_free marks the
+    char-0 infinite case.
 
     Both branches read gamma off rows of (vi) of the form
     a_j = gam^(d-j) b_j mod f_2 (``_binomial_gcd``).  The a_j come from the
@@ -487,7 +474,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
         else:
             roots, _ = _roots_or_all(g, field, cap)
             gammas = [gam.value for gam in roots]
-        sols = []
+        certs = []
         for gam in gammas:
             gam_d = pow(gam, d, m)
             rows = []
@@ -500,8 +487,9 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
                 if row:
                     rows.append(row)
             for delta in lifting.deltas(rows):
-                sols.append((Scalar(field, gam), dense_to_poly(delta, field, ("X",), "X"), None))
-        return sols, False
+                certs.append(_assemble(s1, s2, lam, mu, Scalar(field, gam),
+                                       dense_to_poly(delta, field, ("X",), "X")))
+        return certs, False
     # characteristic does not divide d: comparing Z^(d-1) coefficients gives
     # delta = delta_0 + gam delta_1 with delta_0 = -c1_(d-1)/d and
     # delta_1 = c2_(d-1)/d mod f_2.  In W = Z + delta_1, (vi) reads
@@ -512,32 +500,41 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     shifted = _TaylorRows(c1, delta0, f, m)
     g = _binomial_gcd(((shifted[i], target[i], d - i) for i in range(d - 2, -1, -1)), m)
     gammas, gamma_free = _roots_or_all(g, field, cap)
-    sols = []
+    certs = []
     for gamma in gammas:
-        # target.s is -delta_1; the split is the exact check of the rows
-        # the gcd left unread
+        # target.s is -delta_1; the division of the defect by f_2 is the
+        # exact check of the rows the gcd left unread
         delta = dense_to_poly(sub(delta0, [gamma.value * a for a in target.s], m),
                               field, ("X",), "X")
-        theta, check_rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
-        if check_rem.is_zero:
-            sols.append((gamma, delta, theta))
-    return sols, gamma_free
+        cert = _certificate(s1, s2, lam, mu, gamma, delta)
+        if cert is not None:
+            certs.append(cert)
+    return certs, gamma_free
 
 
-def _assemble(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-              gamma: Scalar, delta: Poly, theta: Optional[Poly] = None) -> IsoCertificate:
-    """The certificate of a solution, re-verified by ``verify_iso``; theta
-    is computed from the congruence unless the solver already has it."""
-    if theta is None:
-        theta, rem = _congruence_split(s1, s2, lam, mu, gamma, delta)
-        if not rem.is_zero:
-            raise VerificationInternalError("assembling a certificate from a non-solution")
+def _certificate(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
+                 gamma: Scalar, delta: Poly) -> Optional[IsoCertificate]:
+    """The certificate of (lam, mu, gamma, delta), None when (vi) leaves a
+    remainder mod f_2; theta and the checks of ``verify_iso`` share one defect."""
+    defect = _defect(s1, s2, lam, mu, gamma, delta)
+    theta, rem = divmod_in(defect, s2.f.with_vars(("X", "Z")), "X")
+    if not rem.is_zero:
+        return None
     cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
-    report = verify_iso(cert)
+    report = _iso_report(cert, defect)
     if not report.ok:
         raise VerificationInternalError(
             "solver emitted a certificate that fails verification: "
             + "; ".join(c.line() for c in report.failures()))
+    return cert
+
+
+def _assemble(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
+              gamma: Scalar, delta: Poly) -> IsoCertificate:
+    """The certificate of a solution; raises on a non-solution."""
+    cert = _certificate(s1, s2, lam, mu, gamma, delta)
+    if cert is None:
+        raise VerificationInternalError("assembling a certificate from a non-solution")
     return cert
 
 
@@ -598,10 +595,9 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:
-        sols, free = _gamma_delta_solutions(s1, s2, lam, mu, rows1, target, lifting, cap)
+        found, free = _gamma_delta_solutions(s1, s2, lam, mu, rows1, target, lifting, cap)
         gamma_free = gamma_free or free
-        for gamma, delta, theta in sols:
-            certs.append(_assemble(s1, s2, lam, mu, gamma, delta, theta))
+        certs.extend(found)
     certs.sort(key=IsoCertificate.sort_key)
     if lambda_free or gamma_free:
         free_params = "+".join(name for name, flag in
@@ -622,9 +618,24 @@ def set_str(values: Tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _defect(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
+            gamma: Scalar, delta: Poly) -> Poly:
+    """P_1(lam x + mu, gam z + delta) - gam^d P_2, d of the target; (vi): f_2 theta."""
+    vars2 = ("X", "Z")
+    xb = Poly.variable(s1.field, vars2, "X").scaled(lam) + Poly.const(s1.field, vars2, mu)
+    zb = Poly.variable(s1.field, vars2, "Z").scaled(gamma) + delta.with_vars(vars2)
+    return substitute(s1.P, {"X": xb, "Z": zb}, vars_out=vars2) - s2.P.scaled(gamma ** s2.d)
+
+
 def verify_iso(cert: IsoCertificate) -> VerificationReport:
-    """Independent re-check of a certificate; passing implies the encoded
-    map is an isomorphism."""
+    """Re-check of a certificate from its own fields, as the solver checks the
+    defect it divides for theta; passing implies the map is an isomorphism."""
+    return _iso_report(cert, _defect(cert.source, cert.target, cert.lam, cert.mu,
+                                     cert.gamma, cert.delta))
+
+
+def _iso_report(cert: IsoCertificate, defect: Poly) -> VerificationReport:
+    """The four checks of ``verify_iso``, (vi) read off ``defect``."""
     s1, s2 = cert.source, cert.target
     checks = []
     ok_d = s1.d == s2.d
@@ -638,17 +649,11 @@ def verify_iso(cert: IsoCertificate) -> VerificationReport:
     checks.append(Check("f-transport: f1(lam X + mu) = u f2(X), u = lam^r",
                         "Thm 4.2(III)", ok_f,
                         "" if ok_f else f"lhs {composed} vs rhs {rhs}"))
-    vars2 = ("X", "Z")
-    xb = Poly.variable(s1.field, vars2, "X").scaled(cert.lam) + Poly.const(
-        s1.field, vars2, cert.mu)
-    zb = Poly.variable(s1.field, vars2, "Z").scaled(cert.gamma) + cert.delta.with_vars(vars2)
-    lhs = substitute(s1.P, {"X": xb, "Z": zb}, vars_out=vars2)
-    rhs = (s2.P.scaled(cert.gamma ** s2.d)
-           + s2.f.with_vars(vars2) * cert.theta_rem.with_vars(vars2))
-    ok_p = lhs == rhs
+    difference = defect - s2.f.with_vars(("X", "Z")) * cert.theta_rem
+    ok_p = difference.is_zero
     checks.append(Check(
         "P-transport: P1(lam x + mu, gam z + delta) = gam^d P2 + f2 theta",
-        "Thm 4.1(vi)", ok_p, "" if ok_p else f"difference {lhs - rhs}"))
+        "Thm 4.1(vi)", ok_p, "" if ok_p else f"difference {difference}"))
     return VerificationReport("isomorphism certificate", tuple(checks),
                               notes=("passing checks imply T is an isomorphism "
                                      "by Thm 4.2 (III) => (I)",))

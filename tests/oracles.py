@@ -5,7 +5,9 @@ determinant oracle is plain cofactor expansion; over a small prime field
 the isomorphism oracles try every (lambda, mu) pair by substitution, with
 no Taylor rows or gcd, every (gamma, delta) pair for one (lambda, mu), with
 no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
-through verify_iso alone; the stepwise normal form rewrites one
+through verify_iso alone, and verify_iso against a verifier that compares
+both sides of congruence (vi), where the library's reads one defect it
+shares with the solver; the stepwise normal form rewrites one
 term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
@@ -51,7 +53,7 @@ from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_
 from danielewski.dense import add, deg, divrem, gcd, mul, norm, pow_mod, sub
 from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariableError
 from danielewski.fields import FieldKind, q_norm
-from danielewski.isomorph import certificate_images
+from danielewski.isomorph import _affine_x, certificate_images
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, poly_str
 from danielewski.poly import divmod_in, substitute
 from danielewski.reports import Check, VerificationReport
@@ -263,6 +265,39 @@ def cert_key(cert):
     and u are determined by these."""
     return (cert.lam.sort_key(), cert.mu.sort_key(), cert.gamma.sort_key(),
             cert.delta.sort_key())
+
+
+def verify_iso_by_substitution(cert: IsoCertificate) -> VerificationReport:
+    """The four checks of ``verify_iso``, (vi) evaluated on its own: P_1
+    substituted and compared with gam^d P_2 + f_2 theta, built separately,
+    where the library reads (vi) off one defect it shares with the solver."""
+    s1, s2 = cert.source, cert.target
+    checks = []
+    ok_d = s1.d == s2.d
+    checks.append(Check("z-degrees agree", "Thm 4.1(iv)", ok_d,
+                        "" if ok_d else f"{s1.d} vs {s2.d}"))
+    ok_units = bool(cert.lam) and bool(cert.gamma) and bool(cert.u)
+    checks.append(Check("units lambda, gamma, u nonzero", "Thm 4.1(i)", ok_units))
+    composed = _affine_x(s1.f, cert.lam, cert.mu)
+    rhs = s2.f.scaled(cert.u)
+    ok_f = composed == rhs and cert.u == cert.lam ** s1.r
+    checks.append(Check("f-transport: f1(lam X + mu) = u f2(X), u = lam^r",
+                        "Thm 4.2(III)", ok_f,
+                        "" if ok_f else f"lhs {composed} vs rhs {rhs}"))
+    vars2 = ("X", "Z")
+    xb = Poly.variable(s1.field, vars2, "X").scaled(cert.lam) + Poly.const(
+        s1.field, vars2, cert.mu)
+    zb = Poly.variable(s1.field, vars2, "Z").scaled(cert.gamma) + cert.delta.with_vars(vars2)
+    lhs = substitute(s1.P, {"X": xb, "Z": zb}, vars_out=vars2)
+    rhs = (s2.P.scaled(cert.gamma ** s2.d)
+           + s2.f.with_vars(vars2) * cert.theta_rem.with_vars(vars2))
+    ok_p = lhs == rhs
+    checks.append(Check(
+        "P-transport: P1(lam x + mu, gam z + delta) = gam^d P2 + f2 theta",
+        "Thm 4.1(vi)", ok_p, "" if ok_p else f"difference {lhs - rhs}"))
+    return VerificationReport("isomorphism certificate", tuple(checks),
+                              notes=("passing checks imply T is an isomorphism "
+                                     "by Thm 4.2 (III) => (I)",))
 
 
 def apply_certificate(cert, e: SurfaceElement) -> SurfaceElement:

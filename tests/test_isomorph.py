@@ -5,7 +5,7 @@ import pytest
 
 from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
                          compose_certificates, decide_isomorphism, fingerprint,
-                         identity_certificate, invert_certificate, parse_poly,
+                         identity_certificate, invert_certificate, jsonio, parse_poly,
                          verify_iso)
 from danielewski.errors import (FieldMismatchError, InfiniteFamilyError,
                                 SearchCapExceededError)
@@ -14,7 +14,7 @@ from danielewski.isomorph import (DEFAULT_CAP, IsoCertificate, ObstructionKind,
 
 from conftest import random_poly, surf, swinnerton_dyer
 from oracles import (affine_pairs_by_enumeration, apply_certificate, brute_force_certificates,
-                     cert_key, exhaustive_gamma_delta)
+                     cert_key, exhaustive_gamma_delta, verify_iso_by_substitution)
 
 
 def test_fingerprint_examples():
@@ -470,15 +470,14 @@ def test_free_parameter_over_fp_respects_cap(f, phi):
 
 def test_elimination_branch_reuses_theta(monkeypatch):
     from danielewski import isomorph
-    calls = []
-    original = isomorph._congruence_split
-    monkeypatch.setattr(isomorph, "_congruence_split",
-                        lambda *args: calls.append(args[4]) or original(*args))
+    defects = _count_calls(monkeypatch, isomorph, "_defect")
     s = surf(GF(5), "X^2+X+1", "Z^3+2*Z+X")  # 5 does not divide d = 3: elimination
     certs = decide_isomorphism(s, s)
-    assert certs and all(verify_iso(c).ok for c in certs)
-    # one split per gamma checked; none again when the certificate is assembled
-    assert len(calls) == len(certs)
+    # one defect per gamma checked: theta is its quotient and the
+    # certificate's checks read it, so none is computed again
+    assert certs and len(defects) == len(certs)
+    assert len({(str(a[2]), str(a[3]), str(a[4]), str(a[5])) for a in defects}) == len(certs)
+    assert all(verify_iso(c).ok for c in certs)
 
 
 @pytest.mark.parametrize("p, r", [(5, 2), (5, 3), (7, 2), (7, 3)])
@@ -537,18 +536,19 @@ def test_early_stop_keeps_both_rational_gammas():
 def test_early_stop_candidates_are_confirmed_by_the_split(monkeypatch):
     # the W^2 and W^1 rows give T^2 - 1 and T^3 - 1, so the gcd stops at
     # T - 1; the W^0 row (X vs 2X, -X vs 2X for lambda = -1) is left to the
-    # split, which refutes gamma = 1 for both (lambda, mu)
+    # division of the defect by f_2, which refutes gamma = 1 for both
+    # (lambda, mu) before any certificate is built
     from danielewski import isomorph
-    calls = []
-    original = isomorph._congruence_split
-    monkeypatch.setattr(isomorph, "_congruence_split",
-                        lambda *args: calls.append(args[4]) or original(*args))
+    defects = _count_calls(monkeypatch, isomorph, "_defect")
+    reports = _count_calls(monkeypatch, isomorph, "_iso_report")
     s1 = surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + X")
     s2 = surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + 2*X")
     result = decide_isomorphism(s1, s2)
     assert isinstance(result, Obstruction) and result.kind is ObstructionKind.NO_GAMMA_DELTA
+    assert [a[4] for a in defects] == [Scalar(GF(7), 1)] * 2
+    assert len({(a[2], a[3]) for a in defects}) == 2
+    assert reports == []
     assert not brute_force_certificates(s1, s2)
-    assert calls == [Scalar(GF(7), 1)] * 2
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -730,8 +730,96 @@ def test_affine_and_gamma_solves_substitute_nothing(monkeypatch):
                           (QQ, "X^2*(X-1)", "Z^2+X*Z+1")):
         s = surf(field, f, phi)
         assert decide_isomorphism(s, s)
-    assert callers        # the confirming split and verify_iso still substitute
+    assert callers        # the defect of (vi) and the f-transport still substitute
     assert not {"_affine_candidates", "_gamma_delta_solutions"} & set(callers)
+
+
+def test_two_substitutions_per_certificate(monkeypatch):
+    # the defect of (vi) and the f-transport (III), once each per
+    # certificate; an elimination candidate that the division of its
+    # defect refutes costs the defect alone
+    from danielewski import isomorph
+    rng = random.Random(8)
+    pairs = []
+    for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"),    # elimination, p does not divide r
+                          (GF(3), "X^3+2*X+1", "Z^2+X*Z+1"),  # elimination, p | r
+                          (GF(5), "X^5*(X+1)", "Z^5+Z+X"),    # lifting, the Baseline surface
+                          (GF(7), "X^2+3", "Z^4+Z^2+Z+X")):
+        s = surf(field, f, phi)
+        pairs += [(s, s), (s, _transformed_copy(rng, s))]
+    pairs += [(surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + X"),   # two refuted candidates
+               surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + 2*X")),
+              (surf(QQ, "X^2*(X-1)", "Z^4 + Z^2 + 1"),
+               surf(QQ, "X^2*(X-1)", "Z^4 + 1/9*Z^2 + 1/81"))]
+    substitutions = _count_calls(monkeypatch, isomorph, "substitute")
+    refuted = []
+    original = isomorph._certificate
+
+    def recorded(*args):
+        cert = original(*args)
+        refuted.append(cert is None)
+        return cert
+    monkeypatch.setattr(isomorph, "_certificate", recorded)
+    decisions = [lambda s1=s1, s2=s2: decide_isomorphism(s1, s2) for s1, s2 in pairs]
+    decisions += [lambda s=s: automorphisms(s) for s, t in pairs if s is t]
+    total = 0
+    for decide in decisions:
+        substitutions.clear()
+        refuted.clear()
+        result = decide()
+        certs = [] if isinstance(result, Obstruction) else result
+        assert len(substitutions) == 2 * len(certs) + sum(refuted)
+        total += sum(refuted)
+    assert total >= 2
+
+
+def _same_iso_report(cert):
+    report = verify_iso(cert)
+    assert jsonio.dumps(report.to_doc()) == jsonio.dumps(verify_iso_by_substitution(cert).to_doc())
+    return report.ok
+
+
+def test_verify_matches_substitution_oracle():
+    # every certificate, and copies with theta, delta, u, lambda or gamma
+    # tampered, get the oracle's report byte for byte, failure details too
+    rng = random.Random(6)
+    pairs = []
+    for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"),           # elimination
+                          (GF(5), "X^3*(X+1)", "Z^5+Z+X"),           # lifting
+                          (GF(7), "X^3+X+1", "Z^3 + (X^3+X+1)*X*Z + 3*X^2"),
+                          (GF(7), "X^2+3", "Z^4 + 2*Z^3 + (X^2+3)*Z^2 + Z + X")):
+        s = surf(field, f, phi)
+        pairs += [(s, s), (s, _transformed_copy(rng, s))]
+    pairs += [(surf(QQ, "X^2*(X-1)", "Z^4 + Z^2 + 1"),
+               surf(QQ, "X^2*(X-1)", "Z^4 + 1/9*Z^2 + 1/81")),
+              (surf(QQ, "X^2*(X-1)", "Z^2+X*Z+1"),) * 2, (_baseline(5),) * 2]
+    verified = refuted = 0
+    for s1, s2 in pairs:
+        for cert in decide_isomorphism(s1, s2):
+            assert _same_iso_report(cert)
+            verified += 1
+            doc = jsonio.iso_to_doc(cert)
+            for key, value in (("theta", doc["theta"] + " + X*Z"),
+                               ("delta", doc["delta"] + " + 1"),
+                               ("u", "2"), ("lambda", "3"), ("gamma", "2")):
+                refuted += not _same_iso_report(jsonio.iso_from_doc({**doc, key: value}))
+    assert verified >= 20 and refuted >= 3 * verified
+
+
+@pytest.mark.parametrize("field, f, phi, count, digest", [
+    (GF(7), "X^7-X", "Z^7+Z", 252,
+     "f9d1bbc101bd7ad6947f6c7e2f62f8c2d8203640ec1f4e24f532d4c5edd2dac7"),
+    (GF(5), "X^5*(X+1)", "Z^5+Z+X", 4,
+     "9c98fea521105c434f7be9443a6451a4898e9c596428a3585d44e6fb497ca2f0"),
+    (GF(97), "X^12", "Z^12+1", 1152,
+     "5ef34d58aea4d3252770b92e4b54b422591313db468f3315126ef330545f8ca1"),
+], ids=["F7", "F5", "F97"])
+def test_automorphism_certificate_bytes_are_pinned(field, f, phi, count, digest):
+    import hashlib
+    certs = automorphisms(surf(field, f, phi))
+    text = jsonio.dumps([jsonio.iso_to_doc(c) for c in certs])
+    assert len(certs) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_multiplicity_obstruction_precedes_a_refused_affine_search():
