@@ -36,7 +36,7 @@ from typing import List, Tuple
 from .errors import (ComaximalityError, HypothesisError, PreconditionError,
                      SurfaceConstraintError, VerificationInternalError)
 from .expmap import apply_map, canonical_expmap
-from .factor import factor_univariate, gcd_univariate
+from .factor import Factorization, factor_univariate, gcd_univariate
 from .fields import FieldSpec, Scalar
 from .isomorph import Fingerprint, fingerprint, set_str
 from .poly import NEG_INF, Poly, exact_div
@@ -290,14 +290,17 @@ def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> 
         raise SurfaceConstraintError("g must be monic so that X^n g is monic")
     if g.evaluate({"X": Scalar(field, 0)}) == 0:
         raise SurfaceConstraintError("g(0) = 0: the multiplicity of 0 would exceed n")
-    if dg > 0:
-        fac = factor_univariate(g)
-        if not fac.is_squarefree():
-            raise SurfaceConstraintError(f"g has a repeated factor: {fac.factors}")
+    fac = factor_univariate(g) if dg > 0 else Factorization(Scalar(field, 1), ())
+    if not fac.is_squarefree():
+        raise SurfaceConstraintError(f"g has a repeated factor: {fac}")
     surfaces = [make_surface(field, Poly.monomial(field, ("X",), (n,)) * g, P)
                 for n in range(n_from, n_to + 1)]
     a, b = bezout_cofactors(surfaces[0].P, surfaces[0].P.derivative("Z"), "Z")
-    prints = [fingerprint(s) for s in surfaces]
+    # g is squarefree with g(0) != 0, so X does not divide it: X^n g factors
+    # as X^n times g's factors, and g is factored once for every member
+    x = Poly.variable(field, ("X",), "X")
+    prints = [fingerprint(s, Factorization(fac.lead, ((x, s.n),) + fac.factors))
+              for s in surfaces]
     verdicts = []
     for i in range(len(surfaces)):
         for j in range(i + 1, len(surfaces)):

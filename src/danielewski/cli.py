@@ -97,8 +97,7 @@ def _cmd_surface_info(args) -> int:
     fiber_lines = []
     for root in dict.fromkeys(f_factors.roots()):
         rep = fiber(spec, root)
-        factors = " * ".join(f"({poly_str(g)})^{m}" if m > 1 else f"({poly_str(g)})"
-                             for g, m in rep.factors.factors)
+        factors = str(rep.factors)
         fiber_docs.append({"point": str(rep.point), "kind": rep.kind.value,
                            "factors": factors,
                            "closure_lines": rep.closure_lines})

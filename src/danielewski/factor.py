@@ -295,6 +295,13 @@ class Factorization:
             acc = acc * q ** m
         return acc
 
+    def __str__(self):
+        """The product as text, e.g. ``(X + 1)^2 * (X^2 + X + 1)``, the lead if not 1."""
+        parts = [f"({q})^{m}" if m > 1 else f"({q})" for q, m in self.factors]
+        if self.lead != 1 or not parts:
+            parts.insert(0, str(self.lead))
+        return " * ".join(parts)
+
     def multiplicity_multiset(self) -> Tuple[int, ...]:
         return tuple(sorted(m for _, m in self.factors))
 

@@ -35,6 +35,14 @@ from the packed map without unpacking a key; iterating its keys, ``items()``
 and lookups unpack or pack one key at a time.  Code in the package reads
 ``packed`` and ``Poly.slot`` directly.
 
+Over Q, ``__mul__`` and ``substitute`` (for ``p``'s terms) multiply on
+integers: an operand is scaled once by its common denominator D, and each
+output sum is divided once by the product of the D's, to an int or one
+``Fraction``.  An operand is cleared only when D, the lcm of its
+denominators, is the largest of them, so no cleared coefficient outgrows
+its numerator plus D (content and primitive part, von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6); otherwise it is read as is.
+
 Arithmetic requires identical variable tuples; use ``with_vars`` to embed a
 polynomial into another variable context (one pass of shifts and masks).
 
@@ -184,9 +192,11 @@ class Poly:
         return self
 
     @classmethod
-    def _from_sums(cls, field: FieldSpec, vars: Tuple[str, ...], sums: Dict[int, object]) -> "Poly":
+    def _from_sums(cls, field: FieldSpec, vars: Tuple[str, ...], sums: Dict[int, object],
+                   den: int = 1) -> "Poly":
         """Constructor for accumulated coefficient sums: reduced mod p over
-        F_p, normalized by ``q_norm`` over Q, zero coefficients dropped."""
+        F_p, over Q divided by ``den`` (what ``_cleared`` took out) and
+        normalized by ``q_norm``, zero coefficients dropped."""
         if field.kind is FieldKind.PRIME:
             p = field.modulus
             out = {}
@@ -194,8 +204,11 @@ class Poly:
                 v %= p
                 if v:
                     out[e] = v
-        else:
+        elif den == 1:
             out = {e: q_norm(v) for e, v in sums.items() if v}
+        else:
+            out = {e: v // den if v.__class__ is int and not v % den else q_norm(Fraction(v, den))
+                   for e, v in sums.items() if v}
         return cls._raw(field, vars, out)
 
     # -- constructors ---------------------------------------------------------
@@ -425,13 +438,16 @@ class Poly:
             raise OverflowError("product exponent would exceed 2**31")
         if len(a) > len(b):
             a, b = b, a
+        da = db = 1
+        if self.field.kind is not FieldKind.PRIME:
+            (a, da), (b, db) = _cleared(a), _cleared(b)
         acc: Dict[int, object] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
                 v = acc.get(e)
                 acc[e] = c1 * c2 if v is None else v + c1 * c2
-        return Poly._from_sums(self.field, self.vars, acc)
+        return Poly._from_sums(self.field, self.vars, acc, da * db)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -523,6 +539,19 @@ class Poly:
 _set_field, _set_vars, _set_packed = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
+def _cleared(packed: Dict[int, object]) -> Tuple[Dict[int, object], int]:
+    """(packed times D, D) for the common denominator D of a Q term map, its
+    coefficients then all ints; (packed, 1) for an integral map, or when D
+    exceeds the largest denominator (the rule in the module docstring)."""
+    if Fraction not in map(type, packed.values()):
+        return packed, 1
+    dens = {c.denominator for c in packed.values()}
+    den = max(dens)
+    if math.lcm(*dens) != den:
+        return packed, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in packed.items()}, den
+
+
 def canonical_var_union(*var_lists: Iterable[str]) -> Tuple[str, ...]:
     """Merge variable lists, keeping first-seen order."""
     seen = []
@@ -596,9 +625,10 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
         else:
             i = pos.get(v)
             free.append((off, None if i is None else unit_key(n, i), v))
+    packed, den = (p.packed, 1) if field.kind is FieldKind.PRIME else _cleared(p.packed)
     acc: Dict[int, object] = {}
     get = acc.get
-    for k, c in p.packed.items():
+    for k, c in packed.items():
         base = 0
         image = None  # the product of the bound variables' image powers
         for off, v in bound:
@@ -622,7 +652,7 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
             e += base
             prev = get(e)
             acc[e] = c * v if prev is None else prev + c * v
-    return Poly._from_sums(field, vars_out, acc)
+    return Poly._from_sums(field, vars_out, acc, den)
 
 
 def exact_div(a: Poly, b: Poly) -> Optional[Poly]:

@@ -36,7 +36,9 @@ The tuple-keyed kernel at the end is the reference for the packed one in
 ``poly.py``: it keys terms by exponent tuples, orders them with
 ``grlex_key``, multiplies by adding tuples, substitutes by repeated
 multiplication, divides by scanning for the grlex-largest term, and
-re-embeds by placing each exponent by name.
+re-embeds by placing each exponent by name.  Over Q, ``fraction_mul``
+multiplies term by term in ``Fraction``, where the packed kernel takes
+each operand's common denominator out and multiplies integers.
 """
 
 from __future__ import annotations
@@ -697,6 +699,14 @@ def tuple_mul(field, a, b):
     return _normalized(field, acc)
 
 
+def fraction_mul(field, a, b):
+    """The product of two tuple-keyed Q term maps with every coefficient made
+    a ``Fraction`` first: one ``Fraction`` product and one ``Fraction`` sum
+    per pair of terms, no common denominator taken out."""
+    return tuple_mul(field, {e: Fraction(c) for e, c in a.items()},
+                     {e: Fraction(c) for e, c in b.items()})
+
+
 def tuple_with_vars(vars, terms, new_vars):
     """Each exponent placed by its variable's name in ``new_vars``."""
     pos = {v: i for i, v in enumerate(new_vars)}
@@ -712,9 +722,10 @@ def tuple_with_vars(vars, terms, new_vars):
     return out
 
 
-def tuple_substitute(p, bindings, vars_out):
+def tuple_substitute(p, bindings, vars_out, mul=tuple_mul):
     """p with each bound variable replaced by its binding, term by term and
-    factor by factor; every polynomial is given as a ``Poly``."""
+    factor by factor, each factor applied by ``mul``; every polynomial is
+    given as a ``Poly``."""
     field = p.field
     images = {v: tuple_with_vars(q.vars, dict(q.terms.items()), vars_out)
               for v, q in bindings.items()}
@@ -724,7 +735,7 @@ def tuple_substitute(p, bindings, vars_out):
         term = tuple_with_vars(tuple(kept), {tuple(kept.values()): c}, vars_out)
         for v, e in zip(p.vars, exps):
             for _ in range(e if v in images else 0):
-                term = tuple_mul(field, term, images[v])
+                term = mul(field, term, images[v])
         for e, v in term.items():
             acc[e] = acc.get(e, 0) + v
     return _normalized(field, acc)

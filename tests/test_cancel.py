@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 
 import pytest
 
-from danielewski import (GF, QQ, build_stable_iso, check_hypotheses, parse_poly,
-                         poly_str, sigma_family, verify_stable_iso)
+from danielewski import (GF, QQ, build_stable_iso, cancel, check_hypotheses, factor,
+                         fingerprint, isomorph, parse_poly, poly_str, sigma_family, surface,
+                         verify_stable_iso)
 from danielewski.errors import (ComaximalityError, HypothesisError, PreconditionError,
                                 SurfaceConstraintError)
+from danielewski.jsonio import dumps, family_to_doc, stable_to_doc
 from danielewski.resultant import bezout_cofactors, resultant_in
 
 from conftest import surf
@@ -141,6 +144,25 @@ def test_family_with_constant_g():
     assert [fp.multiplicities for fp in fam.fingerprints] == [(2,), (3,), (4,)]
 
 
+@pytest.mark.parametrize("field, g, phi", [(QQ, "1", "Z^2+1"), (QQ, "X^2+1", "Z^2+1"),
+                                           (GF(2), "X^3+1", "Z^2+Z+X")])
+def test_family_fingerprints_factor_g_once(monkeypatch, field, g, phi):
+    # X^3 + 1 = (X + 1)(X^2 + X + 1) over F2
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return factor.factor_univariate(p)
+
+    for module in (cancel, isomorph, surface):
+        monkeypatch.setattr(module, "factor_univariate", counted)
+    g_poly = parse_poly(g, field, ("X",))
+    fam = sigma_family(field, g_poly, parse_poly(phi, field, ("X", "Z")), 2, 4)
+    assert calls == ([g_poly] if g_poly.total_degree() > 0 else [])
+    monkeypatch.undo()
+    assert list(fam.fingerprints) == [fingerprint(s) for s in fam.surfaces]
+
+
 def test_family_preconditions():
     with pytest.raises(SurfaceConstraintError):
         sigma_family(QQ, parse_poly("(X-1)^2", QQ, ("X",)),
@@ -207,3 +229,30 @@ def test_v5_names_the_failed_premise():
         for report in (bad_s, bad_w, bad_t):
             assert "s fixed: False" not in _v5(report).detail
             assert "w - U: False" not in _v5(report).detail
+
+
+def _sha256(doc):
+    return hashlib.sha256(dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("f, phi, cert_digest, report_digest", [
+    ("X^2*" + "*".join(f"(X-{i})" for i in range(1, 11)), "(Z+X)^12 - 1",
+     "fc35af8d98d368184bd071c1ad2a462e0161910e1767f46d81769c2fa023fd2d",
+     "105db570db416330f9cefba49d5247079d9ce23cd23876a3d0842a8a53a82a06"),
+    ("X^3*(X-1)*(X+2)", "(Z+X)^7 - 1",
+     "15f6d522f12487403ec006b09f2f0a94009dd658467edfd599993fba65133e30",
+     "eba96e0461e261af0347951d497bac0ad69159b23d8d6e7439b3d4e342389f9e"),
+], ids=["d12r12", "d7r5"])
+def test_q_certificate_bytes_are_pinned(f, phi, cert_digest, report_digest):
+    # Bezout cofactors over Q carry denominators (a = (Z + X)/d), so these
+    # documents pin the kernel's Q products and substitutions byte for byte
+    cert = build_stable_iso(surf(QQ, f, phi))
+    assert _sha256(stable_to_doc(cert)) == cert_digest
+    assert _sha256(verify_stable_iso(cert).to_doc()) == report_digest
+
+
+def test_q_family_bytes_are_pinned():
+    fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
+                       parse_poly("(Z+X)^12 - 1", QQ, ("X", "Z")), 2, 12)
+    assert (_sha256(family_to_doc(fam))
+            == "ffe5e053dc1cd78476e893b6a124ad827766ebeed02b6570c2e0005c44a33728")

@@ -234,6 +234,12 @@ def test_family_demo_empty_range_is_malformed_input(capsys):
         code, out, err = run(capsys, "family", "demo", "--g", g, "--phi", "Z^2+1",
                              "--field", "Q", "--from", "2", "--to", "3")
         assert code == 2 and out == "" and err.startswith("error:"), g
+        assert "Poly(" not in err, g
+    # the repeated factor is printed as a polynomial, not as a repr
+    code, out, err = run(capsys, "family", "demo", "--g", "X^2+1", "--phi", "Z^2+Z+X",
+                         "--field", "F2", "--from", "2", "--to", "3")
+    assert code == 2 and out == ""
+    assert err == "error: g has a repeated factor: (X + 1)^2\n" and "Poly(" not in err
     # a malformed P: not monic in Z, degree 1 in Z
     for phi in ("X*Z^2+1", "Z"):
         code, out, err = run(capsys, "family", "demo", "--g", "X-1", "--phi", phi,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ from danielewski import (GF, QQ, Poly, bezout_cofactors, build_stable_iso, exact
                          make_surface, normal_form, parse_poly, resultant_in, substitute)
 from danielewski.errors import FieldMismatchError, UnknownVariableError
 from danielewski.jsonio import dumps, stable_to_doc
-from danielewski.poly import NEG_INF, divmod_in, pack
+from danielewski.poly import NEG_INF, _cleared, divmod_in, pack
 
 from conftest import random_coeff, random_poly
+from oracles import fraction_mul, tuple_substitute
 
 V = ("X", "Y", "Z")
 
@@ -211,6 +213,109 @@ def test_q_coefficients_are_ints_or_proper_fractions(rng):
         for r in (resultant_in(P, Pz, "Z"), resultant_in(P, other, "Z"),
                   resultant_in(other, P, "Z"), *bezout_cofactors(P, Pz, "Z")):
             _assert_canonical(r)
+
+
+# -- Q products on integers: each operand's common denominator taken out once
+
+Q_KINDS = ("int", "shared", "coprime", "mixed")
+
+
+def _q_poly_of_kind(rng, vars, kind, max_exp=3, max_terms=5):
+    """A Q polynomial, possibly zero, with negative coefficients among the
+    rest: "int" integral; "shared" every coefficient over one denominator D
+    (so each reduced denominator divides D); "coprime" a distinct prime
+    denominator per term; "mixed" ints beside halves and sixths."""
+    primes = iter(rng.sample((2, 3, 5, 7, 11, 13, 17), 7))
+    den = rng.choice((2, 6, 12, 3 ** 40))
+
+    def coeff():
+        num = rng.randint(-50, 50)
+        if kind == "int":
+            return num
+        if kind == "shared":
+            return Fraction(num, den)
+        if kind == "coprime":
+            return Fraction(num, next(primes))
+        return rng.choice((num, Fraction(num, rng.choice((2, 6)))))
+
+    return Poly(QQ, vars, {tuple(rng.randint(0, max_exp) for _ in vars): coeff()
+                           for _ in range(rng.randint(0, max_terms))})
+
+
+def _clearing(p):
+    """How the kernel treats p's denominators: "int", "cleared" or "kept"."""
+    if all(type(c) is int for c in p.terms.values()):
+        return "int"
+    return "cleared" if _cleared(p.packed)[1] > 1 else "kept"
+
+
+def test_q_products_match_fraction_reference():
+    rng = random.Random("q-clearing-mul")
+    seen = []
+    for _ in range(150):
+        vars_ = tuple(rng.sample(V, rng.randint(1, 3)))
+        a, b = (_q_poly_of_kind(rng, vars_, rng.choice(Q_KINDS)) for _ in range(2))
+        seen.append((_clearing(a), _clearing(b)))
+        got = a * b
+        assert dict(got.terms.items()) == fraction_mul(QQ, dict(a.terms.items()),
+                                                       dict(b.terms.items()))
+        _assert_canonical(got)
+    # every pairing of an integral, a cleared and a kept operand occurs
+    pairs = {frozenset(pair) for pair in seen}
+    assert all(frozenset(pair) in pairs for pair in
+               itertools.product(("int", "cleared", "kept"), repeat=2))
+    # fractional operands with an integral product, terms that cancel to
+    # zero, negative coefficients, a cleared operand beside a kept one
+    for x, y, want in (("1/3*X", "3*X", "X^2"),
+                       ("1/6*X + 1/2*Y", "6*X - 2*Z", "X^2 - 1/3*X*Z + 3*X*Y - Y*Z"),
+                       ("X + 1/2*Y", "X - 1/2*Y", "X^2 - 1/4*Y^2"),
+                       ("-1/2*X - 3/4", "-2/3*X + 4/9", "1/3*X^2 + 5/18*X - 1/3"),
+                       ("1/4*X + 1/2", "1/3*X + 1/5*Y", "1/12*X^2 + 1/20*X*Y + 1/6*X + 1/10*Y"),
+                       ("1/2*X - 1/2", "1/2*X + 1/2", "1/4*X^2 - 1/4")):
+        got = q(x) * q(y)
+        assert got == q(want), (x, y)
+        _assert_canonical(got)
+    assert all(type(c) is int for c in (q("1/3*X") * q("3*X")).terms.values())
+
+
+def test_q_substitute_matches_fraction_reference():
+    rng = random.Random("q-clearing-substitute")
+    seen = set()
+    for _ in range(60):
+        p = _q_poly_of_kind(rng, V, rng.choice(Q_KINDS), max_exp=2, max_terms=4)
+        seen.add(_clearing(p))
+        bound = rng.sample(V, rng.randint(1, 3))
+        bindings = {v: _q_poly_of_kind(rng, tuple(rng.sample(V, 2)), rng.choice(Q_KINDS),
+                                       max_exp=2, max_terms=3) for v in bound}
+        got = substitute(p, bindings, vars_out=V)
+        assert dict(got.terms.items()) == tuple_substitute(p, bindings, V, mul=fraction_mul)
+        _assert_canonical(got)
+    assert seen == {"int", "cleared", "kept"}
+    # p's denominators cancel against its images: (X/3)(3X) and 1/2 - 1/2
+    got = substitute(q("1/3*X*Y + 1/2*Z"), {"Y": q("3*X"), "Z": q("X^2 - 1")})
+    assert got == q("3/2*X^2 - 1/2")
+    assert substitute(q("1/2*Z - 1/2"), {"Z": q("1")}).is_zero
+
+
+def test_cleared_q_products_make_no_fraction_arithmetic(monkeypatch):
+    # denominators {2, 6, 3} and {4, 2}: each lcm is the largest denominator
+    a = q("1/2*X^2 + 1/6*X*Y - 2/3*Z + 5")
+    b = q("3/4*Y*Z - 1/4*X + 7/2")
+    assert _clearing(a) == _clearing(b) == "cleared"
+    images = {"X": q("Y + 2*Z"), "Z": q("X*Y - 1")}
+    want_product = fraction_mul(QQ, dict(a.terms.items()), dict(b.terms.items()))
+    want_image = tuple_substitute(a, images, V, mul=fraction_mul)
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(x, y, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(x, y)
+        monkeypatch.setattr(Fraction, name, counted)
+    product, image = a * b, substitute(a, images, vars_out=V)
+    monkeypatch.undo()
+    assert calls == []
+    assert dict(product.terms.items()) == want_product
+    assert dict(image.terms.items()) == want_image
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(97)], ids=lambda f: f.tag())
