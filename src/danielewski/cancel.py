@@ -19,13 +19,15 @@ P = sum_j p_j(X) Z^j, read off P's Z-coefficients in any characteristic
 
 The Bezout solve, one elimination per build or per family (whose links
 share P), is the test of (P, P_Z) = (1); the Res_Z(P, P_Z) it computes
-explains a refusal.  The verifier re-checks every identity the construction
-claims on the stored data alone, and names the two steps it takes on faith
-(the slice argument R = R^phi[w] and the surjectivity-between-equal-dimensions
-step).
+explains a refusal.  A build asserts Eq (8), h s = P(x, theta), once; (*),
+Eq (7), says the same in A, as h x = f and f y = P(x, z).  The verifier
+re-checks every identity the construction claims on the stored data alone,
+and names the two steps it takes on faith (the slice argument R = R^phi[w]
+and the surjectivity-between-equal-dimensions step).
 V1 reads comaximality off the exact identity of V3.  Of V5 it computes
 phi(theta) = theta and deduces phi(s) = s and phi(w) = w - U exactly from
-that, V2 and V4 (A[v][U] is a domain).
+that, V2 and V4 (A[v][U] is a domain).  V6's z and v lines are the theta
+check and V4.  A family link is checked on its build's evaluations.
 """
 
 from __future__ import annotations
@@ -100,11 +102,11 @@ class StableIsoCertificate:
 
 
 def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
-    """Run the construction; every claimed identity is asserted as it is
-    built, and the certificate passes ``verify_stable_iso`` by construction.
-    The Bezout solve is the comaximality test, and a refusal reports the
-    resultant it computed.  Raises HypothesisError, carrying the
-    HypothesisReport, when n < 2 or (P, P_Z) is proper."""
+    """Run the construction and assert Eq (8) on its own P(x, theta); the
+    certificate passes ``verify_stable_iso`` by construction.  The Bezout
+    solve is the comaximality test, and a refusal reports the resultant it
+    computed.  Raises HypothesisError, carrying the HypothesisReport, when
+    n < 2 or (P, P_Z) is proper."""
     if spec_a.n < 2:
         hyp = check_hypotheses(spec_a)
     else:
@@ -113,13 +115,18 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
         except ComaximalityError as exc:
             hyp = _hypothesis_report(spec_a, exc.resultant)
         else:
-            return _construct(spec_a, a, b)
+            cert, p_at_theta, _ = _construct(spec_a, a, b)
+            if spec_a.from_xz_poly(cert.h.with_vars(("X", "Z"))) * cert.s != p_at_theta:
+                raise VerificationInternalError("h s = P(x, theta) (Eq 8) failed")
+            return cert
     raise HypothesisError(
         "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed), hyp)
 
 
-def _construct(spec_a: SurfaceSpec, a: Poly, b: Poly) -> StableIsoCertificate:
-    """The construction of Thm 5.1 for n >= 2, given a P_Z + b P = 1."""
+def _construct(spec_a: SurfaceSpec, a: Poly,
+               b: Poly) -> Tuple[StableIsoCertificate, SurfaceElement, SurfaceElement]:
+    """The construction of Thm 5.1 for n >= 2, given a P_Z + b P = 1, with
+    P(x, theta) and s a(x, theta); only w's division by x (Eq 11) is checked."""
     field = spec_a.field
     h = exact_div(spec_a.f, Poly.monomial(field, ("X",), (1,)))
     spec_b = make_surface(field, h, spec_a.P, _min_r=1)
@@ -139,26 +146,15 @@ def _construct(spec_a: SurfaceSpec, a: Poly, b: Poly) -> StableIsoCertificate:
         h_power = h_power * h_c
     corr = spec_a.from_xz_poly(corr_poly)
 
-    # P(x, theta) = P(x, z) + h (v P_Z + x corr)   [Eq (7)]
-    Pz = spec_a.P.derivative("Z")
-    p_at_theta = eval_poly_on_elements(spec_a.P, {"Z": theta}, spec_a)
-    p_plain = spec_a.from_xz_poly(spec_a.P)
-    pz_el = spec_a.from_xz_poly(Pz)
     x_el = spec_a.x()
-    if p_at_theta != p_plain + h_el * (v_el * pz_el + x_el * corr):
-        raise VerificationInternalError("Taylor correction identity (Eq 7) failed")
-
-    s = x_el * spec_a.y() + v_el * pz_el + x_el * corr
-    if h_el * s != p_at_theta:
-        raise VerificationInternalError("h s = P(x, theta) (Eq 8) failed")
-
-    a_at_theta = eval_poly_on_elements(a, {"Z": theta}, spec_a)
-    numerator = v_el - s * a_at_theta
-    w = divide_by_x(numerator)
+    s = x_el * spec_a.y() + v_el * spec_a.from_xz_poly(spec_a.P.derivative("Z")) + x_el * corr
+    p_at_theta = eval_poly_on_elements(spec_a.P, {"Z": theta}, spec_a)
+    sa = s * eval_poly_on_elements(a, {"Z": theta}, spec_a)
+    w = divide_by_x(v_el - sa)
     if w is None:
         raise VerificationInternalError("v - s a(x, theta) not divisible by x (Eq 11)")
 
-    return StableIsoCertificate(spec_a, spec_b, h, theta, corr, s, a, b, w)
+    return StableIsoCertificate(spec_a, spec_b, h, theta, corr, s, a, b, w), p_at_theta, sa
 
 
 def _deduced(premises) -> str:
@@ -170,6 +166,14 @@ def _deduced(premises) -> str:
 def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     """Re-check V1..V7 from the stored data alone (nothing is recomputed
     from the builder's intermediate state)."""
+    spec = cert.spec_a
+    return _stable_report(cert, eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec),
+                          cert.s * eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec))
+
+
+def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
+                   sa: SurfaceElement) -> VerificationReport:
+    """V1..V7, with V2 and V4 read off P(x, theta) and s a(x, theta)."""
     spec = cert.spec_a
     field = spec.field
     checks: List[Check] = []
@@ -190,21 +194,16 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
     x_el = spec.x()
     v_el = spec.generator("v")
     h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
-    z_el = spec.z()
-    hv = h_el * v_el
-    theta_ok = cert.theta == hv + z_el
+    theta_ok = cert.theta == h_el * v_el + spec.z()
     checks.append(Check("theta = h(x) v + z", "Thm 5.1 setup", theta_ok))
 
-    p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
     v2 = h_el * cert.s == p_at_theta
     checks.append(Check("V2 h(x) s = P(x, theta)", "Eq (8)", v2,
                         "" if v2 else f"difference {h_el * cert.s - p_at_theta}"))
 
     checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
 
-    a_at_theta = eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec)
-    xw, sa = x_el * cert.w, cert.s * a_at_theta
-    v4 = xw == v_el - sa
+    v4 = x_el * cert.w == v_el - sa
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
 
     # V5: invariance under the extended canonical map (phi(v) = v - x U).
@@ -222,16 +221,13 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
         f"theta fixed: {theta_fixed}, s fixed: {_deduced(premises[:3])}, "
         f"phi(w) = w - U: {_deduced(premises)}"))
 
-    # V6: the localized generator identities, as exact statements in A[v],
-    # from the products of the theta check and V4
-    pz_el = spec.from_xz_poly(Pz)
-    v6_z = z_el == cert.theta - hv
-    v6_v = v_el == xw + sa
-    v6_xy = x_el * spec.y() == cert.s - v_el * pz_el - x_el * cert.corr
-    v6 = v6_z and v6_v and v6_xy
+    # V6: the localized generator identities, as exact statements in A[v]; z and
+    # v are the theta check and V4 rearranged (normal forms are unique, sums exact)
+    v6_xy = x_el * spec.y() == cert.s - v_el * spec.from_xz_poly(Pz) - x_el * cert.corr
+    v6 = theta_ok and v4 and v6_xy
     checks.append(Check(
         "V6 generator identities: z, v, x y recovered from (x, theta, s, w)",
-        "Eq (13) context", v6, f"z: {v6_z}, v: {v6_v}, x y: {v6_xy}"))
+        "Eq (13) context", v6, f"z: {theta_ok}, v: {v4}, x y: {v6_xy}"))
 
     p0 = spec.P.coeff_in("X", 0).with_vars(("Z",))
     pz0 = p0.derivative("Z")
@@ -315,11 +311,11 @@ def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> 
     chain = []
     for idx in range(len(surfaces) - 1, 0, -1):
         upper = surfaces[idx]
-        cert = _construct(upper, a, b)
+        cert, p_at_theta, sa = _construct(upper, a, b)
         if cert.spec_b != surfaces[idx - 1]:
             raise VerificationInternalError(
                 "chain partner surface is not the next family member")
-        report = verify_stable_iso(cert)
+        report = _stable_report(cert, p_at_theta, sa)
         if not report.ok:
             raise VerificationInternalError(
                 "chain certificate failed verification: "

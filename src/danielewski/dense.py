@@ -18,11 +18,10 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DanielewskiError
-from .fields import FieldSpec, q_norm
+from .fields import FieldSpec, q_inv
 from .poly import SLOT_MASK, Poly, unit_key
 
 # ---------------------------------------------------------------------------
@@ -45,8 +44,7 @@ def norm(f, m) -> List:
 def inv(c, m):
     if m:
         return pow(c, -1, m)
-    # an integral inverse (a monic divisor) keeps int entries int
-    return q_norm(1 / Fraction(c))
+    return q_inv(c)
 
 
 def add(f, g, m):

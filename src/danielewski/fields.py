@@ -34,6 +34,14 @@ def q_norm(x: RawValue) -> RawValue:
     return x.numerator if x.denominator == 1 else x
 
 
+def q_inv(a: RawValue) -> RawValue:
+    """1/a for a nonzero raw Q value, canonical as under ``q_norm``; a unit
+    +-1, the leading coefficient of a monic divisor, comes back as it is."""
+    if a == 1 or a == -1:
+        return a
+    return q_norm(Fraction(a.denominator, a.numerator))
+
+
 def number_str(x: RawValue) -> str:
     """str(x) for an int or Fraction, also past the interpreter's limit on
     int-to-string conversion (4,300 digits by default), which ``decimal``
@@ -131,7 +139,7 @@ class FieldSpec:
             return pow(a, -1, self.modulus)
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in Q")
-        return q_norm(1 / Fraction(a))
+        return q_inv(a)
 
     def div(self, a: RawValue, b: RawValue) -> RawValue:
         return self.mul(a, self.inv(b))

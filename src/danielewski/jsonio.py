@@ -49,12 +49,14 @@ def surface_to_doc(spec: SurfaceSpec) -> dict:
 
 
 def surface_from_doc(doc: dict) -> SurfaceSpec:
-    def build():
-        field = parse_field_tag(_require(doc, "field", "surface"))
-        f = parse_poly(_require(doc, "f", "surface"), field, ("X",))
-        P = parse_poly(_require(doc, "phi", "surface"), field, ("X", "Z"))
-        return make_surface(field, f, P)
-    return _wrap("surface", build)
+    return _wrap("surface", _surface, doc, 2)
+
+
+def _surface(doc: dict, min_r: int) -> SurfaceSpec:
+    field = parse_field_tag(_require(doc, "field", "surface"))
+    f = parse_poly(_require(doc, "f", "surface"), field, ("X",))
+    P = parse_poly(_require(doc, "phi", "surface"), field, ("X", "Z"))
+    return make_surface(field, f, P, _min_r=min_r)
 
 
 # -- elements -----------------------------------------------------------------
@@ -158,11 +160,11 @@ def stable_to_doc(cert: StableIsoCertificate) -> dict:
 def stable_from_doc(doc: dict) -> StableIsoCertificate:
     def build():
         spec_a = surface_from_doc(_require(doc, "surfaceA", "stable certificate"))
-        spec_b_doc = _require(doc, "surfaceB", "stable certificate")
+        spec_b = _surface(_require(doc, "surfaceB", "stable certificate"), 1)
         field = spec_a.field
-        fb = parse_poly(_require(spec_b_doc, "f", "surface"), field, ("X",))
-        Pb = parse_poly(_require(spec_b_doc, "phi", "surface"), field, ("X", "Z"))
-        spec_b = make_surface(field, fb, Pb, _min_r=1)
+        if spec_b.field != field:
+            raise InputError(f"surfaceB is over {spec_b.field.tag()}, "
+                             f"surfaceA over {field.tag()}")
         return StableIsoCertificate(
             spec_a, spec_b,
             parse_poly(_require(doc, "h", "stable certificate"), field, ("X",)),

@@ -12,7 +12,10 @@ term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
 certificate is recomputed by applying the extended canonical map to theta,
-s and w through that evaluator instead of being deduced from V2 and V4;
+s and w through that evaluator instead of being deduced from V2 and V4,
+and the whole report is rebuilt with every identity evaluated where it is
+stated, where the library shares P(x, theta) and s a(x, theta) between
+its builder and its checks;
 the Taylor coefficients e_k of P(X, Z + T), which the library reads off
 P's Z-coefficients as Hasse derivatives, are found by substituting Z + T
 for Z, and the canonical map's y-image by that substitution followed by
@@ -50,10 +53,12 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap, divide_by_x,
-                         exact_div, verify_iso)
+from danielewski import (IsoCertificate, Poly, Scalar, apply_map, canonical_expmap,
+                         divide_by_x, exact_div, verify_iso)
+from danielewski.cancel import UNCHECKED_STEPS, _deduced
 from danielewski.dense import add, deg, divrem, gcd, mul, norm, pow_mod, sub
 from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariableError
+from danielewski.factor import gcd_univariate
 from danielewski.fields import FieldKind, q_norm
 from danielewski.isomorph import _affine_x, certificate_images
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, poly_str
@@ -412,6 +417,91 @@ def v5_by_application(cert):
 
     return (phi(cert.theta) == cert.theta, phi(cert.s) == cert.s,
             phi(cert.w) == cert.w - spec.generator("U"))
+
+
+def verify_stable_iso_by_evaluation(cert) -> VerificationReport:
+    """The checks of ``verify_stable_iso``, each identity evaluated where it
+    is stated: V2 and V4 evaluate P(x, theta) and a(x, theta) themselves, and
+    V6 recomputes its z and v lines, where the library reads them off the
+    theta check and V4 and shares its two evaluations with the builder."""
+    spec = cert.spec_a
+    field = spec.field
+    checks: List[Check] = []
+
+    # V1: the exact identity of V3 proves (P, P_Z) = (1); nothing is eliminated
+    Pz = spec.P.derivative("Z")
+    v3 = cert.a * Pz + cert.b * spec.P == Poly.one(field, ("X", "Z"))
+    checks.append(Check("V1 hypotheses (double root, comaximality)",
+                        "Thm 5.1 hypothesis", spec.n >= 2 and v3,
+                        f"multiplicity of 0 in f is {spec.n}; "
+                        f"(P, P_Z) = (1): {_deduced((('V3', v3),))}"))
+
+    h_ok = (cert.h == exact_div(spec.f, Poly.monomial(field, ("X",), (1,)))
+            and cert.spec_b.P == spec.P and cert.spec_b.f == cert.h)
+    checks.append(Check("V1b partner surface uses h = f/X and the same P",
+                        "Thm 5.1 setup", h_ok))
+
+    x_el = spec.x()
+    v_el = spec.generator("v")
+    h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
+    z_el = spec.z()
+    hv = h_el * v_el
+    theta_ok = cert.theta == hv + z_el
+    checks.append(Check("theta = h(x) v + z", "Thm 5.1 setup", theta_ok))
+
+    p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
+    v2 = h_el * cert.s == p_at_theta
+    checks.append(Check("V2 h(x) s = P(x, theta)", "Eq (8)", v2,
+                        "" if v2 else f"difference {h_el * cert.s - p_at_theta}"))
+
+    checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
+
+    a_at_theta = eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec)
+    xw, sa = x_el * cert.w, cert.s * a_at_theta
+    v4 = xw == v_el - sa
+    checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
+
+    # V5: invariance under the extended canonical map (phi(v) = v - x U).
+    # phi(theta) = theta is computed; the rest follows exactly, because phi
+    # is a K-algebra map fixing x and A[v][U] is a domain (P is monic in Z,
+    # so f Y - P is irreducible): V2 gives h phi(s) = P(x, theta) = h s, and
+    # V4 then gives x phi(w) = (v - x U) - s a(x, theta) = x w - x U.
+    phi = canonical_expmap(spec)
+    theta_fixed = apply_map(phi, cert.theta, extended=True) == cert.theta
+    premises = (("theta fixed", theta_fixed), ("h != 0", not cert.h.is_zero), ("V2", v2),
+                ("V4", v4))
+    v5 = all(ok for _, ok in premises)
+    checks.append(Check(
+        "V5 extended map fixes theta, s and sends w to w - U", "phi(v) = v - xU", v5,
+        f"theta fixed: {theta_fixed}, s fixed: {_deduced(premises[:3])}, "
+        f"phi(w) = w - U: {_deduced(premises)}"))
+
+    # V6: the localized generator identities, as exact statements in A[v],
+    # from the products of the theta check and V4
+    pz_el = spec.from_xz_poly(Pz)
+    v6_z = z_el == cert.theta - hv
+    v6_v = v_el == xw + sa
+    v6_xy = x_el * spec.y() == cert.s - v_el * pz_el - x_el * cert.corr
+    v6 = v6_z and v6_v and v6_xy
+    checks.append(Check(
+        "V6 generator identities: z, v, x y recovered from (x, theta, s, w)",
+        "Eq (13) context", v6, f"z: {v6_z}, v: {v6_v}, x y: {v6_xy}"))
+
+    p0 = spec.P.coeff_in("X", 0).with_vars(("Z",))
+    pz0 = p0.derivative("Z")
+    if pz0.is_zero:
+        v7 = False
+        detail = "P_Z(0, Z) = 0"
+    else:
+        gcd0 = gcd_univariate(p0, pz0)
+        v7 = gcd0.total_degree() == 0
+        detail = f"gcd(P(0,Z), P_Z(0,Z)) = {gcd0}"
+    checks.append(Check("V7 P_Z(0, Z) invertible mod P(0, Z)", "Eq (16) context", v7, detail))
+
+    return VerificationReport(
+        "stable-isomorphism certificate", tuple(checks),
+        notes=("conclusion A[v] = E[w] with E a copy of B rests on two cited, "
+               "machine-unchecked steps: " + "; ".join(UNCHECKED_STEPS),))
 
 
 def taylor_by_substitution(P, var="Z"):

@@ -7,12 +7,13 @@ from danielewski import (GF, QQ, build_stable_iso, cancel, check_hypotheses, fac
                          fingerprint, isomorph, parse_poly, poly_str, sigma_family, surface,
                          verify_stable_iso)
 from danielewski.errors import (ComaximalityError, HypothesisError, PreconditionError,
-                                SurfaceConstraintError)
-from danielewski.jsonio import dumps, family_to_doc, stable_to_doc
+                                SurfaceConstraintError, VerificationInternalError)
+from danielewski.jsonio import dumps, family_to_doc, stable_from_doc, stable_to_doc
 from danielewski.resultant import bezout_cofactors, resultant_in
 
 from conftest import surf
-from oracles import corr_by_division, eq7_defect, v5_by_application
+from oracles import (corr_by_division, eq7_defect, v5_by_application,
+                     verify_stable_iso_by_evaluation)
 
 
 def test_hypotheses_examples():
@@ -256,3 +257,98 @@ def test_q_family_bytes_are_pinned():
                        parse_poly("(Z+X)^12 - 1", QQ, ("X", "Z")), 2, 12)
     assert (_sha256(family_to_doc(fam))
             == "ffe5e053dc1cd78476e893b6a124ad827766ebeed02b6570c2e0005c44a33728")
+
+
+@pytest.mark.parametrize("field, g, phi, n_to, digest", [
+    (GF(2), "X + 1", "Z^2 + Z + X", 6,
+     "5b7a5add5759e884f700aca9611b199fb7134c880002749d5c4a4a2c5b21251f"),
+    (GF(3), "X + 1", "Z^3 + Z + X", 5,
+     "6f12e5e217800b8207209c6fd582ee40690d114f16dd4b8915a4c0f88bc47ac1"),
+    (GF(5), "X^2 + 2", "(Z + X)^3 - 1", 5,
+     "3b6324d96f0bcf6273fb554adad88b5fc7b5a936a2b4f6264ca5fec83acd48e0"),
+], ids=["F2", "F3", "F5"])
+def test_fp_family_bytes_are_pinned(field, g, phi, n_to, digest):
+    fam = sigma_family(field, parse_poly(g, field, ("X",)),
+                       parse_poly(phi, field, ("X", "Z")), 2, n_to)
+    assert fam.ok and _sha256(family_to_doc(fam)) == digest
+
+
+# each tamper adds a term to one field of the certificate document
+TAMPERS = (("theta", "X"), ("theta", "Z"), ("s", "1"), ("w", "X"), ("w", "1"),
+           ("corr", "1"), ("a", "Z"), ("b", "1"))
+
+
+def _tampered(cert, key, term):
+    doc = stable_to_doc(cert)
+    if isinstance(doc[key], dict):       # an element: its y^0 coefficient
+        coeffs = doc[key]["coeffs"]
+        coeffs["0"] = f"{coeffs.get('0', '0')} + {term}"
+    else:
+        doc[key] = f"{doc[key]} + {term}"
+    return stable_from_doc(doc)
+
+
+def _same_report(report, cert):
+    return dumps(report.to_doc()) == dumps(verify_stable_iso_by_evaluation(cert).to_doc())
+
+
+@pytest.mark.parametrize("field, f, phi",
+                         CANCEL_Q_SHAPE + ((GF(5), "X^2*(X+2)", "(Z + X)^3 - 1"),), ids=str)
+def test_verify_matches_the_evaluating_oracle(field, f, phi):
+    cert = build_stable_iso(surf(field, f, phi))
+    assert verify_stable_iso(cert).ok and _same_report(verify_stable_iso(cert), cert)
+    for key, term in TAMPERS:
+        worse = _tampered(cert, key, term)
+        report = verify_stable_iso(worse)
+        assert not report.ok and _same_report(report, worse), (key, term)
+
+
+@pytest.mark.parametrize("field, g, phi, n_to", [
+    (QQ, "X - 1", "(Z + X)^12 - 1", 12),
+    (GF(2), "X + 1", "Z^2 + Z + X", 6),
+], ids=["Q", "F2"])
+def test_family_link_reports_match_the_evaluating_oracle(field, g, phi, n_to):
+    fam = sigma_family(field, parse_poly(g, field, ("X",)),
+                       parse_poly(phi, field, ("X", "Z")), 2, n_to)
+    assert len(fam.chain) == n_to - 2
+    for link in fam.chain:
+        assert _same_report(link.report, link.certificate)
+
+
+def _counted_evaluations(monkeypatch, corrupt_p=False):
+    """The polynomials ``cancel`` evaluates on elements; with ``corrupt_p``,
+    every P(x, theta) comes back plus 1."""
+    calls = []
+    real = cancel.eval_poly_on_elements
+
+    def counted(p, images, spec):
+        calls.append(p)
+        out = real(p, images, spec)
+        return out + spec.one() if corrupt_p and p == spec.P else out
+
+    monkeypatch.setattr(cancel, "eval_poly_on_elements", counted)
+    return calls
+
+
+def test_each_identity_is_evaluated_once_per_path(monkeypatch):
+    calls = _counted_evaluations(monkeypatch)
+    cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
+    assert calls == [cert.spec_a.P, cert.a]
+    calls.clear()
+    assert verify_stable_iso(cert).ok and calls == [cert.spec_a.P, cert.a]
+    calls.clear()
+    fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
+                       parse_poly("(Z+X)^5-1", QQ, ("X", "Z")), 2, 5)
+    assert fam.ok and len(fam.chain) == 3
+    assert calls == [fam.surfaces[0].P, cert.a] * 3
+
+
+def test_a_corrupted_evaluation_fails_build_and_family(monkeypatch):
+    _counted_evaluations(monkeypatch, corrupt_p=True)
+    with pytest.raises(VerificationInternalError, match=r"\(Eq 8\) failed"):
+        build_stable_iso(surf(QQ, "X^3-X^2", "Z^2+1"))
+    with pytest.raises(VerificationInternalError) as failed:
+        sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
+                     parse_poly("Z^2+1", QQ, ("X", "Z")), 2, 3)
+    assert str(failed.value).startswith("chain certificate failed verification: ")
+    assert "V2 h(x) s = P(x, theta)" in str(failed.value)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,25 @@ def test_cancel_build_and_verify(capsys, tmp_path):
     path.write_text(dumps(doc))
     code, out, _ = run(capsys, "cancel", "verify", "--cert", str(path))
     assert code == 1 and "V2" in out
+
+
+def test_cancel_verify_reads_the_partner_field_tag(capsys, tmp_path):
+    code, out, _ = run(capsys, "cancel", "build", "--field", "Q",
+                       "--f", "X^3-X^2", "--phi", "Z^2+1", "--json")
+    assert code == 0
+    path = tmp_path / "cert.json"
+    errors = {}
+    for tag in ("F7", "banana", None):
+        doc = json.loads(out)
+        if tag is None:
+            del doc["surfaceB"]["field"]
+        else:
+            doc["surfaceB"]["field"] = tag
+        path.write_text(dumps(doc))
+        code, verdict, errors[tag] = run(capsys, "cancel", "verify", "--cert", str(path))
+        assert code == 2 and verdict == "" and errors[tag].startswith("error:"), tag
+    assert "surfaceB is over F7, surfaceA over Q" in errors["F7"]
+    assert "banana" in errors["banana"] and "'field'" in errors[None]
 
 
 def test_cancel_build_refuses_bad_hypotheses(capsys):
@@ -348,6 +368,20 @@ def test_failed_self_check_exits_4_without_traceback(capsys, monkeypatch):
     assert err == "internal error: Bareiss division failed; matrix entries corrupted\n"
 
 
+def test_failed_eq8_self_check_exits_4(capsys, monkeypatch):
+    real = cancel.eval_poly_on_elements
+
+    def corrupted(p, images, spec):
+        out = real(p, images, spec)
+        return out + spec.one() if p == spec.P else out
+
+    monkeypatch.setattr(cancel, "eval_poly_on_elements", corrupted)
+    code, out, err = run(capsys, "cancel", "build", "--field", "Q",
+                         "--f", "X^3-X^2", "--phi", "Z^2+1")
+    assert code == 4 and out == ""
+    assert err == "internal error: h s = P(x, theta) (Eq 8) failed\n"
+
+
 def test_other_library_error_exits_2_without_traceback(capsys, monkeypatch):
     def broken(spec):
         raise UnknownVariableError("variable 'W' not among ('X', 'Z')")
@@ -375,6 +409,8 @@ def test_json_output_is_byte_identical(capsys):
     _, out1, _ = run(capsys, "paper-examples", "--json")
     _, out2, _ = run(capsys, "paper-examples", "--json")
     assert out1 == out2
+    assert (hashlib.sha256(out1.encode()).hexdigest()
+            == "7f37041bcff33df0c82ea4c2ed1388b070097ebd02c97d6d3e18b1b40f50c429")
 
 
 def test_iso_decide_baseline_f7(capsys, tmp_path):
