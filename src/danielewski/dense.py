@@ -120,18 +120,6 @@ def xgcd(f, g, m):
     return monic(r0, m), mul(s0, lead_inv, m), mul(t0, lead_inv, m)
 
 
-def pow_mod(f, e, g, m):
-    """f**e mod g."""
-    result = [1]
-    base = divrem(f, g, m)[1]
-    while e:
-        if e & 1:
-            result = divrem(mul(result, base, m), g, m)[1]
-        base = divrem(mul(base, base, m), g, m)[1]
-        e >>= 1
-    return result
-
-
 def hasse(c: List, k: int, m) -> List:
     """The k-th Hasse derivative sum_(i >= k) C(i, k) c_i T^(i-k) of
     c = sum_i c_i T^i, so that c(Z + T) = sum_k hasse(c, k)(Z) T^k in every

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .dense import (Fp, add, deg, dense_to_poly, divrem, gcd, hasse, monic, mul, norm,
-                    poly_to_dense, pow_mod, sub, xgcd)
+                    poly_to_dense, sub, xgcd)
 from .errors import DanielewskiError, SearchCapExceededError
 from .fields import FieldKind, Scalar, is_prime
 from .poly import Poly
@@ -73,11 +73,12 @@ def squarefree_list(f, m) -> List[Tuple[List, int]]:
 def fp_distinct_degree(f, p) -> List[Tuple[List[int], int]]:
     """Monic squarefree input; returns [(product of irreducibles of degree k, k)]."""
     out = []
+    field = Fp(p)
     h = [0, 1]  # X
     k = 0
     while deg(f) >= 2 * (k + 1):
         k += 1
-        h = pow_mod(h, p, f, p)
+        h = field.pow_mod(h, p, f)
         g = gcd(sub(h, [0, 1], p), f, p)
         if deg(g) > 0:
             out.append((g, k))

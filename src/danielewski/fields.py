@@ -166,7 +166,7 @@ def parse_field_tag(tag: str) -> FieldSpec:
     """Inverse of FieldSpec.tag(): "Q" -> rationals, "F7" -> F_7."""
     if tag == "Q":
         return QQ
-    if tag.startswith("F") and tag[1:].isdigit():
+    if isinstance(tag, str) and tag.startswith("F") and tag[1:].isdigit():
         return GF(int(tag[1:]))
     raise ValueError(f"unknown field tag {tag!r} (expected \"Q\" or \"F<p>\")")
 

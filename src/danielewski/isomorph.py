@@ -42,10 +42,11 @@ lam or gam free over F_p, its p - 1 values count too.  A step that would
 pass the cap is refused before it lists anything, but a refused (lam, mu)
 search still returns the multiplicity obstruction when the multisets
 differ.  Every certificate it emits passes the checks of ``verify_iso``,
-run on the one defect of (vi) whose quotient by f_2 is theta: the defect is
-a function of (lam, mu, gam, delta), and the product f_2 theta checks the
-division.  delta is stored as the canonical representative of degree < r;
-any lift delta + f_2 * e also yields an isomorphism and is not enumerated.
+run on the one defect of (vi) whose quotient by f_2 is theta (a function of
+(lam, mu, gam, delta); the product f_2 theta checks the division) and on the
+one (III) line of its (lam, mu), read by the Horner shift that confirmed the
+pair.  delta is stored as the canonical representative of degree < r; any
+lift delta + f_2 * e also yields an isomorphism and is not enumerated.
 
 Obstructions carry the structural invariant they violate, so refutations
 are citable.
@@ -167,13 +168,6 @@ def fingerprint(spec: SurfaceSpec, factors: Optional[Factorization] = None) -> F
 # ---------------------------------------------------------------------------
 
 
-def _affine_x(p: Poly, lam: Scalar, mu: Scalar) -> Poly:
-    """p(lam X + mu) for p in K[X]."""
-    x = Poly.variable(p.field, ("X",), "X")
-    return substitute(p, {"X": x.scaled(lam) + Poly.const(p.field, ("X",), mu)},
-                      vars_out=("X",))
-
-
 def _roots_or_all(g: Optional[list], field, cap: int) -> Tuple[List[Scalar], bool]:
     """Nonzero roots of the dense monic g.  g identically zero (None or [])
     frees every value: over F_p its p - 1 values, refused past the cap before
@@ -197,6 +191,18 @@ def _roots_or_all(g: Optional[list], field, cap: int) -> Tuple[List[Scalar], boo
 def _transports(a: list, b: list, lam, mu, m: int) -> bool:
     """(III) at (lam, mu) for dense f_1 = a and f_2 = b: one Horner shift."""
     return affine_shift(a, mu, lam, m) == norm([lam ** (len(b) - 1) * c for c in b], m)
+
+
+def _transport_check(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
+                     u: Scalar) -> Check:
+    """The f-transport line of ``verify_iso``, (III) read by ``_transports``:
+    it depends on (lam, mu, u) alone, so every certificate of a pair shares it."""
+    m, a = s1.field.modulus, poly_to_dense(s1.f, "X")
+    ok = u == lam ** s1.r and _transports(a, poly_to_dense(s2.f, "X"), lam.value, mu.value, m)
+    detail = "" if ok else "lhs {} vs rhs {}".format(
+        dense_to_poly(affine_shift(a, mu.value, lam.value, m), s1.field, ("X",), "X"),
+        s2.f.scaled(u))
+    return Check("f-transport: f1(lam X + mu) = u f2(X), u = lam^r", "Thm 4.2(III)", ok, detail)
 
 
 def _row_gcd(rows, m: int) -> list:
@@ -461,6 +467,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     carries the delta search in the first case, else it is None."""
     field = s1.field
     m, d, f = field.modulus, s1.d, target.f
+    transport = _transport_check(s1, s2, lam, mu, lam ** s1.r)
     c1 = [divrem(affine_shift(row, mu.value, lam.value, m), f, m)[1] for row in rows1]
     if lifting is not None:
         # row j of the table, the T^k coefficients of Z^j in P_1(lam X + mu, Z + T),
@@ -488,7 +495,7 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
                     rows.append(row)
             for delta in lifting.deltas(rows):
                 certs.append(_assemble(s1, s2, lam, mu, Scalar(field, gam),
-                                       dense_to_poly(delta, field, ("X",), "X")))
+                                       dense_to_poly(delta, field, ("X",), "X"), transport))
         return certs, False
     # characteristic does not divide d: comparing Z^(d-1) coefficients gives
     # delta = delta_0 + gam delta_1 with delta_0 = -c1_(d-1)/d and
@@ -506,14 +513,14 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
         # exact check of the rows the gcd left unread
         delta = dense_to_poly(sub(delta0, [gamma.value * a for a in target.s], m),
                               field, ("X",), "X")
-        cert = _certificate(s1, s2, lam, mu, gamma, delta)
+        cert = _certificate(s1, s2, lam, mu, gamma, delta, transport)
         if cert is not None:
             certs.append(cert)
     return certs, gamma_free
 
 
 def _certificate(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                 gamma: Scalar, delta: Poly) -> Optional[IsoCertificate]:
+                 gamma: Scalar, delta: Poly, transport: Check) -> Optional[IsoCertificate]:
     """The certificate of (lam, mu, gamma, delta), None when (vi) leaves a
     remainder mod f_2; theta and the checks of ``verify_iso`` share one defect."""
     defect = _defect(s1, s2, lam, mu, gamma, delta)
@@ -521,7 +528,7 @@ def _certificate(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
     if not rem.is_zero:
         return None
     cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
-    report = _iso_report(cert, defect)
+    report = _iso_report(cert, defect, transport)
     if not report.ok:
         raise VerificationInternalError(
             "solver emitted a certificate that fails verification: "
@@ -530,9 +537,9 @@ def _certificate(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
 
 
 def _assemble(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-              gamma: Scalar, delta: Poly) -> IsoCertificate:
+              gamma: Scalar, delta: Poly, transport: Check) -> IsoCertificate:
     """The certificate of a solution; raises on a non-solution."""
-    cert = _certificate(s1, s2, lam, mu, gamma, delta)
+    cert = _certificate(s1, s2, lam, mu, gamma, delta, transport)
     if cert is None:
         raise VerificationInternalError("assembling a certificate from a non-solution")
     return cert
@@ -630,12 +637,13 @@ def _defect(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
 def verify_iso(cert: IsoCertificate) -> VerificationReport:
     """Re-check of a certificate from its own fields, as the solver checks the
     defect it divides for theta; passing implies the map is an isomorphism."""
-    return _iso_report(cert, _defect(cert.source, cert.target, cert.lam, cert.mu,
-                                     cert.gamma, cert.delta))
+    s1, s2 = cert.source, cert.target
+    return _iso_report(cert, _defect(s1, s2, cert.lam, cert.mu, cert.gamma, cert.delta),
+                       _transport_check(s1, s2, cert.lam, cert.mu, cert.u))
 
 
-def _iso_report(cert: IsoCertificate, defect: Poly) -> VerificationReport:
-    """The four checks of ``verify_iso``, (vi) read off ``defect``."""
+def _iso_report(cert: IsoCertificate, defect: Poly, transport: Check) -> VerificationReport:
+    """The four checks of ``verify_iso``: (III) is ``transport``, (vi) read off ``defect``."""
     s1, s2 = cert.source, cert.target
     checks = []
     ok_d = s1.d == s2.d
@@ -643,12 +651,7 @@ def _iso_report(cert: IsoCertificate, defect: Poly) -> VerificationReport:
                         "" if ok_d else f"{s1.d} vs {s2.d}"))
     ok_units = bool(cert.lam) and bool(cert.gamma) and bool(cert.u)
     checks.append(Check("units lambda, gamma, u nonzero", "Thm 4.1(i)", ok_units))
-    composed = _affine_x(s1.f, cert.lam, cert.mu)
-    rhs = s2.f.scaled(cert.u)
-    ok_f = composed == rhs and cert.u == cert.lam ** s1.r
-    checks.append(Check("f-transport: f1(lam X + mu) = u f2(X), u = lam^r",
-                        "Thm 4.2(III)", ok_f,
-                        "" if ok_f else f"lhs {composed} vs rhs {rhs}"))
+    checks.append(transport)
     difference = defect - s2.f.with_vars(("X", "Z")) * cert.theta_rem
     ok_p = difference.is_zero
     checks.append(Check(
@@ -675,31 +678,36 @@ def certificate_images(cert: IsoCertificate) -> Dict[str, SurfaceElement]:
 
 def invert_certificate(cert: IsoCertificate) -> IsoCertificate:
     """Certificate of T^{-1}; rebuilt from the inverse data and re-verified."""
+    s1, s2, m = cert.target, cert.source, cert.source.field.modulus
     lam_i = cert.lam.inverse()
     mu_i = -(lam_i * cert.mu)
     gam_i = cert.gamma.inverse()
-    shifted = _affine_x(cert.delta, lam_i, mu_i)
-    delta_i = divmod_in(shifted.scaled(-gam_i), cert.source.f, "X")[1]
-    return _assemble(cert.target, cert.source, lam_i, mu_i, gam_i, delta_i)
+    shifted = affine_shift(poly_to_dense(cert.delta, "X"), mu_i.value, lam_i.value, m)
+    delta_i = divrem([-gam_i.value * c for c in shifted], poly_to_dense(s2.f, "X"), m)[1]
+    return _assemble(s1, s2, lam_i, mu_i, gam_i, dense_to_poly(delta_i, s1.field, ("X",), "X"),
+                     _transport_check(s1, s2, lam_i, mu_i, lam_i ** s1.r))
 
 
 def compose_certificates(second: IsoCertificate, first: IsoCertificate) -> IsoCertificate:
     """Certificate of second o first (apply ``first``, then ``second``)."""
     if first.target != second.source:
         raise PreconditionError("certificates do not compose: endpoint mismatch")
+    s1, s2, m = first.source, second.target, first.source.field.modulus
     lam = first.lam * second.lam
     mu = first.lam * second.mu + first.mu
     gamma = first.gamma * second.gamma
-    d1_shift = _affine_x(first.delta, second.lam, second.mu)
-    delta = divmod_in(second.delta.scaled(first.gamma) + d1_shift,
-                      second.target.f, "X")[1]
-    return _assemble(first.source, second.target, lam, mu, gamma, delta)
+    d1_shift = affine_shift(poly_to_dense(first.delta, "X"), second.mu.value, second.lam.value, m)
+    delta = divrem(add([first.gamma.value * c for c in poly_to_dense(second.delta, "X")],
+                       d1_shift, m), poly_to_dense(s2.f, "X"), m)[1]
+    return _assemble(s1, s2, lam, mu, gamma, dense_to_poly(delta, s1.field, ("X",), "X"),
+                     _transport_check(s1, s2, lam, mu, lam ** s1.r))
 
 
 def identity_certificate(spec: SurfaceSpec) -> IsoCertificate:
     one = Scalar(spec.field, 1)
     zero = Scalar(spec.field, 0)
-    return _assemble(spec, spec, one, zero, one, Poly.zero(spec.field, ("X",)))
+    return _assemble(spec, spec, one, zero, one, Poly.zero(spec.field, ("X",)),
+                     _transport_check(spec, spec, one, zero, one))
 
 
 def automorphisms(spec: SurfaceSpec, cap: int = DEFAULT_CAP) -> List[IsoCertificate]:

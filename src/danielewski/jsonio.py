@@ -69,9 +69,14 @@ def element_to_doc(e: SurfaceElement) -> dict:
 
 def element_from_doc(doc: dict, spec: SurfaceSpec) -> SurfaceElement:
     def build():
-        aux = tuple(_require(doc, "aux", "element")) if "aux" in doc else ()
+        aux = _require(doc, "aux", "element") if "aux" in doc else []
         coeffs_doc = _require(doc, "coeffs", "element")
-        vars_c = ("X", "Z") + tuple(aux)
+        if not isinstance(aux, list):
+            raise InputError(f"element 'aux' must be a list, got {aux!r}")
+        if not isinstance(coeffs_doc, dict):
+            raise InputError(f"element 'coeffs' must be an object, got {coeffs_doc!r}")
+        aux = tuple(aux)
+        vars_c = ("X", "Z") + aux
         coeffs: Dict[int, Poly] = {}
         for key, text in coeffs_doc.items():
             coeffs[int(key)] = parse_poly(text, spec.field, vars_c)

@@ -463,14 +463,9 @@ class Poly:
         if len(packed) == 1:  # (c*m)^e = c^e * m^e
             (key, c), = packed.items()
             return Poly._raw(self.field, self.vars, {key * e: self.field.pow(c, e)})
-        result = Poly.one(self.field, self.vars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if not e:
+            return Poly.one(self.field, self.vars)
+        return _cached_power({1: self}, e)
 
     def mul_var_power(self, var: str, k: int) -> "Poly":
         """Multiply by var**k (exponent shift, no coefficient work)."""

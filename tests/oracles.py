@@ -5,9 +5,10 @@ determinant oracle is plain cofactor expansion; over a small prime field
 the isomorphism oracles try every (lambda, mu) pair by substitution, with
 no Taylor rows or gcd, every (gamma, delta) pair for one (lambda, mu), with
 no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
-through verify_iso alone, and verify_iso against a verifier that compares
-both sides of congruence (vi), where the library's reads one defect it
-shares with the solver; the stepwise normal form rewrites one
+through verify_iso alone, and verify_iso against a verifier that
+substitutes f_1 for (III) and compares both sides of congruence (vi), where
+the library's reads (III) off the search's Horner shift and (vi) off one
+defect it shares with the solver; the stepwise normal form rewrites one
 term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and V5 of a stable-isomorphism
@@ -56,11 +57,11 @@ from typing import List, Optional
 from danielewski import (IsoCertificate, Poly, Scalar, apply_map, canonical_expmap,
                          divide_by_x, exact_div, verify_iso)
 from danielewski.cancel import UNCHECKED_STEPS, _deduced
-from danielewski.dense import add, deg, divrem, gcd, mul, norm, pow_mod, sub
+from danielewski.dense import add, deg, divrem, gcd, mul, norm, sub
 from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariableError
 from danielewski.factor import gcd_univariate
 from danielewski.fields import FieldKind, q_norm
-from danielewski.isomorph import _affine_x, certificate_images
+from danielewski.isomorph import certificate_images
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, poly_str
 from danielewski.poly import divmod_in, substitute
 from danielewski.reports import Check, VerificationReport
@@ -172,7 +173,12 @@ def _fp_edf_odd(f, k, p, rng: random.Random) -> List[List[int]]:
         g = gcd(r, f, p)
         if 0 < deg(g) < n:
             break
-        s = pow_mod(r, half, f, p)
+        s, base, e = [1], r, half          # s = r^half mod f
+        while e:
+            if e & 1:
+                s = divrem(mul(s, base, p), f, p)[1]
+            base = divrem(mul(base, base, p), f, p)[1]
+            e >>= 1
         g = gcd(sub(s, [1], p), f, p)
         if 0 < deg(g) < n:
             break
@@ -274,10 +280,19 @@ def cert_key(cert):
             cert.delta.sort_key())
 
 
+def _affine_x(p: Poly, lam: Scalar, mu: Scalar) -> Poly:
+    """p(lam X + mu) for p in K[X], by sparse substitution."""
+    x = Poly.variable(p.field, ("X",), "X")
+    return substitute(p, {"X": x.scaled(lam) + Poly.const(p.field, ("X",), mu)},
+                      vars_out=("X",))
+
+
 def verify_iso_by_substitution(cert: IsoCertificate) -> VerificationReport:
-    """The four checks of ``verify_iso``, (vi) evaluated on its own: P_1
-    substituted and compared with gam^d P_2 + f_2 theta, built separately,
-    where the library reads (vi) off one defect it shares with the solver."""
+    """The four checks of ``verify_iso``, (III) and (vi) evaluated on their
+    own: f_1 and P_1 substituted sparsely, and P_1 compared with
+    gam^d P_2 + f_2 theta, built separately, where the library reads (III)
+    off the search's Horner shift and (vi) off one defect it shares with the
+    solver."""
     s1, s2 = cert.source, cert.target
     checks = []
     ok_d = s1.d == s2.d

@@ -237,6 +237,55 @@ def test_cancel_build_refusal_is_explained_by_one_resultant(capsys, monkeypatch)
                    "  [FAIL] (P, P_Z) = (1) [Eq (10)]: Res_Z(P, P_Z) = 0\n")
 
 
+_READERS = {
+    "surface": (("surface", "info", "--surface"), None),
+    "left": (("iso", "decide", "--right", "{good}", "--left"), None),
+    "iso": (("iso", "verify", "--cert"),
+            ("iso", "decide", "--left", "{good}", "--right", "{good}", "--json")),
+    "expmap": (("expmap", "verify", "--cert"),
+               ("expmap", "canonical", "--field", "F2", "--f", "X^2+X", "--phi", "Z^2",
+                "--json")),
+    "cancel": (("cancel", "verify", "--cert"),
+               ("cancel", "build", "--field", "Q", "--f", "X^3-X^2", "--phi", "Z^2+1",
+                "--json")),
+}
+
+
+@pytest.mark.parametrize("reader, path, value", [
+    ("surface", ("field",), 7),
+    ("surface", ("field",), None),
+    ("left", ("field",), 7),
+    ("iso", ("source", "field"), 7),
+    ("expmap", ("surface", "field"), None),
+    ("cancel", ("surfaceA", "field"), 7),
+    ("cancel", ("surfaceB", "field"), None),
+    ("cancel", ("s", "coeffs"), ["Z"]),
+    ("cancel", ("s", "coeffs"), None),
+    ("cancel", ("s", "aux"), "vU"),
+])
+def test_documents_with_wrong_json_types_exit_2(capsys, tmp_path, ex45_path, reader, path,
+                                                value):
+    # a field tag, coeffs or aux of the wrong JSON type is malformed input
+    argv, build = ([a.replace("{good}", ex45_path) for a in args] if args else args
+                   for args in _READERS[reader])
+    if build is None:
+        doc = json.loads(open(ex45_path).read())
+    else:
+        code, out, _ = run(capsys, *build)
+        assert code == 0
+        doc = json.loads(out)
+        doc = doc["certificates"][0] if reader == "iso" else doc
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_family_demo(capsys):
     code, out, _ = run(capsys, "family", "demo", "--g", "X-1", "--phi", "Z^2+1",
                        "--field", "Q", "--from", "2", "--to", "4")

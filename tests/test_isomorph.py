@@ -10,11 +10,12 @@ from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
 from danielewski.errors import (FieldMismatchError, InfiniteFamilyError,
                                 SearchCapExceededError)
 from danielewski.isomorph import (DEFAULT_CAP, IsoCertificate, ObstructionKind,
-                                  _affine_candidates, _affine_x)
+                                  _affine_candidates)
 
 from conftest import random_poly, surf, swinnerton_dyer
-from oracles import (affine_pairs_by_enumeration, apply_certificate, brute_force_certificates,
-                     cert_key, exhaustive_gamma_delta, verify_iso_by_substitution)
+from oracles import (_affine_x, affine_pairs_by_enumeration, apply_certificate,
+                     brute_force_certificates, cert_key, exhaustive_gamma_delta,
+                     verify_iso_by_substitution)
 
 
 def test_fingerprint_examples():
@@ -730,14 +731,13 @@ def test_affine_and_gamma_solves_substitute_nothing(monkeypatch):
                           (QQ, "X^2*(X-1)", "Z^2+X*Z+1")):
         s = surf(field, f, phi)
         assert decide_isomorphism(s, s)
-    assert callers        # the defect of (vi) and the f-transport still substitute
-    assert not {"_affine_candidates", "_gamma_delta_solutions"} & set(callers)
+    assert set(callers) == {"_defect"}    # (III) is a Horner shift, (vi) one defect
 
 
-def test_two_substitutions_per_certificate(monkeypatch):
-    # the defect of (vi) and the f-transport (III), once each per
-    # certificate; an elimination candidate that the division of its
-    # defect refutes costs the defect alone
+def test_one_substitution_per_certificate(monkeypatch):
+    # the defect of (vi), once per certificate; (III) is a Horner shift, and
+    # an elimination candidate that the division of its defect refutes costs
+    # the defect alone
     from danielewski import isomorph
     rng = random.Random(8)
     pairs = []
@@ -768,9 +768,24 @@ def test_two_substitutions_per_certificate(monkeypatch):
         refuted.clear()
         result = decide()
         certs = [] if isinstance(result, Obstruction) else result
-        assert len(substitutions) == 2 * len(certs) + sum(refuted)
+        assert len(substitutions) == len(certs) + sum(refuted)
         total += sum(refuted)
     assert total >= 2
+
+
+@pytest.mark.parametrize("field, f, phi, pairs, count", [
+    (GF(7), "X^7-X", "Z^7+Z", 42, 252),
+    (GF(97), "X^12", "Z^12+1", 96, 1152),
+], ids=["F7", "F97"])
+def test_one_transport_line_per_affine_pair(monkeypatch, field, f, phi, pairs, count):
+    # (III) depends on (lam, mu) alone: every certificate of a pair shares
+    # the f-transport line built for it
+    from danielewski import isomorph
+    s = surf(field, f, phi)
+    assert len(_affine_candidates(s, s, DEFAULT_CAP)[0]) == pairs
+    lines = _count_calls(monkeypatch, isomorph, "_transport_check")
+    assert len(automorphisms(s)) == count
+    assert len(lines) == pairs
 
 
 def _same_iso_report(cert):
@@ -813,7 +828,13 @@ def test_verify_matches_substitution_oracle():
      "9c98fea521105c434f7be9443a6451a4898e9c596428a3585d44e6fb497ca2f0"),
     (GF(97), "X^12", "Z^12+1", 1152,
      "5ef34d58aea4d3252770b92e4b54b422591313db468f3315126ef330545f8ca1"),
-], ids=["F7", "F5", "F97"])
+    (GF(3), "X^9-X", "Z^9+Z^3+Z", 8748,
+     "a15c9a9057de8136ba8290c658d1a876bb1d13a5207d3ed8a436ebea5cda0f8c"),
+    (GF(11), "X^11-X", "Z^11+Z+X", 1100,
+     "1a351721856c2410d83f8c13c8b75e27048cdbea521cd37bd7f771f5209138bf"),
+    (GF(11), "X^11-X", "Z^11+Z", 1100,
+     "275bdaa3acebfce2340634c79580503408fcd673d53248823dca3a148d273a88"),
+], ids=["F7", "F5", "F97", "F3", "F11-X", "F11"])
 def test_automorphism_certificate_bytes_are_pinned(field, f, phi, count, digest):
     import hashlib
     certs = automorphisms(surf(field, f, phi))
