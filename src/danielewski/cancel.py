@@ -5,29 +5,28 @@ partner surface B replaces f by h = X^{n-1} g, and A[v] is a polynomial
 ring over a copy of B.  The construction is fully explicit:
 
     theta = h v + z
-    P(x, theta) = P(x, z) + h (v P_Z(x, z) + x corr)        (*)
-    s = x y + v P_Z(x, z) + x corr
+    s = x y + Q_h(v)                                         (*)
+    corr = (Q_h(v) - v P_Z(x, z)) / x
     a P_Z + b P = 1                                          (Bezout)
     w = (v - s a(x, theta)) / x
 
-where corr collects the t**k, k >= 2, terms of the expansion
-P(x, z + t) = sum e_k(x, z) t**k at t = h v, with the guaranteed factor
-x h pulled out: corr = sum_{k>=2} e_k v^k h^{k-2} X^{n-2} g.  The e_k are
-the Hasse derivatives of P in Z, e_k = sum_j C(j, k) p_j Z^(j-k) for
-P = sum_j p_j(X) Z^j, read off P's Z-coefficients in any characteristic
-(``Poly.hasse_derivative``); nothing is substituted.
+where Q_h(v) = (P(x, z + h v) - P(x, z)) / h = sum_{k>=1} e_k h^(k-1) v^k is
+the Taylor quotient of the canonical map, taken at (h, v) (``taylor_quotient``;
+the e_k are the Hasse derivatives of P in Z, read off its Z-coefficients).
+Its v^1 term is v P_Z and every later one carries h^(k-1), a multiple of X
+as n >= 2, so s = x y + v P_Z + x corr.
 
 The Bezout solve, one elimination per build or per family (whose links
 share P), is the test of (P, P_Z) = (1); the Res_Z(P, P_Z) it computes
-explains a refusal.  A build asserts Eq (8), h s = P(x, theta), once; (*),
-Eq (7), says the same in A, as h x = f and f y = P(x, z).  The verifier
-re-checks every identity the construction claims on the stored data alone,
-and names the two steps it takes on faith (the slice argument R = R^phi[w]
-and the surjectivity-between-equal-dimensions step).
-V1 reads comaximality off the exact identity of V3.  Of V5 it computes
-phi(theta) = theta and deduces phi(s) = s and phi(w) = w - U exactly from
-that, V2 and V4 (A[v][U] is a domain).  V6's z and v lines are the theta
-check and V4.  A family link is checked on its build's evaluations.
+explains a refusal.  A build asserts Eq (8), h s = P(x, theta), once; (*)
+says the same in A, as h x = f and f y = P(x, z).  The verifier re-checks
+every identity the construction claims on the stored data alone, and names
+the two steps it takes on faith (the slice argument R = R^phi[w] and the
+surjectivity-between-equal-dimensions step).  V1 reads comaximality off the
+exact identity of V3.  Of V5 it computes phi(theta) = theta, phi(v) being
+v - x U, and deduces phi(s) = s and phi(w) = w - U exactly from that, V2
+and V4 (A[v][U] is a domain).  V6's z and v lines are the theta check and
+V4.  A family link is checked on its build's evaluations.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import List, Tuple
 
 from .errors import (ComaximalityError, HypothesisError, PreconditionError,
                      SurfaceConstraintError, VerificationInternalError)
-from .expmap import apply_map, canonical_expmap
+from .expmap import canonical_expmap, taylor_quotient
 from .factor import Factorization, factor_univariate, gcd_univariate
 from .fields import FieldSpec, Scalar
 from .isomorph import Fingerprint, fingerprint, set_str
@@ -94,8 +93,8 @@ class StableIsoCertificate:
     spec_b: SurfaceSpec          # same P, h = X^{n-1} g
     h: Poly                      # over ("X",)
     theta: SurfaceElement        # h(x) v + z in A[v]
-    corr: SurfaceElement         # the k >= 2 correction term
-    s: SurfaceElement            # x y + v P_Z(x, z) + x corr
+    corr: SurfaceElement         # (Q_h(v) - v P_Z(x, z)) / x
+    s: SurfaceElement            # x y + Q_h(v) = x y + v P_Z(x, z) + x corr
     a: Poly                      # Bezout pair over ("X", "Z")
     b: Poly
     w: SurfaceElement            # (v - s a(x, theta)) / x
@@ -135,19 +134,13 @@ def _construct(spec_a: SurfaceSpec, a: Poly,
     h_el = spec_a.from_xz_poly(h.with_vars(("X", "Z")))
     theta = h_el * v_el + spec_a.z()
 
-    # corr = sum_(k >= 2) e_k v^k h^(k-2) X^(n-2) g, where X^(n-2) g = f / X^2
-    vars_c = ("X", "Z", "v")
-    h_c = h.with_vars(vars_c)
-    corr_poly = Poly.zero(field, vars_c)
-    h_power = exact_div(spec_a.f, Poly.monomial(field, ("X",), (2,))).with_vars(vars_c)
-    for k in range(2, spec_a.d + 1):
-        e_k = spec_a.P.hasse_derivative("Z", k).with_vars(vars_c)
-        corr_poly = corr_poly + (e_k * h_power).mul_var_power("v", k)
-        h_power = h_power * h_c
-    corr = spec_a.from_xz_poly(corr_poly)
-
-    x_el = spec_a.x()
-    s = x_el * spec_a.y() + v_el * spec_a.from_xz_poly(spec_a.P.derivative("Z")) + x_el * corr
+    # s = x y + Q_h(v); Q_h(v) - v P_Z drops Q's v^1 term e_1 v = v P_Z and
+    # keeps k >= 2, each with a factor h^(k-1), so X divides it (n >= 2)
+    q = taylor_quotient(spec_a.P, h, "v")
+    s = spec_a.x() * spec_a.y() + spec_a.from_xz_poly(q)
+    corr = divide_by_x(spec_a.from_xz_poly(q - q.coeff_in("v", 1).mul_var_power("v", 1)))
+    if corr is None:
+        raise VerificationInternalError("Q_h(v) - v P_Z not divisible by x")
     p_at_theta = eval_poly_on_elements(spec_a.P, {"Z": theta}, spec_a)
     sa = s * eval_poly_on_elements(a, {"Z": theta}, spec_a)
     w = divide_by_x(v_el - sa)
@@ -206,13 +199,14 @@ def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
     v4 = x_el * cert.w == v_el - sa
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
 
-    # V5: invariance under the extended canonical map (phi(v) = v - x U).
+    # V5: invariance under the canonical map with phi(v) = v - x U.
     # phi(theta) = theta is computed; the rest follows exactly, because phi
     # is a K-algebra map fixing x and A[v][U] is a domain (P is monic in Z,
     # so f Y - P is irreducible): V2 gives h phi(s) = P(x, theta) = h s, and
     # V4 then gives x phi(w) = (v - x U) - s a(x, theta) = x w - x U.
-    phi = canonical_expmap(spec)
-    theta_fixed = apply_map(phi, cert.theta, extended=True) == cert.theta
+    images = canonical_expmap(spec).images()
+    images["v"] = v_el - x_el * spec.generator("U")
+    theta_fixed = eval_poly_on_elements(cert.theta.raw_lift(), images, spec) == cert.theta
     premises = (("theta fixed", theta_fixed), ("h != 0", not cert.h.is_zero), ("V2", v2),
                 ("V4", v4))
     v5 = all(ok for _, ok in premises)

@@ -14,13 +14,15 @@ Commands (all batch, UTF-8 JSON in and out):
 
 Exit codes: 0 verified/positive, 1 refuted/negative, 2 malformed input,
 3 search-cap overflow, 4 internal error (a built object failed its own
-verification: a bug, never a refutation).
+verification: a bug, never a refutation), 141 (128 + SIGPIPE) when the
+reader of standard output closed it before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -51,6 +53,10 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to read") from exc
 
 
 def _surface_from_args(args) -> "SurfaceSpec":
@@ -75,11 +81,8 @@ def _emit(args, doc: dict, text_lines: List[str]) -> None:
             print(line)
 
 
-def _report_exit(args, report: VerificationReport, doc_extra: Optional[dict] = None) -> int:
-    doc = report.to_doc()
-    if doc_extra:
-        doc.update(doc_extra)
-    _emit(args, doc, report.lines())
+def _report_exit(args, report: VerificationReport) -> int:
+    _emit(args, report.to_doc(), report.lines())
     return 0 if report.ok else 1
 
 
@@ -420,8 +423,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+# 128 + SIGPIPE, the shell's code for a writer whose reader went away
+EXIT_BROKEN_PIPE = 141
+
+
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()      # inside the try: the last write may hit the closed pipe
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

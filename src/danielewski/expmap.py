@@ -18,10 +18,12 @@ y = P(x, z) / f(x) in the domain A (see ``verify_expmap``); it is computed
 only when one of them fails.  Verifying a map whose checks pass makes three
 substitutions, one that fails four.
 
-The canonical map fixes x, sends z to z + f(x) U, and sends y to the exact
-quotient that the relation forces.
+The canonical map fixes x and sends z to z + f(x) U and y to y + Q_f(U),
+with Q_g(T) = (P(x, z + g T) - P(x, z)) / g the Taylor quotient
+(``taylor_quotient``), which the stable-isomorphism construction takes at
+g = f / X.
 
-A map keeps its last application (element, mode, image, U-split) in one
+A map keeps its last application (element, image, U-split) in one
 private slot, so the higher derivation D_0(e), D_1(e), ... is read off a
 single phi(e), as in the paper, split by powers of U once.  It is a
 deterministic memo: the image and its split are never modified, the slot is
@@ -40,9 +42,8 @@ from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec, aux_coefficient, eval_poly_on_elements
 
 
-# a map's last application: (element, extended, image, {i: U**i slice} or None)
-_Applied = Tuple[SurfaceElement, bool, SurfaceElement,
-                 Optional[Dict[int, SurfaceElement]]]
+# a map's last application: (element, image, {i: U**i slice} or None)
+_Applied = Tuple[SurfaceElement, SurfaceElement, Optional[Dict[int, SurfaceElement]]]
 
 
 class VerifyStatus(enum.Enum):
@@ -59,8 +60,7 @@ class ExpMap:
     image_y: SurfaceElement
     status: VerifyStatus = VerifyStatus.UNVERIFIED
     reason: str = ""
-    # [(element, extended, image, U-split or None)] of the last application,
-    # or [None]
+    # [(element, image, U-split or None)] of the last application, or [None]
     _last: List[Optional[_Applied]] = dc_field(
         default_factory=lambda: [None], init=False, compare=False, repr=False)
 
@@ -91,7 +91,7 @@ class ExpMap:
             why = "; ".join(c.line() for c in report.failures())
             return replace(self, status=VerifyStatus.REFUTED, reason=why)
         marked = replace(self, status=VerifyStatus.VERIFIED, reason="")
-        if marked.is_nontrivial and not is_invariant(marked, marked.spec.x()):
+        if marked.is_nontrivial and marked.image_x != marked.spec.x():
             raise VerificationInternalError(
                 "verified nontrivial exponential map does not fix x")
         return marked
@@ -101,24 +101,32 @@ class ExpMap:
                 f" [{self.status.value}]")
 
 
-def canonical_expmap(spec: SurfaceSpec) -> ExpMap:
-    """The exponential map x -> x, z -> z + f(x) U, y -> y + (P(x, z + f U)
-    - P(x, z)) / f; verified before returning.
+def taylor_quotient(P: Poly, g: Poly, var: str) -> Poly:
+    """The Taylor quotient Q_g(T) = (P(X, Z + g T) - P(X, Z)) / g over
+    ("X", "Z", T), T named ``var``, for g in X.  With e_k the k-th Hasse
+    derivative of P in Z it is sum_(k >= 1) e_k g^(k-1) T^k, read off P's
+    Z-coefficients with no substitution or division (von zur Gathen &
+    Gerhard, ISSAC 1997); its Z-degree is below P's."""
+    vars3 = ("X", "Z", var)
+    g3 = g.with_vars(vars3)
+    quotient = Poly.zero(P.field, vars3)
+    g_power = Poly.one(P.field, vars3)           # g^(k-1)
+    for k in range(1, P.degree_in("Z") + 1):
+        if k > 1:
+            g_power = g_power * g3
+        e_k = P.hasse_derivative("Z", k).with_vars(vars3)
+        quotient = quotient + (e_k * g_power).mul_var_power(var, k)
+    return quotient
 
-    With e_k the k-th Hasse derivative of P in Z, P(x, z + f U) - P(x, z)
-    = sum_(k >= 1) e_k (f U)^k, so the quotient sum_(k >= 1) e_k f^(k-1) U^k
-    is read off P's Z-coefficients, with no substitution or division."""
+
+def canonical_expmap(spec: SurfaceSpec) -> ExpMap:
+    """The exponential map x -> x, z -> z + f(x) U, y -> y + Q_f(U);
+    verified before returning."""
     field = spec.field
     vars3 = ("X", "Z", "U")
-    f3 = spec.f.with_vars(vars3)
-    quotient = Poly.zero(field, vars3)
-    f_power = Poly.one(field, vars3)             # f^(k-1)
-    for k in range(1, spec.d + 1):
-        e_k = spec.P.hasse_derivative("Z", k).with_vars(vars3)
-        quotient = quotient + (e_k * f_power).mul_var_power("U", k)
-        f_power = f_power * f3
-    image_y = spec.y() + spec.from_xz_poly(quotient)
-    z_shift = Poly.variable(field, vars3, "Z") + f3 * Poly.variable(field, vars3, "U")
+    image_y = spec.y() + spec.from_xz_poly(taylor_quotient(spec.P, spec.f, "U"))
+    z_shift = (Poly.variable(field, vars3, "Z")
+               + spec.f.with_vars(vars3) * Poly.variable(field, vars3, "U"))
     m = ExpMap(spec, spec.x(), spec.from_xz_poly(z_shift), image_y).verified()
     if m.status is not VerifyStatus.VERIFIED:
         raise VerificationInternalError(f"canonical map failed verification: {m.reason}")
@@ -208,38 +216,29 @@ def _shift_u_by_v(img: SurfaceElement) -> SurfaceElement:
     return SurfaceElement._of(img.spec, Poly._raw(nf.field, nf.vars, terms))
 
 
-def apply_map(m: ExpMap, e: SurfaceElement, extended: bool = False) -> SurfaceElement:
-    """phi(e) in A[U]; with ``extended`` the map also sends the adjoined
-    variable v to v - x U (the A[v] extension used by the stable-isomorphism
-    construction)."""
-    return _application(m, e, extended)[2]
+def apply_map(m: ExpMap, e: SurfaceElement) -> SurfaceElement:
+    """phi(e) in A[U], for an element e of A."""
+    return _application(m, e)[1]
 
 
-def _application(m: ExpMap, e: SurfaceElement, extended: bool) -> _Applied:
-    """The slot entry (e, extended, phi(e), U-split or None) for e, applying
-    phi when the slot holds another element or mode."""
+def _application(m: ExpMap, e: SurfaceElement) -> _Applied:
+    """The slot entry (e, phi(e), U-split or None) for e, applying phi when
+    the slot holds another element."""
     if m.status is not VerifyStatus.VERIFIED:
         raise PreconditionError("refusing to apply an unverified exponential map")
-    allowed = ("v",) if extended else ()
-    if any(a not in allowed for a in e.aux):
-        raise PreconditionError(
-            f"element has auxiliary variables {e.aux}; "
-            + ("only v is allowed in extended mode" if extended else "none allowed"))
+    if e.aux:
+        raise PreconditionError(f"element has auxiliary variables {e.aux}; none allowed")
     last = m._last[0]
-    if last is not None and last[1] == extended and last[0] == e:
+    if last is not None and last[0] == e:
         return last
-    images = m.images()
-    if extended:
-        spec = m.spec
-        images["v"] = spec.generator("v") - spec.x() * spec.generator("U")
-    last = (e, extended, eval_poly_on_elements(e.raw_lift(), images, m.spec), None)
+    last = (e, eval_poly_on_elements(e.raw_lift(), m.images(), m.spec), None)
     m._last[0] = last
     return last
 
 
-def phi_degree(m: ExpMap, e: SurfaceElement, extended: bool = False):
+def phi_degree(m: ExpMap, e: SurfaceElement):
     """U-degree of phi(e); -inf for e = 0."""
-    a = apply_map(m, e, extended=extended)
+    a = apply_map(m, e)
     if a.is_zero:
         return NEG_INF
     if "U" not in a.aux:
@@ -254,11 +253,11 @@ def derivation_coeff(m: ExpMap, e: SurfaceElement, i: int) -> SurfaceElement:
     of U once and kept in the slot beside the image."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise PreconditionError(f"derivation index must be a nonnegative integer, got {i!r}")
-    last = _application(m, e, False)
-    split = last[3]
+    last = _application(m, e)
+    split = last[2]
     if split is None:
-        split = _split_by_u(last[2])
-        m._last[0] = last[:3] + (split,)
+        split = _split_by_u(last[1])
+        m._last[0] = last[:2] + (split,)
     return split[i] if i in split else m.spec.zero()
 
 
@@ -272,8 +271,8 @@ def _split_by_u(a: SurfaceElement) -> Dict[int, SurfaceElement]:
             for i, c in nf.coefficients_in("U").items()}
 
 
-def is_invariant(m: ExpMap, e: SurfaceElement, extended: bool = False) -> bool:
-    return apply_map(m, e, extended=extended) == e
+def is_invariant(m: ExpMap, e: SurfaceElement) -> bool:
+    return apply_map(m, e) == e
 
 
 def conjugate(m: ExpMap, cert) -> ExpMap:

@@ -56,7 +56,10 @@ Input budget, checked before anything is expanded, each refusal a
 - a polynomial product, or a multiply or squaring step of a power, that
   would form more than ``MAX_TERM_PRODUCTS`` products of terms, or, over
   Q, whose operands' widest coefficients together pass
-  ``MAX_CONSTANT_BITS`` bits.
+  ``MAX_CONSTANT_BITS`` bits;
+- parentheses nested more than ``MAX_NESTING`` levels deep, refused at the
+  ``(`` past the budget, so the descent stays far from the interpreter's
+  recursion limit (a chain of unary minus signs is read in a loop).
 
 All of them sit far above desk scale: over two benchmark rounds at seeds
 7 and 11, no parsed polynomial passes total degree 49 or 30-bit
@@ -79,6 +82,7 @@ from .poly import SLOT, SLOT_MASK, Poly, unit_key
 MAX_DEGREE = 256
 MAX_CONSTANT_BITS = 2**13
 MAX_TERM_PRODUCTS = 2**18
+MAX_NESTING = 64
 
 # the digits of 2^(MAX_CONSTANT_BITS + 1): any constant a product may form
 # prints within them, and no literal may have more
@@ -119,6 +123,7 @@ class _Parser:
         self.unit = {v: unit_key(len(vars), i) for i, v in enumerate(vars)}
         self.degree_shift = SLOT * len(vars)
         self.p = field.modulus if field.kind is FieldKind.PRIME else 0
+        self.depth = 0          # open parentheses around the current token
         self.end = 0
         self.advance()
 
@@ -284,24 +289,26 @@ class _Parser:
         return x
 
     def factor(self):
-        if self.tok == "-":
+        negate = False
+        while self.tok == "-":      # '-' factor, read in a loop: no recursion
+            negate = not negate
             self.advance()
-            x = self.factor()
-            if type(x) is Poly:
-                return -x
-            return ((-x[0]) % self.p if self.p else -x[0], x[1])
         x = self.base()
-        if self.tok != "^":
+        if self.tok == "^":
+            self.advance()
+            at = self.at
+            if not self.tok.isdigit():
+                raise PolyParseError("exponent must be an integer literal", at)
+            e = self.literal()
+            self.advance()
+            if e >= 2**31:
+                raise PolyParseError("exponent beyond 2**31", at)
+            x = self._power(x, e, at)
+        if not negate:
             return x
-        self.advance()
-        at = self.at
-        if not self.tok.isdigit():
-            raise PolyParseError("exponent must be an integer literal", at)
-        e = self.literal()
-        self.advance()
-        if e >= 2**31:
-            raise PolyParseError("exponent beyond 2**31", at)
-        return self._power(x, e, at)
+        if type(x) is Poly:
+            return -x
+        return ((-x[0]) % self.p if self.p else -x[0], x[1])
 
     def _power(self, x, e: int, at: int):
         if e == 0:
@@ -365,9 +372,14 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {tok!r}", at)
             return (1, unit)
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than the input budget "
+                                     f"of {MAX_NESTING} levels", at)
+            self.depth += 1
             x = self.expr()
             if self.tok != ")":
                 raise PolyParseError("expected ')'", self.at)
+            self.depth -= 1
             self.advance()
             return x
         raise PolyParseError(f"unexpected {tok!r}" if tok else "unexpected end of input", at)

@@ -54,7 +54,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from danielewski import (IsoCertificate, Poly, Scalar, apply_map, canonical_expmap,
+from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap,
                          divide_by_x, exact_div, verify_iso)
 from danielewski.cancel import UNCHECKED_STEPS, _deduced
 from danielewski.dense import add, deg, divrem, gcd, mul, norm, sub
@@ -62,7 +62,7 @@ from danielewski.errors import ComaximalityError, PolyParseError, UnknownVariabl
 from danielewski.factor import gcd_univariate
 from danielewski.fields import FieldKind, q_norm
 from danielewski.isomorph import certificate_images
-from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, poly_str
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING, poly_str
 from danielewski.poly import divmod_in, substitute
 from danielewski.reports import Check, VerificationReport
 from danielewski.resultant import det_bareiss, resultant_in, sylvester_matrix
@@ -419,13 +419,18 @@ def corr_by_division(cert) -> Optional[SurfaceElement]:
     return divide_by_x(SurfaceElement(cert.spec_a, num.aux, out))
 
 
+def _extended_images(spec):
+    """The canonical map's generator images with v -> v - x U."""
+    m = canonical_expmap(spec)
+    return {"X": m.image_x, "Y": m.image_y, "Z": m.image_z,
+            "v": spec.generator("v") - spec.x() * spec.generator("U")}
+
+
 def v5_by_application(cert):
     """(phi(theta) = theta, phi(s) = s, phi(w) = w - U) for the extended
     canonical map (phi(v) = v - x U), each computed by applying phi."""
     spec = cert.spec_a
-    m = canonical_expmap(spec)
-    images = {"X": m.image_x, "Y": m.image_y, "Z": m.image_z,
-              "v": spec.generator("v") - spec.x() * spec.generator("U")}
+    images = _extended_images(spec)
 
     def phi(e):
         return eval_by_horner(e.raw_lift(), images, spec)
@@ -481,8 +486,8 @@ def verify_stable_iso_by_evaluation(cert) -> VerificationReport:
     # is a K-algebra map fixing x and A[v][U] is a domain (P is monic in Z,
     # so f Y - P is irreducible): V2 gives h phi(s) = P(x, theta) = h s, and
     # V4 then gives x phi(w) = (v - x U) - s a(x, theta) = x w - x U.
-    phi = canonical_expmap(spec)
-    theta_fixed = apply_map(phi, cert.theta, extended=True) == cert.theta
+    theta_fixed = (eval_poly_on_elements(cert.theta.raw_lift(), _extended_images(spec), spec)
+                   == cert.theta)
     premises = (("theta fixed", theta_fixed), ("h != 0", not cert.h.is_zero), ("V2", v2),
                 ("V4", v4))
     v5 = all(ok for _, ok in premises)
@@ -645,6 +650,7 @@ class _ProductParser:
         self.pos = 0
         self.field = field
         self.vars = vars
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -740,8 +746,13 @@ class _ProductParser:
                 raise PolyParseError(f"unknown variable {val!r}", at)
             return Poly.variable(self.field, self.vars, val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than the input budget "
+                                     f"of {MAX_NESTING} levels", at)
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise PolyParseError(f"unexpected {val!r}" if val else "unexpected end of input", at)
 
@@ -750,8 +761,8 @@ def parse_by_products(text, field, vars):
     """The recursive-descent parser that builds every factor as a ``Poly``
     and every product with ``Poly.__mul__``; same grammar, errors, positions,
     degree budget, literal budget and constant-power budget as
-    ``parsing.parse_poly``, no work budget and no budget on constant
-    products."""
+    ``parsing.parse_poly``, the same nesting budget, no work budget and no
+    budget on constant products."""
     return _ProductParser(text, field, tuple(vars)).parse()
 
 

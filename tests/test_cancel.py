@@ -334,13 +334,16 @@ def test_each_identity_is_evaluated_once_per_path(monkeypatch):
     calls = _counted_evaluations(monkeypatch)
     cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
     assert calls == [cert.spec_a.P, cert.a]
+    # V5 evaluates theta on the canonical map's images with v -> v - x U
     calls.clear()
-    assert verify_stable_iso(cert).ok and calls == [cert.spec_a.P, cert.a]
+    assert verify_stable_iso(cert).ok
+    assert calls == [cert.spec_a.P, cert.a, cert.theta.raw_lift()]
     calls.clear()
     fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                        parse_poly("(Z+X)^5-1", QQ, ("X", "Z")), 2, 5)
     assert fam.ok and len(fam.chain) == 3
-    assert calls == [fam.surfaces[0].P, cert.a] * 3
+    assert calls == [p for link in fam.chain
+                     for p in (fam.surfaces[0].P, cert.a, link.certificate.theta.raw_lift())]
 
 
 def test_a_corrupted_evaluation_fails_build_and_family(monkeypatch):

@@ -12,7 +12,7 @@ from danielewski import GF, QQ, cancel, cli, resultant
 from danielewski.cli import main, paper_examples
 from danielewski.errors import UnknownVariableError, VerificationInternalError
 from danielewski.jsonio import dumps, surface_to_doc
-from danielewski.parsing import MAX_CONSTANT_BITS
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_NESTING
 
 from conftest import D_ODD_PRIMES, surf, swinnerton_dyer
 
@@ -468,3 +468,126 @@ def test_iso_decide_baseline_f7(capsys, tmp_path):
     path.write_text(dumps(surface_to_doc(surf(GF(7), "X^7*(X+1)", "Z^7+Z+X"))))
     code, out, _ = run(capsys, "iso", "decide", "--left", str(path), "--right", str(path))
     assert code == 0 and "6 certificate(s)" in out
+
+
+def test_a_closed_pipe_exits_141_without_traceback(tmp_path):
+    # the F97 corner prints 374 KB of certificates; the reader takes one line
+    path = tmp_path / "f97.json"
+    path.write_text(dumps(surface_to_doc(surf(GF(97), "X^12", "Z^12+1"))))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen([sys.executable, "-m", "danielewski", "iso", "decide", "--json",
+                           "--left", str(path), "--right", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=30)
+    assert code == cli.EXIT_BROKEN_PIPE == 141 and err == b""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff{}", "is not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000, "nests too deeply to read"),
+], ids=["undecodable", "deeply-nested"])
+def test_unreadable_documents_exit_2(capsys, tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "iso", "verify", "--cert", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} {message}") and err.count("\n") == 1
+
+
+def test_deeply_nested_expressions_exit_2(capsys, tmp_path):
+    deep = "(" * 250 + "X^2" + ")" * 250
+    path = tmp_path / "deep.json"
+    path.write_text(dumps({"field": "Q", "f": deep, "phi": "Z^2+1"}))
+    for argv in (("--field", "Q", "--f", deep, "--phi", "Z^2+1"), ("--surface", str(path))):
+        code, out, err = run(capsys, "surface", "info", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"input budget of {MAX_NESTING} levels" in err
+
+
+# -- seeded document fuzz -----------------------------------------------------------
+
+_FUZZ_VALUES = (
+    # wrong JSON types
+    None, 7, -1, 2.5, True, [], {}, ["Z"], {"X": 1},
+    # bad field tags
+    "F4", "F1", "F0", "F", "Q2", "G2", "f2", "F-3", "",
+    # unknown variables
+    "W", "X*W", "v", "U^2", "Y", "x",
+    # huge exponents and constants, past the input budgets
+    "X^257", "Z^100000", "X^2147483648", "(Z+X+1)^257", "2^100000", "9" * 5000,
+    # malformed and deeply nested expressions
+    "(", "X+", "1/0", "X^-1", "(" * 300 + "X" + ")" * 300, "-" * 3000 + "X",
+)
+
+_FUZZ_FILES = (b"\xff{}", b"[" * 100000 + b"]" * 100000, b"", b"null", b"[]", b"{}",
+               b'"text"', b"{" * 50, "{\"field\": \"Qé\"}".encode())
+
+
+def _fuzz_documents(capsys, tmp_path):
+    """(argv before the document path, a valid document) for each reader."""
+    surface = surface_to_doc(surf(GF(2), "X^2+X", "Z^2"))
+    good = tmp_path / "good.json"
+    good.write_text(dumps(surface))
+    built = {}
+    for name, argv in (
+            ("iso", ("iso", "decide", "--left", str(good), "--right", str(good), "--json")),
+            ("expmap", ("expmap", "canonical", "--field", "F3", "--f", "X^2+X",
+                        "--phi", "Z^3-Z+X", "--json")),
+            ("stable", ("cancel", "build", "--field", "Q", "--f", "X^3-X^2",
+                        "--phi", "Z^2+1", "--json"))):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        built[name] = json.loads(out)
+    return [
+        (("surface", "info", "--surface"), surface),
+        (("iso", "decide", "--right", str(good), "--left"), surface),
+        (("iso", "verify", "--cert"), built["iso"]["certificates"][0]),
+        (("expmap", "verify", "--cert"), built["expmap"]),
+        (("cancel", "verify", "--cert"), built["stable"]),
+    ]
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _mutated(rng, doc):
+    """A copy of doc with one value replaced or one key deleted."""
+    doc = json.loads(json.dumps(doc))
+    path, _ = rng.choice(list(_nodes(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(_FUZZ_VALUES)
+    return doc
+
+
+def test_mutated_documents_exit_with_a_documented_code(capsys, tmp_path):
+    import random
+    rng = random.Random(26)
+    readers = _fuzz_documents(capsys, tmp_path)
+    inputs = [(argv, content) for argv, _ in readers for content in _FUZZ_FILES]
+    for _ in range(800):
+        argv, doc = rng.choice(readers)
+        inputs.append((argv, json.dumps(_mutated(rng, doc)).encode()))
+    path = tmp_path / "fuzz.json"
+    for argv, content in inputs:
+        path.write_bytes(content)
+        code, out, err = run(capsys, *argv, str(path))
+        case = (argv, content[:200])
+        assert code in (0, 1, 2, 3, 4), case
+        assert "Traceback" not in out + err, case
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1, (case, err)

@@ -218,7 +218,7 @@ def test_derivation_index_must_be_a_nonnegative_int(surfaces):
     assert derivation_coeff(m, spec.z(), 0) == spec.z()
 
 
-def test_slot_keeps_status_and_mode_checks(surfaces):
+def test_slot_keeps_status_and_aux_checks(surfaces):
     spec = surfaces[1]
     m = canonical_expmap(spec)
     e = spec.z() * spec.y()
@@ -236,14 +236,11 @@ def test_slot_keeps_status_and_mode_checks(surfaces):
     assert refuted.status is VerifyStatus.REFUTED
     with pytest.raises(PreconditionError):
         apply_map(refuted, e)
-    # an element with v is refused in plain mode after an extended-mode call
-    ev = e * spec.generator("v")
-    extended = apply_map(m, ev, extended=True)
-    with pytest.raises(PreconditionError, match="auxiliary"):
-        apply_map(m, ev)
-    assert apply_map(m, ev, extended=True) == extended
-    # an element without v has one image in both modes
-    assert apply_map(m, e, extended=True) == apply_map(m, e)
+    # an element with an auxiliary variable is refused, and the slot kept
+    for aux in ("v", "U"):
+        with pytest.raises(PreconditionError, match="auxiliary"):
+            apply_map(m, e * spec.generator(aux))
+    assert m._last[0][0] == e
 
 
 def test_slot_is_outside_equality_and_repr(surfaces):

@@ -6,7 +6,7 @@ import pytest
 
 from danielewski import GF, QQ, Poly, parse_poly, parse_scalar, poly_str
 from danielewski.errors import PolyParseError
-from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_TERM_PRODUCTS
+from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERM_PRODUCTS
 
 from conftest import random_poly
 
@@ -237,6 +237,34 @@ def test_work_budget_refuses_large_products():
     side = "+".join(f"X^{i}*Z^{j}" for i in range(16) for j in range(16))
     assert len(parse_poly(f"({side})*({side})", QQ, V2).terms) == 31 * 31
     assert 256 * 256 <= MAX_TERM_PRODUCTS
+
+
+def test_nesting_budget_refuses_at_the_parenthesis_past_it():
+    from oracles import parse_by_products
+    V2 = ("X", "Z")
+    deepest = "(" * MAX_NESTING + "X^2" + ")" * MAX_NESTING
+    assert parse_poly(deepest, QQ, V2) == parse_poly("X^2", QQ, V2)
+    # the depth is of open parentheses, not of all parentheses read
+    assert parse_poly(" + ".join([deepest] * 3), GF(5), V2) == parse_poly("3*X^2", GF(5), V2)
+    for n in (MAX_NESTING + 1, 250, 100000):
+        for prefix in ("", "Z - 2*"):
+            text = prefix + "(" * n + "X^2" + ")" * n
+            for parse in (parse_poly, parse_by_products):
+                with pytest.raises(PolyParseError, match=f"budget of {MAX_NESTING} levels") as err:
+                    parse(text, QQ, V2)
+                assert err.value.position == len(prefix) + MAX_NESTING, (parse, n)
+
+
+def test_a_chain_of_unary_minus_signs_is_read_without_recursion():
+    V2 = ("X", "Z")
+    for n in (1, 2, 5000, 5001):
+        sign = "-" if n % 2 else ""
+        assert parse_poly("-" * n + "X^2", QQ, V2) == parse_poly(sign + "X^2", QQ, V2)
+        assert (parse_poly("Z*" + "-" * n + "(X+1)^2", GF(7), V2)
+                == parse_poly(sign + "Z*(X+1)^2", GF(7), V2))
+    with pytest.raises(PolyParseError, match="unexpected end of input") as err:
+        parse_poly("-" * 5000, QQ, V2)
+    assert err.value.position == 5000
 
 
 def test_canonical_sum_needs_no_polynomial_product(monkeypatch, rng):
