@@ -16,6 +16,9 @@ Exit codes: 0 verified/positive, 1 refuted/negative, 2 malformed input,
 3 search-cap overflow, 4 internal error (a built object failed its own
 verification: a bug, never a refutation), 141 (128 + SIGPIPE) when the
 reader of standard output closed it before the output was written.
+
+Each command builds only the form it prints: the JSON document with
+--json, the text lines without.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from .cancel import build_stable_iso, sigma_family, verify_stable_iso
 from .errors import (ComaximalityError, DanielewskiError, FieldMismatchError,
@@ -73,16 +76,17 @@ def _surface_from_args(args) -> "SurfaceSpec":
         raise InputError(str(exc)) from exc
 
 
-def _emit(args, doc: dict, text_lines: List[str]) -> None:
+def _emit(args, doc: Callable[[], dict], lines: Callable[[], Iterable[str]]) -> None:
+    """Build and print the form --json selects; the other is never built."""
     if args.json:
-        print(dumps(doc))
+        print(dumps(doc()))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
 
 
 def _report_exit(args, report: VerificationReport) -> int:
-    _emit(args, report.to_doc(), report.lines())
+    _emit(args, report.to_doc, report.lines)
     return 0 if report.ok else 1
 
 
@@ -96,42 +100,40 @@ def _cmd_surface_info(args) -> int:
     smooth = smoothness_check(spec)
     f_in_u = Poly._raw(spec.field, ("U",), spec.f.packed)   # one variable: same keys
     graded = f"({poly_str(f_in_u)}) * V = W^{spec.d}"
-    fiber_docs = []
-    fiber_lines = []
-    for root in dict.fromkeys(f_factors.roots()):
-        rep = fiber(spec, root)
-        factors = str(rep.factors)
-        fiber_docs.append({"point": str(rep.point), "kind": rep.kind.value,
-                           "factors": factors,
-                           "closure_lines": rep.closure_lines})
-        extra = (f", {rep.closure_lines} lines over the closure"
-                 if rep.closure_lines is not None else "")
-        fiber_lines.append(f"  fiber over x = {rep.point}: {rep.kind.value}, "
-                           f"P({rep.point}, Z) = {factors}{extra}")
-    doc = {
-        "surface": surface_to_doc(spec),
-        "r": spec.r, "d": spec.d, "n": spec.n,
-        "fingerprint": {"multiplicities": list(fp.multiplicities),
-                        "degrees": list(fp.degrees)},
-        "smooth": smooth.smooth,
-        "witness": None if smooth.witness is None else poly_str(smooth.witness),
-        "resultant": poly_str(smooth.resultant),
-        "graded": graded,
-        "fibers_over_rational_roots": fiber_docs,
-    }
-    lines = [
-        f"surface over {spec.field.tag()}: f = {poly_str(spec.f)}, phi = {poly_str(spec.P)}",
-        f"r = {spec.r}, d = {spec.d}, n (multiplicity of root 0 in f) = {spec.n}",
-        f"fingerprint: multiplicities {set_str(fp.multiplicities)}, "
-        f"factor degrees {set_str(fp.degrees)}",
-        f"smooth (every exceptional fiber reduced): {smooth.smooth}"
-        + ("" if smooth.witness is None else f", witness {poly_str(smooth.witness)}"),
-        f"Res_Z(P, P_Z) = {poly_str(smooth.resultant)}",
-        f"associated graded surface: {graded}",
-    ]
-    if fiber_lines:
-        lines.append(f"exceptional fibers over the {spec.field.tag()}-rational roots of f:")
-        lines.extend(fiber_lines)
+    fibers = [fiber(spec, root) for root in dict.fromkeys(f_factors.roots())]
+
+    def doc():
+        return {
+            "surface": surface_to_doc(spec),
+            "r": spec.r, "d": spec.d, "n": spec.n,
+            "fingerprint": {"multiplicities": list(fp.multiplicities),
+                            "degrees": list(fp.degrees)},
+            "smooth": smooth.smooth,
+            "witness": None if smooth.witness is None else poly_str(smooth.witness),
+            "resultant": poly_str(smooth.resultant),
+            "graded": graded,
+            "fibers_over_rational_roots": [
+                {"point": str(rep.point), "kind": rep.kind.value, "factors": str(rep.factors),
+                 "closure_lines": rep.closure_lines} for rep in fibers],
+        }
+
+    def lines():
+        yield f"surface over {spec.field.tag()}: f = {poly_str(spec.f)}, phi = {poly_str(spec.P)}"
+        yield f"r = {spec.r}, d = {spec.d}, n (multiplicity of root 0 in f) = {spec.n}"
+        yield (f"fingerprint: multiplicities {set_str(fp.multiplicities)}, "
+               f"factor degrees {set_str(fp.degrees)}")
+        yield (f"smooth (every exceptional fiber reduced): {smooth.smooth}"
+               + ("" if smooth.witness is None else f", witness {poly_str(smooth.witness)}"))
+        yield f"Res_Z(P, P_Z) = {poly_str(smooth.resultant)}"
+        yield f"associated graded surface: {graded}"
+        if fibers:
+            yield f"exceptional fibers over the {spec.field.tag()}-rational roots of f:"
+        for rep in fibers:
+            extra = (f", {rep.closure_lines} lines over the closure"
+                     if rep.closure_lines is not None else "")
+            yield (f"  fiber over x = {rep.point}: {rep.kind.value}, "
+                   f"P({rep.point}, Z) = {rep.factors}{extra}")
+
     _emit(args, doc, lines)
     return 0
 
@@ -139,8 +141,7 @@ def _cmd_surface_info(args) -> int:
 def _cmd_expmap_canonical(args) -> int:
     spec = _surface_from_args(args)
     m = canonical_expmap(spec)
-    doc = expmap_to_doc(m)
-    _emit(args, doc, [
+    _emit(args, lambda: expmap_to_doc(m), lambda: [
         "canonical exponential map (verified):",
         f"  x -> {m.image_x}",
         f"  z -> {m.image_z}",
@@ -160,20 +161,19 @@ def _cmd_iso_decide(args) -> int:
     try:
         result = decide_isomorphism(s1, s2, cap=args.cap)
     except InfiniteFamilyError as exc:
-        doc = {"isomorphic": True, "family": exc.parameter,
-               "representatives": [iso_to_doc(c) for c in (exc.representative or [])]}
-        _emit(args, doc, [
-            f"isomorphic, with an infinite certificate family (free parameter: {exc.parameter})",
-            *(f"  representative: {c}" for c in (exc.representative or [])),
-        ])
+        family, reps = exc.parameter, exc.representative or []
+        _emit(args, lambda: {"isomorphic": True, "family": family,
+                             "representatives": [iso_to_doc(c) for c in reps]},
+              lambda: [f"isomorphic, with an infinite certificate family "
+                       f"(free parameter: {family})",
+                       *(f"  representative: {c}" for c in reps)])
         return 0
     if isinstance(result, Obstruction):
-        _emit(args, {"isomorphic": False, "obstruction": obstruction_to_doc(result)},
-              [f"not isomorphic: {result}"])
+        _emit(args, lambda: {"isomorphic": False, "obstruction": obstruction_to_doc(result)},
+              lambda: [f"not isomorphic: {result}"])
         return 1
-    doc = {"isomorphic": True, "certificates": [iso_to_doc(c) for c in result]}
-    _emit(args, doc, [f"isomorphic: {len(result)} certificate(s)",
-                      *(f"  {c}" for c in result)])
+    _emit(args, lambda: {"isomorphic": True, "certificates": [iso_to_doc(c) for c in result]},
+          lambda: [f"isomorphic: {len(result)} certificate(s)", *(f"  {c}" for c in result)])
     return 0
 
 
@@ -188,11 +188,10 @@ def _cmd_cancel_build(args) -> int:
         cert = build_stable_iso(spec)
     except HypothesisError as exc:
         checks = exc.report.checks()
-        _emit(args, {"ok": False, "checks": [c.__dict__ for c in checks]},
-              ["hypotheses fail:"] + ["  " + c.line() for c in checks])
+        _emit(args, lambda: {"ok": False, "checks": [c.__dict__ for c in checks]},
+              lambda: ["hypotheses fail:"] + ["  " + c.line() for c in checks])
         return 1
-    doc = stable_to_doc(cert)
-    _emit(args, doc, [
+    _emit(args, lambda: stable_to_doc(cert), lambda: [
         f"stable-isomorphism certificate for f = {poly_str(spec.f)}:",
         f"  partner surface: f = {poly_str(cert.spec_b.f)} (same phi)",
         f"  h = {poly_str(cert.h)}",
@@ -229,17 +228,19 @@ def _cmd_family_demo(args) -> int:
         report = sigma_family(field, g, P, args.n_from, args.n_to)
     except SurfaceConstraintError as exc:  # malformed g; comaximality stays a refusal
         raise InputError(str(exc)) from exc
-    doc = family_to_doc(report)
-    lines = [f"family A_n = K[X,Y,Z]/(X^n*({args.g})*Y - ({args.phi})), "
-             f"n in [{args.n_from}, {args.n_to}] over {args.field}"]
-    for i, j, verdict in report.nonisomorphic:
-        lines.append(f"  A_{args.n_from + i} vs A_{args.n_from + j}: {verdict}")
-    for link in report.chain:
-        lines.append(f"  chain {poly_str(link.upper.f)} ~ {poly_str(link.lower.f)}: "
-                     f"{'VERIFIED' if link.report.ok else 'REFUTED'}")
-    lines.append("family verdict: pairwise non-isomorphic, stably isomorphic"
-                 if report.ok else "family verdict: FAILED")
-    _emit(args, doc, lines)
+
+    def lines():
+        yield (f"family A_n = K[X,Y,Z]/(X^n*({args.g})*Y - ({args.phi})), "
+               f"n in [{args.n_from}, {args.n_to}] over {args.field}")
+        for i, j, verdict in report.nonisomorphic:
+            yield f"  A_{args.n_from + i} vs A_{args.n_from + j}: {verdict}"
+        for link in report.chain:
+            yield (f"  chain {poly_str(link.upper.f)} ~ {poly_str(link.lower.f)}: "
+                   f"{'VERIFIED' if link.report.ok else 'REFUTED'}")
+        yield ("family verdict: pairwise non-isomorphic, stably isomorphic"
+               if report.ok else "family verdict: FAILED")
+
+    _emit(args, lambda: family_to_doc(report), lines)
     return 0 if report.ok else 1
 
 

@@ -66,7 +66,7 @@ from .dense import (Fp, Fq, add, affine_shift, dense_to_poly, divrem, gcd, hasse
                     inv, mul, norm, poly_to_dense, sub, xgcd, z_rows)
 from .factor import Factorization, factor_univariate, roots_in_field
 from .fields import FieldKind, Scalar
-from .poly import NEG_INF, Poly, divmod_in, substitute
+from .poly import NEG_INF, Poly, divmod_in, exact_div, substitute
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec
 
@@ -729,7 +729,6 @@ def _x_scaling_hypothesis(spec: SurfaceSpec) -> bool:
     """f = X^n g(X), n >= 2, and g has no root of multiplicity n."""
     if spec.n < 2:
         return False
-    from .poly import exact_div
     g = exact_div(spec.f, Poly.monomial(spec.field, ("X",), (spec.n,)))
     if g.total_degree() == 0:
         return True

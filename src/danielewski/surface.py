@@ -510,7 +510,7 @@ def smoothness_check(spec: SurfaceSpec) -> SmoothnessReport:
         res = Poly.zero(spec.field, ("X",))
     else:
         res = resultant_in(spec.P, Pz, "Z").with_vars(("X",))
-    g = gcd_univariate(spec.f, res.with_vars(("X",)))
+    g = gcd_univariate(spec.f, res)
     if g.total_degree() == 0:
         return SmoothnessReport(True, None, res)
     return SmoothnessReport(False, squarefree_part(g), res)

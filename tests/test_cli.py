@@ -8,11 +8,14 @@ from decimal import Decimal
 
 import pytest
 
-from danielewski import GF, QQ, cancel, cli, resultant
+from danielewski import (GF, QQ, IsoCertificate, build_stable_iso, cancel, canonical_expmap,
+                         cli, decide_isomorphism, resultant)
 from danielewski.cli import main, paper_examples
 from danielewski.errors import UnknownVariableError, VerificationInternalError
-from danielewski.jsonio import dumps, surface_to_doc
+from danielewski.jsonio import (dumps, expmap_to_doc, iso_to_doc, stable_to_doc,
+                                surface_to_doc)
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_NESTING
+from danielewski.reports import VerificationReport
 
 from conftest import D_ODD_PRIMES, surf, swinnerton_dyer
 
@@ -460,6 +463,124 @@ def test_json_output_is_byte_identical(capsys):
     assert out1 == out2
     assert (hashlib.sha256(out1.encode()).hexdigest()
             == "7f37041bcff33df0c82ea4c2ed1388b070097ebd02c97d6d3e18b1b40f50c429")
+
+
+def _pinned_argv(tmp_path):
+    """The command lines of `PINNED`; the documents they read go under tmp_path."""
+    def write(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(doc))
+        return str(path)
+
+    f7 = surf(GF(7), "X^7*(X+1)", "Z^7+Z+X")
+    f7_path = write("f7", surface_to_doc(f7))
+    ex45 = write("ex45", surface_to_doc(surf(GF(2), "X^2+X", "Z^2")))
+    other = write("other", surface_to_doc(surf(GF(2), "X^2*(X+1)", "Z^2")))
+    square = write("square", surface_to_doc(surf(QQ, "X^2", "Z^2+1")))
+    expmap_doc = expmap_to_doc(canonical_expmap(surf(GF(2), "X^2+X", "Z^2")))
+    q_cubic = ("--field", "Q", "--f", "X^3-X^2", "--phi", "Z^2+1")
+    return {
+        "surface-info-Q": ("surface", "info", *q_cubic),
+        "surface-info-F7": ("surface", "info", "--surface", f7_path),
+        "expmap-canonical": ("expmap", "canonical", "--field", "F2", "--f", "X^2+X",
+                             "--phi", "Z^2"),
+        "expmap-verify": ("expmap", "verify", "--cert", write("expmap", expmap_doc)),
+        "expmap-verify-refuted": ("expmap", "verify", "--cert",
+                                  write("expmap-bad", dict(expmap_doc, y="Y + U"))),
+        "iso-decide-certificates": ("iso", "decide", "--left", f7_path, "--right", f7_path),
+        "iso-decide-obstruction": ("iso", "decide", "--left", ex45, "--right", other),
+        "iso-decide-family": ("iso", "decide", "--left", square, "--right", square),
+        "iso-verify": ("iso", "verify", "--cert",
+                       write("iso", iso_to_doc(decide_isomorphism(f7, f7)[0]))),
+        "cancel-build": ("cancel", "build", *q_cubic),
+        "cancel-build-refused": ("cancel", "build", "--field", "Q", "--f", "X^3-X^2",
+                                 "--phi", "Z^2"),
+        "cancel-verify": ("cancel", "verify", "--cert", write(
+            "stable", stable_to_doc(build_stable_iso(surf(QQ, "X^3-X^2", "Z^2+1"))))),
+        "family-demo": ("family", "demo", "--g", "X-1", "--phi", "Z^2+1", "--field", "Q",
+                        "--from", "2", "--to", "4"),
+        "paper-examples": ("paper-examples",),
+    }
+
+
+# exit code, then the sha256 of stdout in text and with --json; recorded at 46bf284
+PINNED = {
+    "surface-info-Q": (0,
+        "a3e3ed422d8159183b662333233863de98809813c121ebd16b452b95ff5c78e8",
+        "c51958545cea573354a6e4e7a451b520d4162a9cc457da9c2f21844faba16d64"),
+    "surface-info-F7": (0,
+        "7c4acbe3ef53098abc64e6c8f1e8fd8ba4658bf9539ccd86d98e5db70b706e77",
+        "36d94e0dfa8e8d756486cf744cf36401bdb430d5c637cbc20df8bb1eb5f81275"),
+    "expmap-canonical": (0,
+        "a130ee6080192a84078ccf24555fe55c0e787454a8865d26f7a065cfcdb63f86",
+        "3ce8178dfcc3693e043328dcdaf2e82d5833f88e0a4613d5aebfbc4c98380977"),
+    "expmap-verify": (0,
+        "7ad5fdf69bdd36e15d3631bbe3151d3472a64bcbb869747353a2d92b87c1e67b",
+        "73c0ba05a5937e03bac0cfd77cd303e1748999c1af5aceb4603c091ff1ea4954"),
+    "expmap-verify-refuted": (1,
+        "96c1067374da3f97212df07c37e2daa8cb87ba6434ff5028f4ccec3f1fba5062",
+        "6156ccbb4af46eb6cfac565c9f9483ac56328209ddc36ecaacd0712e9c9646dd"),
+    "iso-decide-certificates": (0,
+        "52628977bf4123d4bcd32a35a221aff1aaf929e2e1d1b931e08929df862b28b9",
+        "e380b08b7885150b25a78bcfb17cc09b545b28ee47146e9db185cfa872331ada"),
+    "iso-decide-obstruction": (1,
+        "32d2298d4a96fd693e9306e135b94242c6b202b70ab8f884dd30e76d1e843b8b",
+        "f1fd1de7b419877bb9e7d4b6175ca9a2871245cb558587a4413e2170fee4fcb6"),
+    "iso-decide-family": (0,
+        "05ad61d655ad8ba6dc8eec7b5dc3542c6bf7e3601738e829ba66790064e00a92",
+        "e978f51bb8542056352efa89f425758cbec6fb72c1da516055bab3a56910965a"),
+    "iso-verify": (0,
+        "7e5777ffd1ce07bf119746d44d8c4fc868c7e17120841f4d58c66093f295cd0c",
+        "20af117c2ab8b16ed7736888a0f867ae26534a3433e32e89cc0148486a0c72c3"),
+    "cancel-build": (0,
+        "f56338f4359d5a3d3b400c1079302e11475217db2b44f0f63f40077051532b60",
+        "f4eb2e6d43d9cbaec5da9f88081bb73edf6990a395517ba5d85878d232709844"),
+    "cancel-build-refused": (1,
+        "c9fed5957edb97c18e989eaad52e5f2b1c644f87bee8f8ac7f23bf98945a5e4f",
+        "ab41fffe53906a4a030876ee781cf0a2cc7e51e8c3eb3fdd8e2fca45786237df"),
+    "cancel-verify": (0,
+        "0267693e6e462b3f0075229e5298581666377e670f683b8973662f29121eed39",
+        "a21d46c8b16c5794ad159c892828e0cd0eaadc1afefbc90cfefd7f17297ec858"),
+    "family-demo": (0,
+        "c82cc794dd534b42df6145437ae37c07f096591b4068d5fe3b09fecd47284cd2",
+        "47d354fed7ed782242a93e180053f49f1572c4c64182dd68e9dd2e5e32d5eb63"),
+    "paper-examples": (0,
+        "a84d6599b17c480f171489acd7d4919522758ec7a53614c4d5d023419a084cc6",
+        "7f37041bcff33df0c82ea4c2ed1388b070097ebd02c97d6d3e18b1b40f50c429"),
+}
+
+
+def _run_pinned(capsys, tmp_path, name, form):
+    argv = _pinned_argv(tmp_path)[name] + (("--json",) if form == "json" else ())
+    code, out, err = run(capsys, *argv)
+    expected_code, text_sha, json_sha = PINNED[name]
+    assert err == "" and code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == (json_sha if form == "json"
+                                                         else text_sha)
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_every_command_prints_pinned_bytes(capsys, tmp_path, name, form):
+    _run_pinned(capsys, tmp_path, name, form)
+
+
+def _not_this_form(*args, **kwargs):
+    raise AssertionError("built output for the form that was not asked for")
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_each_form_builds_only_itself(capsys, monkeypatch, tmp_path, name, form):
+    if form == "text":
+        for writer in ("iso_to_doc", "obstruction_to_doc", "stable_to_doc",
+                       "expmap_to_doc", "family_to_doc", "surface_to_doc"):
+            monkeypatch.setattr(cli, writer, _not_this_form)
+        monkeypatch.setattr(VerificationReport, "to_doc", _not_this_form)
+    else:   # obstructions, elements and checks also print into the reports' details
+        monkeypatch.setattr(IsoCertificate, "__str__", _not_this_form)
+        monkeypatch.setattr(VerificationReport, "lines", _not_this_form)
+    _run_pinned(capsys, tmp_path, name, form)
 
 
 def test_iso_decide_baseline_f7(capsys, tmp_path):
