@@ -16,16 +16,18 @@ the e_k are the Hasse derivatives of P in Z, read off its Z-coefficients).
 Its v^1 term is v P_Z and every later one carries h^(k-1), a multiple of X
 as n >= 2, so s = x y + v P_Z + x corr.
 
-The Bezout solve, one elimination per build or per family (whose links
-share P), is the test of (P, P_Z) = (1); the Res_Z(P, P_Z) it computes
-explains a refusal.  A build asserts Eq (8), h s = P(x, theta), once; (*)
-says the same in A, as h x = f and f y = P(x, z).  The verifier re-checks
-every identity the construction claims on the stored data alone, and names
-the two steps it takes on faith (the slice argument R = R^phi[w] and the
-surjectivity-between-equal-dimensions step).  V1 reads comaximality off the
-exact identity of V3.  Of V5 it computes phi(theta) = theta, phi(v) being
-v - x U, and deduces phi(s) = s and phi(w) = w - U exactly from that, V2
-and V4 (A[v][U] is a domain).  V6's z and v lines are the theta check and
+The Bezout solve, one per build or per family (whose links share P), is the
+test of (P, P_Z) = (1), and the Res_Z(P, P_Z) it finds explains a refusal.
+Over Q every comaximal P is a translate Q(Z + h(X)), solved by one
+univariate extended gcd; a non-translate over F_p, or p | deg_Z P, runs one
+elimination (``resultant``).  A build asserts Eq (8), h s = P(x, theta),
+once; (*) says the same in A, as h x = f and f y = P(x, z).  The verifier
+re-checks every identity the construction claims on the stored data alone,
+and names the two steps it takes on faith (the slice argument R = R^phi[w]
+and the surjectivity-between-equal-dimensions step).  V1 reads comaximality
+off the exact identity of V3.  Of V5 it computes phi(theta) = theta, phi(v)
+being v - x U, and deduces phi(s) = s and phi(w) = w - U exactly from that,
+V2 and V4 (A[v][U] is a domain).  V6's z and v lines are the theta check and
 V4.  A family link is checked on its build's evaluations.
 """
 

@@ -4,7 +4,8 @@ One kernel does all dense arithmetic over Z/m, where the modulus ``m`` is a
 prime p (int residues in [0, p) over F_p), p**k (inside the Hensel step,
 dividing only by monic polynomials) or 0 (exact arithmetic on raw Q values,
 ``int`` or ``Fraction``, or on Z); callers pass ``field.modulus``, which is
-0 for Q.  ``hasse`` is its one Taylor routine.
+0 for Q.  Its Taylor routines are ``hasse``, the Taylor coefficients, and
+``shift``, the Taylor shift by a polynomial in another variable.
 
 Over a finite field, root finding and the equal-degree split are written
 once (``FiniteField``), for two fields: ``Fp``, whose elements are ints and
@@ -18,10 +19,11 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DanielewskiError
-from .fields import FieldSpec, q_inv
+from .fields import FieldSpec, q_inv, q_norm
 from .poly import SLOT_MASK, Poly, unit_key
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,24 @@ def xgcd(f, g, m):
     return monic(r0, m), mul(s0, lead_inv, m), mul(t0, lead_inv, m)
 
 
+def resultant(f: List, g: List, m):
+    """Res(f, g) of nonzero f and g over a field (m = p, or 0 for Q) by
+    Euclid's algorithm: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+    Res(g, r) with r = f mod g, and Res(f, c) = c^(deg f) for a constant c
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6)."""
+    res = 1
+    while len(g) > 1:
+        r = divrem(f, g, m)[1]
+        if not r:
+            return 0
+        if deg(f) * deg(g) % 2:
+            res = -res
+        res *= g[-1] ** (deg(f) - deg(r))
+        f, g = g, r
+    res *= g[0] ** deg(f)
+    return res % m if m else res
+
+
 def hasse(c: List, k: int, m) -> List:
     """The k-th Hasse derivative sum_(i >= k) C(i, k) c_i T^(i-k) of
     c = sum_i c_i T^i, so that c(Z + T) = sum_k hasse(c, k)(Z) T^k in every
@@ -142,6 +162,35 @@ def affine_shift(row: List, mu, lam, m) -> List:
             nxt[i + 1] += v * lam
         acc = norm(nxt, m)
     return acc
+
+
+def shift(rows: List[List], h: List, m) -> List[List]:
+    """The rows of c(Z + h) for c = sum_k rows[k] Z^k, where the rows and h
+    are dense polynomials in another variable: n - 1 passes of synthetic
+    division by Z - h, rows[j] += h rows[j + 1] from the top down, in
+    place (von zur Gathen & Gerhard, ISSAC 1997).  Over F_p each factor is
+    reduced as it is read, so the sums stay small until the last ``norm``;
+    over Q the rows are shifted times their common denominator, on ints
+    when h is integral."""
+    den = 1 if m else math.lcm(*(c.denominator for r in rows for c in r))
+    a = [[c.numerator * (den // c.denominator) for c in r] if den > 1 else list(r)
+         for r in rows]
+    n = len(a)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            src, dst = a[j + 1], a[j]
+            if not src:
+                continue
+            dst.extend([0] * (len(src) + len(h) - 1 - len(dst)))
+            for s, u in enumerate(src):
+                if m:
+                    u %= m
+                if u:
+                    for t, v in enumerate(h, s):
+                        dst[t] += u * v
+    if den > 1:
+        a = [[q_norm(Fraction(c, den)) for c in r] for r in a]
+    return [norm(r, m) for r in a]
 
 
 def horner(row: List, x: List, modulus: List, m) -> List:
@@ -383,13 +432,27 @@ def dense_to_poly(dense, field: FieldSpec, vars: Tuple[str, ...], var: str) -> P
     return Poly._raw(field, vars, terms)
 
 
-def z_rows(P: Poly) -> List[List]:
-    """The coefficients c_k(X) of Z^k in P over (X, Z), k = 0 .. deg_Z P, as
-    dense lists."""
-    x_off, z_off = P.slot("X")[0], P.slot("Z")[0]
-    rows: List[List] = [[] for _ in range(P.degree_in("Z") + 1)]
+def z_rows(P: Poly, x: str = "X", z: str = "Z") -> List[List]:
+    """The coefficients c_k(x) of z^k in P, k = 0 .. deg_z P, as dense
+    lists; P uses no variable but x and z."""
+    x_off, z_off = P.slot(x)[0], P.slot(z)[0]
+    rows: List[List] = [[] for _ in range(P.degree_in(z) + 1)]
     for key, c in P.packed.items():
         i, row = (key >> x_off) & SLOT_MASK, rows[(key >> z_off) & SLOT_MASK]
         row.extend([0] * (i + 1 - len(row)))
         row[i] = c
     return rows
+
+
+def from_z_rows(rows: List[List], field: FieldSpec, vars: Tuple[str, ...], x: str = "X",
+                z: str = "Z") -> Poly:
+    """sum_k rows[k](x) z^k over ``vars``, the inverse of ``z_rows``."""
+    vars = tuple(vars)
+    ux, uz = unit_key(len(vars), vars.index(x)), unit_key(len(vars), vars.index(z))
+    terms = {}
+    for k, row in enumerate(rows):
+        for i, c in enumerate(row):
+            raw = field.coerce(c)
+            if raw != 0:
+                terms[i * ux + k * uz] = raw
+    return Poly._raw(field, vars, terms)

@@ -13,10 +13,13 @@ three exact symbolic checks:
 maps U -> 0, U -> V and U -> U + V fix x, y and z, so they cannot change a
 normal form: they are read off each image's stored U-expansion (its U^0
 slice, the rename U -> V, and sum_j V^j H_j(g) with H_j the j-th Hasse
-derivative in U).  (A2) on y follows from the other checks, since
-y = P(x, z) / f(x) in the domain A (see ``verify_expmap``); it is computed
-only when one of them fails.  Verifying a map whose checks pass makes three
-substitutions, one that fails four.
+derivative in U).  (A2) on a generator that its image fixes, phi(g) = g,
+is read off that image, since both sides are g; the canonical map and
+every conjugate of it fix x.  (A2) on y follows from the other checks,
+since y = P(x, z) / f(x) in the domain A (see ``verify_expmap``); it is
+computed only when one of them fails.  Verifying a map that fixes x and
+passes its checks makes two substitutions, one that fails three; the
+identity map makes one.
 
 The canonical map fixes x and sends z to z + f(x) U and y to y + Q_f(U),
 with Q_g(T) = (P(x, z + g T) - P(x, z)) / g the Taylor quotient
@@ -142,6 +145,10 @@ def verify_expmap(m: ExpMap) -> VerificationReport:
     normal form: its U^0 slice, the rename U -> V, and the Taylor expansion
     sum_j V^j H_j(g) in the Hasse derivatives H_j in U.
 
+    When an image is its own generator, phi(g) = g, both sides of (A2) on g
+    are g: phi_V(phi_U(g)) = phi_V(g) = g = phi_(U+V)(g).  That law is read
+    off the image and not computed.
+
     When (W), the three (A1) checks and (A2) on x and z pass, (A2) on y
     passes too and is not computed:
 
@@ -180,8 +187,8 @@ def verify_expmap(m: ExpMap) -> VerificationReport:
     images_v = {var: _rename_u_to_v(img) for var, img in m.images().items()}
     for var, img in m.images().items():
         name = var.lower()
-        if var == "Y" and all(c.passed for c in checks):
-            ok, detail = True, ""       # implied by the checks above
+        if img._is_generator(var) or (var == "Y" and all(c.passed for c in checks)):
+            ok, detail = True, ""       # phi(g) = g, or implied by the checks above
         else:
             lhs = eval_poly_on_elements(img.raw_lift(), images_v, spec)
             rhs = _shift_u_by_v(img)

@@ -8,7 +8,8 @@ exit code 2.  Writers are deterministic: same object, same document.
 from __future__ import annotations
 
 import json
-from typing import Dict
+from json.encoder import encode_basestring_ascii as _escape
+from typing import Dict, List
 
 from .cancel import FamilyReport, StableIsoCertificate
 from .errors import DanielewskiError, InputError
@@ -21,7 +22,63 @@ from .surface import SurfaceElement, SurfaceSpec, make_surface, normal_form
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written
+    without the pure-Python encoder that ``indent`` selects.  Documents hold
+    dicts with str keys, lists, tuples, str, int, bool and None; anything
+    else, and any failure (a cycle, say), is left to ``json.dumps`` itself."""
+    out: List[str] = []
+    try:
+        _write(doc, "\n", out)
+    except (_Unwritable, TypeError, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(out)
+
+
+class _Unwritable(Exception):
+    """A value ``_write`` leaves to ``json.dumps``."""
+
+
+def _write(value, newline: str, out: List[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is the line
+    break and indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise _Unwritable
+            out.append(sep)
+            out.append(_escape(key))
+            out.append(": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise _Unwritable
 
 
 def _require(doc: dict, key: str, kind: str):

@@ -210,30 +210,38 @@ def _counting(monkeypatch, module, name):
 
 
 def test_one_elimination_per_P(capsys, monkeypatch, tmp_path):
-    """The Bezout solve is the only elimination: a build runs one, a verify
-    reads comaximality off V3, and a family solves once for its shared P."""
+    """One Bezout solve per P, and the only elimination is in it: a translate
+    P over Q is solved by one extended gcd, with no elimination; a verify
+    reads comaximality off V3; a family solves once for its shared P; a
+    non-translate over F3 runs one elimination."""
     eliminations = _counting(monkeypatch, resultant, "_bareiss")
     resultants = _counting(monkeypatch, cancel, "resultant_in")
+    solves = _counting(monkeypatch, cancel, "bezout_cofactors")
     code, out, _ = run(capsys, "cancel", "build", "--field", "Q", "--f", "X^3-X^2",
                        "--phi", "(Z+X)^5-1", "--json")
-    assert code == 0 and len(eliminations) == 1 and not resultants
+    assert code == 0 and len(solves) == 1 and not eliminations and not resultants
     path = tmp_path / "cert.json"
     path.write_text(out)
-    eliminations.clear()
+    solves.clear()
     code, out, _ = run(capsys, "cancel", "verify", "--cert", str(path))
-    assert code == 0 and "VERIFIED" in out and not eliminations
+    assert code == 0 and "VERIFIED" in out and not solves and not eliminations
     code, out, _ = run(capsys, "family", "demo", "--g", "X-1", "--phi", "(Z+X)^5-1",
                        "--field", "Q", "--from", "2", "--to", "4")
-    assert code == 0 and out.count("VERIFIED") == 2 and len(eliminations) == 1
+    assert code == 0 and out.count("VERIFIED") == 2 and len(solves) == 1
+    assert not eliminations
+    code, out, _ = run(capsys, "cancel", "build", "--field", "F3", "--f", "X^3+X^2",
+                       "--phi", "Z^4+X*Z+1", "--json")
+    assert code == 0 and len(solves) == 2 and len(eliminations) == 1 and not resultants
 
 
 def test_cancel_build_refusal_is_explained_by_one_resultant(capsys, monkeypatch):
-    # the refusal reports the Res_Z(P, P_Z) of the failed Bezout solve
+    # the refusal reports the Res_Z(P, P_Z) of the failed Bezout solve; a
+    # translate over Q is refused by its extended gcd, with no elimination
     eliminations = _counting(monkeypatch, resultant, "_bareiss")
     resultants = _counting(monkeypatch, cancel, "resultant_in")
     code, out, err = run(capsys, "cancel", "build", "--field", "Q", "--f", "X^3-X^2",
                          "--phi", "Z^2")
-    assert code == 1 and err == "" and len(eliminations) == 1 and not resultants
+    assert code == 1 and err == "" and not eliminations and not resultants
     assert out == ("hypotheses fail:\n"
                    "  [PASS] f has a double root at 0 [Thm 5.1 hypothesis]: "
                    "multiplicity of 0 in f is 2\n"
@@ -413,9 +421,10 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_failed_self_check_exits_4_without_traceback(capsys, monkeypatch):
+    # the elimination runs only for a non-translate, such as this one over F3
     monkeypatch.setattr(resultant, "exact_div", lambda a, b: None)
-    code, out, err = run(capsys, "cancel", "build", "--field", "Q",
-                         "--f", "X^3-X^2", "--phi", "Z^2+1")
+    code, out, err = run(capsys, "cancel", "build", "--field", "F3",
+                         "--f", "X^3+X^2", "--phi", "Z^4+X*Z+1")
     assert code == 4 and out == ""
     assert err == "internal error: Bareiss division failed; matrix entries corrupted\n"
 

@@ -417,23 +417,31 @@ def test_derivation_coeff_matches_aux_coefficient(rng):
                 assert derivation_coeff(m, e, i) == aux_coefficient(apply_map(m, e), "U", i)
 
 
-def test_verify_substitutes_three_times_and_four_on_failure(monkeypatch, surfaces):
+def test_verify_substitutes_twice_and_three_times_on_failure(monkeypatch, surfaces):
     # (W) and the left sides phi_V(phi_U(g)) are substitutions; U -> 0,
-    # U -> V and U -> U + V are read off the images.  The y law follows from
-    # the other checks, so phi_V(phi_U(y)) is substituted only when one fails
+    # U -> V and U -> U + V are read off the images.  The law on a fixed
+    # generator, phi(g) = g, is read off its image, and the y law follows
+    # from the other checks, so phi_V(phi_U(y)) is substituted only when one
+    # fails
     calls = []
     real = expmap.eval_poly_on_elements
     monkeypatch.setattr(expmap, "eval_poly_on_elements",
                         lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
     for spec in surfaces:
         m = canonical_expmap(spec)
-        for candidate in (m, ExpMap(spec, spec.x(), spec.z(), spec.y())):
+        for candidate, substitutions in ((m, 2), (ExpMap(spec, spec.x(), spec.z(), spec.y()), 1)):
             calls.clear()
             assert verify_expmap(candidate).ok
-            assert len(calls) == 3
+            assert len(calls) == substitutions
+            assert spec.x().raw_lift() not in calls
             assert candidate.image_y.raw_lift() not in calls
-        unshifted_y = ExpMap(spec, m.image_x, m.image_z, spec.y())   # (W) fails
+        shifted_y = ExpMap(spec, m.image_x, m.image_z, m.image_y + spec.generator("U"))
+        calls.clear()
+        report = verify_expmap(shifted_y)           # (W) fails
+        assert not report.checks[0].passed
+        assert len(calls) == 3 and calls[-1] == shifted_y.image_y.raw_lift()
+        unshifted_y = ExpMap(spec, m.image_x, m.image_z, spec.y())   # (W) fails, y fixed
         calls.clear()
         report = verify_expmap(unshifted_y)
-        assert not report.checks[0].passed
-        assert len(calls) == 4 and calls[-1] == spec.y().raw_lift()
+        assert not report.checks[0].passed and report.checks[-1].passed
+        assert len(calls) == 2 and spec.y().raw_lift() not in calls

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,51 @@ def test_dumps_deterministic(surfaces):
     a = dumps(surface_to_doc(surfaces[1]))
     b = dumps(surface_to_doc(surfaces[1]))
     assert a == b and a.startswith("{")
+
+
+def _reference(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_the_bytes_of_json_dumps(surfaces):
+    from danielewski import decide_isomorphism
+    from danielewski.isomorph import Obstruction
+    from danielewski.jsonio import obstruction_to_doc
+    docs = []
+    for spec in surfaces:
+        m = canonical_expmap(spec)
+        docs += [surface_to_doc(spec), element_to_doc(m.image_y), expmap_to_doc(m),
+                 verify_expmap(m).to_doc()]
+    docs += [iso_to_doc(c) for c in automorphisms(surfaces[2])]
+    obstruction = decide_isomorphism(surf(QQ, "X^2", "Z^2+1"), surf(QQ, "X^3", "Z^2+1"))
+    assert isinstance(obstruction, Obstruction)
+    docs.append({"isomorphic": False, "obstruction": obstruction_to_doc(obstruction)})
+    cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^3-1"))
+    docs += [stable_to_doc(cert), verify_stable_iso(cert).to_doc()]
+    docs.append(family_to_doc(sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
+                                           parse_poly("Z^2+1", QQ, ("X", "Z")), 2, 4)))
+    deep_list, deep_dict = [], {}
+    for depth in range(300):
+        deep_list, deep_dict = [deep_list, depth], {"k": deep_dict, "d": [depth]}
+    docs += [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]]], deep_list, deep_dict,
+             "", "été 日本 \U0001f600", "\x00\x01\x1f\x7f\"\\/\b\f\n\r\t",
+             "  \ud800", {"é": 1, "e": 2, "\x00": 3, "Z": 4, "": 5},
+             [None, True, False, 0, -1, 2 ** 80, -(3 ** 50)], ("tuple", ("in", "tuple")),
+             {"b": [1, {"a": None}], "a": ["x", ("y",)]}]
+    for doc in docs:
+        assert dumps(doc) == _reference(doc)
+
+
+def test_dumps_leaves_other_values_to_json_dumps():
+    for doc in ({"a": 1.5}, [float("nan"), float("inf"), -0.0], {1: "one", 2: "two"},
+                {"n": {True: 1, False: 2}}, [1, {"f": 2.0}]):
+        assert dumps(doc) == _reference(doc)
+    for doc in ({"a": object()}, {1: "one", "b": "two"}, [{"x": {2, 3}}]):
+        with pytest.raises(TypeError):
+            _reference(doc)
+        with pytest.raises(TypeError):
+            dumps(doc)
+    cycle = []
+    cycle.append(cycle)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps(cycle)

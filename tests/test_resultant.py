@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from danielewski import GF, QQ, Poly, bezout_cofactors, parse_poly, poly_str, resultant, resultant_in
+from danielewski import (GF, QQ, Poly, bezout_cofactors, parse_poly, poly_str, resultant,
+                         resultant_in, substitute)
 from danielewski.errors import ComaximalityError, VerificationInternalError
 from danielewski.resultant import det_bareiss, sylvester_matrix
 
@@ -100,8 +101,11 @@ def test_failed_bareiss_division_is_internal_error(monkeypatch):
     matrix = sylvester_matrix(q("Z^2+1"), q("2*Z"), "Z")
     with pytest.raises(VerificationInternalError, match="Bareiss division failed"):
         det_bareiss(matrix, QQ, V)
+    # a translate such as Z^2 + 1 is solved without elimination; a
+    # non-translate over F3 reaches it
+    P = parse_poly("Z^4 + X*Z + 1", GF(3), V)
     with pytest.raises(VerificationInternalError, match="Bareiss division failed"):
-        bezout_cofactors(q("Z^2+1"), q("2*Z"))
+        bezout_cofactors(P, P.derivative("Z"))
 
 
 def _monic_in_z(rng, field, m):
@@ -149,3 +153,100 @@ def test_bezout_matches_cramer_oracle(field):
             assert resultant_in(P, Pz, "Z") == sylvester, poly_str(P)
     assert seen["comaximal"] and seen["refused"]
     assert seen["degree drop"] or not p
+
+
+def _univariate(rng, field, m, monic=True):
+    """A random polynomial of degree m in Z alone over ("X", "Z")."""
+    terms = {(0, k): random_coeff(rng, field) for k in range(m)}
+    terms[(0, m)] = 1 if monic else rng.choice([c for c in range(1, 8)
+                                                if not field.modulus or c % field.modulus])
+    return Poly(field, V, terms)
+
+
+def _translate_corpus(field):
+    """Seeded (P, q, kind) over ("X", "Z"): translates P = Q(Z + h(X)) with
+    q = P_Z, with a translated q of any degree and with an arbitrary q,
+    among them squares (refused) and p | m; and non-translates with
+    q = P_Z, comaximal ones among them over F_p."""
+    rng = random.Random(f"translate|{field.tag()}")
+    p = field.modulus
+    Z = Poly.variable(field, V, "Z")
+    corpus = []
+    for _ in range(24):
+        m = rng.randint(2, 5)
+        if p and p <= 5 and rng.random() < 0.25:
+            m = p * rng.randint(1, 5 // p)
+        Q = _univariate(rng, field, m)
+        if rng.random() < 0.25:                   # a square factor: refused
+            linear = _univariate(rng, field, 1)
+            Q = linear * linear * _univariate(rng, field, max(m - 2, 0))
+        h = random_poly(rng, field, ("X",), max_exp=2, max_terms=3).with_vars(V)
+        shift = {"Z": Z + h}
+        P = substitute(Q, shift)
+        corpus.append((P, P.derivative("Z"), "translate"))
+        other = _univariate(rng, field, rng.randint(0, m + 2), monic=False)
+        corpus.append((P, substitute(other, shift), "translated q"))
+        corpus.append((P, random_poly(rng, field, V, max_exp=2, max_terms=3, nonzero=True),
+                       "arbitrary q"))
+    for _ in range(12):
+        P = _monic_in_z(rng, field, rng.randint(2, 5))
+        corpus.append((P, P.derivative("Z"), "non-translate"))
+    if p:
+        # comaximal, with p | m: P_Z = 1; and comaximal, yet no translate
+        P = parse_poly(f"(Z + X)^{p} + Z + X + 1", field, V)
+        corpus.append((P, P.derivative("Z"), "translate"))
+        P = parse_poly(f"Z^{p + 1} + X*Z + 1", field, V)
+        corpus.append((P, P.derivative("Z"), "non-translate"))
+    if p == 2:
+        corpus.append((parse_poly("Z^3 + 1", field, V), Poly.one(field, V), "translated q"))
+    return corpus
+
+
+def _solve(P, q):
+    try:
+        return bezout_cofactors(P, q), None
+    except ComaximalityError as exc:
+        return None, (str(exc), exc.resultant)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=lambda f: f.tag())
+def test_translation_matches_elimination_and_cramer(field, monkeypatch):
+    """The pair by translation is the matrix path's and Cramer's; a refusal
+    carries the message and the resultant that ``resultant_in`` gives, and
+    that resultant is the Sylvester determinant."""
+    p = field.modulus
+    seen = set()
+    for P, q, kind in _translate_corpus(field):
+        if q.is_zero:
+            continue
+        m = P.degree_in("Z")
+        translated = resultant._translated(P, q, "Z") is not None
+        if kind != "arbitrary q":
+            assert translated == (not p or m % p != 0) or kind == "non-translate", poly_str(P)
+        got, got_error = _solve(P, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(resultant, "_translated", lambda *args: None)
+            by_matrix, matrix_error = _solve(P, q)
+            res_by_matrix = resultant_in(P, q, "Z")
+        try:
+            by_cramer, cramer_error = bezout_by_cramer(P, q), None
+        except ComaximalityError as exc:
+            by_cramer, cramer_error = None, str(exc)
+        res = resultant_in(P, q, "Z")
+        assert res == res_by_matrix, poly_str(P)
+        if q.degree_in("Z") >= 1:
+            assert res == det_bareiss(sylvester_matrix(P, q, "Z"), field, V), poly_str(P)
+        assert got == by_matrix == by_cramer, (poly_str(P), poly_str(q))
+        if got is None:
+            assert got_error == matrix_error and got_error[0] == cramer_error
+            assert got_error[1] == res
+            if q.degree_in("Z") >= 1:
+                assert got_error[0] == f"Res_Z(P, P_Z) = {res} is not a nonzero constant"
+        else:
+            a, b = got
+            assert a * q + b * P == Poly.one(field, V) and a.degree_in("Z") < m
+        seen.add((kind, translated, got is not None))
+    assert {("translate", True, True), ("translate", True, False),
+            ("translated q", True, True), ("non-translate", False, False)} <= seen
+    if p:
+        assert {("translate", False, True), ("non-translate", False, True)} <= seen
