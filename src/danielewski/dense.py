@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 from .errors import DanielewskiError
 from .fields import FieldSpec, q_inv, q_norm
-from .poly import SLOT_MASK, Poly, unit_key
+from .poly import SLOT_MASK, Poly, square_and_multiply, unit_key
 
 # ---------------------------------------------------------------------------
 # the kernel over Z/m (m = p, p**k, or 0 for exact Q/Z arithmetic)
@@ -236,14 +236,10 @@ class FiniteField:
 
     def pow_mod(self, f, e, g):
         """f**e mod g."""
-        result = [self.one]
-        base = self.pdivmod(f, g)[1]
-        while e:
-            if e & 1:
-                result = self.pdivmod(self.pmul(result, base), g)[1]
-            base = self.pdivmod(self.pmul(base, base), g)[1]
-            e >>= 1
-        return result
+        if not e:
+            return [self.one]
+        return square_and_multiply(self.pdivmod(f, g)[1], e,
+                                   lambda a, b: self.pdivmod(self.pmul(a, b), g)[1])
 
     def roots(self, f) -> list:
         """The distinct roots of a nonzero f, sorted, without factoring f:

@@ -18,6 +18,7 @@ never wraps silently.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -26,6 +27,8 @@ from typing import Union
 from .errors import FieldMismatchError
 
 RawValue = Union[Fraction, int]
+
+_PRIME_TAG = re.compile(r"F[1-9][0-9]{0,9}")
 
 
 def q_norm(x: RawValue) -> RawValue:
@@ -163,10 +166,13 @@ def GF(p: int) -> FieldSpec:
 
 
 def parse_field_tag(tag: str) -> FieldSpec:
-    """Inverse of FieldSpec.tag(): "Q" -> rationals, "F7" -> F_7."""
+    """Inverse of FieldSpec.tag(): "Q" -> rationals, "F7" -> F_7.  An F tag
+    is "F" and ASCII digits without a leading zero, at most ten of them (a
+    modulus below 2**31 has no more); GF checks that the number is a prime
+    below 2**31."""
     if tag == "Q":
         return QQ
-    if isinstance(tag, str) and tag.startswith("F") and tag[1:].isdigit():
+    if isinstance(tag, str) and _PRIME_TAG.fullmatch(tag):
         return GF(int(tag[1:]))
     raise ValueError(f"unknown field tag {tag!r} (expected \"Q\" or \"F<p>\")")
 

@@ -66,7 +66,7 @@ from .dense import (Fp, Fq, add, affine_shift, dense_to_poly, divrem, gcd, hasse
                     inv, mul, norm, poly_to_dense, sub, xgcd, z_rows)
 from .factor import Factorization, factor_univariate, roots_in_field
 from .fields import FieldKind, Scalar
-from .poly import NEG_INF, Poly, divmod_in, exact_div, substitute
+from .poly import NEG_INF, Poly, divmod_in, exact_div, square_and_multiply, substitute
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec
 
@@ -357,9 +357,7 @@ class _DeltaLifting:
         self.factors = []       # (F_q, m, CRT idempotent: 1 mod q^m, 0 mod f_2 / q^m)
         for q_poly, m in factors:
             q = poly_to_dense(q_poly, "X")
-            block = [1]
-            for _ in range(m):
-                block = mul(block, q, p)
+            block = square_and_multiply(q, m, lambda a, b: mul(a, b, p))
             cofactor = divrem(f, block, p)[0]
             inverse = xgcd(cofactor, block, p)[1]
             self.factors.append((Fq(q, p), m, divrem(mul(cofactor, inverse, p), f, p)[1]))

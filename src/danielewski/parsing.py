@@ -30,7 +30,10 @@ packed exponent key (see ``poly``): ``V^e`` adds ``e`` times V's unit key,
 so no exponent tuple is ever built.  Coefficients combine in the field as
 they go (over F_p a constant power is one modular ``pow``); the terms of a
 sum go straight into one coefficient dict.  A ``Poly`` product is built
-only for a parenthesized sum with two or more terms, or a power of one.
+only for a parenthesized sum with two or more terms, or a power of one,
+which is ``poly.square_and_multiply`` with the budgeted multiply; the
+``_cached_power`` ladder would form (Z+X+1)^64 over Q from products of at
+most 2,080 by 3 terms, inside the work budget that refuses it here.
 
 One routine renders terms: ``poly_str`` prints a polynomial, and
 ``coefficient_strs`` the coefficients of one variable's powers (an
@@ -77,7 +80,7 @@ from typing import Dict, Iterable, Tuple
 
 from .errors import PolyParseError
 from .fields import FieldKind, FieldSpec, Scalar, number_str, q_norm
-from .poly import SLOT, SLOT_MASK, Poly, unit_key
+from .poly import SLOT, SLOT_MASK, Poly, square_and_multiply, unit_key
 
 MAX_DEGREE = 256
 MAX_CONSTANT_BITS = 2**13
@@ -321,17 +324,7 @@ class _Parser:
                 x = (c, key)
             else:
                 self.check_degree(x.total_degree() * e, at)
-                result = None
-                while True:  # binary powering, each step within the work budget
-                    if e & 1:
-                        if result is None:
-                            result = x
-                        else:
-                            result = self.multiply(result, x, at)
-                    e >>= 1
-                    if not e:
-                        return result
-                    x = self.multiply(x, x, at)
+                return square_and_multiply(x, e, lambda a, b: self.multiply(a, b, at))
         c, key = x
         if not c:
             return x

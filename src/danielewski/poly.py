@@ -557,6 +557,21 @@ def canonical_var_union(*var_lists: Iterable[str]) -> Tuple[str, ...]:
     return tuple(seen)
 
 
+def square_and_multiply(x, e: int, mul):
+    """x**e for e >= 1 by right-to-left binary powering, each product
+    ``mul(a, b)``; no product by one, no squaring past the top bit of e.
+    The one routine for a single power of one base; ``_cached_power`` is
+    the ladder that ``substitute`` and ``Poly.__pow__`` read powers off."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
 def _cached_power(cache: Dict[int, Poly], e: int) -> Poly:
     """a^e for a = cache[1], kept in ``cache`` with every power it builds.
 

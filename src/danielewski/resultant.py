@@ -27,7 +27,9 @@ follow the actual degrees of the inputs: a zero companion gives resultant 0,
 a companion constant in the eliminated variable gives c**deg(other).
 
 ``bezout_cofactors`` solves a*q + b*P = 1 (q = P_Z for Thm 5.1) for monic
-P.  By translation, s P~ + t q~ = 1 from the extended gcd gives
+P.  A q free of Z is refused unless it is a nonzero constant c, which gives
+(1/c, 0) at once (P_Z of Z^p + Z + X in characteristic p).  By
+translation, s P~ + t q~ = 1 from the extended gcd gives
 a~ = t mod P~ and b~ = s + (t div P~) q~, both shifted back, and a
 translate with gcd(P~, q~) != 1 is refused with Res_Z(P, q) = 0.  By
 elimination it uses the same matrix M of multiplication by q: a = q**-1
@@ -217,11 +219,13 @@ def bezout_cofactors(P: Poly, Pz: Poly, var: str = "Z") -> Tuple[Poly, Poly]:
     zero = Poly.zero(field, vars)
     if Pz.is_zero:
         raise ComaximalityError("P_Z = 0, so (P, P_Z) is a proper ideal")
-    if Pz.degree_in(var) == 0 and not Pz.is_constant:
-        raise ComaximalityError(
-            f"resultant {Pz}**{m} is non-constant, (P, P_Z) is a proper ideal", Pz ** m)
-    translated = _translated(P, Pz, var)
-    if translated is not None:
+    if Pz.degree_in(var) == 0:
+        if not Pz.is_constant:
+            raise ComaximalityError(
+                f"resultant {Pz}**{m} is non-constant, (P, P_Z) is a proper ideal", Pz ** m)
+        a, b = Poly.const(field, vars, field.inv(Pz.packed[0])), zero     # a unit c: (1/c, 0)
+        aq = a * Pz
+    elif (translated := _translated(P, Pz, var)) is not None:
         mod = field.modulus
         Pt, qt, h, x = translated
         gcd, s, t = xgcd(Pt, qt, mod)

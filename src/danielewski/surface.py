@@ -12,8 +12,8 @@ Elements are kept in the unique normal form
 the remainder on division by the relation P - f(X) Y, monic in Z of degree
 d (``poly.divmod_in``); it rewrites Z^d -> f(X) Y - (P - Z^d) to
 exhaustion.  Structural equality of normal forms decides equality in A.
-Auxiliary polynomial variables (U, V, v, W1) ride along inside the
-coefficients; the division never touches them, which realizes A[U],
+Auxiliary polynomial variables (U, V, v, and no others) ride along inside
+the coefficients; the division never touches them, which realizes A[U],
 A[U,V], A[v] for free.
 
 A ``SurfaceElement`` stores its normal form as one ``Poly`` over
@@ -38,25 +38,18 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
 from .factor import Factorization, factor_univariate, gcd_univariate, squarefree_part
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, substitute, unit_key
+from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, square_and_multiply, substitute, unit_key
 from .resultant import resultant_in
 
-AUX_ORDER = ("U", "V", "v", "W1")
+AUX_ORDER = ("U", "V", "v")
 _BASE_VARS = ("X", "Y", "Z")
 _UNIT = {v: unit_key(3, i) for i, v in enumerate(_BASE_VARS)}
-
-
-def aux_sort_key(name: str):
-    try:
-        return (AUX_ORDER.index(name), name)
-    except ValueError:
-        return (len(AUX_ORDER), name)
 
 
 def _is_canonical_aux(names: Tuple[str, ...]) -> bool:
     """Whether ``names`` are distinct auxiliary variables in canonical order."""
     return (all(n in AUX_ORDER for n in names)
-            and names == tuple(sorted(set(names), key=aux_sort_key)))
+            and names == tuple(sorted(set(names), key=AUX_ORDER.index)))
 
 
 def _sorted_aux(names: Iterable[str]) -> Tuple[str, ...]:
@@ -67,7 +60,7 @@ def _sorted_aux(names: Iterable[str]) -> Tuple[str, ...]:
         if n not in AUX_ORDER:
             raise SurfaceConstraintError(
                 f"auxiliary variable {n!r} not among {AUX_ORDER}")
-    return tuple(sorted(set(names), key=aux_sort_key))
+    return tuple(sorted(set(names), key=AUX_ORDER.index))
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class SurfaceSpec:
         return SurfaceElement._of(self, Poly.variable(self.field, _BASE_VARS, "Y"))
 
     def generator(self, name: str) -> "SurfaceElement":
-        """x, y, z, or an auxiliary variable (U, V, v, W1) as an element."""
+        """x, y, z, or an auxiliary variable (U, V, v) as an element."""
         if name in AUX_ORDER:
             return SurfaceElement._of(
                 self, Poly.variable(self.field, _BASE_VARS + (name,), name))
@@ -309,14 +302,9 @@ class SurfaceElement:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if not e:
+            return self.spec.one()
+        return square_and_multiply(self, e, SurfaceElement.__mul__)
 
     def __eq__(self, other):
         if not isinstance(other, SurfaceElement):

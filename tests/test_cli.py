@@ -213,7 +213,8 @@ def test_one_elimination_per_P(capsys, monkeypatch, tmp_path):
     """One Bezout solve per P, and the only elimination is in it: a translate
     P over Q is solved by one extended gcd, with no elimination; a verify
     reads comaximality off V3; a family solves once for its shared P; a
-    non-translate over F3 runs one elimination."""
+    non-translate over F3 runs one elimination, and a P over F3 whose P_Z is
+    a unit runs none."""
     eliminations = _counting(monkeypatch, resultant, "_bareiss")
     resultants = _counting(monkeypatch, cancel, "resultant_in")
     solves = _counting(monkeypatch, cancel, "bezout_cofactors")
@@ -232,6 +233,10 @@ def test_one_elimination_per_P(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "cancel", "build", "--field", "F3", "--f", "X^3+X^2",
                        "--phi", "Z^4+X*Z+1", "--json")
     assert code == 0 and len(solves) == 2 and len(eliminations) == 1 and not resultants
+    # P_Z = 1 for Z^3+Z+X over F3: the pair (1, 0) with no elimination
+    code, out, _ = run(capsys, "cancel", "build", "--field", "F3", "--f", "X^3+X^2",
+                       "--phi", "Z^3+Z+X", "--json")
+    assert code == 0 and len(solves) == 3 and len(eliminations) == 1 and not resultants
 
 
 def test_cancel_build_refusal_is_explained_by_one_resultant(capsys, monkeypatch):
@@ -295,6 +300,42 @@ def test_documents_with_wrong_json_types_exit_2(capsys, tmp_path, ex45_path, rea
     code, out, err = run(capsys, *argv, str(bad))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("aux, coeff", [(["v", "W1"], "Z*v"), (["W1"], "Z*W1"), (["w"], "w")])
+def test_elements_with_unknown_auxiliary_variables_exit_2(capsys, tmp_path, aux, coeff):
+    # the auxiliary variables are U, V and v; any other is refused, used or not
+    code, out, _ = run(capsys, *_READERS["cancel"][1])
+    assert code == 0
+    doc = json.loads(out)
+    doc["s"] = {"aux": aux, "coeffs": {"0": coeff}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cancel", "verify", "--cert", str(bad))
+    assert code == 2 and out == ""
+    unknown = aux[-1]
+    assert err == (f"error: bad element document: auxiliary variable {unknown!r} "
+                   "not among ('U', 'V', 'v')\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("delta", "X^2+1", "delta has degree 2, expected < r = 2"),
+    ("theta", "Z^2", "theta has Z-degree 2 > d-1"),
+    ("target", {"field": "F3", "f": "X^2+X", "phi": "Z^2"},
+     "certificate endpoints over different fields"),
+])
+def test_iso_certificates_outside_their_bounds_exit_2(capsys, tmp_path, ex45_path, key,
+                                                      value, message):
+    code, out, _ = run(capsys, "iso", "decide", "--left", ex45_path, "--right", ex45_path,
+                       "--json")
+    assert code == 0
+    doc = json.loads(out)["certificates"][0]
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "iso", "verify", "--cert", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_family_demo(capsys):

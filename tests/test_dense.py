@@ -1,13 +1,14 @@
-"""The dense kernel's Taylor routine, F_p root finder and equal-degree
-split, against oracles."""
+"""The dense kernel's Taylor routine, F_p root finder, equal-degree split
+and pow_mod, against oracles."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from danielewski import GF, QQ, Poly
-from danielewski.dense import Fp, hasse, mul, poly_to_dense, z_rows
+from danielewski.dense import Fp, Fq, hasse, mul, poly_to_dense, z_rows
 
 from conftest import random_poly
 from oracles import fp_split_reference, roots_by_evaluation, taylor_by_substitution
@@ -77,3 +78,58 @@ def test_fp_split_matches_the_reference_splitters(p):
             for h in chosen:
                 g = mul(g, h, p)
             assert Fp(p).split(g, k) == fp_split_reference(g, k, p) == sorted(chosen)
+
+
+# pow_mod's fields: prime fields, and F_q = F_p[X]/(q) with q irreducible of
+# degree 2 or 3
+_POW_MOD_FIELDS = [("F2", lambda: Fp(2)), ("F3", lambda: Fp(3)), ("F7", lambda: Fp(7)),
+                   ("F4", lambda: Fq([1, 1, 1], 2)), ("F9", lambda: Fq([1, 0, 1], 3)),
+                   ("F25", lambda: Fq([2, 0, 1], 5)), ("F8", lambda: Fq([1, 1, 0, 1], 2))]
+
+# sha256 of _pow_mod_transcript per field, recorded at 89e0fdb
+_POW_MOD_DIGESTS = {
+    'F2': "906dcea59e7236bc4cf7f2db7a54ada7f39db10b637fc039f19db0ebd9abab54",
+    'F3': "b051921fb3e82a6d96f67cf659310fa3e2d2de22545dce00a44a3b6e30cdd0e3",
+    'F7': "e3fdf10e1c66bf09c87361c054bc1bc9b73ae6f4ebb5567006336f603a37fbb0",
+    'F4': "d507071d2208eb45856686f9e3255a75d556f4922a814d06be22df002a5fccc3",
+    'F9': "aeb6cd22e2840c16aabf5ddbe16f2ab6d8c37c3e81242d50366c7c1687738004",
+    'F25': "b7b8b35b3137566b84dad28bcf203cda0cfc8d22850f09eb412dc2b1d7abacb8",
+    'F8': "f25f1e42e0bccd191975115cbe10365181f69a3a3acad5ae75d4f7106a0dbb3d",
+}
+
+
+def _random_dense(field, rng, length, monic=False):
+    """A polynomial over ``field`` with ``length`` random coefficients, and a
+    leading one after them when ``monic``."""
+    coeffs = [field.element([rng.randrange(field.p) for _ in range(field.degree)])
+              for _ in range(length)]
+    return field.poly(coeffs + [field.one] if monic else coeffs)
+
+
+def _pow_mod_transcript(field):
+    """pow_mod on seeded inputs, e = 0 included: f of degree < 8 (zero too),
+    g monic of degree 0..5, e over 0..40 and a few large exponents."""
+    rng = random.Random(f"pow_mod|{field.size}|{field.degree}")
+    lines = []
+    for e in (*range(41), 64, 100, 255, field.size ** 3, 2 ** 40 + 3):
+        for _ in range(4):
+            f = _random_dense(field, rng, rng.randint(0, 8))
+            g = _random_dense(field, rng, rng.randint(0, 5), monic=True)
+            lines.append(f"{f} {e} {g} {field.pow_mod(f, e, g)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name, make", _POW_MOD_FIELDS, ids=[n for n, _ in _POW_MOD_FIELDS])
+def test_pow_mod_keeps_its_pinned_values_and_matches_repeated_products(name, make):
+    field = make()
+    transcript = _pow_mod_transcript(field)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == _POW_MOD_DIGESTS[name]
+    rng = random.Random(f"pow_mod_oracle|{name}")
+    for _ in range(30):
+        f = _random_dense(field, rng, rng.randint(0, 6))
+        g = _random_dense(field, rng, rng.randint(0, 4), monic=True)
+        e = rng.randint(0, 12)
+        by_products = [field.one]
+        for _ in range(e):
+            by_products = field.pdivmod(field.pmul(by_products, f), g)[1]
+        assert field.pow_mod(f, e, g) == by_products

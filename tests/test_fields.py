@@ -29,6 +29,16 @@ def test_field_tags():
         parse_field_tag("F")
     with pytest.raises(ValueError):
         parse_field_tag("R")
+    # only the tags FieldSpec.tag() prints: no other digits, no leading zero,
+    # no more digits than a modulus below 2**31 has
+    for tag in ("F\u0663", "F\u00b2", "F07", "F\uff17", "F7 ", " F7", "F+7", "F0",
+                "F" + "9" * 11, "F" + "7" * 5000):
+        with pytest.raises(ValueError) as err:
+            parse_field_tag(tag)
+        assert str(err.value) == f"unknown field tag {tag!r} (expected \"Q\" or \"F<p>\")"
+    assert parse_field_tag("F2147483647") == GF(2147483647)
+    with pytest.raises(ValueError, match="prime below 2"):
+        parse_field_tag("F4294967311")
 
 
 def test_rational_arithmetic_is_exact():

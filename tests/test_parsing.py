@@ -1,10 +1,11 @@
+import hashlib
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from danielewski import GF, QQ, Poly, parse_poly, parse_scalar, poly_str
+from danielewski import GF, QQ, Poly, parse_poly, parse_scalar, parsing, poly_str
 from danielewski.errors import PolyParseError
 from danielewski.parsing import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERM_PRODUCTS
 
@@ -237,6 +238,61 @@ def test_work_budget_refuses_large_products():
     side = "+".join(f"X^{i}*Z^{j}" for i in range(16) for j in range(16))
     assert len(parse_poly(f"({side})*({side})", QQ, V2).terms) == 31 * 31
     assert 256 * 256 <= MAX_TERM_PRODUCTS
+
+
+# powers whose expansion the parser's multiply steps are pinned for: a sum
+# that grows to the work budget, one whose degree passes the degree budget,
+# one that is a monomial over F3, one with a rational constant
+_POWER_BASES = ("(Z+X+1)", "(X^2-2*Z+X*Z)", "(3*X+Z)", "(X+1/2)")
+_POWER_EXPONENTS = (*range(41), 64, 100, 255)
+_POWER_FIELDS = {"Q": QQ, "F3": GF(3), "F7": GF(7)}
+
+# sha256 of _power_transcript per (field, base), recorded at 89e0fdb
+_POWER_DIGESTS = {
+    ('Q', '(Z+X+1)'): "707eef47165ca6b6ccf586c068ddc8dbd81c810b418a5d7432d86bf6b72ac8f4",
+    ('Q', '(X^2-2*Z+X*Z)'): "6b3ff980cefd115603e8026a53b3346d5635740ee6422d5c69adfd465e515b5b",
+    ('Q', '(3*X+Z)'): "a3435f8899fec2287bfb2673369c7a5d7a4c13c3e61b5da7a5ac78ec17e1a081",
+    ('Q', '(X+1/2)'): "8069b3b4b1cbb7b3197b461266c1e42996dfed02f3566c0d4d37e3447de65e33",
+    ('F3', '(Z+X+1)'): "dbbde09d71ad507603d579d03201af2f20d204c0288af2c238394af734b55180",
+    ('F3', '(X^2-2*Z+X*Z)'): "360e322ef75a2dcfb9de5378ee08c07f73a6ce4ad627e38c03c00cb32f05234b",
+    ('F3', '(3*X+Z)'): "dd11de460e1d665d4a428116850e42305607ff1ebf07b9ffb5522b8f238aeb34",
+    ('F3', '(X+1/2)'): "1b5695e9d608490029f8e74d77970659d27453551c470ca08503f1d20d81a7c2",
+    ('F7', '(Z+X+1)'): "f7bd3d0e053ab563b4f58402b97bb42ba6cd6bb80ee84b29fb9bc999a17a9763",
+    ('F7', '(X^2-2*Z+X*Z)'): "94020397ca628099db7c7640e0223cece15c1edc3d928d9e8acb8c7a45e0ed7d",
+    ('F7', '(3*X+Z)'): "b45a7465fbd0e586c0e40de91a5c7b592e2df5f0e4f7d2dbc65c93076dbe1ca9",
+    ('F7', '(X+1/2)'): "eeb130484b881560003a5efb5ca02b343f12b5721a1cb844dccce471ced2159d",
+}
+
+
+def _power_transcript(field, base):
+    """One line per exponent: the (len(a), len(b)) of every multiply step the
+    parser takes for base^e, then the printed value, or the refusal's
+    message and position."""
+    steps = []
+    multiply = parsing._Parser.multiply
+
+    def recorded(parser, a, b, at):
+        steps.append((len(a), len(b)))
+        return multiply(parser, a, b, at)
+
+    lines = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parsing._Parser, "multiply", recorded)
+        for e in _POWER_EXPONENTS:
+            steps.clear()
+            try:
+                outcome = poly_str(parse_poly(f"{base}^{e}", field, ("X", "Z")))
+            except PolyParseError as err:
+                outcome = f"{err.args[0]} [{err.position}]"
+            lines.append(f"{e} {steps} {outcome}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("field", _POWER_FIELDS)
+@pytest.mark.parametrize("base", _POWER_BASES)
+def test_powers_keep_their_multiply_steps_values_and_refusals(field, base):
+    transcript = _power_transcript(_POWER_FIELDS[field], base)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == _POWER_DIGESTS[field, base]
 
 
 def test_nesting_budget_refuses_at_the_parenthesis_past_it():

@@ -96,6 +96,35 @@ def test_bezout_rejects_nonconstant_resultant():
         bezout_cofactors(P, P.derivative("Z"))
 
 
+def test_bezout_refuses_low_degree_and_non_monic_P():
+    for text in ("Z + X", "X^2 + 1", "0"):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            bezout_cofactors(q(text), q("1"))
+    with pytest.raises(ValueError, match="monic"):
+        bezout_cofactors(q("2*Z^2 + 1"), q("4*Z"))
+    with pytest.raises(ValueError, match="monic"):
+        bezout_cofactors(q("X*Z^2 + 1"), q("2*X*Z"))
+
+
+@pytest.mark.parametrize("p, text", [(3, "Z^3 + Z + X"), (5, "Z^5 + 3*Z + X"),
+                                     (7, "Z^7 + 2*Z + X^2")])
+def test_bezout_for_a_unit_pz_runs_no_elimination(p, text, monkeypatch):
+    """P_Z a nonzero constant c (p | deg_Z P): the pair (1/c, 0), Cramer's
+    pair, without the m x m elimination."""
+    field = GF(p)
+    P = parse_poly(text, field, V)
+    Pz = P.derivative("Z")
+    assert Pz.is_constant
+    eliminations = []
+    bareiss = resultant._bareiss
+    monkeypatch.setattr(resultant, "_bareiss",
+                        lambda *args: eliminations.append(1) or bareiss(*args))
+    a, b = bezout_cofactors(P, Pz)
+    assert not eliminations and b.is_zero
+    assert a == Poly.const(field, V, field.inv(Pz.constant_value().value))
+    assert (a, b) == bezout_by_cramer(P, Pz)
+
+
 def test_failed_bareiss_division_is_internal_error(monkeypatch):
     monkeypatch.setattr(resultant, "exact_div", lambda a, b: None)
     matrix = sylvester_matrix(q("Z^2+1"), q("2*Z"), "Z")

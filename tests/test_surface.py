@@ -29,6 +29,23 @@ def test_make_surface_examples():
         surf(QQ, "X^2", "X*Z^2 + 1")
 
 
+def test_make_surface_refuses_other_variables_and_fields():
+    make = surface.make_surface
+    f = parse_poly("X^2+X", QQ, ("X", "Z"))
+    P = parse_poly("Z^2+X", QQ, ("X", "Y", "Z"))
+    assert make(QQ, f, P) == surf(QQ, "X^2+X", "Z^2+X")   # unused variables are dropped
+    with pytest.raises(SurfaceConstraintError, match=r"f must be a polynomial in X alone, "
+                                                     r"uses \('X', 'Z'\)"):
+        make(QQ, parse_poly("X^2+Z", QQ, ("X", "Z")), P)
+    with pytest.raises(SurfaceConstraintError, match=r"P must be a polynomial in X, Z, "
+                                                     r"uses \('Y', 'Z'\)"):
+        make(QQ, f, parse_poly("Z^2+Y", QQ, ("X", "Y", "Z")))
+    for f_field, P_field in ((GF(3), QQ), (QQ, GF(3)), (GF(3), GF(3))):
+        with pytest.raises(SurfaceConstraintError, match="over the declared field"):
+            make(QQ, parse_poly("X^2+X", f_field, ("X",)),
+                 parse_poly("Z^2+X", P_field, ("X", "Z")))
+
+
 def test_normal_form_examples(surfaces):
     s45 = surfaces[2]
     nf = normal_form(parse_poly("Z^2", GF(2), ("X", "Y", "Z")), s45)
