@@ -38,9 +38,9 @@ from .expmap import canonical_expmap, verify_expmap
 from .fields import parse_field_tag
 from .isomorph import (DEFAULT_CAP, Obstruction, automorphisms, decide_isomorphism,
                        fingerprint, set_str, verify_iso)
-from .jsonio import (dumps, expmap_from_doc, expmap_to_doc, family_to_doc, iso_from_doc,
-                     iso_to_doc, obstruction_to_doc, stable_from_doc, stable_to_doc,
-                     surface_from_doc, surface_to_doc)
+from .jsonio import (certificates_to_doc, dumps, expmap_from_doc, expmap_to_doc,
+                     family_to_doc, iso_from_doc, obstruction_to_doc, stable_from_doc,
+                     stable_to_doc, surface_from_doc, surface_to_doc)
 from .factor import factor_univariate
 from .parsing import parse_poly, poly_str
 from .poly import Poly
@@ -163,7 +163,7 @@ def _cmd_iso_decide(args) -> int:
     except InfiniteFamilyError as exc:
         family, reps = exc.parameter, exc.representative or []
         _emit(args, lambda: {"isomorphic": True, "family": family,
-                             "representatives": [iso_to_doc(c) for c in reps]},
+                             "representatives": certificates_to_doc(reps)},
               lambda: [f"isomorphic, with an infinite certificate family "
                        f"(free parameter: {family})",
                        *(f"  representative: {c}" for c in reps)])
@@ -172,7 +172,7 @@ def _cmd_iso_decide(args) -> int:
         _emit(args, lambda: {"isomorphic": False, "obstruction": obstruction_to_doc(result)},
               lambda: [f"not isomorphic: {result}"])
         return 1
-    _emit(args, lambda: {"isomorphic": True, "certificates": [iso_to_doc(c) for c in result]},
+    _emit(args, lambda: {"isomorphic": True, "certificates": certificates_to_doc(result)},
           lambda: [f"isomorphic: {len(result)} certificate(s)", *(f"  {c}" for c in result)])
     return 0
 

@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 from .errors import DanielewskiError
 from .fields import FieldSpec, q_inv, q_norm
-from .poly import SLOT_MASK, Poly, square_and_multiply, unit_key
+from .poly import SLOT_MASK, Poly, power_ladder, square_and_multiply, unit_key
 
 # ---------------------------------------------------------------------------
 # the kernel over Z/m (m = p, p**k, or 0 for exact Q/Z arithmetic)
@@ -72,26 +72,26 @@ def mul(f, g, m):
 
 def divrem(f, g, m):
     """(q, r) with f = q*g + r and deg r < deg g.  The lead of g must be a
-    unit mod m.  For m = 0, int entries stay int only when lead(g) is +-1."""
+    unit mod m.  For m = 0, int entries stay int only when lead(g) is +-1.
+    Only the nonzero terms of g are subtracted, and mod m an entry is
+    reduced only when it leads and at the end: a sparse g such as X^p - X
+    costs a step per term, not per degree."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
     r = norm(f, m)
     dg = deg(g)
+    if len(r) <= dg:
+        return [], r
     lead_inv = inv(g[-1], m)
-    q = [0] * max(0, len(r) - dg)
-    while len(r) > dg:
-        k = len(r) - 1 - dg
-        c = r[-1] * lead_inv % m if m else r[-1] * lead_inv
-        q[k] = c
-        if m:
-            for i, b in enumerate(g):
-                r[k + i] = (r[k + i] - c * b) % m
-        else:
-            for i, b in enumerate(g):
-                r[k + i] -= c * b
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+    q = [0] * (len(r) - dg)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = r[k + dg] * lead_inv % m if m else r[k + dg] * lead_inv
+        if c:
+            q[k] = c
+            for i, b in enumerate(g, k):
+                if b:
+                    r[i] -= c * b
+    return q, norm(r[:dg], m)
 
 
 def monic(f, m):
@@ -198,6 +198,67 @@ def horner(row: List, x: List, modulus: List, m) -> List:
     acc: List = []
     for c in reversed(row):
         acc = divrem(add(mul(acc, x, m), c, m), modulus, m)[1]
+    return acc
+
+
+def spread(f: List, m: int) -> List:
+    """f^m over F_m, m prime: each exponent times m, the coefficients
+    unchanged, since c^m = c (the Frobenius map)."""
+    out = [0] * ((len(f) - 1) * m + 1) if f else []
+    out[::m] = f
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _binomials(j: int, m) -> Tuple[Tuple[int, int], ...]:
+    """The pairs (i, C(j, i) mod m), i = 0 .. j, with C(j, i) nonzero mod m."""
+    return tuple((i, c) for i in range(j + 1) if (c := math.comb(j, i) % m if m
+                                                  else math.comb(j, i)))
+
+
+def congruence_defect(c: List[List], gamma, delta: List, b: List[List], m) -> List[List]:
+    """The z-rows of sum_j c_j (gamma Z + delta)^j - gamma^d sum_i b_i Z^i,
+    d = len(b) - 1, for dense rows c_j and b_i and a dense delta in another
+    variable X, and a scalar gamma.
+
+    By the binomial theorem, row i is
+    gamma^i sum_(j >= i) C(j, i) c_j delta^(j - i) - gamma^d b_i.  Zero
+    rows c_j and binomials that vanish mod m are skipped: over F_p, by
+    Lucas' theorem, C(j, i) is nonzero exactly when no base-p digit of i
+    exceeds that of j, so for j = p^k only i = 0 and i = j remain.  delta's
+    powers come off ``poly.power_ladder``: over F_p, delta^(p k) is delta^k
+    spread by p (``spread``, the Frobenius map), and every other power takes
+    one product.  Each row accumulates unreduced and is reduced once."""
+    powers = {0: [1], 1: norm(delta, m)}
+    product = functools.partial(mul, m=m)
+    frobenius = functools.partial(spread, m=m)
+    acc: List[List] = [[] for _ in range(max(len(c), len(b)))]
+    for j, cj in enumerate(c):
+        if not cj:
+            continue
+        for i, t in _binomials(j, m):
+            pw = power_ladder(powers, j - i, m, product, frobenius)
+            if not pw:
+                continue
+            row = acc[i]
+            row.extend([0] * (len(cj) + len(pw) - 1 - len(row)))
+            for a, x in enumerate(cj):
+                if x:
+                    x *= t
+                    for k, y in enumerate(pw, a):
+                        row[k] += x * y
+    gamma_d = pow(gamma, len(b) - 1, m) if m else gamma ** (len(b) - 1)
+    gamma_i = 1
+    for i, row in enumerate(acc):
+        if gamma_i != 1:
+            row[:] = [gamma_i * v for v in row]
+        if i < len(b):
+            bi = b[i]
+            row.extend([0] * (len(bi) - len(row)))
+            for k, v in enumerate(bi):
+                row[k] -= gamma_d * v
+        acc[i] = norm(row, m)
+        gamma_i = gamma_i * gamma % m if m else gamma_i * gamma
     return acc
 
 
@@ -442,13 +503,16 @@ def z_rows(P: Poly, x: str = "X", z: str = "Z") -> List[List]:
 
 def from_z_rows(rows: List[List], field: FieldSpec, vars: Tuple[str, ...], x: str = "X",
                 z: str = "Z") -> Poly:
-    """sum_k rows[k](x) z^k over ``vars``, the inverse of ``z_rows``."""
+    """sum_k rows[k](x) z^k over ``vars``, the inverse of ``z_rows``.  The
+    rows hold what the kernel computes with ``m = field.modulus``: residues
+    in [0, p) over F_p, taken as they are; int or ``Fraction`` values over
+    Q, normalized by ``q_norm``."""
     vars = tuple(vars)
     ux, uz = unit_key(len(vars), vars.index(x)), unit_key(len(vars), vars.index(z))
+    canonical = q_norm if not field.modulus else None
     terms = {}
     for k, row in enumerate(rows):
         for i, c in enumerate(row):
-            raw = field.coerce(c)
-            if raw != 0:
-                terms[i * ux + k * uz] = raw
+            if c:
+                terms[i * ux + k * uz] = canonical(c) if canonical else c
     return Poly._raw(field, vars, terms)

@@ -42,11 +42,28 @@ lam or gam free over F_p, its p - 1 values count too.  A step that would
 pass the cap is refused before it lists anything, but a refused (lam, mu)
 search still returns the multiplicity obstruction when the multisets
 differ.  Every certificate it emits passes the checks of ``verify_iso``,
-run on the one defect of (vi) whose quotient by f_2 is theta (a function of
-(lam, mu, gam, delta); the product f_2 theta checks the division) and on the
-one (III) line of its (lam, mu), read by the Horner shift that confirmed the
-pair.  delta is stored as the canonical representative of degree < r; any
-lift delta + f_2 * e also yields an isomorphism and is not enumerated.
+run on the one defect D = P_1(lam X + mu, gam Z + delta) - gam^d P_2 of
+(vi) whose quotient by f_2 is theta (a function of (lam, mu, gam, delta);
+the products f_2 theta_i = D_i check the division) and on the one (III)
+line of its (lam, mu), read by the Horner shift that confirmed the pair.
+
+The solver computes D on dense rows and substitutes nothing
+(``dense.congruence_defect``).  With c_j the Z^j rows of
+P_1(lam X + mu, Z), shifted once per (lam, mu) and not reduced, and b_i
+the Z^i rows of P_2, the binomial theorem gives row i of D as
+gam^i sum_(j >= i) C(j, i) c_j delta^(j-i) - gam^d b_i.  This is an
+identity of polynomials over any commutative ring, so D is exact, not a
+residue mod f_2, and theta is the exact quotient of its rows.  In
+characteristic p two facts only skip work: a binomial that vanishes mod p
+adds nothing (by Lucas' theorem C(j, i) = 0 mod p exactly when some base-p
+digit of i exceeds that of j), and delta^(p k) is delta^k with X replaced
+by X^p, by the Frobenius map and c^p = c in F_p, so such powers take no
+product.  A nonzero remainder mod f_2 refutes the candidate.
+``verify_iso`` stays the independent re-check: it evaluates D by sparse
+substitution.
+
+delta is stored as the canonical representative of degree < r; any lift
+delta + f_2 * e also yields an isomorphism and is not enumerated.
 
 Obstructions carry the structural invariant they violate, so refutations
 are citable.
@@ -58,15 +75,16 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import (FieldMismatchError, InfiniteFamilyError, PreconditionError,
                      SearchCapExceededError, VerificationInternalError)
-from .dense import (Fp, Fq, add, affine_shift, dense_to_poly, divrem, gcd, hasse, horner,
-                    inv, mul, norm, poly_to_dense, sub, xgcd, z_rows)
+from .dense import (Fp, Fq, add, affine_shift, congruence_defect, dense_to_poly, divrem,
+                    from_z_rows, gcd, hasse, horner, inv, mul, norm, poly_to_dense, sub, xgcd,
+                    z_rows)
 from .factor import Factorization, factor_univariate, roots_in_field
 from .fields import FieldKind, Scalar
-from .poly import NEG_INF, Poly, divmod_in, exact_div, square_and_multiply, substitute
+from .poly import NEG_INF, Poly, exact_div, square_and_multiply, substitute
 from .reports import Check, VerificationReport
 from .surface import SurfaceElement, SurfaceSpec
 
@@ -447,26 +465,71 @@ class _DeltaLifting:
         return None if t is None else [t]
 
 
-def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                           rows1: List[list], target: _TaylorRows,
+class _Pair:
+    """(vi) at one (lam, mu) of a decision, on dense rows: the z-rows of
+    P_1(lam X + mu, Z) before reduction (``shifted``), the z-rows ``b`` of
+    P_2 and f_2 dense (``f``), the last two read once per decision, and the
+    (III) line that every certificate of the pair shares."""
+
+    def __init__(self, s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
+                 rows1: List[list], b: List[list], f: list):
+        self.s1, self.s2, self.lam, self.mu, self.b, self.f = s1, s2, lam, mu, b, f
+        self.m = m = s1.field.modulus
+        self.u = lam ** s1.r
+        self.shifted = [affine_shift(row, mu.value, lam.value, m) for row in rows1]
+        self.transport = _transport_check(s1, s2, lam, mu, self.u)
+
+    def certificate(self, gamma: Scalar, delta: list) -> Optional[IsoCertificate]:
+        """The certificate of (lam, mu, gamma, delta), None when (vi) leaves a
+        remainder mod f_2.  theta is the quotient of the defect's rows by f_2,
+        and the checks of ``verify_iso`` read (vi) off f_2 theta_i = D_i."""
+        s1, s2, m, f = self.s1, self.s2, self.m, self.f
+        defect = congruence_defect(self.shifted, gamma.value, delta, self.b, m)
+        theta = []
+        for row in defect:
+            quotient, rem = divrem(row, f, m) if row else ([], [])
+            if rem:
+                return None
+            theta.append(quotient)
+        field, vars2 = s1.field, ("X", "Z")
+        cert = IsoCertificate(s1, s2, self.lam, self.mu, gamma,
+                              dense_to_poly(delta, field, ("X",), "X"), self.u,
+                              from_z_rows(theta, field, vars2))
+        ok = all(mul(f, q, m) == row for q, row in zip(theta, defect) if q or row)
+        report = _iso_report(cert, ok, lambda: from_z_rows(
+            [sub(row, mul(f, q, m), m) for q, row in zip(theta, defect)], field, vars2),
+            self.transport)
+        if not report.ok:
+            raise VerificationInternalError(
+                "solver emitted a certificate that fails verification: "
+                + "; ".join(c.line() for c in report.failures()))
+        return cert
+
+    def assemble(self, gamma: Scalar, delta: list) -> IsoCertificate:
+        """The certificate of a solution; raises on a non-solution."""
+        cert = self.certificate(gamma, delta)
+        if cert is None:
+            raise VerificationInternalError("assembling a certificate from a non-solution")
+        return cert
+
+
+def _gamma_delta_solutions(pair: _Pair, target: _TaylorRows,
                            lifting: Optional[_DeltaLifting], cap: int):
     """The certificates of every (gamma, delta) with the congruence (vi) at
-    (lam, mu); returns (certificates, gamma_free) where gamma_free marks the
-    char-0 infinite case.
+    the pair's (lam, mu); returns (certificates, gamma_free) where
+    gamma_free marks the char-0 infinite case.
 
     Both branches read gamma off rows of (vi) of the form
     a_j = gam^(d-j) b_j mod f_2 (``_binomial_gcd``).  The a_j come from the
-    Z^j coefficients c1_j of P_1(lam X + mu, Z): the Z-rows of P_1
-    (``rows1``, read once per decision) shifted by lam X + mu and reduced
-    mod f_2.  The b_j are the
-    rows of P_2 in ``target``, built once per decision: the Z^j
-    coefficients c2_j of P_2 when the characteristic divides d, and the
-    W^j coefficients in W = Z + delta_1 when it does not.  ``lifting``
-    carries the delta search in the first case, else it is None."""
-    field = s1.field
-    m, d, f = field.modulus, s1.d, target.f
-    transport = _transport_check(s1, s2, lam, mu, lam ** s1.r)
-    c1 = [divrem(affine_shift(row, mu.value, lam.value, m), f, m)[1] for row in rows1]
+    Z^j coefficients c1_j of P_1(lam X + mu, Z): the pair's shifted rows
+    reduced mod f_2.  The b_j are the rows of P_2 in ``target``, built once
+    per decision: the Z^j coefficients c2_j of P_2 mod f_2 when the
+    characteristic divides d, and the W^j coefficients in W = Z + delta_1
+    when it does not.  ``lifting`` carries the delta search in the first
+    case, else it is None."""
+    field = pair.s1.field
+    m, d, f = field.modulus, pair.s1.d, target.f
+    c1 = [divrem(row, f, m)[1] for row in pair.shifted]
     if lifting is not None:
         # row j of the table, the T^k coefficients of Z^j in P_1(lam X + mu, Z + T),
         # is the j-th Hasse derivative of sum_k c1_k T^k.  A T-free row j
@@ -491,9 +554,8 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
                     row.pop()
                 if row:
                     rows.append(row)
-            for delta in lifting.deltas(rows):
-                certs.append(_assemble(s1, s2, lam, mu, Scalar(field, gam),
-                                       dense_to_poly(delta, field, ("X",), "X"), transport))
+            gamma = Scalar(field, gam)
+            certs.extend(pair.assemble(gamma, delta) for delta in lifting.deltas(rows))
         return certs, False
     # characteristic does not divide d: comparing Z^(d-1) coefficients gives
     # delta = delta_0 + gam delta_1 with delta_0 = -c1_(d-1)/d and
@@ -509,38 +571,18 @@ def _gamma_delta_solutions(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Sc
     for gamma in gammas:
         # target.s is -delta_1; the division of the defect by f_2 is the
         # exact check of the rows the gcd left unread
-        delta = dense_to_poly(sub(delta0, [gamma.value * a for a in target.s], m),
-                              field, ("X",), "X")
-        cert = _certificate(s1, s2, lam, mu, gamma, delta, transport)
+        cert = pair.certificate(gamma, sub(delta0, [gamma.value * a for a in target.s], m))
         if cert is not None:
             certs.append(cert)
     return certs, gamma_free
 
 
-def _certificate(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-                 gamma: Scalar, delta: Poly, transport: Check) -> Optional[IsoCertificate]:
-    """The certificate of (lam, mu, gamma, delta), None when (vi) leaves a
-    remainder mod f_2; theta and the checks of ``verify_iso`` share one defect."""
-    defect = _defect(s1, s2, lam, mu, gamma, delta)
-    theta, rem = divmod_in(defect, s2.f.with_vars(("X", "Z")), "X")
-    if not rem.is_zero:
-        return None
-    cert = IsoCertificate(s1, s2, lam, mu, gamma, delta, lam ** s1.r, theta)
-    report = _iso_report(cert, defect, transport)
-    if not report.ok:
-        raise VerificationInternalError(
-            "solver emitted a certificate that fails verification: "
-            + "; ".join(c.line() for c in report.failures()))
-    return cert
-
-
 def _assemble(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
-              gamma: Scalar, delta: Poly, transport: Check) -> IsoCertificate:
-    """The certificate of a solution; raises on a non-solution."""
-    cert = _certificate(s1, s2, lam, mu, gamma, delta, transport)
-    if cert is None:
-        raise VerificationInternalError("assembling a certificate from a non-solution")
-    return cert
+              gamma: Scalar, delta: list) -> IsoCertificate:
+    """The certificate of a solution, its rows read off the surfaces; raises
+    on a non-solution."""
+    return _Pair(s1, s2, lam, mu, z_rows(s1.P), z_rows(s2.P),
+                 poly_to_dense(s2.f, "X")).assemble(gamma, delta)
 
 
 def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
@@ -588,8 +630,8 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
                            "no (lambda, mu) transports f_1 onto f_2" + extra)
     m = s1.field.modulus
     f2 = poly_to_dense(s2.f, "X")
-    rows1 = z_rows(s1.P)
-    c2 = [divrem(row, f2, m)[1] for row in z_rows(s2.P)]
+    rows1, rows2 = z_rows(s1.P), z_rows(s2.P)
+    c2 = [divrem(row, f2, m)[1] for row in rows2]
     lifting = None
     if m and s1.d % m == 0:
         lifting = _DeltaLifting(f2, m, factor_univariate(s2.f).factors, cap, examined)
@@ -600,7 +642,8 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     certs: List[IsoCertificate] = []
     gamma_free = False
     for lam, mu in pairs:
-        found, free = _gamma_delta_solutions(s1, s2, lam, mu, rows1, target, lifting, cap)
+        found, free = _gamma_delta_solutions(_Pair(s1, s2, lam, mu, rows1, rows2, f2),
+                                             target, lifting, cap)
         gamma_free = gamma_free or free
         certs.extend(found)
     certs.sort(key=IsoCertificate.sort_key)
@@ -633,15 +676,21 @@ def _defect(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
 
 
 def verify_iso(cert: IsoCertificate) -> VerificationReport:
-    """Re-check of a certificate from its own fields, as the solver checks the
-    defect it divides for theta; passing implies the map is an isomorphism."""
+    """Re-check of a certificate from its own fields, independent of the
+    solver: the defect of (vi) by sparse substitution, less f_2 theta;
+    passing implies the map is an isomorphism."""
     s1, s2 = cert.source, cert.target
-    return _iso_report(cert, _defect(s1, s2, cert.lam, cert.mu, cert.gamma, cert.delta),
+    difference = (_defect(s1, s2, cert.lam, cert.mu, cert.gamma, cert.delta)
+                  - s2.f.with_vars(("X", "Z")) * cert.theta_rem)
+    return _iso_report(cert, difference.is_zero, lambda: difference,
                        _transport_check(s1, s2, cert.lam, cert.mu, cert.u))
 
 
-def _iso_report(cert: IsoCertificate, defect: Poly, transport: Check) -> VerificationReport:
-    """The four checks of ``verify_iso``: (III) is ``transport``, (vi) read off ``defect``."""
+def _iso_report(cert: IsoCertificate, ok_p: bool, difference: Callable[[], Poly],
+                transport: Check) -> VerificationReport:
+    """The four checks of ``verify_iso``: (III) is ``transport``, and (vi)
+    holds when ``ok_p``; otherwise ``difference()``, the defect less f_2 theta,
+    is the failure's detail."""
     s1, s2 = cert.source, cert.target
     checks = []
     ok_d = s1.d == s2.d
@@ -650,11 +699,9 @@ def _iso_report(cert: IsoCertificate, defect: Poly, transport: Check) -> Verific
     ok_units = bool(cert.lam) and bool(cert.gamma) and bool(cert.u)
     checks.append(Check("units lambda, gamma, u nonzero", "Thm 4.1(i)", ok_units))
     checks.append(transport)
-    difference = defect - s2.f.with_vars(("X", "Z")) * cert.theta_rem
-    ok_p = difference.is_zero
     checks.append(Check(
         "P-transport: P1(lam x + mu, gam z + delta) = gam^d P2 + f2 theta",
-        "Thm 4.1(vi)", ok_p, "" if ok_p else f"difference {difference}"))
+        "Thm 4.1(vi)", ok_p, "" if ok_p else f"difference {difference()}"))
     return VerificationReport("isomorphism certificate", tuple(checks),
                               notes=("passing checks imply T is an isomorphism "
                                      "by Thm 4.2 (III) => (I)",))
@@ -682,8 +729,7 @@ def invert_certificate(cert: IsoCertificate) -> IsoCertificate:
     gam_i = cert.gamma.inverse()
     shifted = affine_shift(poly_to_dense(cert.delta, "X"), mu_i.value, lam_i.value, m)
     delta_i = divrem([-gam_i.value * c for c in shifted], poly_to_dense(s2.f, "X"), m)[1]
-    return _assemble(s1, s2, lam_i, mu_i, gam_i, dense_to_poly(delta_i, s1.field, ("X",), "X"),
-                     _transport_check(s1, s2, lam_i, mu_i, lam_i ** s1.r))
+    return _assemble(s1, s2, lam_i, mu_i, gam_i, delta_i)
 
 
 def compose_certificates(second: IsoCertificate, first: IsoCertificate) -> IsoCertificate:
@@ -697,15 +743,13 @@ def compose_certificates(second: IsoCertificate, first: IsoCertificate) -> IsoCe
     d1_shift = affine_shift(poly_to_dense(first.delta, "X"), second.mu.value, second.lam.value, m)
     delta = divrem(add([first.gamma.value * c for c in poly_to_dense(second.delta, "X")],
                        d1_shift, m), poly_to_dense(s2.f, "X"), m)[1]
-    return _assemble(s1, s2, lam, mu, gamma, dense_to_poly(delta, s1.field, ("X",), "X"),
-                     _transport_check(s1, s2, lam, mu, lam ** s1.r))
+    return _assemble(s1, s2, lam, mu, gamma, delta)
 
 
 def identity_certificate(spec: SurfaceSpec) -> IsoCertificate:
     one = Scalar(spec.field, 1)
     zero = Scalar(spec.field, 0)
-    return _assemble(spec, spec, one, zero, one, Poly.zero(spec.field, ("X",)),
-                     _transport_check(spec, spec, one, zero, one))
+    return _assemble(spec, spec, one, zero, one, [])
 
 
 def automorphisms(spec: SurfaceSpec, cap: int = DEFAULT_CAP) -> List[IsoCertificate]:

@@ -168,17 +168,31 @@ def expmap_from_doc(doc: dict) -> ExpMap:
 # -- isomorphism certificates ----------------------------------------------------
 
 
-def iso_to_doc(cert: IsoCertificate) -> dict:
-    return {
-        "source": surface_to_doc(cert.source),
-        "target": surface_to_doc(cert.target),
+def certificates_to_doc(certs: List[IsoCertificate]) -> List[dict]:
+    """The documents of a decision's certificates.  A surface object that
+    several certificates share is rendered once; each document gets its own
+    copy of the rendered dict, so editing one leaves the others as they are."""
+    rendered: Dict[int, dict] = {}      # id of a surface in ``certs`` -> its document
+
+    def surface(spec: SurfaceSpec) -> dict:
+        doc = rendered.get(id(spec))
+        if doc is None:
+            doc = rendered[id(spec)] = surface_to_doc(spec)
+        return dict(doc)
+    return [{
+        "source": surface(cert.source),
+        "target": surface(cert.target),
         "lambda": scalar_str(cert.lam),
         "mu": scalar_str(cert.mu),
         "gamma": scalar_str(cert.gamma),
         "delta": poly_str(cert.delta),
         "u": scalar_str(cert.u),
         "theta": poly_str(cert.theta_rem),
-    }
+    } for cert in certs]
+
+
+def iso_to_doc(cert: IsoCertificate) -> dict:
+    return certificates_to_doc([cert])[0]
 
 
 def iso_from_doc(doc: dict) -> IsoCertificate:

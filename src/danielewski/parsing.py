@@ -32,7 +32,7 @@ they go (over F_p a constant power is one modular ``pow``); the terms of a
 sum go straight into one coefficient dict.  A ``Poly`` product is built
 only for a parenthesized sum with two or more terms, or a power of one,
 which is ``poly.square_and_multiply`` with the budgeted multiply; the
-``_cached_power`` ladder would form (Z+X+1)^64 over Q from products of at
+``power_ladder`` would form (Z+X+1)^64 over Q from products of at
 most 2,080 by 3 terms, inside the work budget that refuses it here.
 
 One routine renders terms: ``poly_str`` prints a polynomial, and

@@ -46,6 +46,13 @@ Gerhard, *Modern Computer Algebra*, ch. 6); otherwise it is read as is.
 Arithmetic requires identical variable tuples; use ``with_vars`` to embed a
 polynomial into another variable context (one pass of shifts and masks).
 
+Powers have two routines, one job each, and the caller passes the product
+(and, for the ladder, the p-th power), so each serves every representation.
+``square_and_multiply`` forms a single power of one base.  ``power_ladder``
+keeps every power of one base it builds and over F_p takes p-th powers by
+the Frobenius map: ``substitute`` and ``Poly.__pow__`` read it on ``Poly``
+(``_frobenius``), ``dense.congruence_defect`` on dense rows (``dense.spread``).
+
 Everything here is immutable and pure, safe for concurrent use.
 """
 
@@ -465,7 +472,7 @@ class Poly:
             return Poly._raw(self.field, self.vars, {key * e: self.field.pow(c, e)})
         if not e:
             return Poly.one(self.field, self.vars)
-        return _cached_power({1: self}, e)
+        return power_ladder({1: self}, e, self.field.modulus, operator.mul, _frobenius)
 
     def mul_var_power(self, var: str, k: int) -> "Poly":
         """Multiply by var**k (exponent shift, no coefficient work)."""
@@ -560,8 +567,8 @@ def canonical_var_union(*var_lists: Iterable[str]) -> Tuple[str, ...]:
 def square_and_multiply(x, e: int, mul):
     """x**e for e >= 1 by right-to-left binary powering, each product
     ``mul(a, b)``; no product by one, no squaring past the top bit of e.
-    The one routine for a single power of one base; ``_cached_power`` is
-    the ladder that ``substitute`` and ``Poly.__pow__`` read powers off."""
+    The one routine for a single power of one base; ``power_ladder`` is
+    the one for every power of a base that a caller reads off."""
     result = None
     while True:
         if e & 1:
@@ -572,32 +579,43 @@ def square_and_multiply(x, e: int, mul):
         x = mul(x, x)
 
 
-def _cached_power(cache: Dict[int, Poly], e: int) -> Poly:
+def power_ladder(cache: Dict[int, object], e: int, p: int, mul, frobenius):
     """a^e for a = cache[1], kept in ``cache`` with every power it builds.
+    The one ladder for every power of one base that a caller reads off, in
+    any representation: ``substitute`` and ``Poly.__pow__`` pass the
+    ``Poly`` product and ``_frobenius``, ``dense.congruence_defect`` the
+    dense-row product and spread.
 
-    Over F_p, for e >= p, a^e = (a^(e // p))^p a^(e % p), and the p-th power
-    is a term map: each key times p, the coefficients unchanged since c^p = c
-    (the Frobenius map; von zur Gathen & Gerhard, *Modern Computer Algebra*,
-    ch. 14).  Smaller powers are built by repeated multiplication."""
+    Over F_p (p > 0), for e >= p, a^e = (a^(e // p))^p a^(e % p), and the
+    p-th power ``frobenius(b)`` = b^p takes no product: it spreads the
+    exponents by p and keeps the coefficients, since c^p = c (the Frobenius
+    map; von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 14).
+    Smaller powers, and every power over Q (p = 0), are built in one loop
+    of products ``mul(b, a)`` from the largest power cached below e."""
     if e in cache:
         return cache[e]
-    a = cache[1]
-    p = a.field.modulus                 # 0 over Q
     if p and e >= p:
-        base = _cached_power(cache, e // p).packed
-        if base and (max(base) >> (SLOT * len(a.vars))) * p >= MAX_EXPONENT:
-            raise OverflowError("power exponent would exceed 2**31")
-        acc = Poly._raw(a.field, a.vars, {k * p: c for k, c in base.items()})
+        acc = frobenius(power_ladder(cache, e // p, p, mul, frobenius))
         if e % p:
-            acc = acc * _cached_power(cache, e % p)
+            acc = mul(acc, power_ladder(cache, e % p, p, mul, frobenius))
         cache[e] = acc
         return acc
+    a = cache[1]
     best = max(k for k in cache if k <= e)
     acc = cache[best]
     for k in range(best + 1, e + 1):
-        acc = acc * a
+        acc = mul(acc, a)
         cache[k] = acc
     return acc
+
+
+def _frobenius(a: Poly) -> Poly:
+    """a^p over F_p as a term map: each key times p, the coefficients
+    unchanged; raises ``OverflowError`` as ``Poly.__pow__`` does."""
+    p = a.field.modulus
+    if a.packed and (max(a.packed) >> (SLOT * len(a.vars))) * p >= MAX_EXPONENT:
+        raise OverflowError("power exponent would exceed 2**31")
+    return Poly._raw(a.field, a.vars, {k * p: c for k, c in a.packed.items()})
 
 
 def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterable[str]] = None) -> Poly:
@@ -644,7 +662,7 @@ def substitute(p: Poly, bindings: Mapping[str, Poly], vars_out: Optional[Iterabl
         for off, v in bound:
             e = (k >> off) & SLOT_MASK
             if e:
-                f = _cached_power(pow_cache[v], e)
+                f = power_ladder(pow_cache[v], e, field.modulus, operator.mul, _frobenius)
                 image = f if image is None else image * f
         for off, unit, v in free:
             e = (k >> off) & SLOT_MASK

@@ -291,8 +291,8 @@ def verify_iso_by_substitution(cert: IsoCertificate) -> VerificationReport:
     """The four checks of ``verify_iso``, (III) and (vi) evaluated on their
     own: f_1 and P_1 substituted sparsely, and P_1 compared with
     gam^d P_2 + f_2 theta, built separately, where the library reads (III)
-    off the search's Horner shift and (vi) off one defect it shares with the
-    solver."""
+    off the search's Horner shift and (vi) off the defect less f_2 theta
+    (the solver computes that defect on dense rows)."""
     s1, s2 = cert.source, cert.target
     checks = []
     ok_d = s1.d == s2.d

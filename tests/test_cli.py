@@ -623,7 +623,7 @@ def _not_this_form(*args, **kwargs):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_each_form_builds_only_itself(capsys, monkeypatch, tmp_path, name, form):
     if form == "text":
-        for writer in ("iso_to_doc", "obstruction_to_doc", "stable_to_doc",
+        for writer in ("certificates_to_doc", "obstruction_to_doc", "stable_to_doc",
                        "expmap_to_doc", "family_to_doc", "surface_to_doc"):
             monkeypatch.setattr(cli, writer, _not_this_form)
         monkeypatch.setattr(VerificationReport, "to_doc", _not_this_form)

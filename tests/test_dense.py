@@ -8,9 +8,11 @@ import random
 import pytest
 
 from danielewski import GF, QQ, Poly
-from danielewski.dense import Fp, Fq, hasse, mul, poly_to_dense, z_rows
+from danielewski.dense import (Fp, Fq, add, congruence_defect, divrem, hasse, mul, norm,
+                               poly_to_dense, z_rows)
+from danielewski.poly import substitute
 
-from conftest import random_poly
+from conftest import random_coeff, random_poly
 from oracles import fp_split_reference, roots_by_evaluation, taylor_by_substitution
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
@@ -49,6 +51,72 @@ def test_hasse_derivatives_match_taylor_by_substitution(field):
             assert hasse(poly_to_dense(u, "Z"), k, m) == poly_to_dense(want, "Z")
         assert P.hasse_derivative("Z", 1) == P.derivative("Z")
         assert P.hasse_derivative("Z", 0) == P
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_congruence_defect_matches_substitution(field):
+    # P of Z-degree >= max(p, 3) with gaps (zero rows), so rows j >= p meet
+    # binomials that vanish mod p; deg delta up to 3 and delta = 0, and a
+    # target Q of another Z-degree
+    rng = random.Random(f"congruence_defect|{field}")
+    m = field.modulus
+    vars2 = ("X", "Z")
+    for trial in range(12):
+        P = _random_P(rng, field)
+        P = P - P.coeff_in("Z", 1).mul_var_power("Z", 1)        # row 1 is zero
+        Q = _random_P(rng, field)
+        gamma = random_coeff(rng, field) or 1
+        delta = random_poly(rng, field, ("X",), max_exp=3) if trial % 4 else Poly.zero(
+            field, ("X",))
+        z = Poly.variable(field, vars2, "Z").scaled(gamma) + delta.with_vars(vars2)
+        d = Q.degree_in("Z")
+        g = field.coerce(gamma)
+        want = substitute(P, {"Z": z}, vars_out=vars2) - Q.scaled(field.pow(g, d))
+        rows = z_rows(P)
+        assert rows[1] == []
+        assert _strip(congruence_defect(rows, g, poly_to_dense(delta, "X"), z_rows(Q), m)) \
+            == z_rows(want)
+
+
+@pytest.mark.parametrize("field, d, delta", [(QQ, 1200, 0), (GF(1009), 1000, 0),
+                                             (GF(1009), 1000, 3), (GF(7), 1200, 0),
+                                             (GF(7), 1200, 3)], ids=str)
+def test_congruence_defect_of_a_sparse_high_degree_P(field, d, delta):
+    # P = Z^d + X has no row between Z^0 and Z^d, so delta^d has no lower
+    # power cached: the ladder fills the powers below p (every power over Q)
+    # in a loop, not by one recursion per exponent step
+    vars2 = ("X", "Z")
+    X, Z = (Poly.variable(field, vars2, v) for v in vars2)
+    P = Z ** d + X
+    want = substitute(P, {"Z": Z.scaled(field.coerce(2)) + Poly.monomial(field, vars2, (0, 0),
+                                                                          delta)},
+                      vars_out=vars2) - P.scaled(field.pow(field.coerce(2), d))
+    got = congruence_defect(z_rows(P), field.coerce(2), norm([delta], field.modulus), z_rows(P),
+                            field.modulus)
+    assert _strip(got) == ([] if want.is_zero else z_rows(want))
+
+
+@pytest.mark.parametrize("m", [2, 7, 9, 125, 0], ids=lambda m: f"m{m}")
+def test_divrem_holds_its_identity_for_sparse_and_dense_divisors(m):
+    # f = q g + r with deg r < deg g, for X^k - X, X^k + c and dense monic g,
+    # mod a prime, mod a prime power and over Q (m = 0)
+    rng = random.Random(f"divrem|{m}")
+    for _ in range(40):
+        k = rng.randint(1, 9)
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = [0, -1] + [0] * (k - 2) + [1] if k >= 2 else [3, 1]
+        elif kind == 1:
+            g = [rng.randint(-5, 5)] + [0] * (k - 1) + [1]
+        else:
+            g = [rng.randint(-5, 5) for _ in range(k)] + [1]
+        g = norm(g, m)
+        f = norm([rng.randint(-9, 9) for _ in range(rng.randint(0, 3 * k + 4))], m)
+        q, r = divrem(f, g, m)
+        assert len(r) < len(g) and (not r or r[-1]) and (not q or q[-1])
+        assert add(mul(q, g, m), r, m) == f
+        if m:
+            assert all(0 <= c < m for c in q + r)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

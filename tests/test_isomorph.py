@@ -160,14 +160,17 @@ def _random_surface(rng, field, r, d=2):
 
 def _transformed_copy(rng, s1):
     """A genuinely isomorphic partner built from a random admissible map."""
-    from danielewski.poly import substitute
     field = s1.field
     p = field.modulus
-    lam = Scalar(field, rng.randrange(1, p))
-    mu = Scalar(field, rng.randrange(p))
-    gamma = Scalar(field, rng.randrange(1, p))
-    delta = Poly(field, ("X",),
-                 {(i,): rng.randrange(p) for i in range(s1.r)})
+    return _copy_under(s1, Scalar(field, rng.randrange(1, p)), Scalar(field, rng.randrange(p)),
+                       Scalar(field, rng.randrange(1, p)),
+                       Poly(field, ("X",), {(i,): rng.randrange(p) for i in range(s1.r)}))
+
+
+def _copy_under(s1, lam, mu, gamma, delta):
+    """The partner that the map (lam, mu, gamma, delta) carries s1 onto."""
+    from danielewski.poly import substitute
+    field = s1.field
     x = Poly.variable(field, ("X",), "X")
     f2 = substitute(s1.f, {"X": x.scaled(lam) + Poly.const(field, ("X",), mu)},
                     vars_out=("X",)).scaled((lam ** s1.r).inverse())
@@ -469,15 +472,16 @@ def test_free_parameter_over_fp_respects_cap(f, phi):
     assert err.value.needed == 10
 
 
-def test_elimination_branch_reuses_theta(monkeypatch):
+def test_elimination_branch_computes_one_dense_defect_per_gamma(monkeypatch):
     from danielewski import isomorph
-    defects = _count_calls(monkeypatch, isomorph, "_defect")
+    defects = _count_calls(monkeypatch, isomorph, "congruence_defect")
+    sparse = _count_calls(monkeypatch, isomorph, "_defect")
     s = surf(GF(5), "X^2+X+1", "Z^3+2*Z+X")  # 5 does not divide d = 3: elimination
     certs = decide_isomorphism(s, s)
-    # one defect per gamma checked: theta is its quotient and the
-    # certificate's checks read it, so none is computed again
-    assert certs and len(defects) == len(certs)
-    assert len({(str(a[2]), str(a[3]), str(a[4]), str(a[5])) for a in defects}) == len(certs)
+    # one dense defect per gamma checked: theta is the quotient of its rows
+    # and the certificate's checks read them, so none is computed again
+    assert certs and len(defects) == len(certs) and sparse == []
+    assert len({(tuple(map(tuple, a[0])), a[1], tuple(a[2])) for a in defects}) == len(certs)
     assert all(verify_iso(c).ok for c in certs)
 
 
@@ -534,21 +538,38 @@ def test_early_stop_keeps_both_rational_gammas():
     assert all(c.delta.is_zero and verify_iso(c).ok for c in result)
 
 
-def test_early_stop_candidates_are_confirmed_by_the_split(monkeypatch):
+def _record_candidates(monkeypatch):
+    """(lam, mu, gamma, certificate or None) of every candidate the solver
+    hands to ``_Pair.certificate``."""
+    from danielewski import isomorph
+    candidates = []
+    original = isomorph._Pair.certificate
+
+    def recorded(pair, gamma, delta):
+        cert = original(pair, gamma, delta)
+        candidates.append((pair.lam, pair.mu, gamma, cert))
+        return cert
+    monkeypatch.setattr(isomorph._Pair, "certificate", recorded)
+    return candidates
+
+
+def test_early_stop_candidates_are_confirmed_by_the_division(monkeypatch):
     # the W^2 and W^1 rows give T^2 - 1 and T^3 - 1, so the gcd stops at
     # T - 1; the W^0 row (X vs 2X, -X vs 2X for lambda = -1) is left to the
-    # division of the defect by f_2, which refutes gamma = 1 for both
+    # division of the dense defect by f_2, which refutes gamma = 1 for both
     # (lambda, mu) before any certificate is built
     from danielewski import isomorph
-    defects = _count_calls(monkeypatch, isomorph, "_defect")
+    candidates = _record_candidates(monkeypatch)
+    defects = _count_calls(monkeypatch, isomorph, "congruence_defect")
     reports = _count_calls(monkeypatch, isomorph, "_iso_report")
     s1 = surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + X")
     s2 = surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + 2*X")
     result = decide_isomorphism(s1, s2)
     assert isinstance(result, Obstruction) and result.kind is ObstructionKind.NO_GAMMA_DELTA
-    assert [a[4] for a in defects] == [Scalar(GF(7), 1)] * 2
-    assert len({(a[2], a[3]) for a in defects}) == 2
-    assert reports == []
+    assert [c[2] for c in candidates] == [Scalar(GF(7), 1)] * 2
+    assert len({(c[0], c[1]) for c in candidates}) == 2
+    assert all(c[3] is None for c in candidates)
+    assert len(defects) == 2 and reports == []
     assert not brute_force_certificates(s1, s2)
 
 
@@ -619,21 +640,45 @@ def test_fp_roots_construct_no_fq(monkeypatch):
     assert calls == []
 
 
-def test_elimination_makes_no_three_variable_substitution(monkeypatch):
-    from danielewski import isomorph
-    widths = []
-    original = isomorph.substitute
+def _forbid(monkeypatch, owner_name, attr):
+    """Every binding in the package of ``owner_name.attr`` raises when called."""
+    import sys
+    original = getattr(sys.modules[f"danielewski.{owner_name}"], attr)
 
-    def recorded(*args, **kwargs):
-        out = original(*args, **kwargs)
-        widths.append(len(out.vars))
-        return out
-    monkeypatch.setattr(isomorph, "substitute", recorded)
-    for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"), (GF(7), "X^3+X+1", "Z^4+X*Z^3+Z"),
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{attr} called")
+    for name, module in list(sys.modules.items()):
+        if name == "danielewski" or name.startswith("danielewski."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, forbidden)
+
+
+def test_solver_and_certificate_algebra_substitute_nothing(monkeypatch):
+    # (III) is a Horner shift and (vi) a dense defect: with every binding of
+    # substitute, and the sparse defect, raising, each branch still decides,
+    # and so do inverse, composition and identity; the certificates then
+    # pass the substitution oracle
+    _forbid(monkeypatch, "poly", "substitute")
+    _forbid(monkeypatch, "isomorph", "_defect")
+    certs = []
+    for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"),    # elimination, p does not divide r
+                          (GF(5), "X^4*(X+1)", "Z^5+Z+X"),    # lifting, p | r
+                          (GF(3), "X^3+2*X+1", "Z^2+X*Z+1"),  # elimination, p | r
+                          (GF(3), "X^3-X", "Z^9+Z^3+Z"),      # lifting, d = p^2
+                          (GF(7), "X^3+X+1", "Z^4+X*Z^3+Z"),
                           (QQ, "X^2*(X-1)", "Z^2+X*Z+1")):
         s = surf(field, f, phi)
-        assert decide_isomorphism(s, s)
-    assert widths and max(widths) <= 2
+        found = decide_isomorphism(s, s)
+        assert found
+        certs += found
+        certs += [invert_certificate(found[-1]), compose_certificates(found[-1], found[0]),
+                  identity_certificate(s)]
+    with pytest.raises(InfiniteFamilyError) as err:
+        decide_isomorphism(surf(QQ, "X^2", "Z^2+1"), surf(QQ, "X^2", "Z^2+1"))
+    certs += err.value.representative
+    monkeypatch.undo()
+    assert all(verify_iso_by_substitution(c).ok for c in certs)
 
 
 def _moved_f(f, lam, mu):
@@ -715,29 +760,36 @@ def test_automorphisms_factor_f_once(monkeypatch):
     assert [str(args[0]) for args in calls] == ["X^6 + X^5", "X + 1"]
 
 
-def test_affine_and_gamma_solves_substitute_nothing(monkeypatch):
+def test_defect_is_evaluated_only_by_verify_iso(monkeypatch):
+    # the solver substitutes nothing; verify_iso, the independent re-check,
+    # evaluates (vi) by one sparse substitution per certificate
     import sys
     from danielewski import isomorph
-    callers = []
-    original = isomorph.substitute
+    callers = {"substitute": [], "_defect": []}
+    for name in callers:
+        original = getattr(isomorph, name)
 
-    def recorded(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(isomorph, "substitute", recorded)
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            callers[_name].append(sys._getframe(1).f_code.co_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(isomorph, name, recorded)
+    certs = []
     for field, f, phi in ((GF(5), "X^2+X+1", "Z^3+2*Z+X"),    # elimination, p does not divide r
                           (GF(5), "X^4*(X+1)", "Z^5+Z+X"),    # lifting, p | r
                           (GF(3), "X^3+2*X+1", "Z^2+X*Z+1"),  # elimination, p | r
                           (QQ, "X^2*(X-1)", "Z^2+X*Z+1")):
         s = surf(field, f, phi)
-        assert decide_isomorphism(s, s)
-    assert set(callers) == {"_defect"}    # (III) is a Horner shift, (vi) one defect
+        certs += decide_isomorphism(s, s)
+    assert certs and callers == {"substitute": [], "_defect": []}
+    assert all(verify_iso(c).ok for c in certs)
+    assert callers == {"substitute": ["_defect"] * len(certs),
+                       "_defect": ["verify_iso"] * len(certs)}
 
 
-def test_one_substitution_per_certificate(monkeypatch):
-    # the defect of (vi), once per certificate; (III) is a Horner shift, and
-    # an elimination candidate that the division of its defect refutes costs
-    # the defect alone
+def test_one_dense_defect_per_candidate(monkeypatch):
+    # the dense defect of (vi), once per candidate and never a substitution;
+    # (III) is a Horner shift, and an elimination candidate that the
+    # division of its defect refutes costs the defect alone
     from danielewski import isomorph
     rng = random.Random(8)
     pairs = []
@@ -752,25 +804,84 @@ def test_one_substitution_per_certificate(monkeypatch):
               (surf(QQ, "X^2*(X-1)", "Z^4 + Z^2 + 1"),
                surf(QQ, "X^2*(X-1)", "Z^4 + 1/9*Z^2 + 1/81"))]
     substitutions = _count_calls(monkeypatch, isomorph, "substitute")
-    refuted = []
-    original = isomorph._certificate
-
-    def recorded(*args):
-        cert = original(*args)
-        refuted.append(cert is None)
-        return cert
-    monkeypatch.setattr(isomorph, "_certificate", recorded)
+    defects = _count_calls(monkeypatch, isomorph, "congruence_defect")
+    candidates = _record_candidates(monkeypatch)
     decisions = [lambda s1=s1, s2=s2: decide_isomorphism(s1, s2) for s1, s2 in pairs]
     decisions += [lambda s=s: automorphisms(s) for s, t in pairs if s is t]
     total = 0
     for decide in decisions:
-        substitutions.clear()
-        refuted.clear()
+        defects.clear()
+        candidates.clear()
         result = decide()
         certs = [] if isinstance(result, Obstruction) else result
-        assert len(substitutions) == len(certs) + sum(refuted)
-        total += sum(refuted)
-    assert total >= 2
+        refuted = sum(c[3] is None for c in candidates)
+        assert len(defects) == len(candidates) == len(certs) + refuted
+        total += refuted
+    assert total >= 2 and substitutions == []
+
+
+# (field, f, P or None for a seeded P of degree d, d); each surface is
+# decided against itself and a moved copy.  Over F_p both branches: p | d
+# (the sparse shapes Z^p + Z + X and Z^9 + Z^3 + Z among them) and p not
+# dividing d; over Q the elimination branch
+DENSE_DEFECT_CASES = (
+    (GF(2), "X^2+X+1", "Z^2+Z+X", 2),
+    (GF(2), "X^3+X+1", None, 4),
+    (GF(2), "X^3+X+1", None, 3),
+    (GF(3), "X^2+1", "Z^3+Z+X", 3),
+    (GF(3), "X^3-X", "Z^9+Z^3+Z", 9),
+    (GF(3), "X^2*(X+1)", None, 2),
+    (GF(5), "X^2+2", "Z^5+Z+X", 5),
+    (GF(5), "X^3+2*X+1", None, 5),
+    (GF(5), "X^2+X+1", None, 3),
+    (GF(7), "X^2+3", "Z^7+Z+X", 7),
+    (GF(7), "X^3+X+1", None, 4),
+    (QQ, "X^2+1", "Z^3 + X*Z + 1", 3),
+    (QQ, "X^2*(X-1)", "Z^4 + Z^2 + 1", 4),
+)
+
+
+def test_dense_defect_matches_the_substitution_oracle(monkeypatch):
+    # every emitted certificate passes the oracle, and its theta is the
+    # sparse quotient of the defect by f_2; the F7 pair and the Q pair of
+    # the early stop add refuted candidates
+    from danielewski.isomorph import _defect
+    from danielewski.poly import divmod_in
+    rng = random.Random(31)
+    pairs = []
+    for field, f_text, p_text, d in DENSE_DEFECT_CASES:
+        P = (parse_poly(p_text, field, ("X", "Z")) if p_text
+             else _seeded_phi(rng, field, d))
+        s = surf_from(field, parse_poly(f_text, field, ("X",)), P)
+        if field.modulus:
+            moved = _transformed_copy(rng, s)
+        else:
+            moved = _copy_under(s, Scalar(QQ, -1), Scalar(QQ, 0), Scalar(QQ, 2),
+                                parse_poly("3/2*X - 1", QQ, ("X",)))
+        pairs += [(s, s, True), (s, moved, True)]
+    pairs += [(surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + X"),
+               surf(GF(7), "X^2+3", "Z^4 + Z^2 + Z + 2*X"), False),
+              (surf(QQ, "X^2*(X-1)", "Z^4 + Z^2 + 1"),
+               surf(QQ, "X^2*(X-1)", "Z^4 + 1/9*Z^2 + 1/81"), True)]
+    candidates = _record_candidates(monkeypatch)
+    branches, count = set(), 0
+    for s1, s2, isomorphic in pairs:
+        result = decide_isomorphism(s1, s2)
+        certs = [] if isinstance(result, Obstruction) else result
+        assert bool(certs) == isomorphic, (str(s1.f), str(s1.P), str(s2.P))
+        for cert in certs:
+            assert verify_iso_by_substitution(cert).ok
+            theta, rem = divmod_in(_defect(s1, s2, cert.lam, cert.mu, cert.gamma, cert.delta),
+                                   s2.f.with_vars(("X", "Z")), "X")
+            assert rem.is_zero and theta == cert.theta_rem
+        count += len(certs)
+        if certs:
+            p = s1.field.modulus
+            branches.add((p, bool(p) and s1.d % p == 0))
+    assert {(p, lifting) for p, lifting in branches if p} == {
+        (p, lifting) for p in (2, 3, 5, 7) for lifting in (False, True)}
+    assert (0, False) in branches
+    assert sum(c[3] is None for c in candidates) >= 2 and count >= 400
 
 
 @pytest.mark.parametrize("field, f, phi, pairs, count", [

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from danielewski import (GF, QQ, Poly, automorphisms, build_stable_iso, canonical_expmap,
-                         sigma_family, parse_poly, verify_expmap, verify_iso,
-                         verify_stable_iso)
+                         decide_isomorphism, jsonio, sigma_family, parse_poly, verify_expmap,
+                         verify_iso, verify_stable_iso)
 from danielewski.errors import InputError
 from danielewski.expmap import VerifyStatus
 from danielewski.surface import normal_form
-from danielewski.jsonio import (dumps, element_from_doc, element_to_doc, expmap_from_doc,
-                                expmap_to_doc, family_to_doc, iso_from_doc, iso_to_doc,
-                                stable_from_doc, stable_to_doc, surface_from_doc,
+from danielewski.jsonio import (certificates_to_doc, dumps, element_from_doc, element_to_doc,
+                                expmap_from_doc, expmap_to_doc, family_to_doc, iso_from_doc,
+                                iso_to_doc, stable_from_doc, stable_to_doc, surface_from_doc,
                                 surface_to_doc)
 
 from conftest import random_element, surf
@@ -106,6 +106,33 @@ def test_iso_round_trip(surfaces):
                             "delta", "u", "theta"}
         back = iso_from_doc(doc)
         assert back == cert and verify_iso(back).ok
+
+
+def test_a_decision_renders_each_surface_once(monkeypatch):
+    # the certificates of one decision share their source and target: each
+    # is rendered once, and the documents are those of iso_to_doc
+    rendered = []
+    original = jsonio.surface_to_doc
+
+    def counted(spec):
+        rendered.append(spec)
+        return original(spec)
+    s1 = surf(GF(7), "X^7-X", "Z^7+Z")
+    s2 = surf(GF(7), "X^7-X", "Z^7+Z+1")       # P_1(X, 2Z + 1) / 2^7
+    for left, right, surfaces in ((s1, s1, 1), (s1, s2, 2)):
+        certs = decide_isomorphism(left, right)
+        assert len(certs) > 1
+        single = dumps([iso_to_doc(c) for c in certs])
+        monkeypatch.setattr(jsonio, "surface_to_doc", counted)
+        docs = certificates_to_doc(certs)
+        monkeypatch.undo()
+        assert len(rendered) == surfaces and dumps(docs) == single
+        rendered.clear()
+        # no two documents share a dict: editing one surface leaves the rest
+        docs[0]["source"]["phi"] = "Z^2"
+        docs[0]["target"]["f"] = "X^2"
+        assert dumps(docs[1:]) == dumps([iso_to_doc(c) for c in certs[1:]])
+        assert docs[0]["source"]["f"] == docs[1]["source"]["f"]
 
 
 def test_iso_doc_rejects_zero_units(surfaces):
