@@ -25,10 +25,24 @@ once; (*) says the same in A, as h x = f and f y = P(x, z).  The verifier
 re-checks every identity the construction claims on the stored data alone,
 and names the two steps it takes on faith (the slice argument R = R^phi[w]
 and the surjectivity-between-equal-dimensions step).  V1 reads comaximality
-off the exact identity of V3.  Of V5 it computes phi(theta) = theta, phi(v)
-being v - x U, and deduces phi(s) = s and phi(w) = w - U exactly from that,
-V2 and V4 (A[v][U] is a domain).  V6's z and v lines are the theta check and
+off the exact identity of V3.  V6's z and v lines are the theta check and
 V4.  A family link is checked on its build's evaluations.
+
+V5 asks that the canonical map phi, extended by phi(v) = v - x U, fix theta
+and s and send w to w - U.  When the theta check has passed, phi(theta) is
+read off the certificate and not computed:
+
+- phi fixes x, so it fixes h(x);
+- phi sends z to z + f(x) U and v to v - x U;
+- phi is a K-algebra map by the Taylor identity;
+- so phi(h v + z) = h v - x h U + z + f U = theta + (f - x h) U;
+- (f - x h) U has Z-degree 0, so it is its own normal form, and it is zero
+  iff x h = f, since K[x] is a subring of A.
+
+So theta is fixed iff x h = f, one product in K[X].  When the theta check
+fails, phi(theta) is computed on the canonical map's images.  Either way
+phi(s) = s and phi(w) = w - U are deduced exactly from that, V2 and V4
+(A[v][U] is a domain).
 """
 
 from __future__ import annotations
@@ -201,14 +215,19 @@ def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
     v4 = x_el * cert.w == v_el - sa
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
 
-    # V5: invariance under the canonical map with phi(v) = v - x U.
-    # phi(theta) = theta is computed; the rest follows exactly, because phi
-    # is a K-algebra map fixing x and A[v][U] is a domain (P is monic in Z,
-    # so f Y - P is irreducible): V2 gives h phi(s) = P(x, theta) = h s, and
-    # V4 then gives x phi(w) = (v - x U) - s a(x, theta) = x w - x U.
-    images = canonical_expmap(spec).images()
-    images["v"] = v_el - x_el * spec.generator("U")
-    theta_fixed = eval_poly_on_elements(cert.theta.raw_lift(), images, spec) == cert.theta
+    # V5: invariance under the canonical map with phi(v) = v - x U.  When the
+    # theta check passes, phi(theta) = theta + (f - x h) U (module docstring),
+    # so theta is fixed iff x h = f in K[X]; otherwise phi(theta) is computed
+    # on the map's images.  The rest follows exactly, because phi is a
+    # K-algebra map fixing x and A[v][U] is a domain (P is monic in Z, so
+    # f Y - P is irreducible): V2 gives h phi(s) = P(x, theta) = h s, and V4
+    # then gives x phi(w) = (v - x U) - s a(x, theta) = x w - x U.
+    if theta_ok:
+        theta_fixed = cert.h.mul_var_power("X", 1) == spec.f
+    else:
+        images = canonical_expmap(spec).images()
+        images["v"] = v_el - x_el * spec.generator("U")
+        theta_fixed = eval_poly_on_elements(cert.theta.raw_lift(), images, spec) == cert.theta
     premises = (("theta fixed", theta_fixed), ("h != 0", not cert.h.is_zero), ("V2", v2),
                 ("V4", v4))
     v5 = all(ok for _, ok in premises)

@@ -273,18 +273,22 @@ def test_fp_family_bytes_are_pinned(field, g, phi, n_to, digest):
     assert fam.ok and _sha256(family_to_doc(fam)) == digest
 
 
-# each tamper adds a term to one field of the certificate document
-TAMPERS = (("theta", "X"), ("theta", "Z"), ("s", "1"), ("w", "X"), ("w", "1"),
-           ("corr", "1"), ("a", "Z"), ("b", "1"))
+# each tamper adds a term to one field of the certificate document, or, in the
+# last, h' = h + X with theta' = h' v + z: the theta check passes, x h' != f,
+# and V5 reads theta fixed: False off that check
+TAMPERS = tuple(((key, term),) for key, term in (
+    ("theta", "X"), ("theta", "Z"), ("s", "1"), ("w", "X"), ("w", "1"), ("corr", "1"),
+    ("a", "Z"), ("b", "1"), ("h", "X"))) + ((("h", "X"), ("theta", "X*v")),)
 
 
-def _tampered(cert, key, term):
+def _tampered(cert, edits):
     doc = stable_to_doc(cert)
-    if isinstance(doc[key], dict):       # an element: its y^0 coefficient
-        coeffs = doc[key]["coeffs"]
-        coeffs["0"] = f"{coeffs.get('0', '0')} + {term}"
-    else:
-        doc[key] = f"{doc[key]} + {term}"
+    for key, term in edits:
+        if isinstance(doc[key], dict):       # an element: its y^0 coefficient
+            coeffs = doc[key]["coeffs"]
+            coeffs["0"] = f"{coeffs.get('0', '0')} + {term}"
+        else:
+            doc[key] = f"{doc[key]} + {term}"
     return stable_from_doc(doc)
 
 
@@ -297,10 +301,13 @@ def _same_report(report, cert):
 def test_verify_matches_the_evaluating_oracle(field, f, phi):
     cert = build_stable_iso(surf(field, f, phi))
     assert verify_stable_iso(cert).ok and _same_report(verify_stable_iso(cert), cert)
-    for key, term in TAMPERS:
-        worse = _tampered(cert, key, term)
+    for edits in TAMPERS:
+        worse = _tampered(cert, edits)
         report = verify_stable_iso(worse)
-        assert not report.ok and _same_report(report, worse), (key, term)
+        assert not report.ok and _same_report(report, worse), edits
+    paired = verify_stable_iso(_tampered(cert, TAMPERS[-1]))
+    assert next(c for c in paired.checks if c.name.startswith("theta")).passed
+    assert _v5(paired).detail.startswith("theta fixed: False, ")
 
 
 @pytest.mark.parametrize("field, g, phi, n_to", [
@@ -334,16 +341,35 @@ def test_each_identity_is_evaluated_once_per_path(monkeypatch):
     calls = _counted_evaluations(monkeypatch)
     cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
     assert calls == [cert.spec_a.P, cert.a]
-    # V5 evaluates theta on the canonical map's images with v -> v - x U
+    # a passing theta check gives V5 phi(theta) without evaluating theta
     calls.clear()
     assert verify_stable_iso(cert).ok
-    assert calls == [cert.spec_a.P, cert.a, cert.theta.raw_lift()]
+    assert calls == [cert.spec_a.P, cert.a]
     calls.clear()
     fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                        parse_poly("(Z+X)^5-1", QQ, ("X", "Z")), 2, 5)
     assert fam.ok and len(fam.chain) == 3
-    assert calls == [p for link in fam.chain
-                     for p in (fam.surfaces[0].P, cert.a, link.certificate.theta.raw_lift())]
+    assert calls == [p for _ in fam.chain for p in (fam.surfaces[0].P, cert.a)]
+
+
+def test_a_failed_theta_check_evaluates_theta_on_the_extended_images(monkeypatch):
+    cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
+    worse = dataclasses.replace(cert, theta=cert.theta + cert.spec_a.z())
+    calls = _counted_evaluations(monkeypatch)
+    report = verify_stable_iso(worse)
+    assert calls == [cert.spec_a.P, cert.a, worse.theta.raw_lift()]
+    assert _v5(report).detail.startswith("theta fixed: False, ")
+
+
+def test_a_passing_verify_never_builds_the_canonical_map(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("canonical_expmap called")
+
+    monkeypatch.setattr(cancel, "canonical_expmap", refuse)
+    cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
+    assert verify_stable_iso(cert).ok
+    assert sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
+                        parse_poly("(Z+X)^5-1", QQ, ("X", "Z")), 2, 5).ok
 
 
 def test_a_corrupted_evaluation_fails_build_and_family(monkeypatch):
