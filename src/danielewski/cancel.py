@@ -22,27 +22,40 @@ Over Q every comaximal P is a translate Q(Z + h(X)), solved by one
 univariate extended gcd; a non-translate over F_p, or p | deg_Z P, runs one
 elimination (``resultant``).  A build asserts Eq (8), h s = P(x, theta),
 once; (*) says the same in A, as h x = f and f y = P(x, z).  The verifier
-re-checks every identity the construction claims on the stored data alone,
-and names the two steps it takes on faith (the slice argument R = R^phi[w]
-and the surjectivity-between-equal-dimensions step).  V1 reads comaximality
-off the exact identity of V3.  V6's z and v lines are the theta check and
-V4.  A family link is checked on its build's evaluations.
+re-checks every identity the construction claims on the stored data alone.
+V1 reads comaximality off the exact identity of V3.  V6's z and v lines are
+the theta check and V4.  A family link is checked on its build's
+evaluations.
 
-V5 asks that the canonical map phi, extended by phi(v) = v - x U, fix theta
-and s and send w to w - U.  When the theta check has passed, phi(theta) is
-read off the certificate and not computed:
+Those identities prove A[v] = B[w]; nothing is cited.  A[v] and B[w] are
+domains, because P is monic in Z.  Write x, y_B, z_B, w for the generators
+of B[w], B's relation being h y_B = P(x, z_B); V1b gives x h = f, h != 0.
+Psi: B[w] -> A[v] sends x -> x, z_B -> theta, y_B -> s and w -> w; it is
+well defined by V2, h s = P(x, theta).  Its inverse sends
 
-- phi fixes x, so it fixes h(x);
-- phi sends z to z + f(x) U and v to v - x U;
-- phi is a K-algebra map by the Taylor identity;
-- so phi(h v + z) = h v - x h U + z + f U = theta + (f - x h) U;
-- (f - x h) U has Z-degree 0, so it is its own normal form, and it is zero
-  iff x h = f, since K[x] is a subring of A.
+    x -> x
+    v -> v' = x w + y_B a(x, z_B)
+    z -> z' = z_B - h v'
+    y -> y' = (y_B + Q_h(-v')(x, z_B)) / x
 
-So theta is fixed iff x h = f, one product in K[X].  When the theta check
-fails, phi(theta) is computed on the canonical map's images.  Either way
-phi(s) = s and phi(w) = w - U are deduced exactly from that, V2 and V4
-(A[v][U] is a domain).
+- y' exists (V3): modulo x, h = 0 as n >= 2, so Q_h(T) = P_Z T and
+  v' = y_B a; the numerator is then y_B (1 - a P_Z) = y_B b P(x, z_B)
+  = y_B b h y_B = 0.
+- Psi^-1 is well defined: f y' = h y_B + P(x, z_B - h v') - P(x, z_B)
+  = P(x, z'), by B's relation and the Taylor identity
+  h Q_h(T) = P(Z + h T) - P(Z).
+- Psi Psi^-1 = id: Psi(v') = x w + s a(x, theta) = v by V4, and
+  Psi(z') = theta - h v = z by the theta check.  For y,
+  h x Psi(y') = h s + P(x, theta - h v) - P(x, theta) = P(x, z) = h x y
+  by V2, and h x != 0.
+- Psi^-1 Psi = id: Psi^-1(theta) = h v' + z' = z_B.  Next,
+  h Psi^-1(s) = Psi^-1(P(x, theta)) = P(x, z_B) = h y_B by V2, and
+  x Psi^-1(w) = Psi^-1(v - s a(x, theta)) = v' - y_B a(x, z_B) = x w by V4.
+
+The canonical map's invariance of theta is x h = f, which V1b states, and
+the invertibility of P_Z(0, Z) modulo P(0, Z) is V3 at X = 0, so neither is
+checked apart.  V6's x y line, the definition of s through corr, is used by
+none of these steps: it stays as a cross-check of the builder.
 """
 
 from __future__ import annotations
@@ -52,8 +65,8 @@ from typing import List, Tuple
 
 from .errors import (ComaximalityError, HypothesisError, PreconditionError,
                      SurfaceConstraintError, VerificationInternalError)
-from .expmap import canonical_expmap, taylor_quotient
-from .factor import Factorization, factor_univariate, gcd_univariate
+from .expmap import taylor_quotient
+from .factor import Factorization, factor_univariate
 from .fields import FieldSpec, Scalar
 from .isomorph import Fingerprint, fingerprint, set_str
 from .poly import NEG_INF, Poly, exact_div
@@ -61,12 +74,6 @@ from .reports import Check, VerificationReport
 from .resultant import bezout_cofactors, resultant_in
 from .surface import (SurfaceElement, SurfaceSpec, divide_by_x, eval_poly_on_elements,
                       make_surface)
-
-UNCHECKED_STEPS = (
-    "R = R^phi[w] from phi(w) = w - U (slice step, Lemma 2.4(iii)(d))",
-    "surjective endomorphism of equal-dimension domains is an isomorphism",
-)
-
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -166,15 +173,9 @@ def _construct(spec_a: SurfaceSpec, a: Poly,
     return StableIsoCertificate(spec_a, spec_b, h, theta, corr, s, a, b, w), p_at_theta, sa
 
 
-def _deduced(premises) -> str:
-    """V5's report of a deduced claim: True, or the premises that failed."""
-    failed = [name for name, ok in premises if not ok]
-    return f"not deduced ({', '.join(failed)} failed)" if failed else "True"
-
-
 def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
-    """Re-check V1..V7 from the stored data alone (nothing is recomputed
-    from the builder's intermediate state)."""
+    """Re-check V1, V1b, theta, V2..V4 and V6 from the stored data alone
+    (nothing is recomputed from the builder's intermediate state)."""
     spec = cert.spec_a
     return _stable_report(cert, eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec),
                           cert.s * eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec))
@@ -182,7 +183,8 @@ def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
 
 def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
                    sa: SurfaceElement) -> VerificationReport:
-    """V1..V7, with V2 and V4 read off P(x, theta) and s a(x, theta)."""
+    """The checks of ``verify_stable_iso``, with V2 and V4 read off
+    P(x, theta) and s a(x, theta)."""
     spec = cert.spec_a
     field = spec.field
     checks: List[Check] = []
@@ -193,7 +195,7 @@ def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
     checks.append(Check("V1 hypotheses (double root, comaximality)",
                         "Thm 5.1 hypothesis", spec.n >= 2 and v3,
                         f"multiplicity of 0 in f is {spec.n}; "
-                        f"(P, P_Z) = (1): {_deduced((('V3', v3),))}"))
+                        f"(P, P_Z) = (1): {'True' if v3 else 'not deduced (V3 failed)'}"))
 
     h_ok = (cert.h == exact_div(spec.f, Poly.monomial(field, ("X",), (1,)))
             and cert.spec_b.P == spec.P and cert.spec_b.f == cert.h)
@@ -215,27 +217,6 @@ def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
     v4 = x_el * cert.w == v_el - sa
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
 
-    # V5: invariance under the canonical map with phi(v) = v - x U.  When the
-    # theta check passes, phi(theta) = theta + (f - x h) U (module docstring),
-    # so theta is fixed iff x h = f in K[X]; otherwise phi(theta) is computed
-    # on the map's images.  The rest follows exactly, because phi is a
-    # K-algebra map fixing x and A[v][U] is a domain (P is monic in Z, so
-    # f Y - P is irreducible): V2 gives h phi(s) = P(x, theta) = h s, and V4
-    # then gives x phi(w) = (v - x U) - s a(x, theta) = x w - x U.
-    if theta_ok:
-        theta_fixed = cert.h.mul_var_power("X", 1) == spec.f
-    else:
-        images = canonical_expmap(spec).images()
-        images["v"] = v_el - x_el * spec.generator("U")
-        theta_fixed = eval_poly_on_elements(cert.theta.raw_lift(), images, spec) == cert.theta
-    premises = (("theta fixed", theta_fixed), ("h != 0", not cert.h.is_zero), ("V2", v2),
-                ("V4", v4))
-    v5 = all(ok for _, ok in premises)
-    checks.append(Check(
-        "V5 extended map fixes theta, s and sends w to w - U", "phi(v) = v - xU", v5,
-        f"theta fixed: {theta_fixed}, s fixed: {_deduced(premises[:3])}, "
-        f"phi(w) = w - U: {_deduced(premises)}"))
-
     # V6: the localized generator identities, as exact statements in A[v]; z and
     # v are the theta check and V4 rearranged (normal forms are unique, sums exact)
     v6_xy = x_el * spec.y() == cert.s - v_el * spec.from_xz_poly(Pz) - x_el * cert.corr
@@ -244,21 +225,11 @@ def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
         "V6 generator identities: z, v, x y recovered from (x, theta, s, w)",
         "Eq (13) context", v6, f"z: {theta_ok}, v: {v4}, x y: {v6_xy}"))
 
-    p0 = spec.P.coeff_in("X", 0).with_vars(("Z",))
-    pz0 = p0.derivative("Z")
-    if pz0.is_zero:
-        v7 = False
-        detail = "P_Z(0, Z) = 0"
-    else:
-        gcd0 = gcd_univariate(p0, pz0)
-        v7 = gcd0.total_degree() == 0
-        detail = f"gcd(P(0,Z), P_Z(0,Z)) = {gcd0}"
-    checks.append(Check("V7 P_Z(0, Z) invertible mod P(0, Z)", "Eq (16) context", v7, detail))
-
     return VerificationReport(
         "stable-isomorphism certificate", tuple(checks),
-        notes=("conclusion A[v] = E[w] with E a copy of B rests on two cited, "
-               "machine-unchecked steps: " + "; ".join(UNCHECKED_STEPS),))
+        notes=("A[v] = E[w] with E a copy of B: Psi and its explicit inverse are well "
+               "defined and mutually inverse by V1, V1b, theta, V2, V3 and V4 "
+               "(proof in the cancel module docstring)",))
 
 
 # ---------------------------------------------------------------------------

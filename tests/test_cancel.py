@@ -1,18 +1,20 @@
 import dataclasses
 import hashlib
+import inspect
 
 import pytest
 
-from danielewski import (GF, QQ, build_stable_iso, cancel, check_hypotheses, factor,
+from danielewski import (GF, QQ, build_stable_iso, cancel, check_hypotheses, expmap, factor,
                          fingerprint, isomorph, parse_poly, poly_str, sigma_family, surface,
                          verify_stable_iso)
 from danielewski.errors import (ComaximalityError, HypothesisError, PreconditionError,
                                 SurfaceConstraintError, VerificationInternalError)
 from danielewski.jsonio import dumps, family_to_doc, stable_from_doc, stable_to_doc
 from danielewski.resultant import bezout_cofactors, resultant_in
+from danielewski.surface import eval_poly_on_elements
 
 from conftest import surf
-from oracles import (corr_by_division, eq7_defect, v5_by_application,
+from oracles import (corr_by_division, eq7_defect, stable_inverse, v5_by_application,
                      verify_stable_iso_by_evaluation)
 
 
@@ -190,46 +192,92 @@ CANCEL_Q_SHAPE = tuple((QQ, "X^2*(X-1)*(X+2)", f"(Z + {c}*X)^{d} - 1")
     (GF(2), "X^2*(X+1)", "(Z + X)^3 + 1"),
     (GF(3), "X^2*(X+1)", "(Z + 2*X)^2 - 1"),
 )
-V5_PASS = "theta fixed: True, s fixed: True, phi(w) = w - U: True"
-
-
-def _v5(report):
-    return next(c for c in report.checks if c.name.startswith("V5"))
+CHECK_NAMES = ["V1", "V1b", "theta", "V2", "V3", "V4", "V6"]
 
 
 def test_v5_deduction_agrees_with_direct_application():
+    # the extended canonical map fixes theta and s and sends w to w - U on
+    # every built certificate, a property of the builder that the proof of
+    # the stable isomorphism does not use (cancel module docstring)
     for field, f, p in CANCEL_Q_SHAPE:
         cert = build_stable_iso(surf(field, f, p))
         report = verify_stable_iso(cert)
         assert report.ok, (f, p, [c.line() for c in report.failures()])
+        assert [c.name.split()[0] for c in report.checks] == CHECK_NAMES
         assert v5_by_application(cert) == (True, True, True)
-        assert _v5(report).passed and _v5(report).detail == V5_PASS
 
 
-def test_v5_names_the_failed_premise():
-    for field, f, p in (CANCEL_Q_SHAPE[1], CANCEL_Q_SHAPE[4]):
+def _inverse_failures(cert):
+    """The identities of the explicit inverse that fail, in order, or None
+    when y' does not exist: f y' = P(x, z') in B[w], then Psi(v') = v,
+    Psi(z') = z, Psi(y') = y, Psi^-1(theta) = z, Psi^-1(s) = y and
+    Psi^-1(w) = w, each map evaluated on an element's raw lift."""
+    inverse = stable_inverse(cert)
+    if inverse is None:
+        return None
+    v_prime, z_prime, y_prime = inverse
+    spec_a, spec_b = cert.spec_a, cert.spec_b
+
+    def psi(e):
+        return eval_poly_on_elements(e.raw_lift(), {"Z": cert.theta, "Y": cert.s,
+                                                    "v": cert.w}, spec_a)
+
+    def psi_inverse(e):
+        return eval_poly_on_elements(e.raw_lift(), {"Z": z_prime, "Y": y_prime,
+                                                    "v": v_prime}, spec_b)
+
+    identities = {
+        "f y' = P(x, z')": (spec_b.from_xz_poly(spec_a.f.with_vars(("X", "Z"))) * y_prime
+                            == eval_poly_on_elements(spec_b.P, {"Z": z_prime}, spec_b)),
+        "Psi(v')": psi(v_prime) == spec_a.generator("v"),
+        "Psi(z')": psi(z_prime) == spec_a.z(),
+        "Psi(y')": psi(y_prime) == spec_a.y(),
+        "Psi^-1(theta)": psi_inverse(cert.theta) == spec_b.z(),
+        "Psi^-1(s)": psi_inverse(cert.s) == spec_b.y(),
+        "Psi^-1(w)": psi_inverse(cert.w) == spec_b.generator("v"),
+    }
+    return [name for name, holds in identities.items() if not holds]
+
+
+# d <= 3 and small p: the compositions are evaluated term by term
+INVERSE_CASES = (
+    (QQ, "X^2*(X-1)*(X+2)", "(Z+X)^2-1"), (QQ, "X^2*(X-1)*(X+2)", "(Z-2*X)^3-1"),
+    (QQ, "X^3*(X-1)", "(Z+X^2)^3+3*(Z+X^2)+1"), (GF(2), "X^2*(X+1)", "(Z+X)^3+1"),
+    (GF(2), "X^3+X^2", "Z^2+Z+X"), (GF(3), "X^2*(X+1)", "(Z+2*X)^2-1"),
+    (GF(3), "X^2*(X+1)", "Z^3+Z+X"), (GF(5), "X^2*(X+2)", "(Z+X)^3-1"),
+)
+
+
+@pytest.mark.parametrize("field, f, phi", INVERSE_CASES, ids=str)
+def test_explicit_inverse_composes_to_the_identity(field, f, phi):
+    cert = build_stable_iso(surf(field, f, phi))
+    assert verify_stable_iso(cert).ok
+    assert _inverse_failures(cert) == []
+
+
+PSI_Y = ["Psi(v')", "Psi(z')", "Psi(y')"]
+# tamper: (checks that fail, identities of the explicit inverse that fail);
+# None is no y'.  The b and corr tampers leave the inverse intact: V3 and
+# V6's x y line refuse them as cross-checks
+TAMPER_TABLE = {
+    ("theta", "X"): (["theta", "V2", "V4", "V6"], PSI_Y + ["Psi^-1(theta)"]),
+    ("s", "1"): (["V2", "V4", "V6"], PSI_Y + ["Psi^-1(s)"]),
+    ("w", "1"): (["V4", "V6"], PSI_Y + ["Psi^-1(w)"]),
+    ("a", "Z"): (["V1", "V3", "V4", "V6"], None),
+    ("b", "1"): (["V1", "V3"], []),
+    ("corr", "1"): (["V6"], []),
+}
+
+
+def test_each_tamper_fails_its_named_checks():
+    for field, f, p in (CANCEL_Q_SHAPE[1], CANCEL_Q_SHAPE[4], CANCEL_Q_SHAPE[5]):
         cert = build_stable_iso(surf(field, f, p))
-        spec = cert.spec_a
-        # a corrupted s fails V2 (and V4, which uses s), so V5 deduces neither claim
-        bad_s = verify_stable_iso(dataclasses.replace(cert, s=cert.s + spec.x()))
-        failed = {c.name.split()[0] for c in bad_s.failures()}
-        assert {"V2", "V4", "V5"} <= failed
-        assert _v5(bad_s).detail == ("theta fixed: True, s fixed: not deduced (V2 failed), "
-                                     "phi(w) = w - U: not deduced (V2, V4 failed)")
-        # a corrupted w fails V4; s is still deduced fixed from V2
-        bad_w = verify_stable_iso(dataclasses.replace(cert, w=cert.w + spec.z()))
-        failed = {c.name.split()[0] for c in bad_w.failures()}
-        assert {"V4", "V5"} <= failed and "V2" not in failed
-        assert _v5(bad_w).detail == ("theta fixed: True, s fixed: True, "
-                                     "phi(w) = w - U: not deduced (V4 failed)")
-        # a theta that phi moves: only its own check is computed
-        bad_t = verify_stable_iso(dataclasses.replace(cert, theta=cert.theta + spec.z()))
-        detail = _v5(bad_t).detail
-        assert not _v5(bad_t).passed and detail.startswith("theta fixed: False, ")
-        assert "not deduced (theta fixed" in detail
-        for report in (bad_s, bad_w, bad_t):
-            assert "s fixed: False" not in _v5(report).detail
-            assert "w - U: False" not in _v5(report).detail
+        for edit, (checks, identities) in TAMPER_TABLE.items():
+            worse = _tampered(cert, (edit,))
+            report = verify_stable_iso(worse)
+            assert not report.ok, (field, edit)
+            assert [c.name.split()[0] for c in report.failures()] == checks, (field, edit)
+            assert _inverse_failures(worse) == identities, (field, edit)
 
 
 def _sha256(doc):
@@ -239,10 +287,10 @@ def _sha256(doc):
 @pytest.mark.parametrize("f, phi, cert_digest, report_digest", [
     ("X^2*" + "*".join(f"(X-{i})" for i in range(1, 11)), "(Z+X)^12 - 1",
      "fc35af8d98d368184bd071c1ad2a462e0161910e1767f46d81769c2fa023fd2d",
-     "105db570db416330f9cefba49d5247079d9ce23cd23876a3d0842a8a53a82a06"),
+     "76573dba272c24742b4c6c3581754087edb52fb285f1c3163986d3baefdfe7a3"),
     ("X^3*(X-1)*(X+2)", "(Z+X)^7 - 1",
      "15f6d522f12487403ec006b09f2f0a94009dd658467edfd599993fba65133e30",
-     "eba96e0461e261af0347951d497bac0ad69159b23d8d6e7439b3d4e342389f9e"),
+     "75b8614196cdbf9cfbf6ae32a6d47332fc8a40e217d4392cf5af0009e42406ab"),
 ], ids=["d12r12", "d7r5"])
 def test_q_certificate_bytes_are_pinned(f, phi, cert_digest, report_digest):
     # Bezout cofactors over Q carry denominators (a = (Z + X)/d), so these
@@ -256,16 +304,16 @@ def test_q_family_bytes_are_pinned():
     fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                        parse_poly("(Z+X)^12 - 1", QQ, ("X", "Z")), 2, 12)
     assert (_sha256(family_to_doc(fam))
-            == "ffe5e053dc1cd78476e893b6a124ad827766ebeed02b6570c2e0005c44a33728")
+            == "f76e48d82b282427b20a3fd7be3aab3c54d9455a459983e9075777c001a0d881")
 
 
 @pytest.mark.parametrize("field, g, phi, n_to, digest", [
     (GF(2), "X + 1", "Z^2 + Z + X", 6,
-     "5b7a5add5759e884f700aca9611b199fb7134c880002749d5c4a4a2c5b21251f"),
+     "2269b8850f01e8f0cabd68dbfa8afedb2efd32033fe7d3c908301ef4cdd65f1b"),
     (GF(3), "X + 1", "Z^3 + Z + X", 5,
-     "6f12e5e217800b8207209c6fd582ee40690d114f16dd4b8915a4c0f88bc47ac1"),
+     "9e1d381e37e5c22b57e51794537ba84e0f4e1ef0394299eb1b182c130a87dc02"),
     (GF(5), "X^2 + 2", "(Z + X)^3 - 1", 5,
-     "3b6324d96f0bcf6273fb554adad88b5fc7b5a936a2b4f6264ca5fec83acd48e0"),
+     "60b5d44983e8a6016ded3c93383b2aa291817103e0954da8e536e16313d4a6b6"),
 ], ids=["F2", "F3", "F5"])
 def test_fp_family_bytes_are_pinned(field, g, phi, n_to, digest):
     fam = sigma_family(field, parse_poly(g, field, ("X",)),
@@ -274,8 +322,8 @@ def test_fp_family_bytes_are_pinned(field, g, phi, n_to, digest):
 
 
 # each tamper adds a term to one field of the certificate document, or, in the
-# last, h' = h + X with theta' = h' v + z: the theta check passes, x h' != f,
-# and V5 reads theta fixed: False off that check
+# last, h' = h + X with theta' = h' v + z: the theta check passes, and
+# x h' != f fails V1b
 TAMPERS = tuple(((key, term),) for key, term in (
     ("theta", "X"), ("theta", "Z"), ("s", "1"), ("w", "X"), ("w", "1"), ("corr", "1"),
     ("a", "Z"), ("b", "1"), ("h", "X"))) + ((("h", "X"), ("theta", "X*v")),)
@@ -307,7 +355,7 @@ def test_verify_matches_the_evaluating_oracle(field, f, phi):
         assert not report.ok and _same_report(report, worse), edits
     paired = verify_stable_iso(_tampered(cert, TAMPERS[-1]))
     assert next(c for c in paired.checks if c.name.startswith("theta")).passed
-    assert _v5(paired).detail.startswith("theta fixed: False, ")
+    assert "V1b" in {c.name.split()[0] for c in paired.failures()}
 
 
 @pytest.mark.parametrize("field, g, phi, n_to", [
@@ -341,7 +389,6 @@ def test_each_identity_is_evaluated_once_per_path(monkeypatch):
     calls = _counted_evaluations(monkeypatch)
     cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
     assert calls == [cert.spec_a.P, cert.a]
-    # a passing theta check gives V5 phi(theta) without evaluating theta
     calls.clear()
     assert verify_stable_iso(cert).ok
     assert calls == [cert.spec_a.P, cert.a]
@@ -352,22 +399,28 @@ def test_each_identity_is_evaluated_once_per_path(monkeypatch):
     assert calls == [p for _ in fam.chain for p in (fam.surfaces[0].P, cert.a)]
 
 
-def test_a_failed_theta_check_evaluates_theta_on_the_extended_images(monkeypatch):
+def test_every_verify_evaluates_exactly_p_and_a(monkeypatch):
     cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
-    worse = dataclasses.replace(cert, theta=cert.theta + cert.spec_a.z())
     calls = _counted_evaluations(monkeypatch)
-    report = verify_stable_iso(worse)
-    assert calls == [cert.spec_a.P, cert.a, worse.theta.raw_lift()]
-    assert _v5(report).detail.startswith("theta fixed: False, ")
+    for edits in ((),) + TAMPERS:
+        worse = _tampered(cert, edits)
+        calls.clear()
+        assert verify_stable_iso(worse).ok == (edits == ())
+        assert calls == [worse.spec_a.P, worse.a], edits
 
 
-def test_a_passing_verify_never_builds_the_canonical_map(monkeypatch):
+def test_no_verify_builds_the_canonical_map(monkeypatch):
+    assert "canonical_expmap" not in inspect.getsource(cancel)
+
     def refuse(spec):
         raise AssertionError("canonical_expmap called")
 
-    monkeypatch.setattr(cancel, "canonical_expmap", refuse)
+    monkeypatch.setattr(expmap, "canonical_expmap", refuse)
     cert = build_stable_iso(surf(QQ, "X^3-X^2", "(Z+X)^5-1"))
     assert verify_stable_iso(cert).ok
+    worse = dataclasses.replace(cert, theta=cert.theta + cert.spec_a.z())
+    assert [c.name.split()[0] for c in verify_stable_iso(worse).failures()] == [
+        "theta", "V2", "V4", "V6"]
     assert sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                         parse_poly("(Z+X)^5-1", QQ, ("X", "Z")), 2, 5).ok
 
