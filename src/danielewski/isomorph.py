@@ -25,10 +25,11 @@ Then the solver finds all (gam, delta) from (vi).  gam comes off the Taylor
 rows of (vi): with c1_k, c2_k the z^k coefficients of P_1(lam X + mu, z)
 and P_2 reduced mod f_2, the binomial theorem turns the z-rows of (vi) into
 conditions a = gam^e b mod f_2, and a gcd of the binomials T^e - c they
-give holds every admissible gam.  When the characteristic p does not divide
-d, the z^(d-1) row gives delta = delta_0 + gam delta_1, the rows are those
-of both sides rewritten in z + delta_1, and each gam the gcd leaves is
-confirmed by dividing the defect of (vi) by f_2.  Otherwise the rows of
+give, taken by the loop that takes the gcd of (III)'s rows, holds every
+admissible gam.  When the characteristic p does not divide d, the z^(d-1)
+row gives delta = delta_0 + gam delta_1, the rows are those of both sides
+rewritten in z + delta_1, and each gam the gcd leaves is confirmed by
+dividing the defect of (vi) by f_2.  Otherwise the rows of
 P_1(lam X + mu, z + T) free of T constrain gam, and delta is solved for
 only those gam, modulo each prime-power factor q^m of f_2: roots over
 F_p[X]/(q) first, then one affine step per higher power of q, the residues
@@ -45,7 +46,8 @@ differ.  Every certificate it emits passes the checks of ``verify_iso``,
 run on the one defect D = P_1(lam X + mu, gam Z + delta) - gam^d P_2 of
 (vi) whose quotient by f_2 is theta (a function of (lam, mu, gam, delta);
 the products f_2 theta_i = D_i check the division) and on the one (III)
-line of its (lam, mu), read by the Horner shift that confirmed the pair.
+line of its (lam, mu), evaluated once per pair when the pair's rows are
+shifted (``_Pair``).
 
 The solver computes D on dense rows and substitutes nothing
 (``dense.congruence_defect``).  With c_j the Z^j rows of
@@ -186,11 +188,11 @@ def fingerprint(spec: SurfaceSpec, factors: Optional[Factorization] = None) -> F
 # ---------------------------------------------------------------------------
 
 
-def _roots_or_all(g: Optional[list], field, cap: int) -> Tuple[List[Scalar], bool]:
-    """Nonzero roots of the dense monic g.  g identically zero (None or [])
-    frees every value: over F_p its p - 1 values, refused past the cap before
-    listing; over Q the slice [1], with the bool set to mark the family.
-    Only over Q is a g of degree >= 2 factored."""
+def _roots_or_all(g: list, field, cap: int) -> Tuple[List[Scalar], bool]:
+    """Nonzero roots of the dense monic g.  g = [], when no row of
+    ``_row_gcd`` constrains, frees every value: over F_p its p - 1 values,
+    refused past the cap before listing; over Q the slice [1], with the bool
+    set to mark the family.  Only over Q is a g of degree >= 2 factored."""
     if not g:
         if field.kind is FieldKind.PRIME:
             if field.modulus - 1 > cap:
@@ -224,9 +226,10 @@ def _transport_check(s1: SurfaceSpec, s2: SurfaceSpec, lam: Scalar, mu: Scalar,
 
 
 def _row_gcd(rows, m: int) -> list:
-    """The monic gcd of the dense rows, read in turn; [] when every row read
-    is zero.  Stops once the gcd has degree <= 1: the rows left unread are
-    the caller's to check."""
+    """The monic gcd of the dense rows, pulled one at a time; [] when every
+    row read is zero.  Stops once the gcd has degree <= 1 (a row [1] stops
+    it at once): the rows left unread, and never computed when ``rows`` is
+    lazy, are the caller's to check."""
     g: list = []
     for row in rows:
         g = gcd(g, row, m)
@@ -306,34 +309,24 @@ class _TaylorRows:
         return row
 
 
-def _binomial_gcd(rows, m: int) -> Optional[list]:
-    """The gcd of the conditions a = gam^e b mod f_2 on a nonzero gam, given
-    as (a, b, e) with a, b dense mod f_2: each is T^e - c when a = c b for a
-    scalar c, no condition when a = b = 0, and unsolvable otherwise ([1]).
-    Over F_p, gam^(p-1) = 1 reduces e mod p - 1, so a row with e = 0 asks
-    c = 1 and no binomial reaches degree p - 1.  None when no row
-    constrains gam.  Stops once the gcd has degree <= 1: the rows left
-    unread are the caller's to check."""
-    g = None
+def _binomials(rows, m: int):
+    """The condition each row (a, b, e) puts on a nonzero gam, a = gam^e b
+    mod f_2 with a, b dense mod f_2, as a dense row for ``_row_gcd``:
+    T^e - c when a = c b for a scalar c, [1] when the row cannot be solved,
+    nothing when a = b = 0.  Over F_p, gam^(p-1) = 1 reduces e mod p - 1,
+    so a row with e = 0 asks c = 1 and no binomial reaches degree p - 1."""
     for a, b, e in rows:
         if not a or not b:
             if a or b:
-                return [1]
+                yield [1]
             continue
         c = a[-1] * inv(b[-1], m) % m if m else a[-1] * inv(b[-1], m)
-        if len(a) != len(b) or norm([c * v for v in b], m) != a:
-            return [1]
         if m:
             e %= m - 1
-        if not e:
-            if c != 1:
-                return [1]
-            continue
-        binomial = [-c] + [0] * (e - 1) + [1]
-        g = norm(binomial, m) if g is None else gcd(g, binomial, m)
-        if len(g) <= 2:
-            break
-    return g
+        if len(a) != len(b) or norm([c * v for v in b], m) != a or not e and c != 1:
+            yield [1]
+        elif e:
+            yield [-c] + [0] * (e - 1) + [1]
 
 
 class _DeltaLifting:
@@ -513,35 +506,33 @@ class _Pair:
         return cert
 
 
-def _gamma_delta_solutions(pair: _Pair, target: _TaylorRows,
+def _gamma_delta_solutions(pair: _Pair, target: Union[List[list], _TaylorRows],
                            lifting: Optional[_DeltaLifting], cap: int):
     """The certificates of every (gamma, delta) with the congruence (vi) at
     the pair's (lam, mu); returns (certificates, gamma_free) where
     gamma_free marks the char-0 infinite case.
 
     Both branches read gamma off rows of (vi) of the form
-    a_j = gam^(d-j) b_j mod f_2 (``_binomial_gcd``).  The a_j come from the
-    Z^j coefficients c1_j of P_1(lam X + mu, Z): the pair's shifted rows
-    reduced mod f_2.  The b_j are the rows of P_2 in ``target``, built once
-    per decision: the Z^j coefficients c2_j of P_2 mod f_2 when the
-    characteristic divides d, and the W^j coefficients in W = Z + delta_1
-    when it does not.  ``lifting`` carries the delta search in the first
-    case, else it is None."""
+    a_j = gam^(d-j) b_j mod f_2, as the gcd (``_row_gcd``) of the binomials
+    they give (``_binomials``).  The a_j come from the Z^j coefficients
+    c1_j of P_1(lam X + mu, Z): the pair's shifted rows reduced mod f_2.
+    The b_j are the rows of P_2 in ``target``, built once per decision: the
+    list of the Z^j coefficients c2_j of P_2 mod f_2 when the characteristic
+    divides d, and the W^j coefficients in W = Z + delta_1
+    (``_TaylorRows``) when it does not.  ``lifting`` carries the delta
+    search in the first case, else it is None."""
     field = pair.s1.field
-    m, d, f = field.modulus, pair.s1.d, target.f
+    m, d, f = field.modulus, pair.s1.d, pair.f
     c1 = [divrem(row, f, m)[1] for row in pair.shifted]
     if lifting is not None:
         # row j of the table, the T^k coefficients of Z^j in P_1(lam X + mu, Z + T),
         # is the j-th Hasse derivative of sum_k c1_k T^k.  A T-free row j
         # (j = d - 1 always, as p | d) requires c1_j = gam^(d-j) c2_j outright
         table = [hasse(c1, j, m) for j in range(d + 1)]
-        g = _binomial_gcd(((c1[j], target[j], d - j) for j in range(d - 1, -1, -1)
-                           if not any(table[j][1:])), m)
-        if g is None:
-            gammas = range(1, m)
-        else:
-            roots, _ = _roots_or_all(g, field, cap)
-            gammas = [gam.value for gam in roots]
+        g = _row_gcd(_binomials(((c1[j], target[j], d - j) for j in range(d - 1, -1, -1)
+                                 if not any(table[j][1:])), m), m)
+        # every gamma is lifted when no T-free row constrains it
+        gammas = [gam.value for gam in _roots_or_all(g, field, cap)[0]] if g else range(1, m)
         certs = []
         for gam in gammas:
             gam_d = pow(gam, d, m)
@@ -565,7 +556,8 @@ def _gamma_delta_solutions(pair: _Pair, target: _TaylorRows,
     # rows i = d, d - 1 hold for every gam
     delta0 = norm([-inv(d, m) * a for a in c1[d - 1]], m)
     shifted = _TaylorRows(c1, delta0, f, m)
-    g = _binomial_gcd(((shifted[i], target[i], d - i) for i in range(d - 2, -1, -1)), m)
+    g = _row_gcd(_binomials(((shifted[i], target[i], d - i) for i in range(d - 2, -1, -1)),
+                            m), m)
     gammas, gamma_free = _roots_or_all(g, field, cap)
     certs = []
     for gamma in gammas:
@@ -632,10 +624,9 @@ def decide_isomorphism(s1: SurfaceSpec, s2: SurfaceSpec,
     f2 = poly_to_dense(s2.f, "X")
     rows1, rows2 = z_rows(s1.P), z_rows(s2.P)
     c2 = [divrem(row, f2, m)[1] for row in rows2]
-    lifting = None
+    lifting, target = None, c2
     if m and s1.d % m == 0:
         lifting = _DeltaLifting(f2, m, factor_univariate(s2.f).factors, cap, examined)
-        target = _TaylorRows(c2, [], f2, m)
     else:
         # W = Z + delta_1, delta_1 = c2_(d-1)/d mod f_2
         target = _TaylorRows(c2, norm([-inv(s1.d, m) * a for a in c2[-2]], m), f2, m)

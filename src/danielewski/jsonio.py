@@ -16,7 +16,7 @@ from .errors import DanielewskiError, InputError
 from .expmap import ExpMap
 from .fields import parse_field_tag
 from .isomorph import IsoCertificate, Obstruction
-from .parsing import coefficient_strs, parse_poly, parse_scalar, poly_str, scalar_str
+from .parsing import MAX_DEGREE, coefficient_strs, parse_poly, parse_scalar, poly_str, scalar_str
 from .poly import Poly
 from .surface import SurfaceElement, SurfaceSpec, make_surface, normal_form
 
@@ -136,7 +136,10 @@ def element_from_doc(doc: dict, spec: SurfaceSpec) -> SurfaceElement:
         vars_c = ("X", "Z") + aux
         coeffs: Dict[int, Poly] = {}
         for key, text in coeffs_doc.items():
-            coeffs[int(key)] = parse_poly(text, spec.field, vars_c)
+            i = int(key)
+            if i > MAX_DEGREE:
+                raise InputError(f"element y-power {i} exceeds the input budget of {MAX_DEGREE}")
+            coeffs[i] = parse_poly(text, spec.field, vars_c)
         return SurfaceElement(spec, aux, coeffs)
     return _wrap("element", build)
 

@@ -38,7 +38,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .errors import FieldMismatchError, PreconditionError, SurfaceConstraintError
 from .factor import Factorization, factor_univariate, gcd_univariate, squarefree_part
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, SLOT_MASK, Poly, divmod_in, square_and_multiply, substitute, unit_key
+from .poly import (MAX_EXPONENT, NEG_INF, SLOT_MASK, Poly, divmod_in, square_and_multiply,
+                   substitute, unit_key)
 from .resultant import resultant_in
 
 AUX_ORDER = ("U", "V", "v")
@@ -159,7 +160,8 @@ class SurfaceElement:
 
     The constructor takes that mapping and validates it: every coefficient
     lives over the surface's field, uses only X, Z and declared auxiliary
-    variables, and has Z-degree at most d-1.
+    variables, and has Z-degree at most d-1; every y-power is below 2**31,
+    the bound of every stored exponent.
     """
 
     __slots__ = ("spec", "aux", "_nf", "_coeffs")
@@ -170,8 +172,9 @@ class SurfaceElement:
         used = set()
         clean: Dict[int, Poly] = {}
         for i, g in coeffs.items():
-            if not isinstance(i, int) or i < 0:
-                raise SurfaceConstraintError(f"y-power {i!r} is not a nonnegative integer")
+            # from 2**31 on, the packed key would carry y's field into x's
+            if not isinstance(i, int) or not 0 <= i < MAX_EXPONENT:
+                raise SurfaceConstraintError(f"y-power {i!r} is not an integer in [0, 2**31)")
             if g.is_zero:
                 continue
             if g.field != spec.field:

@@ -7,8 +7,9 @@ no Taylor rows or gcd, every (gamma, delta) pair for one (lambda, mu), with
 no lifting or CRT, and every (lambda, mu, gamma, delta) tuple filtered
 through verify_iso alone, and verify_iso against a verifier that
 substitutes f_1 for (III) and compares both sides of congruence (vi), where
-the library's reads (III) off the search's Horner shift and (vi) off one
-defect it shares with the solver; the stepwise normal form rewrites one
+the library's reads (III) off a Horner shift of f_1's dense row and (vi) off
+one defect by sparse substitution, less f_2 theta (the solver computes that
+defect on dense rows instead); the stepwise normal form rewrites one
 term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and the extended canonical

@@ -318,6 +318,21 @@ def test_elements_with_unknown_auxiliary_variables_exit_2(capsys, tmp_path, aux,
                    "not among ('U', 'V', 'v')\n")
 
 
+@pytest.mark.parametrize("key", ["257", "2147483647", "2147483648", "4294967296"])
+def test_element_y_powers_past_the_input_budget_exit_2(capsys, tmp_path, key):
+    # y-powers obey the degree budget of the coefficient texts: 257 once
+    # verified, and 2**31 - 1 and beyond overflowed an exponent field
+    code, out, _ = run(capsys, *_READERS["cancel"][1])
+    assert code == 0
+    doc = json.loads(out)
+    doc["w"]["coeffs"][key] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cancel", "verify", "--cert", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: element y-power {key} exceeds the input budget of 256\n"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("delta", "X^2+1", "delta has degree 2, expected < r = 2"),
     ("theta", "Z^2", "theta has Z-degree 2 > d-1"),

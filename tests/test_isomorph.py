@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from danielewski import (GF, QQ, Obstruction, Poly, Scalar, automorphisms,
 from danielewski.errors import (FieldMismatchError, InfiniteFamilyError,
                                 SearchCapExceededError)
 from danielewski.isomorph import (DEFAULT_CAP, IsoCertificate, ObstructionKind,
-                                  _affine_candidates)
+                                  _affine_candidates, _binomials, _row_gcd)
 
 from conftest import random_poly, surf, swinnerton_dyer
 from oracles import (_affine_x, affine_pairs_by_enumeration, apply_certificate,
@@ -638,6 +639,68 @@ def test_fp_roots_construct_no_fq(monkeypatch):
     s = surf(GF(97), "X^12", "Z^12+1")
     assert len(decide_isomorphism(s, s)) == 1152
     assert calls == []
+
+
+def _gamma_gcd(rows, m):
+    """The gcd the solver reads gamma off: the binomials of the (a, b, e)
+    rows, pulled by the gcd loop of (III)."""
+    return _row_gcd(_binomials(rows, m), m)
+
+
+@pytest.mark.parametrize("m", [5, 7, 0], ids=["F5", "F7", "Q"])
+def test_binomial_rows_read_by_the_row_gcd(m):
+    # a = c b asks gamma^e = c; a not a scalar multiple of b, or only one of
+    # them zero, cannot be solved; a = b = 0 constrains nothing
+    c = 3 if m else Fraction(3, 2)
+    b = [1, 2]
+    a = [c * v % m for v in b] if m else [c * v for v in b]
+    expected = [-c % m, 0, 0, 1] if m else [-c, 0, 0, 1]
+    assert _gamma_gcd([(a, b, 3)], m) == expected
+    assert _gamma_gcd([([1, 1], b, 3)], m) == [1]
+    assert _gamma_gcd([([], b, 3)], m) == _gamma_gcd([(a, [], 3)], m) == [1]
+    assert _gamma_gcd([([], [], 3)], m) == []
+    assert _gamma_gcd([([], [], 3), ([], [], 2)], m) == []
+    if m:
+        # gamma^(p-1) = 1 on F_p^*: e = 0 mod p - 1 asks c = 1
+        assert _gamma_gcd([(a, b, m - 1)], m) == [1]
+        assert _gamma_gcd([(b, b, 2 * (m - 1))], m) == []
+
+
+def test_two_binomial_rows_leave_their_gcd():
+    # gamma^4 = 1 and gamma^6 = 1 leave gamma^2 = 1 over Q; over F_7,
+    # gamma^6 = 1 holds on all of F_7^* and leaves gamma^4 = 1, while
+    # gamma^8 = gamma^2 there
+    one = [1, 2]
+    assert _gamma_gcd([(one, one, 4), (one, one, 6)], 0) == [-1, 0, 1]
+    assert _gamma_gcd([(one, one, 4), (one, one, 6)], 7) == [6, 0, 0, 0, 1]
+    assert _gamma_gcd([(one, one, 4), (one, one, 8)], 7) == [6, 0, 1]
+
+
+@pytest.mark.parametrize("m", [5, 7, 0], ids=["F5", "F7", "Q"])
+def test_row_gcd_pulls_no_row_past_an_unsolvable_one(m):
+    def rows(first):
+        yield first
+        raise AssertionError("a row past the stop was pulled")
+    assert _gamma_gcd(rows(([1, 1], [1, 2], 3)), m) == [1]
+    assert _gamma_gcd(rows(([], [1], 2)), m) == [1]
+    # a binomial of degree 1 stops the gcd too
+    assert len(_gamma_gcd(rows(([2], [1], 1)), m)) == 2
+
+
+@pytest.mark.parametrize("field, f, phi, built", [
+    (GF(3), "X^9-X", "Z^9+Z^3+Z", 0),
+    (GF(7), "X^7-X", "Z^7+Z", 0),
+    (GF(97), "X^12", "Z^12+1", 1 + 96),
+], ids=["F3", "F7", "F97"])
+def test_taylor_rows_serve_only_the_elimination_branch(monkeypatch, field, f, phi, built):
+    # when p divides d the lifting reads P_2's rows mod f_2 as they are;
+    # otherwise one W-row table of P_2 per decision, and one of P_1 per
+    # (lambda, mu): 96 pairs over F_97
+    from danielewski import isomorph
+    tables = _count_calls(monkeypatch, isomorph, "_TaylorRows")
+    s = surf(field, f, phi)
+    assert decide_isomorphism(s, s)
+    assert len(tables) == built
 
 
 def _forbid(monkeypatch, owner_name, attr):

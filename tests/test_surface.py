@@ -297,3 +297,9 @@ def test_constructor_validates_coefficients(surfaces):
         SurfaceElement(sq, (), {-1: parse_poly("X", QQ, xz)})
     with pytest.raises(FieldMismatchError):
         SurfaceElement(sq, (), {0: parse_poly("X", GF(2), xz)})
+    # a y-power of 2**31 or more would carry into x's exponent field
+    one = parse_poly("1", QQ, xz)
+    for i in (2**31, 2**32):
+        with pytest.raises(SurfaceConstraintError, match=rf"y-power {i} is not an integer in"):
+            SurfaceElement(sq, (), {i: one})
+    assert dict(SurfaceElement(sq, (), {2**31 - 1: one}).coeffs) == {2**31 - 1: one}
