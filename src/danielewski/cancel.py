@@ -6,26 +6,23 @@ ring over a copy of B.  The construction is fully explicit:
 
     theta = h v + z
     s = x y + Q_h(v)                                         (*)
-    corr = (Q_h(v) - v P_Z(x, z)) / x
     a P_Z + b P = 1                                          (Bezout)
     w = (v - s a(x, theta)) / x
 
 where Q_h(v) = (P(x, z + h v) - P(x, z)) / h = sum_{k>=1} e_k h^(k-1) v^k is
 the Taylor quotient of the canonical map, taken at (h, v) (``taylor_quotient``;
 the e_k are the Hasse derivatives of P in Z, read off its Z-coefficients).
-Its v^1 term is v P_Z and every later one carries h^(k-1), a multiple of X
-as n >= 2, so s = x y + v P_Z + x corr.
 
 The Bezout solve, one per build or per family (whose links share P), is the
 test of (P, P_Z) = (1), and the Res_Z(P, P_Z) it finds explains a refusal.
 Over Q every comaximal P is a translate Q(Z + h(X)), solved by one
 univariate extended gcd; a non-translate over F_p, or p | deg_Z P, runs one
 elimination (``resultant``).  A build asserts Eq (8), h s = P(x, theta),
-once; (*) says the same in A, as h x = f and f y = P(x, z).  The verifier
-re-checks every identity the construction claims on the stored data alone.
-V1 reads comaximality off the exact identity of V3.  V6's z and v lines are
-the theta check and V4.  A family link is checked on its build's
-evaluations.
+once; (*) says the same in A, as h x = f and f y = P(x, z).  A certificate
+stores h, theta, (a, b) and w.  The verifier derives s from h and P by (*),
+with the builder's routine, and re-checks on it every identity the proof
+below uses; V1 reads comaximality off the exact identity of V3.  A family
+link is checked on its build's s and evaluations.
 
 Those identities prove A[v] = B[w]; nothing is cited.  A[v] and B[w] are
 domains, because P is monic in Z.  Write x, y_B, z_B, w for the generators
@@ -54,8 +51,7 @@ well defined by V2, h s = P(x, theta).  Its inverse sends
 
 The canonical map's invariance of theta is x h = f, which V1b states, and
 the invertibility of P_Z(0, Z) modulo P(0, Z) is V3 at X = 0, so neither is
-checked apart.  V6's x y line, the definition of s through corr, is used by
-none of these steps: it stays as a cross-check of the builder.
+checked apart.
 """
 
 from __future__ import annotations
@@ -73,7 +69,7 @@ from .poly import NEG_INF, Poly, exact_div
 from .reports import Check, VerificationReport
 from .resultant import bezout_cofactors, resultant_in
 from .surface import (SurfaceElement, SurfaceSpec, divide_by_x, eval_poly_on_elements,
-                      make_surface)
+                      make_surface, normal_form)
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -110,14 +106,13 @@ def _hypothesis_report(spec: SurfaceSpec, res) -> HypothesisReport:
 
 @dataclass(frozen=True)
 class StableIsoCertificate:
-    """Everything needed to re-check A[v] = (copy of B)[w]."""
+    """Everything needed to re-check A[v] = (copy of B)[w]; s = x y + Q_h(v)
+    is not stored, as it follows from h and P (``_derived_s``)."""
 
     spec_a: SurfaceSpec          # f = X^n g, n >= 2
     spec_b: SurfaceSpec          # same P, h = X^{n-1} g
     h: Poly                      # over ("X",)
     theta: SurfaceElement        # h(x) v + z in A[v]
-    corr: SurfaceElement         # (Q_h(v) - v P_Z(x, z)) / x
-    s: SurfaceElement            # x y + Q_h(v) = x y + v P_Z(x, z) + x corr
     a: Poly                      # Bezout pair over ("X", "Z")
     b: Poly
     w: SurfaceElement            # (v - s a(x, theta)) / x
@@ -137,17 +132,25 @@ def build_stable_iso(spec_a: SurfaceSpec) -> StableIsoCertificate:
         except ComaximalityError as exc:
             hyp = _hypothesis_report(spec_a, exc.resultant)
         else:
-            cert, p_at_theta, _ = _construct(spec_a, a, b)
-            if spec_a.from_xz_poly(cert.h.with_vars(("X", "Z"))) * cert.s != p_at_theta:
+            cert, s, p_at_theta, _ = _construct(spec_a, a, b)
+            if spec_a.from_xz_poly(cert.h.with_vars(("X", "Z"))) * s != p_at_theta:
                 raise VerificationInternalError("h s = P(x, theta) (Eq 8) failed")
             return cert
     raise HypothesisError(
         "hypotheses fail: " + "; ".join(c.line() for c in hyp.checks() if not c.passed), hyp)
 
 
-def _construct(spec_a: SurfaceSpec, a: Poly,
-               b: Poly) -> Tuple[StableIsoCertificate, SurfaceElement, SurfaceElement]:
-    """The construction of Thm 5.1 for n >= 2, given a P_Z + b P = 1, with
+def _derived_s(spec: SurfaceSpec, h: Poly) -> SurfaceElement:
+    """s = x y + Q_h(v) in A[v], from h and P alone (``taylor_quotient``),
+    summed as one polynomial: neither term reaches Z-degree d."""
+    xyzv = ("X", "Y", "Z", "v")
+    q = taylor_quotient(spec.P, h, "v").with_vars(xyzv)
+    return normal_form(q + Poly.monomial(spec.field, xyzv, (1, 1, 0, 0)), spec)
+
+
+def _construct(spec_a: SurfaceSpec, a: Poly, b: Poly) -> Tuple[
+        StableIsoCertificate, SurfaceElement, SurfaceElement, SurfaceElement]:
+    """The construction of Thm 5.1 for n >= 2, given a P_Z + b P = 1, with s,
     P(x, theta) and s a(x, theta); only w's division by x (Eq 11) is checked."""
     field = spec_a.field
     h = exact_div(spec_a.f, Poly.monomial(field, ("X",), (1,)))
@@ -157,41 +160,35 @@ def _construct(spec_a: SurfaceSpec, a: Poly,
     h_el = spec_a.from_xz_poly(h.with_vars(("X", "Z")))
     theta = h_el * v_el + spec_a.z()
 
-    # s = x y + Q_h(v); Q_h(v) - v P_Z drops Q's v^1 term e_1 v = v P_Z and
-    # keeps k >= 2, each with a factor h^(k-1), so X divides it (n >= 2)
-    q = taylor_quotient(spec_a.P, h, "v")
-    s = spec_a.x() * spec_a.y() + spec_a.from_xz_poly(q)
-    corr = divide_by_x(spec_a.from_xz_poly(q - q.coeff_in("v", 1).mul_var_power("v", 1)))
-    if corr is None:
-        raise VerificationInternalError("Q_h(v) - v P_Z not divisible by x")
+    s = _derived_s(spec_a, h)
     p_at_theta = eval_poly_on_elements(spec_a.P, {"Z": theta}, spec_a)
     sa = s * eval_poly_on_elements(a, {"Z": theta}, spec_a)
     w = divide_by_x(v_el - sa)
     if w is None:
         raise VerificationInternalError("v - s a(x, theta) not divisible by x (Eq 11)")
 
-    return StableIsoCertificate(spec_a, spec_b, h, theta, corr, s, a, b, w), p_at_theta, sa
+    return StableIsoCertificate(spec_a, spec_b, h, theta, a, b, w), s, p_at_theta, sa
 
 
 def verify_stable_iso(cert: StableIsoCertificate) -> VerificationReport:
-    """Re-check V1, V1b, theta, V2..V4 and V6 from the stored data alone
-    (nothing is recomputed from the builder's intermediate state)."""
+    """Re-check V1, V1b, theta and V2..V4 from the stored data alone, with s
+    derived from h and P (nothing is read from the builder's state)."""
     spec = cert.spec_a
-    return _stable_report(cert, eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec),
-                          cert.s * eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec))
+    s = _derived_s(spec, cert.h)
+    return _stable_report(cert, s, eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec),
+                          s * eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec))
 
 
-def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
+def _stable_report(cert: StableIsoCertificate, s: SurfaceElement, p_at_theta: SurfaceElement,
                    sa: SurfaceElement) -> VerificationReport:
-    """The checks of ``verify_stable_iso``, with V2 and V4 read off
+    """The checks of ``verify_stable_iso``, with V2 and V4 read off s,
     P(x, theta) and s a(x, theta)."""
     spec = cert.spec_a
     field = spec.field
     checks: List[Check] = []
 
     # V1: the exact identity of V3 proves (P, P_Z) = (1); nothing is eliminated
-    Pz = spec.P.derivative("Z")
-    v3 = cert.a * Pz + cert.b * spec.P == Poly.one(field, ("X", "Z"))
+    v3 = cert.a * spec.P.derivative("Z") + cert.b * spec.P == Poly.one(field, ("X", "Z"))
     checks.append(Check("V1 hypotheses (double root, comaximality)",
                         "Thm 5.1 hypothesis", spec.n >= 2 and v3,
                         f"multiplicity of 0 in f is {spec.n}; "
@@ -202,28 +199,19 @@ def _stable_report(cert: StableIsoCertificate, p_at_theta: SurfaceElement,
     checks.append(Check("V1b partner surface uses h = f/X and the same P",
                         "Thm 5.1 setup", h_ok))
 
-    x_el = spec.x()
     v_el = spec.generator("v")
     h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
     theta_ok = cert.theta == h_el * v_el + spec.z()
     checks.append(Check("theta = h(x) v + z", "Thm 5.1 setup", theta_ok))
 
-    v2 = h_el * cert.s == p_at_theta
+    v2 = h_el * s == p_at_theta
     checks.append(Check("V2 h(x) s = P(x, theta)", "Eq (8)", v2,
-                        "" if v2 else f"difference {h_el * cert.s - p_at_theta}"))
+                        "" if v2 else f"difference {h_el * s - p_at_theta}"))
 
     checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
 
-    v4 = x_el * cert.w == v_el - sa
+    v4 = spec.x() * cert.w == v_el - sa
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
-
-    # V6: the localized generator identities, as exact statements in A[v]; z and
-    # v are the theta check and V4 rearranged (normal forms are unique, sums exact)
-    v6_xy = x_el * spec.y() == cert.s - v_el * spec.from_xz_poly(Pz) - x_el * cert.corr
-    v6 = theta_ok and v4 and v6_xy
-    checks.append(Check(
-        "V6 generator identities: z, v, x y recovered from (x, theta, s, w)",
-        "Eq (13) context", v6, f"z: {theta_ok}, v: {v4}, x y: {v6_xy}"))
 
     return VerificationReport(
         "stable-isomorphism certificate", tuple(checks),
@@ -297,11 +285,11 @@ def sigma_family(field: FieldSpec, g: Poly, P: Poly, n_from: int, n_to: int) -> 
     chain = []
     for idx in range(len(surfaces) - 1, 0, -1):
         upper = surfaces[idx]
-        cert, p_at_theta, sa = _construct(upper, a, b)
+        cert, s, p_at_theta, sa = _construct(upper, a, b)
         if cert.spec_b != surfaces[idx - 1]:
             raise VerificationInternalError(
                 "chain partner surface is not the next family member")
-        report = _stable_report(cert, p_at_theta, sa)
+        report = _stable_report(cert, s, p_at_theta, sa)
         if not report.ok:
             raise VerificationInternalError(
                 "chain certificate failed verification: "

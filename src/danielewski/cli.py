@@ -196,7 +196,6 @@ def _cmd_cancel_build(args) -> int:
         f"  partner surface: f = {poly_str(cert.spec_b.f)} (same phi)",
         f"  h = {poly_str(cert.h)}",
         f"  theta = {cert.theta}",
-        f"  s = {cert.s}",
         f"  a = {poly_str(cert.a)}, b = {poly_str(cert.b)}",
         f"  w = {cert.w}",
     ])

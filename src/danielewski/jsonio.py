@@ -137,6 +137,8 @@ def element_from_doc(doc: dict, spec: SurfaceSpec) -> SurfaceElement:
         coeffs: Dict[int, Poly] = {}
         for key, text in coeffs_doc.items():
             i = int(key)
+            if key != str(i):       # "01", "+1", " 1" and "1_0" would alias a power
+                raise InputError(f"element y-power key {key!r} is not written as {str(i)!r}")
             if i > MAX_DEGREE:
                 raise InputError(f"element y-power {i} exceeds the input budget of {MAX_DEGREE}")
             coeffs[i] = parse_poly(text, spec.field, vars_c)
@@ -228,8 +230,6 @@ def stable_to_doc(cert: StableIsoCertificate) -> dict:
         "surfaceB": surface_to_doc(cert.spec_b),
         "h": poly_str(cert.h),
         "theta": element_to_doc(cert.theta),
-        "corr": element_to_doc(cert.corr),
-        "s": element_to_doc(cert.s),
         "a": poly_str(cert.a),
         "b": poly_str(cert.b),
         "w": element_to_doc(cert.w),
@@ -240,6 +240,10 @@ def stable_from_doc(doc: dict) -> StableIsoCertificate:
     def build():
         spec_a = surface_from_doc(_require(doc, "surfaceA", "stable certificate"))
         spec_b = _surface(_require(doc, "surfaceB", "stable certificate"), 1)
+        for key in ("corr", "s"):
+            if key in doc:
+                raise InputError(f"stable certificate has the key {key!r} of an older "
+                                 "format; rebuild it with `cancel build`")
         field = spec_a.field
         if spec_b.field != field:
             raise InputError(f"surfaceB is over {spec_b.field.tag()}, "
@@ -248,8 +252,6 @@ def stable_from_doc(doc: dict) -> StableIsoCertificate:
             spec_a, spec_b,
             parse_poly(_require(doc, "h", "stable certificate"), field, ("X",)),
             element_from_doc(_require(doc, "theta", "stable certificate"), spec_a),
-            element_from_doc(_require(doc, "corr", "stable certificate"), spec_a),
-            element_from_doc(_require(doc, "s", "stable certificate"), spec_a),
             parse_poly(_require(doc, "a", "stable certificate"), field, ("X", "Z")),
             parse_poly(_require(doc, "b", "stable certificate"), field, ("X", "Z")),
             element_from_doc(_require(doc, "w", "stable certificate"), spec_a),

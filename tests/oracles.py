@@ -14,9 +14,11 @@ term at a time instead of dividing by the relation level by level, the Horner
 evaluator applies a ring map with A's own + and * instead of one
 substitution followed by one normalization, and the extended canonical
 map is applied to a stable-isomorphism certificate's theta, s and w through
-that evaluator; that certificate's report is rebuilt with every identity
-evaluated where it is stated, where the library shares P(x, theta) and
-s a(x, theta) between its builder and its checks, and the inverse of its
+that evaluator; that certificate's s = x y + Q_h(v) is summed term by term
+from the e_k below, where the library reads Q_h off P's Hasse derivatives,
+its report is rebuilt with every identity evaluated where it is stated,
+where the library shares s, P(x, theta) and s a(x, theta) between its
+builder and its checks, and the inverse of its
 isomorphism B[w] -> A[v] is built element by element, where the library
 proves from its checks that the inverse exists;
 the Taylor coefficients e_k of P(X, Z + T), which the library reads off
@@ -54,7 +56,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from danielewski import (IsoCertificate, Poly, Scalar, canonical_expmap,
                          divide_by_x, exact_div, verify_iso)
@@ -390,33 +392,18 @@ def eval_by_horner(p, images, spec):
     return spec.zero() if p.is_zero else horner(p, p.vars)
 
 
-def _eq7_remainder(cert):
-    """P(x, theta) - P(x, z) - h v P_Z in A[v]."""
+def s_by_substitution(cert):
+    """s = x y + Q_h(v) in A[v], the y-image of Psi, with
+    Q_h(v) = sum_k e_k h^(k-1) v^k summed term by term from the e_k of
+    ``taylor_by_substitution``."""
     spec = cert.spec_a
     h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
-    pz_el = spec.from_xz_poly(spec.P.derivative("Z"))
-    p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
-    return p_at_theta - spec.from_xz_poly(spec.P) - h_el * spec.generator("v") * pz_el
-
-
-def eq7_defect(cert):
-    """P(x, theta) - P(x, z) - h v P_Z - h x corr; zero for valid data."""
-    spec = cert.spec_a
-    h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
-    return _eq7_remainder(cert) - h_el * spec.x() * cert.corr
-
-
-def corr_by_division(cert) -> Optional[SurfaceElement]:
-    """The correction term recomputed as (P(x,theta) - P(x,z) - h v P_Z)/(h x),
-    dividing coefficient-wise by h and then by x; None when not exact."""
-    num = _eq7_remainder(cert)
-    out = {}
-    for i, gpoly in num.coeffs.items():
-        q = exact_div(gpoly, cert.h.with_vars(gpoly.vars))
-        if q is None:
-            return None
-        out[i] = q
-    return divide_by_x(SurfaceElement(cert.spec_a, num.aux, out))
+    v_el = spec.generator("v")
+    s = spec.x() * spec.y()
+    for k, e_k in taylor_by_substitution(spec.P).items():
+        if k:
+            s = s + spec.from_xz_poly(e_k) * h_el ** (k - 1) * v_el ** k
+    return s
 
 
 def _extended_images(spec):
@@ -428,14 +415,16 @@ def _extended_images(spec):
 
 def v5_by_application(cert):
     """(phi(theta) = theta, phi(s) = s, phi(w) = w - U) for the extended
-    canonical map (phi(v) = v - x U), each computed by applying phi."""
+    canonical map (phi(v) = v - x U), each computed by applying phi; s is
+    ``s_by_substitution``."""
     spec = cert.spec_a
     images = _extended_images(spec)
 
     def phi(e):
         return eval_by_horner(e.raw_lift(), images, spec)
 
-    return (phi(cert.theta) == cert.theta, phi(cert.s) == cert.s,
+    s = s_by_substitution(cert)
+    return (phi(cert.theta) == cert.theta, phi(s) == s,
             phi(cert.w) == cert.w - spec.generator("U"))
 
 
@@ -462,9 +451,9 @@ def stable_inverse(cert):
 
 def verify_stable_iso_by_evaluation(cert) -> VerificationReport:
     """The checks of ``verify_stable_iso``, each identity evaluated where it
-    is stated: V2 and V4 evaluate P(x, theta) and a(x, theta) themselves, and
-    V6 recomputes its z and v lines, where the library reads them off the
-    theta check and V4 and shares its two evaluations with the builder."""
+    is stated: s is ``s_by_substitution``, and V2 and V4 evaluate
+    P(x, theta) and a(x, theta) themselves, where the library shares s and
+    its two evaluations with the builder."""
     spec = cert.spec_a
     field = spec.field
     checks: List[Check] = []
@@ -482,36 +471,22 @@ def verify_stable_iso_by_evaluation(cert) -> VerificationReport:
     checks.append(Check("V1b partner surface uses h = f/X and the same P",
                         "Thm 5.1 setup", h_ok))
 
-    x_el = spec.x()
     v_el = spec.generator("v")
     h_el = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
-    z_el = spec.z()
-    hv = h_el * v_el
-    theta_ok = cert.theta == hv + z_el
+    theta_ok = cert.theta == h_el * v_el + spec.z()
     checks.append(Check("theta = h(x) v + z", "Thm 5.1 setup", theta_ok))
 
+    s = s_by_substitution(cert)
     p_at_theta = eval_poly_on_elements(spec.P, {"Z": cert.theta}, spec)
-    v2 = h_el * cert.s == p_at_theta
+    v2 = h_el * s == p_at_theta
     checks.append(Check("V2 h(x) s = P(x, theta)", "Eq (8)", v2,
-                        "" if v2 else f"difference {h_el * cert.s - p_at_theta}"))
+                        "" if v2 else f"difference {h_el * s - p_at_theta}"))
 
     checks.append(Check("V3 a P_Z + b P = 1", "Eq (10)", v3))
 
     a_at_theta = eval_poly_on_elements(cert.a, {"Z": cert.theta}, spec)
-    xw, sa = x_el * cert.w, cert.s * a_at_theta
-    v4 = xw == v_el - sa
+    v4 = spec.x() * cert.w == v_el - s * a_at_theta
     checks.append(Check("V4 x w = v - s a(x, theta)", "Eq (11)", v4))
-
-    # V6: the localized generator identities, as exact statements in A[v],
-    # from the products of the theta check and V4
-    pz_el = spec.from_xz_poly(Pz)
-    v6_z = z_el == cert.theta - hv
-    v6_v = v_el == xw + sa
-    v6_xy = x_el * spec.y() == cert.s - v_el * pz_el - x_el * cert.corr
-    v6 = v6_z and v6_v and v6_xy
-    checks.append(Check(
-        "V6 generator identities: z, v, x y recovered from (x, theta, s, w)",
-        "Eq (13) context", v6, f"z: {v6_z}, v: {v6_v}, x y: {v6_xy}"))
 
     return VerificationReport(
         "stable-isomorphism certificate", tuple(checks),

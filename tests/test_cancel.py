@@ -14,7 +14,7 @@ from danielewski.resultant import bezout_cofactors, resultant_in
 from danielewski.surface import eval_poly_on_elements
 
 from conftest import surf
-from oracles import (corr_by_division, eq7_defect, stable_inverse, v5_by_application,
+from oracles import (s_by_substitution, stable_inverse, v5_by_application,
                      verify_stable_iso_by_evaluation)
 
 
@@ -58,8 +58,8 @@ def test_build_matches_hand_derivation():
     x, z, y = spec.x(), spec.z(), spec.y()
     h = spec.from_xz_poly(cert.h.with_vars(("X", "Z")))
     assert cert.theta == h * v + z
-    assert cert.corr == (x - spec.one()) * v * v
-    assert cert.s == x * y + z * v.scaled(2) + x * (x - spec.one()) * v * v
+    assert (cancel._derived_s(spec, cert.h)
+            == x * y + z * v.scaled(2) + x * (x - spec.one()) * v * v)
     assert poly_str(cert.a) == "-1/2*Z"
     assert poly_str(cert.b) == "1"
     assert cert.spec_b.f == cert.h and cert.spec_b.P == spec.P
@@ -83,17 +83,9 @@ def test_min_degree_partner_surface():
     assert verify_stable_iso(cert).ok
 
 
-def test_eq7_identity_and_corr_cross_check():
-    for field, f, p in ((QQ, "X^3-X^2", "Z^2+1"),
-                        (GF(2), "X^2*(X+1)", "Z^2+Z+X")):
-        cert = build_stable_iso(surf(field, f, p))
-        assert eq7_defect(cert).is_zero
-        assert corr_by_division(cert) == cert.corr
-
-
 def test_tampered_certificates_fail():
     cert = build_stable_iso(surf(QQ, "X^3-X^2", "Z^2+1"))
-    worse = dataclasses.replace(cert, s=cert.s + cert.spec_a.one())
+    worse = dataclasses.replace(cert, theta=cert.theta + cert.spec_a.one())
     report = verify_stable_iso(worse)
     failed = {c.name.split()[0] for c in report.failures()}
     assert "V2" in failed
@@ -192,7 +184,7 @@ CANCEL_Q_SHAPE = tuple((QQ, "X^2*(X-1)*(X+2)", f"(Z + {c}*X)^{d} - 1")
     (GF(2), "X^2*(X+1)", "(Z + X)^3 + 1"),
     (GF(3), "X^2*(X+1)", "(Z + 2*X)^2 - 1"),
 )
-CHECK_NAMES = ["V1", "V1b", "theta", "V2", "V3", "V4", "V6"]
+CHECK_NAMES = ["V1", "V1b", "theta", "V2", "V3", "V4"]
 
 
 def test_v5_deduction_agrees_with_direct_application():
@@ -217,10 +209,11 @@ def _inverse_failures(cert):
         return None
     v_prime, z_prime, y_prime = inverse
     spec_a, spec_b = cert.spec_a, cert.spec_b
+    s = s_by_substitution(cert)
 
     def psi(e):
-        return eval_poly_on_elements(e.raw_lift(), {"Z": cert.theta, "Y": cert.s,
-                                                    "v": cert.w}, spec_a)
+        return eval_poly_on_elements(e.raw_lift(), {"Z": cert.theta, "Y": s, "v": cert.w},
+                                     spec_a)
 
     def psi_inverse(e):
         return eval_poly_on_elements(e.raw_lift(), {"Z": z_prime, "Y": y_prime,
@@ -233,7 +226,7 @@ def _inverse_failures(cert):
         "Psi(z')": psi(z_prime) == spec_a.z(),
         "Psi(y')": psi(y_prime) == spec_a.y(),
         "Psi^-1(theta)": psi_inverse(cert.theta) == spec_b.z(),
-        "Psi^-1(s)": psi_inverse(cert.s) == spec_b.y(),
+        "Psi^-1(s)": psi_inverse(s) == spec_b.y(),
         "Psi^-1(w)": psi_inverse(cert.w) == spec_b.generator("v"),
     }
     return [name for name, holds in identities.items() if not holds]
@@ -255,17 +248,25 @@ def test_explicit_inverse_composes_to_the_identity(field, f, phi):
     assert _inverse_failures(cert) == []
 
 
+@pytest.mark.parametrize("field, f, phi", INVERSE_CASES, ids=str)
+def test_derived_s_matches_the_substituting_oracle(field, f, phi):
+    # the verifier's s, read off P's Hasse derivatives, is the oracle's,
+    # summed from the e_k of P(X, Z + T) by substitution
+    cert = build_stable_iso(surf(field, f, phi))
+    assert cancel._derived_s(cert.spec_a, cert.h) == s_by_substitution(cert)
+
+
 PSI_Y = ["Psi(v')", "Psi(z')", "Psi(y')"]
 # tamper: (checks that fail, identities of the explicit inverse that fail);
-# None is no y'.  The b and corr tampers leave the inverse intact: V3 and
-# V6's x y line refuse them as cross-checks
+# None is no y'.  The b tamper leaves the inverse intact: V3 refuses it as a
+# cross-check.  The h tamper moves the s derived from it as well
 TAMPER_TABLE = {
-    ("theta", "X"): (["theta", "V2", "V4", "V6"], PSI_Y + ["Psi^-1(theta)"]),
-    ("s", "1"): (["V2", "V4", "V6"], PSI_Y + ["Psi^-1(s)"]),
-    ("w", "1"): (["V4", "V6"], PSI_Y + ["Psi^-1(w)"]),
-    ("a", "Z"): (["V1", "V3", "V4", "V6"], None),
+    ("theta", "X"): (["theta", "V2", "V4"], PSI_Y + ["Psi^-1(theta)"]),
+    ("w", "1"): (["V4"], PSI_Y + ["Psi^-1(w)"]),
+    ("a", "Z"): (["V1", "V3", "V4"], None),
     ("b", "1"): (["V1", "V3"], []),
-    ("corr", "1"): (["V6"], []),
+    ("h", "X"): (["V1b", "theta", "V2", "V4"],
+                 ["f y' = P(x, z')"] + PSI_Y + ["Psi^-1(theta)", "Psi^-1(w)"]),
 }
 
 
@@ -286,11 +287,11 @@ def _sha256(doc):
 
 @pytest.mark.parametrize("f, phi, cert_digest, report_digest", [
     ("X^2*" + "*".join(f"(X-{i})" for i in range(1, 11)), "(Z+X)^12 - 1",
-     "fc35af8d98d368184bd071c1ad2a462e0161910e1767f46d81769c2fa023fd2d",
-     "76573dba272c24742b4c6c3581754087edb52fb285f1c3163986d3baefdfe7a3"),
+     "ccec8148a173badd27d4faa294e69638d20d4646cae7b8454e4b909a1a5ff46c",
+     "d77aa51f9df53353b94e1bc204a017b8fdfcd25569977ceb08de394c11cc9506"),
     ("X^3*(X-1)*(X+2)", "(Z+X)^7 - 1",
-     "15f6d522f12487403ec006b09f2f0a94009dd658467edfd599993fba65133e30",
-     "75b8614196cdbf9cfbf6ae32a6d47332fc8a40e217d4392cf5af0009e42406ab"),
+     "4c7fb0296555d3b3ad4f2406ac45c2df91a73cf077b372c34e84d7e6de61bfc5",
+     "ccd2c5fe34314e6f1f2c870759c04bce609761fd7fba21508af2930e4bc2f074"),
 ], ids=["d12r12", "d7r5"])
 def test_q_certificate_bytes_are_pinned(f, phi, cert_digest, report_digest):
     # Bezout cofactors over Q carry denominators (a = (Z + X)/d), so these
@@ -304,16 +305,16 @@ def test_q_family_bytes_are_pinned():
     fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                        parse_poly("(Z+X)^12 - 1", QQ, ("X", "Z")), 2, 12)
     assert (_sha256(family_to_doc(fam))
-            == "f76e48d82b282427b20a3fd7be3aab3c54d9455a459983e9075777c001a0d881")
+            == "1efc735e8725c4425958119cb824c44b324dec0236b6fff59639918fd7a9a280")
 
 
 @pytest.mark.parametrize("field, g, phi, n_to, digest", [
     (GF(2), "X + 1", "Z^2 + Z + X", 6,
-     "2269b8850f01e8f0cabd68dbfa8afedb2efd32033fe7d3c908301ef4cdd65f1b"),
+     "205cdf00df1c6d474c5d3cae42efa2feaa15a570db83e48a3cfecdf7bfdbbd76"),
     (GF(3), "X + 1", "Z^3 + Z + X", 5,
-     "9e1d381e37e5c22b57e51794537ba84e0f4e1ef0394299eb1b182c130a87dc02"),
+     "067e15fdcec0e52e0476b44b1a244c810545afb4f53051bd9629fdc13e696f57"),
     (GF(5), "X^2 + 2", "(Z + X)^3 - 1", 5,
-     "60b5d44983e8a6016ded3c93383b2aa291817103e0954da8e536e16313d4a6b6"),
+     "ae3af3ac5e69cc14501c3b82813d883a7bfb73a74344db41e181a83e0f2a366c"),
 ], ids=["F2", "F3", "F5"])
 def test_fp_family_bytes_are_pinned(field, g, phi, n_to, digest):
     fam = sigma_family(field, parse_poly(g, field, ("X",)),
@@ -325,8 +326,8 @@ def test_fp_family_bytes_are_pinned(field, g, phi, n_to, digest):
 # last, h' = h + X with theta' = h' v + z: the theta check passes, and
 # x h' != f fails V1b
 TAMPERS = tuple(((key, term),) for key, term in (
-    ("theta", "X"), ("theta", "Z"), ("s", "1"), ("w", "X"), ("w", "1"), ("corr", "1"),
-    ("a", "Z"), ("b", "1"), ("h", "X"))) + ((("h", "X"), ("theta", "X*v")),)
+    ("theta", "X"), ("theta", "Z"), ("w", "X"), ("w", "1"), ("a", "Z"), ("b", "1"),
+    ("h", "X"))) + ((("h", "X"), ("theta", "X*v")),)
 
 
 def _tampered(cert, edits):
@@ -420,7 +421,7 @@ def test_no_verify_builds_the_canonical_map(monkeypatch):
     assert verify_stable_iso(cert).ok
     worse = dataclasses.replace(cert, theta=cert.theta + cert.spec_a.z())
     assert [c.name.split()[0] for c in verify_stable_iso(worse).failures()] == [
-        "theta", "V2", "V4", "V6"]
+        "theta", "V2", "V4"]
     assert sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                         parse_poly("(Z+X)^5-1", QQ, ("X", "Z")), 2, 5).ok
 

@@ -166,10 +166,10 @@ def test_cancel_build_and_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "cancel", "verify", "--cert", str(path))
     assert code == 0 and "VERIFIED" in out
     doc = json.loads(path.read_text())
-    doc["s"]["coeffs"]["0"] = "1 + " + doc["s"]["coeffs"].get("0", "0")
+    doc["w"]["coeffs"]["0"] = "1 + " + doc["w"]["coeffs"].get("0", "0")
     path.write_text(dumps(doc))
     code, out, _ = run(capsys, "cancel", "verify", "--cert", str(path))
-    assert code == 1 and "V2" in out
+    assert code == 1 and "[FAIL] V4" in out
 
 
 def test_cancel_verify_reads_the_partner_field_tag(capsys, tmp_path):
@@ -275,9 +275,9 @@ _READERS = {
     ("expmap", ("surface", "field"), None),
     ("cancel", ("surfaceA", "field"), 7),
     ("cancel", ("surfaceB", "field"), None),
-    ("cancel", ("s", "coeffs"), ["Z"]),
-    ("cancel", ("s", "coeffs"), None),
-    ("cancel", ("s", "aux"), "vU"),
+    ("cancel", ("w", "coeffs"), ["Z"]),
+    ("cancel", ("w", "coeffs"), None),
+    ("cancel", ("w", "aux"), "vU"),
 ])
 def test_documents_with_wrong_json_types_exit_2(capsys, tmp_path, ex45_path, reader, path,
                                                 value):
@@ -308,7 +308,7 @@ def test_elements_with_unknown_auxiliary_variables_exit_2(capsys, tmp_path, aux,
     code, out, _ = run(capsys, *_READERS["cancel"][1])
     assert code == 0
     doc = json.loads(out)
-    doc["s"] = {"aux": aux, "coeffs": {"0": coeff}}
+    doc["w"] = {"aux": aux, "coeffs": {"0": coeff}}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "cancel", "verify", "--cert", str(bad))
@@ -331,6 +331,42 @@ def test_element_y_powers_past_the_input_budget_exit_2(capsys, tmp_path, key):
     code, out, err = run(capsys, "cancel", "verify", "--cert", str(bad))
     assert code == 2 and out == ""
     assert err == f"error: element y-power {key} exceeds the input budget of 256\n"
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["alone", "with_twin"])
+@pytest.mark.parametrize("key, canonical", [("01", "1"), ("+1", "1"), (" 1", "1"),
+                                            ("1_0", "10")])
+def test_element_y_power_keys_must_be_canonical(capsys, tmp_path, key, canonical, twin):
+    # int() reads each key as the power of its canonical twin: alone it was
+    # an alias, and next to its twin the later key replaced the earlier one
+    code, out, _ = run(capsys, *_READERS["cancel"][1])
+    assert code == 0
+    doc = json.loads(out)
+    coeffs = doc["w"]["coeffs"]
+    coeffs[key] = coeffs.pop(canonical, "X")
+    if twin:
+        coeffs[canonical] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cancel", "verify", "--cert", str(bad))
+    assert code == 2 and out == ""
+    assert err == (f"error: element y-power key {key!r} is not written as "
+                   f"{canonical!r}\n")
+
+
+@pytest.mark.parametrize("key", ["s", "corr"])
+def test_certificates_of_the_older_format_exit_2(capsys, tmp_path, key):
+    # the older format stored s and corr; s is now derived from h and P
+    code, out, _ = run(capsys, *_READERS["cancel"][1])
+    assert code == 0
+    doc = json.loads(out)
+    doc[key] = doc["w"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cancel", "verify", "--cert", str(bad))
+    assert code == 2 and out == ""
+    assert err == (f"error: stable certificate has the key {key!r} of an older format; "
+                   "rebuild it with `cancel build`\n")
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -569,7 +605,9 @@ def _pinned_argv(tmp_path):
 
 
 # exit code, then the sha256 of stdout in text and with --json; recorded at 46bf284,
-# cancel-verify and family-demo --json again when the report lost V5 and V7
+# cancel-verify and family-demo --json again when the report lost V5 and V7, and
+# cancel-build, cancel-verify and family-demo --json again when the certificate
+# lost corr and s and the report lost V6
 PINNED = {
     "surface-info-Q": (0,
         "a3e3ed422d8159183b662333233863de98809813c121ebd16b452b95ff5c78e8",
@@ -599,17 +637,17 @@ PINNED = {
         "7e5777ffd1ce07bf119746d44d8c4fc868c7e17120841f4d58c66093f295cd0c",
         "20af117c2ab8b16ed7736888a0f867ae26534a3433e32e89cc0148486a0c72c3"),
     "cancel-build": (0,
-        "f56338f4359d5a3d3b400c1079302e11475217db2b44f0f63f40077051532b60",
-        "f4eb2e6d43d9cbaec5da9f88081bb73edf6990a395517ba5d85878d232709844"),
+        "0d5dfc74a4d57486b041aa01ecfd4b54b364390a212a64bdf13437d61a14e344",
+        "eb40a6bcbba4587ec0df0348f0d830a63db0d46bea21cfa53a63ccfdfbce6139"),
     "cancel-build-refused": (1,
         "c9fed5957edb97c18e989eaad52e5f2b1c644f87bee8f8ac7f23bf98945a5e4f",
         "ab41fffe53906a4a030876ee781cf0a2cc7e51e8c3eb3fdd8e2fca45786237df"),
     "cancel-verify": (0,
-        "c34559392bf669f4c03ea7d2d884a80cc163b05287baa2d7378549b4c7f15d83",
-        "8a8facdf1224215adabe87272861b61649e0c6d5b423926d2beff6ec0379596a"),
+        "2166e4b2737606a1325398b916ca9a6e3724ae212533483dbc9d864d9369c14b",
+        "1e20a95d4f0aef7d36ed6d190c07e1fff248e9fa319732d0b0a109364e1fae17"),
     "family-demo": (0,
         "c82cc794dd534b42df6145437ae37c07f096591b4068d5fe3b09fecd47284cd2",
-        "99ef864c09b410cb860b8e0696b4574f78bf545ee305d06712e4b8909ebc4504"),
+        "9297b63a6a3a4dad0d7b85fa3ef0575546b71da0a7b7bee33c2379b36d348f88"),
     "paper-examples": (0,
         "a84d6599b17c480f171489acd7d4919522758ec7a53614c4d5d023419a084cc6",
         "7f37041bcff33df0c82ea4c2ed1388b070097ebd02c97d6d3e18b1b40f50c429"),

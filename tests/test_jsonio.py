@@ -153,6 +153,15 @@ def test_stable_round_trip():
     assert stable_from_doc(stable_to_doc(cert)) == cert
 
 
+def test_q12_certificate_stores_only_what_it_cannot_derive():
+    # the d = r = 12 certificate over Q; its document, with s and corr, was
+    # 498,289 bytes
+    f = "X^2*" + "*".join(f"(X-{i})" for i in range(1, 11))
+    doc = stable_to_doc(build_stable_iso(surf(QQ, f, "(Z+X)^12 - 1")))
+    assert set(doc) == {"surfaceA", "surfaceB", "h", "theta", "a", "b", "w"}
+    assert len(dumps(doc)) <= 0.6 * 498_289
+
+
 def test_family_doc_shape():
     fam = sigma_family(QQ, parse_poly("X-1", QQ, ("X",)),
                        parse_poly("Z^2+1", QQ, ("X", "Z")), 2, 3)
